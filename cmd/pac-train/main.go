@@ -39,10 +39,11 @@
 // ?format=chrome renders the timeline as Chrome counter events).
 // -mem-budget arms the ledger's pressure watermarks: a warn crossing
 // records a flight event and counts in pac_mem_pressure_total, a
-// critical crossing additionally sheds LRU activation-cache entries
-// until the total is back at the warn watermark. -mem-report writes
-// the run's per-account peak bytes in the committed BENCH_mem.json
-// shape so CI can gate memory regressions.
+// critical crossing additionally sheds activation-cache entries
+// until the total is back at the warn watermark, and the cache stays
+// at that size (shed samples are recomputed, not re-admitted).
+// -mem-report writes the run's per-account peak bytes in the committed
+// BENCH_mem.json shape so CI can gate memory regressions.
 // -trace-out writes the run's real timeline — per-stage
 // forward/backward micro-batch spans, AllReduce rounds, snapshot and
 // salvage events — as Chrome/Perfetto JSON (load it at ui.perfetto.dev).
@@ -325,9 +326,10 @@ func run(args []string, out io.Writer) error {
 		store = acache.NewMemoryStore()
 	}
 	// Under an armed budget the activation cache doubles as the pressure
-	// relief valve: a critical crossing sheds LRU entries until the
-	// ledger total is back at the warn watermark, trading recomputes for
-	// RAM exactly like an over-capacity Bounded put. The shed runs on
+	// relief valve: a critical crossing sheds entries until the ledger
+	// total is back at the warn watermark, trading recomputes for RAM.
+	// The MaxInt64 bound admits everything until then; Shed lowers it to
+	// its target, so the samples it removed stay out. The shed runs on
 	// its own goroutine because the crossing can fire from inside a
 	// cache Put that already holds the Bounded lock.
 	var shedEntries, shedBytes atomic.Int64

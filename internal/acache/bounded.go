@@ -1,63 +1,73 @@
 package acache
 
 import (
-	"container/list"
+	"sort"
 	"sync"
 )
 
-// Bounded wraps a Store with a byte-capacity bound and LRU eviction —
-// the paper's storage-cost analysis (§5.2) assumes the cache fits in
-// flash; when it does not, PAC degrades gracefully by recomputing
-// evicted samples through the backbone (the core framework's miss
-// path).
+// Bounded wraps a Store with a byte-capacity bound — the paper's
+// storage-cost analysis (§5.2) assumes the cache fits in flash; when it
+// does not, PAC degrades gracefully by recomputing the samples that
+// found no room through the backbone (the core framework's miss path).
+//
+// The policy is keep-residents: a newcomer that does not fit is turned
+// away, and a resident is never displaced by one. Training reads every
+// sample exactly once per epoch (data.Loader reshuffles a full scan),
+// so a hit needs its entry to have stayed resident across the epoch
+// boundary: hits per epoch ≤ resident entries under any policy, and
+// never giving a slot away reaches that ceiling. Recency order (LRU)
+// does the opposite — under a once-per-epoch scan it evicts exactly
+// what the next epoch reads first.
 type Bounded struct {
 	mu       sync.Mutex
 	inner    Store
-	maxBytes int64
-	lru      *list.List // front = most recent; values are sample ids
-	pos      map[int]*list.Element
+	maxBytes int64 // the bound NewBounded was given; Clear returns to it
+	bound    int64 // admission bound in force: maxBytes until Shed lowers it
+	tooBig   int64 // smallest payload turned away since room was last made; 0 = none yet
 	evicted  int64
 }
 
-// NewBounded caps inner at maxBytes of payload.
+// NewBounded caps inner at maxBytes of stored payload (inner.Bytes():
+// what an entry costs once stored, so a half-precision inner store
+// holds twice the entries).
 func NewBounded(inner Store, maxBytes int64) *Bounded {
-	return &Bounded{inner: inner, maxBytes: maxBytes, lru: list.New(), pos: map[int]*list.Element{}}
+	return &Bounded{inner: inner, maxBytes: maxBytes, bound: maxBytes}
 }
 
-// Put implements Store, evicting least-recently-used entries as needed.
-// An entry larger than the whole capacity is rejected silently (the
-// caller's miss path handles it).
+// Put implements Store. A new id is admitted only if the inner store
+// still fits under the bound with it; otherwise it is turned away
+// silently (the caller's miss path handles it) and counted in Evicted.
+// Only the inner store knows what an entry costs once stored, so the
+// first newcomer that does not fit is stored, measured and taken back
+// out; until Shed or Clear makes room, every later newcomer at least
+// that large is turned away without touching the inner store.
+// Overwriting a resident id is not a newcomer.
 func (b *Bounded) Put(id int, taps Entry) error {
-	if taps.Bytes() > b.maxBytes {
-		return nil
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.tooBig > 0 && taps.Bytes() >= b.tooBig && !b.inner.Has(id) {
+		b.turnAway()
+		return nil
+	}
 	if err := b.inner.Put(id, taps); err != nil {
 		return err
 	}
-	b.touch(id)
-	for b.inner.Bytes() > b.maxBytes {
-		oldest := b.lru.Back()
-		if oldest == nil {
-			break
-		}
-		victim := oldest.Value.(int)
-		if victim == id && b.lru.Len() == 1 {
-			break
-		}
-		b.lru.Remove(oldest)
-		delete(b.pos, victim)
-		b.dropFromInner(victim)
-		b.evicted++
+	if b.inner.Bytes() > b.bound {
+		b.dropFromInner(id)
+		b.tooBig = taps.Bytes()
+		b.turnAway()
 	}
 	return nil
 }
 
+func (b *Bounded) turnAway() {
+	b.evicted++
+	mBoundedRejects.Inc()
+}
+
 // dropFromInner removes one entry from the wrapped store. Store has no
-// per-entry delete, so rebuild via Clear+reinsert would be wasteful;
-// instead both provided stores support overwrite-free removal through
-// this helper interface.
+// per-entry delete; every provided store offers one through this
+// helper interface.
 func (b *Bounded) dropFromInner(id int) {
 	type deleter interface{ Delete(id int) }
 	if d, ok := b.inner.(deleter); ok {
@@ -65,25 +75,8 @@ func (b *Bounded) dropFromInner(id int) {
 	}
 }
 
-// touch moves id to the LRU front.
-func (b *Bounded) touch(id int) {
-	if el, ok := b.pos[id]; ok {
-		b.lru.MoveToFront(el)
-		return
-	}
-	b.pos[id] = b.lru.PushFront(id)
-}
-
-// Get implements Store (counts as a use for LRU purposes).
-func (b *Bounded) Get(id int) (Entry, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.inner.Get(id)
-	if ok {
-		b.touch(id)
-	}
-	return e, ok
-}
+// Get implements Store.
+func (b *Bounded) Get(id int) (Entry, bool) { return b.inner.Get(id) }
 
 // Has implements Store.
 func (b *Bounded) Has(id int) bool { return b.inner.Has(id) }
@@ -100,43 +93,46 @@ func (b *Bounded) Bytes() int64 { return b.inner.Bytes() }
 // Stats implements Store.
 func (b *Bounded) Stats() Stats { return b.inner.Stats() }
 
-// Clear implements Store.
+// Clear implements Store and restores the bound NewBounded was given.
 func (b *Bounded) Clear() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.lru.Init()
-	b.pos = map[int]*list.Element{}
+	b.bound, b.tooBig = b.maxBytes, 0
 	return b.inner.Clear()
 }
 
-// Evicted returns how many entries the bound has pushed out.
+// Evicted returns how many entries the bound has pushed out: newcomers
+// turned away by Put plus residents removed by Shed.
 func (b *Bounded) Evicted() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.evicted
 }
 
-// Shed evicts least-recently-used entries until the cache payload is
-// at or below targetBytes, returning how many entries and bytes it
-// released. It is the memory-pressure relief valve: pac-train
+// Shed removes residents, highest sample id first, until the cache
+// payload is at or below targetBytes, returning how many entries and
+// bytes it released. It is the memory-pressure relief valve: pac-train
 // subscribes it to the ledger's critical watermark
-// (memledger.Ledger.OnPressure), trading recomputes for RAM exactly
-// like an over-capacity Put would. Shed(0) empties the cache.
+// (memledger.Ledger.OnPressure), trading recomputes for RAM. The relief
+// sticks: the admission bound drops to targetBytes as well, so the next
+// epoch's recomputed samples are not admitted straight back (Clear
+// resets it). Shed(0) empties the cache.
 func (b *Bounded) Shed(targetBytes int64) (entries int, freed int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.bound = min(b.bound, targetBytes)
+	b.tooBig = 0
 	before := b.inner.Bytes()
-	for b.inner.Bytes() > targetBytes {
-		oldest := b.lru.Back()
-		if oldest == nil {
+	ids := b.inner.IDs()
+	sort.Sort(sort.Reverse(sort.IntSlice(ids)))
+	for _, id := range ids {
+		if b.inner.Bytes() <= targetBytes {
 			break
 		}
-		victim := oldest.Value.(int)
-		b.lru.Remove(oldest)
-		delete(b.pos, victim)
-		b.dropFromInner(victim)
-		b.evicted++
+		b.dropFromInner(id)
 		entries++
 	}
+	b.evicted += int64(entries)
+	mBoundedSheds.Add(int64(entries))
 	return entries, before - b.inner.Bytes()
 }

@@ -2,9 +2,11 @@ package acache
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"pac/internal/telemetry"
 	"pac/internal/tensor"
 )
 
@@ -12,7 +14,7 @@ func fixedEntry(val float32) Entry {
 	return Entry{tensor.Full(val, 2, 8)} // 64 bytes
 }
 
-func TestBoundedEvictsLRU(t *testing.T) {
+func TestBoundedKeepsResidents(t *testing.T) {
 	b := NewBounded(NewMemoryStore(), 3*64)
 	for id := 0; id < 3; id++ {
 		if err := b.Put(id, fixedEntry(float32(id))); err != nil {
@@ -22,26 +24,144 @@ func TestBoundedEvictsLRU(t *testing.T) {
 	if b.Len() != 3 || b.Evicted() != 0 {
 		t.Fatalf("len %d evicted %d", b.Len(), b.Evicted())
 	}
-	// Touch 0 so 1 becomes LRU, then insert 3.
+	// Reading a resident buys it nothing and costs the others nothing:
+	// the newcomer is the one turned away.
 	if _, ok := b.Get(0); !ok {
 		t.Fatal("entry 0 lost")
 	}
 	if err := b.Put(3, fixedEntry(3)); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 3 {
-		t.Fatalf("len %d after eviction", b.Len())
+	if b.Has(3) {
+		t.Fatal("newcomer 3 displaced a resident")
 	}
-	if b.Has(1) {
-		t.Fatal("LRU entry 1 survived")
-	}
-	for _, id := range []int{0, 2, 3} {
+	for _, id := range []int{0, 1, 2} {
 		if !b.Has(id) {
-			t.Fatalf("entry %d evicted wrongly", id)
+			t.Fatalf("resident %d displaced by a newcomer", id)
 		}
 	}
 	if b.Evicted() != 1 {
 		t.Fatalf("Evicted = %d", b.Evicted())
+	}
+	// Overwriting a resident is not a newcomer.
+	if err := b.Put(1, fixedEntry(9)); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := b.Get(1); !ok || e[0].Data[0] != 9 {
+		t.Fatal("overwrite of resident 1 turned away")
+	}
+	if b.Len() != 3 || b.Evicted() != 1 {
+		t.Fatalf("after overwrite: len %d evicted %d", b.Len(), b.Evicted())
+	}
+}
+
+// TestBoundedHitsEqualResidents is the policy's whole argument as a
+// property: training reads every sample once per epoch in a fresh
+// random order, so an epoch's hits can be at most the entries resident
+// when it began, and keep-residents reaches that. (LRU at a 50 % share
+// reads ≈ 0.16.) Every miss is offered back, as core's miss path does.
+func TestBoundedHitsEqualResidents(t *testing.T) {
+	reg := telemetry.Default()
+	rejects := reg.Counter("pac_cache_ops_total", "store", "bounded", "op", "reject")
+	sheds := reg.Counter("pac_cache_ops_total", "store", "bounded", "op", "shed")
+	for _, tc := range []struct {
+		n, sharePct int
+		seed        int64
+	}{
+		{16, 25, 1}, {16, 50, 2}, {16, 75, 3},
+		{192, 25, 4}, {192, 50, 5}, {192, 75, 6},
+		{37, 50, 7},
+	} {
+		capacity := tc.n * tc.sharePct / 100
+		// Half an entry of slack: a bound that is not a multiple of the
+		// entry size must not admit one entry more.
+		b := NewBounded(NewMemoryStore(), int64(capacity)*64+32)
+		rej0, shed0 := rejects.Value(), sheds.Value()
+		rng := rand.New(rand.NewSource(tc.seed))
+		var turnedAway int64
+		offer := func(id int) {
+			if err := b.Put(id, fixedEntry(float32(id))); err != nil {
+				t.Fatal(err)
+			}
+			if !b.Has(id) {
+				turnedAway++
+			}
+			if b.Len() > capacity {
+				t.Fatalf("%+v: len %d exceeds capacity %d", tc, b.Len(), capacity)
+			}
+		}
+		for _, id := range rng.Perm(tc.n) { // the hybrid epoch fills the cache
+			offer(id)
+		}
+		for epoch := 1; epoch <= 6; epoch++ {
+			residents := b.Len()
+			hits := 0
+			for _, id := range rng.Perm(tc.n) {
+				if _, ok := b.Get(id); ok {
+					hits++
+				} else {
+					offer(id)
+				}
+			}
+			if residents != capacity || hits != residents {
+				t.Fatalf("%+v epoch %d: %d hits, %d residents, capacity %d", tc, epoch, hits, residents, capacity)
+			}
+		}
+		shedEntries, _ := b.Shed(int64(capacity/2) * 64)
+		if want := capacity - capacity/2; shedEntries != want {
+			t.Fatalf("%+v: shed %d entries, want %d", tc, shedEntries, want)
+		}
+		if got, want := b.Evicted(), turnedAway+int64(shedEntries); got != want {
+			t.Fatalf("%+v: Evicted %d, want %d turned away + %d shed", tc, got, turnedAway, shedEntries)
+		}
+		if d := rejects.Value() - rej0; d != turnedAway {
+			t.Fatalf("%+v: reject counter moved %d, %d turned away", tc, d, turnedAway)
+		}
+		if d := sheds.Value() - shed0; d != int64(shedEntries) {
+			t.Fatalf("%+v: shed counter moved %d, %d shed", tc, d, shedEntries)
+		}
+	}
+}
+
+// TestBoundedShedReliefSticks: after a pressure Shed the next epoch's
+// recomputed samples must not be admitted straight back, or the
+// watermark trips again and the same samples are recomputed every
+// cycle (pac-train wraps its cache in a MaxInt64 bound).
+func TestBoundedShedReliefSticks(t *testing.T) {
+	const n = 20
+	b := NewBounded(NewMemoryStore(), math.MaxInt64)
+	for id := 0; id < n; id++ {
+		_ = b.Put(id, fixedEntry(float32(id)))
+	}
+	half := b.Bytes() / 2
+	b.Shed(half)
+	residents := b.Len()
+	if residents != n/2 {
+		t.Fatalf("%d residents after shedding to half", residents)
+	}
+	hits := 0
+	for id := 0; id < n; id++ {
+		if _, ok := b.Get(id); ok {
+			hits++
+		} else {
+			_ = b.Put(id, fixedEntry(float32(id)))
+		}
+		if b.Bytes() > half {
+			t.Fatalf("bytes %d back above the shed target %d after sample %d", b.Bytes(), half, id)
+		}
+	}
+	if hits != residents {
+		t.Fatalf("%d hits with %d residents", hits, residents)
+	}
+	// Clear is a new start: the configured bound is back.
+	if err := b.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < n; id++ {
+		_ = b.Put(id, fixedEntry(float32(id)))
+	}
+	if b.Len() != n {
+		t.Fatalf("after Clear the cache admitted %d of %d", b.Len(), n)
 	}
 }
 
@@ -80,7 +200,7 @@ func TestBoundedClear(t *testing.T) {
 	if b.Len() != 0 || b.Bytes() != 0 {
 		t.Fatal("clear incomplete")
 	}
-	// LRU bookkeeping reset: a fresh Put works.
+	// A fresh Put works.
 	_ = b.Put(2, fixedEntry(2))
 	if !b.Has(2) {
 		t.Fatal("put after clear failed")

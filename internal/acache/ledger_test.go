@@ -42,8 +42,9 @@ func TestMemoryStoreLedger(t *testing.T) {
 	}
 }
 
-// TestBoundedShed verifies the pressure relief valve: Shed evicts
-// LRU-first down to the target and the ledger account follows.
+// TestBoundedShed verifies the pressure relief valve: Shed removes
+// residents, highest id first, down to the target and the ledger
+// account follows.
 func TestBoundedShed(t *testing.T) {
 	acct := memledger.Default().Account("acache")
 	base := acct.Bytes()
@@ -52,7 +53,7 @@ func TestBoundedShed(t *testing.T) {
 	for id := 0; id < 10; id++ {
 		b.Put(id, entryOfSize(25)) // 100 B each
 	}
-	b.Get(0) // make id 0 most-recent so it survives the shed
+	b.Get(9) // a read protects nothing: the order is by id alone
 
 	entries, freed := b.Shed(300)
 	if b.Bytes() > 300 {
@@ -61,8 +62,10 @@ func TestBoundedShed(t *testing.T) {
 	if entries != 7 || freed != 700 {
 		t.Fatalf("shed = (%d entries, %d bytes), want (7, 700)", entries, freed)
 	}
-	if _, ok := b.Get(0); !ok {
-		t.Fatal("most-recently-used entry should survive shedding")
+	for id := 0; id < 10; id++ {
+		if b.Has(id) != (id < 3) {
+			t.Fatalf("after shedding to 3 entries Has(%d) = %v; want ids 0-2 left", id, b.Has(id))
+		}
 	}
 	if got := acct.Bytes() - base; got != b.Bytes() {
 		t.Fatalf("ledger delta = %d, store bytes = %d", got, b.Bytes())

@@ -17,6 +17,11 @@ var (
 	mDiskPuts    = telemetry.Default().Counter("pac_cache_ops_total", "store", "disk", "op", "put")
 	mDiskCorrupt = telemetry.Default().Counter("pac_cache_ops_total", "store", "disk", "op", "corrupt")
 
+	// What a Bounded wrapper's byte bound cost: newcomers turned away
+	// by Put and residents removed by Shed (together, Evicted()).
+	mBoundedRejects = telemetry.Default().Counter("pac_cache_ops_total", "store", "bounded", "op", "reject")
+	mBoundedSheds   = telemetry.Default().Counter("pac_cache_ops_total", "store", "bounded", "op", "shed")
+
 	mSalvageVerified   = telemetry.Default().Counter("pac_cache_salvage_total", "outcome", "verified")
 	mSalvageCorrupt    = telemetry.Default().Counter("pac_cache_salvage_total", "outcome", "corrupt")
 	mSalvageMissing    = telemetry.Default().Counter("pac_cache_salvage_total", "outcome", "missing")

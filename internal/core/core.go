@@ -334,10 +334,8 @@ func (f *Framework) Redistribute(ds *data.Dataset) error {
 	for i, ex := range ds.Examples {
 		ids[i] = ex.ID
 	}
-	if f.cache.Len() == 0 {
-		return fmt.Errorf("core: phase 1 produced an empty cache")
-	}
-	// Capacity-bounded caches may have evicted entries; those samples
+	// Capacity-bounded caches may have turned entries away — all of them,
+	// once a pressure Shed has taken the bound to zero; those samples
 	// fall back to backbone recomputation during cached epochs. Record
 	// the shortfall for observability.
 	f.CoverageMissing = 0
@@ -456,18 +454,26 @@ func (f *Framework) CachedEpochsFromCtx(ctx context.Context, loader *data.Loader
 }
 
 // gatherTaps assembles the batched tap tensors for a micro-batch from
-// per-sample cache entries. A miss (capacity-bounded caches evict) falls
-// back to recomputing the sample's taps through the replica's frozen
-// backbone — identical values, just slower — and repopulates the cache.
+// per-sample cache entries. A miss (a capacity-bounded cache had no room
+// for the sample) falls back to recomputing the sample's taps through
+// the replica's frozen backbone alone — identical values, just slower —
+// and offers them to the cache.
 func (f *Framework) gatherTaps(pa *peft.Parallel, mb *data.Batch) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, pa.NumTaps())
 	for i, id := range mb.IDs {
 		entry, ok := f.cache.Get(id)
+		cacheOwns := ok
 		if !ok {
 			one := mb.Slice(i, i+1)
-			res := pa.Forward(one.Enc, one.Dec, one.Lens, false)
-			entry = acache.Entry(res.Taps)
-			if err := f.cache.Put(id, entry); err == nil && f.manifest != nil {
+			entry = pa.BackboneTaps(one.Enc, one.Dec, one.Lens)
+			// The recomputed taps are pooled buffers. A cache that took
+			// the entry may hold these very tensors (MemoryStore does), so
+			// they stay out of the pool for good; a cache that turned it
+			// away leaves them ours to return once the rows are copied.
+			// This rank alone handles id in this step, so Has after Put
+			// answers for this Put.
+			if err := f.cache.Put(id, entry); err == nil && f.cache.Has(id) {
+				cacheOwns = true
 				f.manifest.Observe(id, entry)
 			}
 			atomic.AddInt64(&f.recomputed, 1)
@@ -484,6 +490,9 @@ func (f *Framework) gatherTaps(pa *peft.Parallel, mb *data.Batch) []*tensor.Tens
 			}
 			n := t.Numel()
 			copy(out[ti].Data[i*n:(i+1)*n], t.Data)
+			if !cacheOwns {
+				tensor.PutTensor(t)
+			}
 		}
 	}
 	return out
@@ -807,8 +816,7 @@ func (f *Framework) SalvageCache(ds *data.Dataset, batch int, seed int64, from C
 			return nil, fmt.Errorf("core: sample %d not in dataset", id)
 		}
 		b := data.BatchOf([]data.Example{ex})
-		res := f.reference.Forward(b.Enc, b.Dec, b.Lens, false)
-		return acache.Entry(res.Taps), nil
+		return acache.Entry(f.reference.BackboneTaps(b.Enc, b.Dec, b.Lens)), nil
 	}
 	rep, err := acache.Salvage(f.cache, want, f.manifest, recompute)
 	if err == nil {

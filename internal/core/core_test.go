@@ -134,7 +134,7 @@ func TestRedistributeReportsIncompleteCoverage(t *testing.T) {
 }
 
 func TestBoundedCacheRecomputeMatchesUnbounded(t *testing.T) {
-	// A cache too small for the dataset forces evictions; the recompute
+	// A cache too small for the dataset turns samples away; the recompute
 	// path must yield bit-identical training (taps are deterministic).
 	ds := smallDataset(8)
 	run := func(store acache.Store) []float32 {
@@ -147,30 +147,26 @@ func TestBoundedCacheRecomputeMatchesUnbounded(t *testing.T) {
 	}
 	full := run(acache.NewMemoryStore())
 
-	// Bound: roughly three entries' worth of bytes.
-	probe := acache.NewMemoryStore()
-	fProbe := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
-		Stages: 2, Lanes: 1, LR: 0.05, Cache: probe})
-	loader := data.NewLoader(ds, 4, 3)
-	fProbe.Phase1Epoch(loader, 0)
-	perEntry := probe.Bytes() / int64(probe.Len())
-
-	bounded := acache.NewBounded(acache.NewMemoryStore(), perEntry*3)
-	f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
-		Stages: 2, Lanes: 1, LR: 0.05, Cache: bounded})
-	if _, err := f.FineTune(ds, 4, 3, 3); err != nil {
-		t.Fatal(err)
-	}
-	if bounded.Evicted() == 0 {
-		t.Fatal("bound never triggered eviction — test ineffective")
-	}
-	if f.Recomputed() == 0 {
-		t.Fatal("no recomputation despite evictions")
-	}
-	got := nn.FlattenParams(f.Reference().Trainable())
-	for i := range full {
-		if full[i] != got[i] {
-			t.Fatalf("param %d: bounded %v unbounded %v", i, got[i], full[i])
+	// Bound: three entries' worth of bytes, then none at all (where a
+	// pressure Shed to zero leaves the cache: every sample recomputed).
+	for _, entries := range []int64{3, 0} {
+		bounded := acache.NewBounded(acache.NewMemoryStore(), entries*entryBytes(t, ds))
+		f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
+			Stages: 2, Lanes: 1, LR: 0.05, Cache: bounded})
+		if _, err := f.FineTune(ds, 4, 3, 3); err != nil {
+			t.Fatal(err)
+		}
+		if bounded.Evicted() == 0 {
+			t.Fatal("bound never turned an entry away — test ineffective")
+		}
+		if want := int64(2 * (ds.Len() - int(entries))); f.Recomputed() != want {
+			t.Fatalf("room for %d: recomputed %d, want %d", entries, f.Recomputed(), want)
+		}
+		got := nn.FlattenParams(f.Reference().Trainable())
+		for i := range full {
+			if full[i] != got[i] {
+				t.Fatalf("room for %d: param %d: bounded %v unbounded %v", entries, i, got[i], full[i])
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"pac/internal/model"
 	"pac/internal/nn"
 	"pac/internal/peft"
+	"pac/internal/tensor"
 )
 
 // resumeConfig is the shared shape of the equivalence runs: Adam (so
@@ -64,14 +65,37 @@ func crashAndResume(t *testing.T, ds *data.Dataset, batch, epochs int, seed int6
 		t.Fatal(err)
 	}
 	cur := Cursor{Epoch: crashSnap.Epoch, Step: crashSnap.Step}
+	outstanding := tensor.ReadPoolStats().BytesOutstanding
 	rep, err := f2.SalvageCache(ds, batch, seed, cur)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Salvage recomputes through the backbone alone: the only pooled
+	// buffers still checked out afterwards are the taps it handed to the
+	// store (a recompute through the whole technique left a side-network
+	// graph behind per sample as well).
+	grew := tensor.ReadPoolStats().BytesOutstanding - outstanding
+	if limit := int64(rep.Recomputed) * pooledBytes(t, store); grew > limit {
+		t.Fatalf("salvage (%v) left %d pooled bytes checked out, %d of them taps", rep, grew, limit)
 	}
 	if _, err := f2.FineTuneFromCtx(context.Background(), ds, batch, epochs, seed, cur); err != nil {
 		t.Fatal(err)
 	}
 	return f2, rep
+}
+
+// pooledBytes returns what one cached sample's taps occupy in the
+// tensor pool (its buffers come in size classes): a clone checks out
+// exactly that much.
+func pooledBytes(t *testing.T, store acache.Store) int64 {
+	t.Helper()
+	e, ok := store.Get(store.IDs()[0])
+	if !ok {
+		t.Fatal("no readable cache entry to measure")
+	}
+	before := tensor.ReadPoolStats().BytesOutstanding
+	e.Clone()
+	return tensor.ReadPoolStats().BytesOutstanding - before
 }
 
 // TestResumeEquivalenceCachedPhase is the headline elastic-resume

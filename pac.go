@@ -215,9 +215,12 @@ func min(a, b int) int {
 
 // Capacity-bounded and compressed caches.
 
-// NewBoundedCache wraps a cache with a byte budget and LRU eviction;
-// evicted samples are transparently recomputed through the backbone
-// during cached epochs.
+// NewBoundedCache wraps a cache with a byte budget that keeps its
+// residents: a sample that does not fit is turned away and
+// transparently recomputed through the backbone during cached epochs.
+// Every sample is read once per epoch, so an epoch's hits are at most
+// the entries resident when it began — never displacing a resident
+// reaches that ceiling (hit ratio = the share of the data that fits).
 func NewBoundedCache(inner CacheStore, maxBytes int64) CacheStore {
 	return acache.NewBounded(inner, maxBytes)
 }
