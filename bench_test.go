@@ -10,7 +10,6 @@ package pac
 
 import (
 	"testing"
-	"time"
 
 	"pac/internal/bench"
 	"pac/internal/cluster"
@@ -22,7 +21,6 @@ import (
 	"pac/internal/model"
 	"pac/internal/peft"
 	"pac/internal/planner"
-	"pac/internal/serve"
 )
 
 // BenchmarkTable1MemoryBreakdown regenerates paper Table 1 (memory
@@ -244,24 +242,6 @@ func BenchmarkRealPACFineTune(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkServeBatchedThroughput measures the request batcher's
-// classification throughput on the serving layer.
-func BenchmarkServeBatchedThroughput(b *testing.B) {
-	cfg := model.Tiny()
-	m := model.New(cfg)
-	tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-	srv := serve.NewServer(tech, cfg)
-	batcher := serve.NewBatcher(srv, 16, 2*time.Millisecond)
-	defer batcher.Close()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			batcher.Classify([]int{2, 3, 4, 5, 6, 7, 8, 9}, 8)
-		}
-	})
-	b.ReportMetric(float64(batcher.Batches()), "model-calls")
 }
 
 // BenchmarkGenerationDecode measures autoregressive decoding through a

@@ -3,20 +3,12 @@
 //
 // Usage:
 //
-//	pac-bench [-exp all|table1|figure3|table2|table3|figure8|figure9|figure10|figure11|ablations|tensorbench]
+//	pac-bench [-exp all|table1|figure3|table2|table3|figure8|figure9|figure10|figure11|ablations]
 //	          [-quality-samples N] [-quality-epochs N]
-//	          [-workers N] [-pool-stats] [-bench-json FILE]
-//	          [-backend generic|tuned|int8] [-quantize-backbone]
-//	          [-compare] [-baseline FILE] [-regress-threshold F]
 //
-// The tensorbench experiment measures the pooled tensor runtime
-// (steady-state training step, serve request, hot kernels) and, with
-// -bench-json, writes the BENCH_tensor.json allocation baseline. Every
-// report also carries per-backend kernel rows and fp32-vs-int8
-// backbone-forward rows regardless of the -backend the headline rows
-// run under. -compare diffs a fresh tensorbench run against the
-// committed baseline (benchstat-style delta table) and exits non-zero
-// when ns/op or allocs/op regress past -regress-threshold.
+// Performance evidence lives elsewhere: BENCHMARK.json + benchmark/ for
+// the end-to-end workloads and their per-layer probes, `go test -bench`
+// for the allocation budgets.
 package main
 
 import (
@@ -26,46 +18,13 @@ import (
 	"strings"
 
 	"pac/internal/bench"
-	"pac/internal/tensor"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (comma-separated): table1, figure3, table2, table3, figure8, figure9, figure10, figure11, ablations, tensorbench")
+	exp := flag.String("exp", "all", "experiment to run (comma-separated): table1, figure3, table2, table3, figure8, figure9, figure10, figure11, ablations")
 	qSamples := flag.Int("quality-samples", 320, "samples per task for the Table 3 real-training sweep")
 	qEpochs := flag.Int("quality-epochs", 8, "epochs for the Table 3 real-training sweep")
-	workers := flag.Int("workers", 0, "kernel worker goroutines (0 = GOMAXPROCS default)")
-	poolStats := flag.Bool("pool-stats", false, "print tensor pool statistics after the run")
-	benchJSON := flag.String("bench-json", "", "write the tensorbench report to FILE (implies -exp tensorbench if not selected)")
-	backendName := flag.String("backend", "generic", "tensor compute backend: generic | tuned | int8")
-	quantize := flag.Bool("quantize-backbone", false, "quantize the frozen backbone in the end-to-end tensorbench cases (pair with -backend int8)")
-	compare := flag.Bool("compare", false, "run tensorbench and diff it against -baseline; exit non-zero past -regress-threshold")
-	baseline := flag.String("baseline", "BENCH_tensor.json", "committed report -compare diffs against")
-	regressThreshold := flag.Float64("regress-threshold", 0.25, "fractional ns/op and allocs/op regression allowed by -compare (0.25 = +25%)")
 	flag.Parse()
-
-	if *workers > 0 {
-		tensor.SetMaxWorkers(*workers)
-	}
-	if err := tensor.SetBackend(*backendName); err != nil {
-		fmt.Fprintf(os.Stderr, "pac-bench: %v\n", err)
-		os.Exit(2)
-	}
-	benchOpts := bench.TensorBenchOptions{QuantizeBackbone: *quantize}
-
-	if *compare {
-		base, err := bench.LoadTensorBenchReport(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pac-bench: %v\n", err)
-			os.Exit(2)
-		}
-		cmp := bench.CompareReports(base, bench.TensorBench(benchOpts), *regressThreshold)
-		fmt.Println(cmp.RenderTable().Render())
-		if len(cmp.Violations) > 0 {
-			fmt.Fprintf(os.Stderr, "pac-bench: %d benchmark regression(s) past +%.0f%%\n", len(cmp.Violations), *regressThreshold*100)
-			os.Exit(1)
-		}
-		return
-	}
 
 	run := map[string]func() *bench.Table{
 		"table1":   bench.Table1,
@@ -89,39 +48,16 @@ func main() {
 	default:
 		selected = strings.Split(*exp, ",")
 	}
-	if *benchJSON != "" {
-		found := false
-		for _, name := range selected {
-			if strings.TrimSpace(name) == "tensorbench" {
-				found = true
-			}
-		}
-		if !found {
-			selected = append(selected, "tensorbench")
-		}
-	}
 
 	for _, name := range selected {
 		name = strings.TrimSpace(name)
-		switch name {
-		case "ablations":
+		if name == "ablations" {
 			fmt.Println(bench.RedistributionAblation().Render())
 			fmt.Println(bench.ScheduleAblation().Render())
 			fmt.Println(bench.ReductionSweep().Render())
 			fmt.Println(bench.EpochSweep().Render())
 			fmt.Println(bench.CacheCompressionAblation().Render())
 			fmt.Println(bench.StragglerAblation().Render())
-			continue
-		case "tensorbench":
-			rep := bench.TensorBench(benchOpts)
-			fmt.Println(rep.RenderTable().Render())
-			if *benchJSON != "" {
-				if err := os.WriteFile(*benchJSON, rep.JSON(), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "pac-bench: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", *benchJSON)
-			}
 			continue
 		}
 		fn, ok := run[name]
@@ -130,9 +66,5 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Println(fn().Render())
-	}
-
-	if *poolStats {
-		fmt.Println(tensor.ReadPoolStats().String())
 	}
 }

@@ -1,7 +1,6 @@
 // Command pac-loadgen replays deterministic multi-user request traces
 // against the serving stack and gates the measured throughput and
-// latency percentiles against an SLO budget — the system-level
-// yardstick next to pac-bench's microbenchmarks.
+// latency percentiles against an SLO budget.
 //
 // Usage:
 //
@@ -35,7 +34,7 @@
 // -tail-spans slowest requests per op so the report's p99 always names
 // concrete trace IDs (analyzable with pac-trace).
 //
-// -report writes BENCH_serve.json (per-op issued/ok/errors/canceled,
+// -report writes the JSON report (per-op issued/ok/errors/canceled,
 // throughput, p50/p95/p99 with p99 trace exemplars). -slo supplies a budget as inline JSON or a
 // file, e.g. {"per_op":{"classify":{"p99":0.25,"min_qps":50}}}; any
 // violation is printed, recorded in the report, and fails the run with
@@ -44,7 +43,7 @@
 // Example:
 //
 //	pac-loadgen -seed 7 -users 50 -zipf 1.1 -qps 120 -burst 3 -mix 0.05 \
-//	            -duration 5s -trace-out trace.json -report BENCH_serve.json \
+//	            -duration 5s -trace-out trace.json -report serve-report.json \
 //	            -slo '{"per_op":{"classify":{"p99":0.5,"min_qps":20}}}'
 package main
 
@@ -97,7 +96,7 @@ func run(args []string, out *os.File) error {
 	train := fs.Bool("train", false, "run PAC fine-tuning concurrently (in-process target only)")
 	workers := fs.Int("workers", 0, "kernel worker goroutines (0 = GOMAXPROCS default)")
 	slo := fs.String("slo", "", "SLO budget: inline JSON or a file path (empty disables the gate)")
-	report := fs.String("report", "", "write the BENCH_serve.json report to FILE")
+	report := fs.String("report", "", "write the JSON report to FILE")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability for request traces (tail p99 exemplars always trace)")
 	spanOut := fs.String("span-out", "", "write the client-side span dump (Chrome JSON) to FILE; enables tracing")
 	tailSpans := fs.Int("tail-spans", 8, "slowest requests per op force-traced for p99 exemplars (-1 disables)")
@@ -216,7 +215,7 @@ func run(args []string, out *os.File) error {
 	if budget != nil {
 		sloErr = budget.Gate(rep)
 	}
-	fmt.Fprintln(out, rep.RenderTable().Render())
+	fmt.Fprint(out, rep.Render())
 	if *report != "" {
 		if err := os.WriteFile(*report, rep.JSON(), 0o644); err != nil {
 			return err

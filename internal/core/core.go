@@ -502,9 +502,9 @@ func (f *Framework) gatherTaps(pa *peft.Parallel, mb *data.Batch) []*tensor.Tens
 // a replica: batched tap gathering from the cache, side-network
 // forward, loss, backward, gradient clip, optimizer update, then graph
 // teardown and tap-buffer recycling. It is the per-worker inner loop of
-// CachedEpochs, exported so the allocation benchmarks (testing.B and
-// pac-bench's BENCH_tensor.json emitter) measure exactly the code the
-// epoch ≥ 2 path runs.
+// CachedEpochs, exported so the allocation benchmark and benchmark/'s
+// core.steady_step_ms probe measure exactly the code the epoch ≥ 2
+// path runs.
 func (f *Framework) SteadyStep(pa *peft.Parallel, opt train.Optimizer, mb *data.Batch) float64 {
 	taps := f.gatherTaps(pa, mb)
 	logits := pa.ForwardFromTaps(taps)

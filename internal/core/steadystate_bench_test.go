@@ -31,7 +31,7 @@ func benchSteadyState(b *testing.B) (*Framework, *peft.Parallel, train.Optimizer
 
 // BenchmarkCachedAdapterStep tracks allocations and latency of the
 // steady-state training step (Framework.SteadyStep — what each DP
-// worker runs per step during epochs ≥ 2). The CI bench-smoke job
+// worker runs per step during epochs ≥ 2). The CI perf-gates job
 // enforces an allocation budget on this benchmark.
 func BenchmarkCachedAdapterStep(b *testing.B) {
 	f, pa, opt, mb := benchSteadyState(b)

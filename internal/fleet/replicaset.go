@@ -25,7 +25,6 @@ type replica struct {
 	group int
 	srv   *serve.Server
 
-	alive       atomic.Bool
 	draining    atomic.Bool
 	quarantined atomic.Bool
 	inflight    atomic.Int64
@@ -39,7 +38,7 @@ type replica struct {
 }
 
 func (r *replica) available() bool {
-	return r.alive.Load() && !r.draining.Load() && !r.quarantined.Load()
+	return !r.draining.Load() && !r.quarantined.Load()
 }
 
 // ReplicaSet is a pool of serve.Server replicas behind a router that
@@ -93,7 +92,6 @@ func NewReplicaSet() *ReplicaSet {
 // Add registers a replica under a device name and stage group.
 func (rs *ReplicaSet) Add(name string, group int, srv *serve.Server) {
 	r := &replica{name: name, group: group, srv: srv}
-	r.alive.Store(true)
 	v := ""
 	r.version.Store(&v)
 	rs.replicas = append(rs.replicas, r)
@@ -143,17 +141,6 @@ func (rs *ReplicaSet) SetHotAdapters(name string, adapters []string) error {
 	r.mu.Lock()
 	r.hot = append([]string(nil), adapters...)
 	r.mu.Unlock()
-	return nil
-}
-
-// SetAlive flips a replica's liveness (chaos tests kill devices
-// mid-rollout with it).
-func (rs *ReplicaSet) SetAlive(name string, alive bool) error {
-	r, err := rs.find(name)
-	if err != nil {
-		return err
-	}
-	r.alive.Store(alive)
 	return nil
 }
 
@@ -277,7 +264,7 @@ func (rs *ReplicaSet) Observed() Observed {
 		obs.Devices = append(obs.Devices, DeviceState{
 			Name:           r.name,
 			Group:          r.group,
-			Alive:          r.alive.Load(),
+			Alive:          true, // in-process replicas cannot die on their own
 			Draining:       r.draining.Load(),
 			Quarantined:    r.quarantined.Load(),
 			AdapterVersion: *r.version.Load(),

@@ -4,10 +4,25 @@ import (
 	"fmt"
 	"math"
 
+	"pac/internal/memledger"
 	"pac/internal/model"
 	"pac/internal/nn"
 	"pac/internal/tensor"
 )
+
+// memKV accounts generation state held across decode steps: the cached
+// encoder output, the cross-attention K/V and the growing
+// self-attention K/V cache. Reserved at decoder creation, extended as
+// the KV cache grows, released by Close.
+var memKV = memledger.Default().Account("generate.kv")
+
+// tensorBytes is the float32 payload size of t (0 for nil).
+func tensorBytes(t *tensor.Tensor) int64 {
+	if t == nil {
+		return 0
+	}
+	return int64(t.Numel()) * 4
+}
 
 // IncrementalDecoder decodes one token per step in O(1) work per new
 // position: the encoder runs once, each decoder layer's cross-attention

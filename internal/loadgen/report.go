@@ -1,8 +1,10 @@
-package bench
+package loadgen
 
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
+	"text/tabwriter"
 
 	"pac/internal/telemetry"
 )
@@ -32,11 +34,10 @@ type TraceExemplar struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// ServeBenchReport is the BENCH_serve.json payload — the system-level
-// counterpart of TensorBenchReport (BENCH_tensor.json). pac-loadgen
-// writes one per run; the CI loadgen-smoke job regenerates it under a
-// seeded trace and gates on the embedded SLO verdict.
-type ServeBenchReport struct {
+// Report is what one trace replay measured. pac-loadgen -report writes
+// it as JSON; the CI loadgen-smoke job produces one under a seeded
+// trace and gates on the embedded SLO verdict.
+type Report struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 
@@ -63,7 +64,7 @@ type ServeBenchReport struct {
 
 // Op returns the stats for one request kind, or nil if the trace never
 // issued it.
-func (r *ServeBenchReport) Op(name string) *OpStats {
+func (r *Report) Op(name string) *OpStats {
 	for i := range r.Ops {
 		if r.Ops[i].Op == name {
 			return &r.Ops[i]
@@ -72,9 +73,8 @@ func (r *ServeBenchReport) Op(name string) *OpStats {
 	return nil
 }
 
-// JSON marshals the report with indentation for committing as
-// BENCH_serve.json.
-func (r *ServeBenchReport) JSON() []byte {
+// JSON marshals the report with indentation.
+func (r *Report) JSON() []byte {
 	out, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		panic(err)
@@ -82,45 +82,37 @@ func (r *ServeBenchReport) JSON() []byte {
 	return append(out, '\n')
 }
 
-// DecodeServeBench parses a BENCH_serve.json payload.
-func DecodeServeBench(blob []byte) (*ServeBenchReport, error) {
-	var r ServeBenchReport
-	if err := json.Unmarshal(blob, &r); err != nil {
-		return nil, fmt.Errorf("bench: decode serve report: %w", err)
-	}
-	return &r, nil
-}
-
-// RenderTable formats the report for terminal output.
-func (r *ServeBenchReport) RenderTable() *Table {
-	t := &Table{
-		Title:  "Serving under load",
-		Header: []string{"op", "issued", "ok", "errors", "canceled", "rps", "p50 ms", "p95 ms", "p99 ms"},
-	}
-	ms := func(s float64) string { return ftoa(s*1e3, 3) }
+// Render formats the report as an aligned text table followed by its
+// notes, for terminal output.
+func (r *Report) Render() string {
+	var b strings.Builder
+	b.WriteString("== Serving under load ==\n")
+	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "op\tissued\tok\terrors\tcanceled\trps\tp50 ms\tp95 ms\tp99 ms")
 	for _, op := range r.Ops {
-		t.AddRow(op.Op, itoa(op.Issued), itoa(op.OK), itoa(op.Errors), itoa(op.Canceled),
-			ftoa(op.ThroughputRPS, 1), ms(op.Latency.P50), ms(op.Latency.P95), ms(op.Latency.P99))
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.1f\t%.3f\t%.3f\t%.3f\n",
+			op.Op, op.Issued, op.OK, op.Errors, op.Canceled, op.ThroughputRPS,
+			op.Latency.P50*1e3, op.Latency.P95*1e3, op.Latency.P99*1e3)
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"seed %d, %d users, %d requests; issue wall %.2fs, total wall %.2fs",
-		r.Seed, r.Users, r.Requests, r.IssueWallSeconds, r.WallSeconds))
+	tw.Flush()
+	fmt.Fprintf(&b, "note: seed %d, %d users, %d requests; issue wall %.2fs, total wall %.2fs\n",
+		r.Seed, r.Users, r.Requests, r.IssueWallSeconds, r.WallSeconds)
 	for _, op := range r.Ops {
 		if len(op.Exemplars) == 0 {
 			continue
 		}
 		ex := op.Exemplars[0]
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"%s tail exemplar: trace %s (%s ms, %d traced)", op.Op, ex.Trace, ms(ex.Seconds), len(op.Exemplars)))
+		fmt.Fprintf(&b, "note: %s tail exemplar: trace %s (%.3f ms, %d traced)\n",
+			op.Op, ex.Trace, ex.Seconds*1e3, len(op.Exemplars))
 	}
 	if r.SLOOk != nil {
 		if *r.SLOOk {
-			t.Notes = append(t.Notes, "SLO: all budgets met")
+			b.WriteString("note: SLO: all budgets met\n")
 		} else {
 			for _, v := range r.SLOViolations {
-				t.Notes = append(t.Notes, "SLO VIOLATION: "+v)
+				fmt.Fprintf(&b, "note: SLO VIOLATION: %s\n", v)
 			}
 		}
 	}
-	return t
+	return b.String()
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pac/internal/bench"
 	"pac/internal/generate"
 	"pac/internal/telemetry"
 )
@@ -102,7 +101,7 @@ func latBuckets() []float64 { return telemetry.ExpBuckets(25e-6, 2, 20) }
 // independent users who do not wait for each other. It returns the
 // machine-readable report; canceling ctx stops issuing and drains
 // in-flight requests.
-func Run(ctx context.Context, tr *Trace, tgt Target, opts RunOptions) (*bench.ServeBenchReport, error) {
+func Run(ctx context.Context, tr *Trace, tgt Target, opts RunOptions) (*Report, error) {
 	if len(tr.Requests) == 0 {
 		return nil, errors.New("loadgen: empty trace")
 	}
@@ -208,7 +207,7 @@ issue:
 	wg.Wait()
 	wall := time.Since(start).Seconds()
 
-	rep := &bench.ServeBenchReport{
+	rep := &Report{
 		GoVersion:        runtime.Version(),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		Seed:             tr.Config.Seed,
@@ -231,7 +230,7 @@ issue:
 		// recorded even when head sampling skipped them, and their trace
 		// IDs are stamped as latency-bucket exemplars — the report's p99
 		// always names a trace that exists in the dump.
-		var exemplars []bench.TraceExemplar
+		var exemplars []TraceExemplar
 		tail := rec.tail.take() // slowest first
 		for _, e := range tail {
 			if !e.tc.Valid() {
@@ -242,7 +241,7 @@ issue:
 					telemetry.PidClient, 0, e.begin, time.Duration(e.sec*float64(time.Second)),
 					map[string]interface{}{"tail": true})
 			}
-			exemplars = append(exemplars, bench.TraceExemplar{
+			exemplars = append(exemplars, TraceExemplar{
 				Trace: e.tc.TraceIDString(), Seconds: e.sec,
 			})
 		}
@@ -253,7 +252,7 @@ issue:
 				rec.lat.StampExemplar(e.sec, e.tc.TraceID)
 			}
 		}
-		rep.Ops = append(rep.Ops, bench.OpStats{
+		rep.Ops = append(rep.Ops, OpStats{
 			Op:            string(op),
 			Issued:        rec.issued.Load(),
 			OK:            rec.ok.Load(),

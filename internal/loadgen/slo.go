@@ -7,8 +7,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-
-	"pac/internal/bench"
 )
 
 // OpBudget is one op's SLO: latency percentile ceilings in seconds
@@ -50,7 +48,7 @@ func (v *SLOViolation) Error() string {
 // Evaluate checks the report against the budget and returns every
 // violation in deterministic order (ops sorted, then p50/p95/p99/
 // throughput).
-func (b SLOBudget) Evaluate(rep *bench.ServeBenchReport) []*SLOViolation {
+func (b SLOBudget) Evaluate(rep *Report) []*SLOViolation {
 	ops := make([]string, 0, len(b.PerOp))
 	for op := range b.PerOp {
 		ops = append(ops, op)
@@ -91,7 +89,7 @@ func (b SLOBudget) Evaluate(rep *bench.ServeBenchReport) []*SLOViolation {
 // Gate evaluates the budget, records the verdict into the report
 // (slo_ok, slo_violations), and returns an error joining every typed
 // violation — nil when all budgets are met.
-func (b SLOBudget) Gate(rep *bench.ServeBenchReport) error {
+func (b SLOBudget) Gate(rep *Report) error {
 	violations := b.Evaluate(rep)
 	ok := len(violations) == 0
 	rep.SLOOk = &ok

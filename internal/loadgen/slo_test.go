@@ -2,23 +2,23 @@ package loadgen
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"pac/internal/bench"
 	"pac/internal/telemetry"
 )
 
 // sampleReport is a fixed report for budget evaluation: classify runs
 // at 800 req/s with p99 = 4ms, generate at 50 req/s with p99 = 80ms.
-func sampleReport() *bench.ServeBenchReport {
-	return &bench.ServeBenchReport{
+func sampleReport() *Report {
+	return &Report{
 		GoVersion: "go1.24.0", GOMAXPROCS: 4,
 		Seed: 7, Users: 50, Requests: 850, Speedup: 1,
 		WallSeconds: 1.0, IssueWallSeconds: 0.9,
-		Ops: []bench.OpStats{
+		Ops: []OpStats{
 			{Op: "classify", Issued: 800, OK: 800, ThroughputRPS: 800,
 				Latency: telemetry.HistStats{Count: 800, Sum: 1.6, P50: 0.001, P95: 0.003, P99: 0.004}},
 			{Op: "generate", Issued: 50, OK: 50, ThroughputRPS: 50,
@@ -105,8 +105,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := rep.JSON()
-	back, err := bench.DecodeServeBench(blob)
-	if err != nil {
+	back := new(Report)
+	if err := json.Unmarshal(blob, back); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(blob, back.JSON()) {

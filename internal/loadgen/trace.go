@@ -7,10 +7,10 @@
 //
 // Every trace is a pure function of its SynthConfig (seed included):
 // the same config produces a bit-identical request sequence, and a
-// trace saved to disk replays exactly, so serving regressions diff
-// against a committed BENCH_serve.json instead of a number someone has
-// to remember. This is the yardstick the scale-out serving arc (adapter
-// routing, pipelined generation) is judged by.
+// trace saved to disk replays exactly, so two reports of one trace
+// differ only by what the server did. This is the yardstick the
+// scale-out serving arc (adapter routing, pipelined generation) is
+// judged by.
 package loadgen
 
 import (

@@ -51,13 +51,6 @@ func NumTrainable(m Module) int {
 	return n
 }
 
-// ZeroGrads clears gradients on every parameter of m.
-func ZeroGrads(m Module) {
-	for _, p := range m.Params() {
-		p.ZeroGrad()
-	}
-}
-
 // TrainableParams filters m's parameters to those requiring gradients.
 func TrainableParams(m Module) []*autograd.Variable {
 	var out []*autograd.Variable

@@ -71,22 +71,20 @@ func TestLinearQuantizedGating(t *testing.T) {
 	}
 	x := autograd.NewVar(rng.Randn(1, 3, 16))
 
-	// (a) fp32 backends ignore QW entirely: with and without the
-	// quantized form the output is bitwise identical per backend.
-	for _, name := range []string{"generic", "tuned"} {
-		withBackend(t, name, func() {
-			got := l.Forward(x)
-			qw := l.QW
-			l.QW = nil
-			ref := l.Forward(x)
-			l.QW = qw
-			for i := range ref.Value.Data {
-				if got.Value.Data[i] != ref.Value.Data[i] {
-					t.Fatalf("%s backend took the quantized path (elem %d differs)", name, i)
-				}
+	// (a) the fp32 backend ignores QW entirely: with and without the
+	// quantized form the output is bitwise identical.
+	withBackend(t, "generic", func() {
+		got := l.Forward(x)
+		qw := l.QW
+		l.QW = nil
+		ref := l.Forward(x)
+		l.QW = qw
+		for i := range ref.Value.Data {
+			if got.Value.Data[i] != ref.Value.Data[i] {
+				t.Fatalf("generic backend took the quantized path (elem %d differs)", i)
 			}
-		})
-	}
+		}
+	})
 
 	// (b) an input that needs gradients must run fp32 even under int8,
 	// and gradients must actually flow.

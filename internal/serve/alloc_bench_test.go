@@ -10,7 +10,7 @@ import (
 
 // BenchmarkServeClassifyRequest tracks allocations and latency of one
 // batched classification request end to end (frozen backbone + side
-// network + argmax). The CI bench-smoke job watches this number.
+// network + argmax). The CI perf-gates job watches this number.
 func BenchmarkServeClassifyRequest(b *testing.B) {
 	cfg := model.Tiny()
 	m := model.New(cfg)

@@ -41,9 +41,9 @@ const StatusClientClosedRequest = 499
 //	POST /generate {"tokens": [[...]], "lens": [...], "user": U,
 //	                "max_len": N, "temperature": T}               → {"outputs": [[...]]}
 //	POST /swap     {"path": "adapters.pack"}                      → {"ok": true}
-//	GET  /stats                                                   → {"served": N, "swaps": N, "batches": N,
+//	GET  /stats                                                   → {"backend": "...", "served": N, "swaps": N,
 //	                                                                 "users": N, "canceled": N,
-//	                                                                 "batch_size": {...}, "classify_seconds": {...},
+//	                                                                 "classify_seconds": {...},
 //	                                                                 "generate_seconds": {...}}
 //	GET  /metrics                                                 → Prometheus text exposition
 //

@@ -155,7 +155,7 @@ func TestHTTPSwapAndStats(t *testing.T) {
 	if stats["swaps"] != float64(1) {
 		t.Fatalf("stats %v", stats)
 	}
-	for _, key := range []string{"batch_size", "classify_seconds", "generate_seconds"} {
+	for _, key := range []string{"classify_seconds", "generate_seconds"} {
 		sum, ok := stats[key].(map[string]interface{})
 		if !ok {
 			t.Fatalf("stats[%q] = %v, want summary object", key, stats[key])
@@ -164,6 +164,12 @@ func TestHTTPSwapAndStats(t *testing.T) {
 			if _, ok := sum[q]; !ok {
 				t.Fatalf("stats[%q] missing %q: %v", key, q, sum)
 			}
+		}
+	}
+	// Nothing batches requests, so /stats must not report batching.
+	for _, key := range []string{"batches", "batch_size"} {
+		if _, ok := stats[key]; ok {
+			t.Fatalf("stats still carries %q: %v", key, stats)
 		}
 	}
 }
@@ -205,6 +211,9 @@ func TestHTTPStatsLatencyAndMetrics(t *testing.T) {
 		if !strings.Contains(string(blob), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, blob)
 		}
+	}
+	if strings.Contains(string(blob), "pac_serve_batch") {
+		t.Fatalf("/metrics still exposes a batch series:\n%s", blob)
 	}
 	if srv.Registry() == nil {
 		t.Fatal("nil registry")

@@ -1,9 +1,8 @@
 // Package serve hosts a personal LLM for inference while PAC fine-tunes
 // it — the two halves of the paper's Figure 1 agent. The server answers
 // classification and generation requests from the current adapter
-// weights, batches concurrent requests for throughput, and hot-swaps
-// adapters (from a live Framework or a checkpoint file) without
-// dropping requests.
+// weights and hot-swaps adapters (from a live Framework or a checkpoint
+// file) without dropping requests.
 package serve
 
 import (
@@ -58,8 +57,6 @@ type Server struct {
 	served      *telemetry.Counter
 	swapped     *telemetry.Counter
 	canceled    *telemetry.Counter
-	batches     *telemetry.Counter
-	batchSize   *telemetry.Histogram
 	latClassify *telemetry.Histogram
 	latGenerate *telemetry.Histogram
 
@@ -98,8 +95,6 @@ func NewServer(tech peft.Technique, cfg model.Config) *Server {
 		served:      reg.Counter("pac_serve_served_total"),
 		swapped:     reg.Counter("pac_serve_swaps_total"),
 		canceled:    reg.Counter("pac_serve_canceled_total"),
-		batches:     reg.Counter("pac_serve_batches_total"),
-		batchSize:   reg.Histogram("pac_serve_batch_size", telemetry.ExpBuckets(1, 2, 9)),
 		latClassify: reg.Histogram("pac_serve_request_seconds", nil, "op", "classify"),
 		latGenerate: reg.Histogram("pac_serve_request_seconds", nil, "op", "generate"),
 		userServed:  make(map[int]int64),
@@ -342,10 +337,8 @@ func (s *Server) Stats() map[string]interface{} {
 		"backend":          tensor.ActiveBackend().Name(),
 		"served":           s.Served(),
 		"swaps":            s.Swaps(),
-		"batches":          s.batches.Value(),
 		"users":            s.Users(),
 		"canceled":         s.Canceled(),
-		"batch_size":       s.batchSize.Summary(),
 		"classify_seconds": s.latClassify.Summary(),
 		"generate_seconds": s.latGenerate.Summary(),
 	}
@@ -353,98 +346,3 @@ func (s *Server) Stats() map[string]interface{} {
 
 // WriteMetrics writes the server's Prometheus text exposition.
 func (s *Server) WriteMetrics(w io.Writer) { s.reg.WritePrometheus(w) }
-
-// request is one queued classification request.
-type request struct {
-	enc  []int
-	lens int
-	resp chan int
-}
-
-// Batcher aggregates concurrent classification requests into batches of
-// up to MaxBatch, flushing after MaxWait — the standard edge-serving
-// latency/throughput knob.
-type Batcher struct {
-	srv      *Server
-	maxBatch int
-	maxWait  time.Duration
-
-	queue   chan request
-	done    chan struct{}
-	stopped sync.Once
-}
-
-// NewBatcher starts the batching loop.
-func NewBatcher(srv *Server, maxBatch int, maxWait time.Duration) *Batcher {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	b := &Batcher{
-		srv:      srv,
-		maxBatch: maxBatch,
-		maxWait:  maxWait,
-		queue:    make(chan request, 16*maxBatch),
-		done:     make(chan struct{}),
-	}
-	go b.loop()
-	return b
-}
-
-func (b *Batcher) loop() {
-	for {
-		first, ok := <-b.queue
-		if !ok {
-			close(b.done)
-			return
-		}
-		batch := []request{first}
-		timer := time.NewTimer(b.maxWait)
-	fill:
-		for len(batch) < b.maxBatch {
-			select {
-			case r, ok := <-b.queue:
-				if !ok {
-					break fill
-				}
-				batch = append(batch, r)
-			case <-timer.C:
-				break fill
-			}
-		}
-		timer.Stop()
-		enc := make([][]int, len(batch))
-		lens := make([]int, len(batch))
-		for i, r := range batch {
-			enc[i] = r.enc
-			lens[i] = r.lens
-		}
-		preds, err := b.srv.Classify(context.Background(), enc, lens)
-		for i, r := range batch {
-			if err != nil {
-				r.resp <- -1
-				continue
-			}
-			r.resp <- preds[i]
-		}
-		b.srv.batches.Inc()
-		b.srv.batchSize.Observe(float64(len(batch)))
-	}
-}
-
-// Classify enqueues one sequence and blocks for its prediction.
-func (b *Batcher) Classify(enc []int, length int) int {
-	resp := make(chan int, 1)
-	b.queue <- request{enc: enc, lens: length, resp: resp}
-	return <-resp
-}
-
-// Batches returns how many model invocations served all requests so far.
-func (b *Batcher) Batches() int64 { return b.srv.batches.Value() }
-
-// Close drains and stops the batching loop.
-func (b *Batcher) Close() {
-	b.stopped.Do(func() {
-		close(b.queue)
-		<-b.done
-	})
-}

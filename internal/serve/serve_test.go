@@ -167,55 +167,6 @@ func TestServeWhileFineTuning(t *testing.T) {
 	}
 }
 
-func TestBatcherAggregates(t *testing.T) {
-	s, _ := server(t)
-	b := NewBatcher(s, 8, 20*time.Millisecond)
-	defer b.Close()
-
-	const n = 32
-	var wg sync.WaitGroup
-	results := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = b.Classify([]int{2, 3, 4, 5}, 4)
-		}(i)
-	}
-	wg.Wait()
-	// Identical inputs ⇒ identical predictions.
-	for _, r := range results {
-		if r != results[0] {
-			t.Fatal("batched predictions inconsistent")
-		}
-	}
-	// Aggregation actually happened: far fewer model calls than requests.
-	if b.Batches() >= n {
-		t.Fatalf("no batching: %d batches for %d requests", b.Batches(), n)
-	}
-	if s.Served() != n {
-		t.Fatalf("served %d want %d", s.Served(), n)
-	}
-}
-
-func TestBatcherFlushOnTimeout(t *testing.T) {
-	s, _ := server(t)
-	b := NewBatcher(s, 1000, 10*time.Millisecond)
-	defer b.Close()
-	start := time.Now()
-	b.Classify([]int{2, 3, 4, 5}, 4) // alone in the queue → must flush on timer
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("lone request waited %v", elapsed)
-	}
-}
-
-func TestBatcherCloseIdempotent(t *testing.T) {
-	s, _ := server(t)
-	b := NewBatcher(s, 4, time.Millisecond)
-	b.Close()
-	b.Close() // second close must not panic
-}
-
 func TestCancelledRequestNotCounted(t *testing.T) {
 	s, _ := server(t)
 	enc, lens := [][]int{{2, 3, 4, 5}}, []int{4}

@@ -200,7 +200,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // HistStats is the typed digest of a histogram — count, sum and the
 // standard latency percentiles. It marshals to stable JSON, so reports
-// that embed it (BENCH_serve.json, SLO evaluation) round-trip through
+// that embed it (the loadgen report, SLO evaluation) round-trip through
 // encode/decode unchanged.
 type HistStats struct {
 	Count int64   `json:"count"`

@@ -26,15 +26,14 @@ import (
 //   - generic: the reference loops, bit-identical to the pre-backend
 //     code. Every per-element accumulation runs in the same index order
 //     as a naive dot product.
-//   - tuned: register-blocked fp32 loops (wider unrolls, multiple
-//     accumulator chains). Results may differ from generic in the last
-//     ulp because the reduction tree differs, but fused-vs-composed
-//     chains stay bit-identical *within* the backend because both paths
-//     run the same kernels.
-//   - int8: identical fp32 kernels to tuned (Quantized() reports true);
-//     frozen-weight projections additionally route through the
-//     QuantMatMul* path in quant.go, which is a tolerance (not bitwise)
-//     contract — see QuantizeWeight.
+//   - int8: register-blocked fp32 loops (wider unrolls, multiple
+//     accumulator chains) for the accumulating matmuls. Results may
+//     differ from generic in the last ulp because the reduction tree
+//     differs, but fused-vs-composed chains stay bit-identical *within*
+//     the backend because both paths run the same kernels. Quantized()
+//     reports true, so frozen-weight projections additionally route
+//     through the QuantMatMul* path in quant.go, which is a tolerance
+//     (not bitwise) contract — see QuantizeWeight.
 type Backend interface {
 	Name() string
 	// Quantized reports whether frozen-weight projections should take
@@ -62,7 +61,6 @@ type Backend interface {
 // init so lookups never need a lock.
 var backendRegistry = map[string]Backend{
 	"generic": genericBackend{},
-	"tuned":   tunedBackend{},
 	"int8":    int8Backend{},
 }
 

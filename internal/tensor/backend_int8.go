@@ -1,8 +1,11 @@
 package tensor
 
-// tunedBackend is the register-blocked fp32 backend. It widens the
-// 4-wide tiling the generic MatMulTRows already uses to the
-// *accumulating* kernels: MatMulRows and TMatMulRows process four
+// int8Backend is the quantized backend. Quantized() reports true, which
+// makes frozen-weight projections (nn.Linear with a QuantizedWeight
+// attached) run QuantMatMulInto instead of the fp32 affine. Everything
+// trainable — adapters, optimizer state, every gradient — never sees
+// that flag and stays fp32, on the register-blocked loops below: the
+// *accumulating* kernels MatMulRows and TMatMulRows process four
 // k-steps per pass over the output row — one read-modify-write of out
 // per four rows of b instead of one per row. The A·Bᵀ kernel is
 // inherited unchanged: the shared matmulTRows is already 4×4
@@ -11,12 +14,13 @@ package tensor
 // Reduction trees differ from generic where overridden, so results can
 // differ in the last ulp; transcendental kernels (GELU, softmax) are
 // inherited from generic unchanged, keeping those paths bit-identical
-// across all backends.
-type tunedBackend struct{ genericBackend }
+// across both backends.
+type int8Backend struct{ genericBackend }
 
-func (tunedBackend) Name() string { return "tuned" }
+func (int8Backend) Name() string    { return "int8" }
+func (int8Backend) Quantized() bool { return true }
 
-func (tunedBackend) MatMulRows(out, a, b []float32, start, end, k, n int) {
+func (int8Backend) MatMulRows(out, a, b []float32, start, end, k, n int) {
 	for i := start; i < end; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := out[i*n : (i+1)*n]
@@ -48,7 +52,7 @@ func (tunedBackend) MatMulRows(out, a, b []float32, start, end, k, n int) {
 	}
 }
 
-func (tunedBackend) TMatMulRows(out, a, b []float32, start, end, k, m, n int) {
+func (int8Backend) TMatMulRows(out, a, b []float32, start, end, k, m, n int) {
 	for i := start; i < end; i++ {
 		orow := out[i*n : (i+1)*n]
 		clear(orow)
@@ -78,13 +82,3 @@ func (tunedBackend) TMatMulRows(out, a, b []float32, start, end, k, m, n int) {
 		}
 	}
 }
-
-// int8Backend shares tuned's fp32 kernels; the difference is the
-// Quantized marker, which makes frozen-weight projections (nn.Linear
-// with a QuantizedWeight attached) run QuantMatMulInto instead of the
-// fp32 affine. Everything trainable — adapters, optimizer state, every
-// gradient — never sees this flag and stays fp32.
-type int8Backend struct{ tunedBackend }
-
-func (int8Backend) Name() string    { return "int8" }
-func (int8Backend) Quantized() bool { return true }

@@ -23,14 +23,14 @@ func withBackend(t *testing.T, name string, fn func()) {
 }
 
 // fp32Backends are the backends whose fp32 kernels must agree with the
-// naive reference within float tolerance. int8 is included because its
-// fp32 kernels are the tuned ones — only frozen-weight projections take
-// the quantized path, and those never go through MatMul.
-var fp32Backends = []string{"generic", "tuned", "int8"}
+// naive reference within float tolerance. int8 is included because it
+// carries its own register-blocked fp32 kernels — only frozen-weight
+// projections take the quantized path, and those never go through MatMul.
+var fp32Backends = []string{"generic", "int8"}
 
 func TestBackendsRegistry(t *testing.T) {
 	got := Backends()
-	want := []string{"generic", "int8", "tuned"}
+	want := []string{"generic", "int8"}
 	if len(got) != len(want) {
 		t.Fatalf("Backends() = %v want %v", got, want)
 	}
@@ -60,7 +60,7 @@ func TestBackendQuantizedFlag(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		want bool
-	}{{"generic", false}, {"tuned", false}, {"int8", true}} {
+	}{{"generic", false}, {"int8", true}} {
 		withBackend(t, tc.name, func() {
 			if BackendQuantized() != tc.want {
 				t.Fatalf("BackendQuantized() under %s = %v", tc.name, !tc.want)
@@ -164,8 +164,8 @@ func TestMatMulIntoDirtyDst(t *testing.T) {
 	}
 }
 
-// TestCrossBackendAgreement bounds the tuned-vs-generic drift: different
-// reduction trees may differ in the last ulps, never more.
+// TestCrossBackendAgreement bounds the int8-vs-generic fp32 drift:
+// different reduction trees may differ in the last ulps, never more.
 func TestCrossBackendAgreement(t *testing.T) {
 	g := NewRNG(44)
 	a := g.Randn(1, 19, 33)
@@ -179,14 +179,12 @@ func TestCrossBackendAgreement(t *testing.T) {
 	}
 	var ref outs
 	withBackend(t, "generic", func() { ref = run() })
-	for _, name := range []string{"tuned", "int8"} {
-		withBackend(t, name, func() {
-			got := run()
-			tensorsClose(t, got.mm, ref.mm, 1e-4)
-			tensorsClose(t, got.mmt, ref.mmt, 1e-4)
-			tensorsClose(t, got.tmm, ref.tmm, 1e-4)
-		})
-	}
+	withBackend(t, "int8", func() {
+		got := run()
+		tensorsClose(t, got.mm, ref.mm, 1e-4)
+		tensorsClose(t, got.mmt, ref.mmt, 1e-4)
+		tensorsClose(t, got.tmm, ref.tmm, 1e-4)
+	})
 }
 
 // TestSoftmaxInPlaceMatchesSoftmaxAllBackends: the fused in-place path
@@ -211,7 +209,7 @@ func TestSoftmaxInPlaceMatchesSoftmaxAllBackends(t *testing.T) {
 }
 
 // TestGELUBitIdenticalAcrossBackends: GELU and its grad are shared by
-// all backends (only the matmul family is specialized), so outputs are
+// both backends (only the matmul family is specialized), so outputs are
 // bitwise equal across the whole registry.
 func TestGELUBitIdenticalAcrossBackends(t *testing.T) {
 	g := NewRNG(46)
@@ -225,19 +223,17 @@ func TestGELUBitIdenticalAcrossBackends(t *testing.T) {
 		refGrad = New(8, 24)
 		GELUGradInto(refGrad, pre, grad)
 	})
-	for _, name := range []string{"tuned", "int8"} {
-		withBackend(t, name, func() {
-			act := New(8, 24)
-			GELUInto(act, pre)
-			dx := New(8, 24)
-			GELUGradInto(dx, pre, grad)
-			for i := range refAct.Data {
-				if act.Data[i] != refAct.Data[i] || dx.Data[i] != refGrad.Data[i] {
-					t.Fatalf("%s: GELU diverged from generic at elem %d", name, i)
-				}
+	withBackend(t, "int8", func() {
+		act := New(8, 24)
+		GELUInto(act, pre)
+		dx := New(8, 24)
+		GELUGradInto(dx, pre, grad)
+		for i := range refAct.Data {
+			if act.Data[i] != refAct.Data[i] || dx.Data[i] != refGrad.Data[i] {
+				t.Fatalf("int8: GELU diverged from generic at elem %d", i)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSetBackendMidFlightKernels: hammering SetBackend while matmuls run

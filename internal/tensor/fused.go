@@ -129,22 +129,6 @@ func softmaxRows(dst, a []float32, start, end, cols int) {
 	}
 }
 
-// SumRowsInto accumulates the row-sum of a ([rows, cols]-viewed) into
-// the [cols] vector dst.
-func SumRowsInto(dst, a *Tensor) {
-	cols := a.shape[len(a.shape)-1]
-	if dst.Numel() != cols {
-		panic("tensor: SumRowsInto size mismatch")
-	}
-	rows := a.Numel() / cols
-	for r := 0; r < rows; r++ {
-		base := r * cols
-		for c := 0; c < cols; c++ {
-			dst.Data[c] += a.Data[base+c]
-		}
-	}
-}
-
 // LayerNormBackwardInto is LayerNormBackward writing into caller-owned
 // (zeroed) buffers, so the gradients can come from the pool.
 func LayerNormBackwardInto(dx, dGamma, dBeta, a, gamma, dOut *Tensor, stats *LayerNormStats) {

@@ -197,13 +197,6 @@ func recoverBuf(x []float32) (class int, full []float32, ok bool) {
 	return c, full, true
 }
 
-// Pooled reports whether x was issued by the pool (capacity shape and
-// canary match). Used by release sweeps to skip foreign buffers cheaply.
-func Pooled(x []float32) bool {
-	_, _, ok := recoverBuf(x)
-	return ok
-}
-
 // shellPool recycles Tensor headers (struct + shape slice) so pooled
 // tensor allocation is header-free on the steady-state path.
 var shellPool = sync.Pool{New: func() any { return &Tensor{shape: make([]int, 0, 4)} }}

@@ -49,13 +49,6 @@ func (g *RNG) XavierUniform(fanIn, fanOut int, shape ...int) *Tensor {
 	return g.Uniform(-limit, limit, shape...)
 }
 
-// KaimingNormal returns a tensor initialized with He-normal scaling for a
-// layer with the given fan-in.
-func (g *RNG) KaimingNormal(fanIn int, shape ...int) *Tensor {
-	std := float32(math.Sqrt(2 / float64(fanIn)))
-	return g.Randn(std, shape...)
-}
-
 // Split derives a new independent generator from this one; used to give
 // each model component its own stream while staying deterministic.
 func (g *RNG) Split() *RNG { return NewRNG(g.r.Int63()) }

@@ -95,15 +95,3 @@ func ranks(v []float64) []float64 {
 	}
 	return out
 }
-
-// PearsonSpearman returns the mean of Pearson and Spearman correlations —
-// the STS-B metric the paper reports.
-func PearsonSpearman(x, y []float64) float64 {
-	return (Pearson(x, y) + Spearman(x, y)) / 2
-}
-
-// F1AccuracyMean returns the mean of F1 and accuracy — the MRPC metric
-// the paper reports.
-func F1AccuracyMean(pred, labels []int) float64 {
-	return (F1(pred, labels) + Accuracy(pred, labels)) / 2
-}

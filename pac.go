@@ -255,12 +255,6 @@ func Decode(tech Technique, enc [][]int, lens []int, opts GenOptions) [][]int {
 	return generate.Decode(tech, enc, lens, opts)
 }
 
-// DecodeCached generates with the encoder output computed once and
-// reused across steps (requires direct model access).
-func DecodeCached(m *model.Model, enc [][]int, lens []int, opts GenOptions) [][]int {
-	return generate.DecodeCached(m, enc, lens, opts)
-}
-
 // Serving.
 
 // Server hosts a technique for inference with hot-swappable adapters.
