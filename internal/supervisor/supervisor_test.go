@@ -1,0 +1,428 @@
+package supervisor
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"pac/internal/checkpoint"
+	"pac/internal/cluster"
+	"pac/internal/core"
+	"pac/internal/data"
+	"pac/internal/health"
+	"pac/internal/model"
+	"pac/internal/parallel"
+)
+
+// attempt scripts one attempt of the fake trainer: it gets the
+// attempt's context, the core.Config the supervisor built it with and
+// the supervisor itself (to raise alerts the way a monitor would), and
+// returns what FineTuneFromCtx returns.
+type attempt func(ctx context.Context, c core.Config, s *Supervisor) error
+
+// script is a fake Build: attempt i of the run executes steps[i]. It
+// records what each attempt was built with.
+type script struct {
+	sup     *Supervisor
+	steps   []attempt
+	built   []core.Config
+	cursors []core.Cursor
+}
+
+type scripted func(ctx context.Context) error
+
+func (f scripted) FineTuneFromCtx(ctx context.Context, _ *data.Dataset, _, _ int, _ int64, _ core.Cursor) (float64, error) {
+	return 0.25, f(ctx)
+}
+
+func (sc *script) build(c core.Config, snap *checkpoint.Snapshot) (Trainer, core.Cursor, error) {
+	i := len(sc.built)
+	if i >= len(sc.steps) {
+		return nil, core.Cursor{}, fmt.Errorf("script has no attempt %d", i)
+	}
+	var cur core.Cursor
+	if snap != nil {
+		cur = core.Cursor{Epoch: snap.Epoch, Step: snap.Step}
+	}
+	sc.built = append(sc.built, c)
+	sc.cursors = append(sc.cursors, cur)
+	return scripted(func(ctx context.Context) error { return sc.steps[i](ctx, c, sc.sup) }), cur, nil
+}
+
+// supervise runs steps under a supervisor on the usual 2 stages × 2
+// lanes of four nanos; ready, when non-nil, gets the built supervisor
+// before Run.
+func supervise(t *testing.T, cfg Config, ready func(*Supervisor), steps ...attempt) (*script, Result, string, error) {
+	t.Helper()
+	var out strings.Builder
+	sc := &script{steps: steps}
+	cfg.Core.Model = model.Tiny()
+	cfg.Core.Stages, cfg.Core.Lanes = 2, 2
+	cfg.Pool = cluster.Nanos(4)
+	cfg.Batch, cfg.Epochs, cfg.Task = 8, 2, "SST-2"
+	cfg.Build, cfg.Out = sc.build, &out
+	sup, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sc.sup = sup
+	if ready != nil {
+		ready(sup)
+	}
+	res, err := sup.Run()
+	return sc, res, out.String(), err
+}
+
+func wantOutput(t *testing.T, out string, wants ...string) {
+	t.Helper()
+	for _, w := range wants {
+		if !strings.Contains(out, w) {
+			t.Errorf("output missing %q:\n%s", w, out)
+		}
+	}
+}
+
+// Scripted attempts.
+var (
+	finish = func(context.Context, core.Config, *Supervisor) error { return nil }
+	// lane1Stage1Dies: device 3 misses its step deadline.
+	lane1Stage1Dies = func(context.Context, core.Config, *Supervisor) error {
+		return fmt.Errorf("phase 1: %w", &parallel.RankFailedError{Rank: 1, Lane: 1, Op: "recv f3", Err: errors.New("deadline")})
+	}
+	lane1Slow = health.Alert{Kind: health.Straggler, Engine: "hybrid", Lane: 1, Stage: -1, Rank: -1, Ratio: 4}
+)
+
+// snapshotThen captures a snapshot at (epoch, step) before next runs.
+func snapshotThen(epoch, step int, next attempt) attempt {
+	return func(ctx context.Context, c core.Config, s *Supervisor) error {
+		c.OnSnapshot(&checkpoint.Snapshot{Epoch: epoch, Step: step})
+		return next(ctx, c, s)
+	}
+}
+
+// untilCanceled trains "forever": it returns when the guard cancels the
+// attempt, as the engines do.
+func untilCanceled(ctx context.Context, _ core.Config, _ *Supervisor) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(10 * time.Second):
+		return errors.New("attempt was never canceled")
+	}
+}
+
+func TestFailureReplan(t *testing.T) {
+	sc, res, out, err := supervise(t, Config{MaxRecoveries: 3}, nil,
+		snapshotThen(1, 7, lane1Stage1Dies), finish)
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	wantOutput(t, out,
+		"FAILURE: device jetson-nano-3 detected dead",
+		"re-planning on 3 surviving device(s): [jetson-nano-0 jetson-nano-1 jetson-nano-2]",
+		"re-plan: ",
+		"recovering from snapshot: epoch 1, step 7 (2 stages × 1 lanes)",
+		"health: 0 step reports, 0 alerts, 0 drift re-plan(s) across 2 attempt(s)")
+	if got := sc.sup.live.Dead(); len(got) != 1 || got[0] != "jetson-nano-3" {
+		t.Errorf("dead devices %v, want [jetson-nano-3]", got)
+	}
+	if res.Recoveries != 1 || res.DriftReplans != 0 || res.FleetReplans != 0 {
+		t.Errorf("result %+v, want 1 recovery and nothing else", res)
+	}
+	if len(sc.built) != 2 || sc.built[0].Lanes != 2 || sc.built[1].Lanes != 1 {
+		t.Fatalf("attempts built with lanes %v, want 2 then 1", lanesOf(sc.built))
+	}
+	if want := (core.Cursor{Epoch: 1, Step: 7}); sc.cursors[1] != want {
+		t.Errorf("second attempt starts at %+v, want the snapshot's %+v", sc.cursors[1], want)
+	}
+	if sc.built[0].Health == sc.built[1].Health {
+		t.Error("attempts share a health monitor")
+	}
+}
+
+func lanesOf(cs []core.Config) []int {
+	out := make([]int, len(cs))
+	for i, c := range cs {
+		out[i] = c.Lanes
+	}
+	return out
+}
+
+// TestReplanAfterHeartbeatTTL is the regression test for re-plans later
+// than a minute into a run: the devices are heartbeated once, so under
+// a one-minute TTL every one of them had expired by then and the
+// planner was handed an empty pool.
+func TestReplanAfterHeartbeatTTL(t *testing.T) {
+	late := func(s *Supervisor) {
+		s.live.SetClock(func() time.Time { return time.Now().Add(2 * time.Minute) })
+	}
+	sc, _, out, err := supervise(t, Config{MaxRecoveries: 1}, late, lane1Stage1Dies, finish)
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	wantOutput(t, out, "re-planning on 3 surviving device(s)", "no snapshot captured yet")
+	if strings.Contains(out, "no feasible configuration") {
+		t.Errorf("planner found nothing on three live devices:\n%s", out)
+	}
+	if len(sc.built) != 2 || sc.built[1].Lanes != 1 {
+		t.Errorf("attempts built with lanes %v, want 2 then 1", lanesOf(sc.built))
+	}
+}
+
+func TestRecoveryBudgetExhausted(t *testing.T) {
+	_, res, out, err := supervise(t, Config{MaxRecoveries: 0}, nil, lane1Stage1Dies)
+	if !errors.Is(err, ErrRecoveryBudget) {
+		t.Fatalf("Run: %v, want ErrRecoveryBudget\n%s", err, out)
+	}
+	if rf, ok := parallel.AsRankFailed(err); !ok || rf.Rank != 1 || rf.Lane != 1 {
+		t.Errorf("error %v does not carry the rank failure", err)
+	}
+	if !strings.Contains(err.Error(), "device failure after 0 recoveries") {
+		t.Errorf("error %q does not name the device failure", err)
+	}
+	if res.Recoveries != 0 || strings.Contains(out, "FAILURE") {
+		t.Errorf("a refused recovery was acted on: %+v\n%s", res, out)
+	}
+}
+
+func TestUnknownDeviceKeepsPool(t *testing.T) {
+	phantom := func(context.Context, core.Config, *Supervisor) error {
+		return &parallel.RankFailedError{Rank: 9, Lane: -1, Op: "allreduce", Err: errors.New("deadline")}
+	}
+	sc, res, out, err := supervise(t, Config{MaxRecoveries: 1}, nil, phantom, finish)
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	wantOutput(t, out, "FAILURE: unknown device (rank 9, lane -1)", "pool unchanged", "no snapshot captured yet")
+	if strings.Contains(out, "re-planning") {
+		t.Errorf("re-planned for a failure no device answers for:\n%s", out)
+	}
+	if dead := sc.sup.live.Dead(); len(dead) != 0 {
+		t.Errorf("dead devices %v, want none", dead)
+	}
+	if res.Recoveries != 1 || len(sc.built) != 2 || sc.built[1].Lanes != 2 {
+		t.Errorf("result %+v, lanes %v: want the attempt rebuilt on the same 2 lanes, budget charged", res, lanesOf(sc.built))
+	}
+}
+
+func TestDriftReplan(t *testing.T) {
+	alertThen := func(next attempt) attempt {
+		return func(ctx context.Context, c core.Config, s *Supervisor) error {
+			s.onAlert(lane1Slow)
+			return next(ctx, c, s)
+		}
+	}
+	// With one lane left the second alert must not cancel the attempt:
+	// it checks its context is still live and finishes.
+	stillLive := func(ctx context.Context, _ core.Config, _ *Supervisor) error { return ctx.Err() }
+	sc, res, out, err := supervise(t, Config{ReplanOnDrift: true}, nil,
+		alertThen(untilCanceled), alertThen(stillLive))
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	wantOutput(t, out,
+		"ALERT: straggler [hybrid] lane 1",
+		"re-planning on drift: straggler [hybrid] lane 1",
+		"quarantined lane 1: [jetson-nano-2 jetson-nano-3]",
+		"re-plan (drift): ")
+	if strings.Count(out, "ALERT:") != 2 || strings.Count(out, "re-planning on drift:") != 1 {
+		t.Errorf("want two alerts and one drift re-plan:\n%s", out)
+	}
+	if res.DriftReplans != 1 || res.Recoveries != 0 {
+		t.Errorf("result %+v, want 1 drift re-plan, recovery budget untouched", res)
+	}
+	if len(sc.sup.live.Dead()) != 0 {
+		t.Errorf("a slow lane was declared dead: %v", sc.sup.live.Dead())
+	}
+	if len(sc.built) != 2 || sc.built[1].Lanes != 1 {
+		t.Errorf("attempts built with lanes %v, want 2 then 1", lanesOf(sc.built))
+	}
+
+	// Without ReplanOnDrift the same alert is printed and nothing else.
+	_, res, out, err = supervise(t, Config{}, nil, alertThen(stillLive))
+	if err != nil || res.DriftReplans != 0 || !strings.Contains(out, "ALERT:") {
+		t.Errorf("alert without ReplanOnDrift: err %v, %+v\n%s", err, res, out)
+	}
+}
+
+func TestFailureSupersedesDrift(t *testing.T) {
+	both := func(ctx context.Context, c core.Config, s *Supervisor) error {
+		s.onAlert(lane1Slow)
+		return lane1Stage1Dies(ctx, c, s)
+	}
+	sc, res, out, err := supervise(t, Config{ReplanOnDrift: true, MaxRecoveries: 1}, nil, both, finish)
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	wantOutput(t, out, "FAILURE: device jetson-nano-3", "re-planning on 3 surviving device(s)")
+	if strings.Contains(out, "re-planning on drift") || len(sc.sup.live.Quarantined()) != 0 {
+		t.Errorf("the drift request was acted on beside the failure:\n%s", out)
+	}
+	if res.Recoveries != 1 || res.DriftReplans != 0 {
+		t.Errorf("result %+v, want it counted as a failure", res)
+	}
+}
+
+func TestLateRequestIgnored(t *testing.T) {
+	// The request wins the guard and cancels the context, but training
+	// had already got to its end.
+	lastStep := func(_ context.Context, _ core.Config, s *Supervisor) error {
+		s.onAlert(lane1Slow)
+		return nil
+	}
+	sc, res, out, err := supervise(t, Config{ReplanOnDrift: true}, nil, lastStep)
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	if len(sc.built) != 1 || res.DriftReplans != 0 || res.Loss != 0.25 || len(sc.sup.live.Quarantined()) != 0 {
+		t.Errorf("a request after the finish was acted on: %+v\n%s", res, out)
+	}
+}
+
+func TestOtherErrorsReturned(t *testing.T) {
+	boom := errors.New("boom")
+	_, _, out, err := supervise(t, Config{MaxRecoveries: 3}, nil,
+		func(context.Context, core.Config, *Supervisor) error { return boom })
+	if err != boom {
+		t.Fatalf("Run: %v, want the attempt's own error\n%s", err, out)
+	}
+}
+
+func TestFleetDrainReplan(t *testing.T) {
+	cfg := Config{Drain: &Drain{Device: 3}}
+	cfg.Core.SnapshotEvery = 1
+	sc, res, out, err := supervise(t, cfg, nil, snapshotThen(0, 2, untilCanceled), finish)
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	wantOutput(t, out,
+		"re-planning on fleet drain: 3 surviving device(s): [jetson-nano-0 jetson-nano-1 jetson-nano-2]",
+		"re-plan (fleet): ",
+		"recovering from snapshot: epoch 0, step 2",
+		"fleet drain of jetson-nano-3 complete",
+		"fleet: 1 drain re-plan(s)")
+	if res.FleetReplans != 1 || res.Recoveries != 0 || sc.built[1].Lanes != 1 {
+		t.Errorf("result %+v, lanes %v", res, lanesOf(sc.built))
+	}
+	if q := sc.sup.live.Quarantined(); len(q) != 1 || q[0] != "jetson-nano-3" {
+		t.Errorf("quarantined %v, want [jetson-nano-3]", q)
+	}
+}
+
+// TestDrainOutlivedByTraining is the regression test for a drain that
+// loses the race with the end of training: Run used to sit out the
+// drain's timer and then report a re-plan that never happened.
+func TestDrainOutlivedByTraining(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"waiting out its delay":       {Drain: &Drain{Device: 3, Delay: time.Hour}},
+		"waiting for a first capture": {Drain: &Drain{Device: 3}, Core: core.Config{SnapshotEvery: 1}},
+	} {
+		began := time.Now()
+		sc, res, out, err := supervise(t, cfg, nil, finish)
+		if err != nil {
+			t.Fatalf("%s: Run: %v\n%s", name, err, out)
+		}
+		if took := time.Since(began); took > time.Second {
+			t.Errorf("%s: Run took %v after training had finished", name, took)
+		}
+		wantOutput(t, out, "fleet drain of jetson-nano-3 skipped: training finished first", "fleet: 0 drain re-plan(s)")
+		if res.FleetReplans != 0 || len(sc.sup.live.Quarantined()) != 0 {
+			t.Errorf("%s: a skipped drain sidelined a device: %+v %v", name, res, sc.sup.live.Quarantined())
+		}
+	}
+}
+
+func TestNewRejectsBadInjection(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"crash device": {Crash: &Crash{Device: 4, Phase: "hybrid"}},
+		"crash phase":  {Crash: &Crash{Device: 1, Phase: "nonsense"}},
+		"slow lane":    {Slow: &Slow{Lane: 2}},
+		"drain device": {Drain: &Drain{Device: 4}},
+		"resume":       {Resume: true},
+	} {
+		cfg.Core.Stages, cfg.Core.Lanes, cfg.Pool, cfg.Out = 2, 2, cluster.Nanos(4), &strings.Builder{}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted it", name)
+		}
+	}
+}
+
+// TestAttributeDevice pins the failure-attribution rules, including the
+// fix for the old behavior of blaming device 0 for unmappable failures.
+func TestAttributeDevice(t *testing.T) {
+	cases := []struct {
+		rank, lane, stages, pool int
+		wantIdx                  int
+		wantKnown                bool
+	}{
+		{rank: 1, lane: 0, stages: 2, pool: 4, wantIdx: 1, wantKnown: true},  // lane 0, stage 1
+		{rank: 0, lane: 1, stages: 2, pool: 4, wantIdx: 2, wantKnown: true},  // lane 1, stage 0
+		{rank: 3, lane: -1, stages: 2, pool: 4, wantIdx: 3, wantKnown: true}, // DP rank
+		{rank: 9, lane: -1, stages: 2, pool: 4, wantKnown: false},            // out of range
+		{rank: 1, lane: 5, stages: 2, pool: 4, wantKnown: false},             // phantom lane
+		{rank: -2, lane: -1, stages: 2, pool: 4, wantKnown: false},           // negative rank
+	}
+	for _, tc := range cases {
+		rf := &parallel.RankFailedError{Rank: tc.rank, Lane: tc.lane, Op: "op", Err: fmt.Errorf("x")}
+		idx, known := attributeDevice(rf, tc.stages, tc.pool)
+		if known != tc.wantKnown || (known && idx != tc.wantIdx) {
+			t.Errorf("attributeDevice(rank=%d lane=%d) = (%d, %v), want (%d, %v)",
+				tc.rank, tc.lane, idx, known, tc.wantIdx, tc.wantKnown)
+		}
+	}
+}
+
+// TestReplanGuardSingleWinner is the regression test for the
+// double-re-plan bug: when many triggers fire concurrently within one
+// attempt — a liveness failure racing a drift alert, or several alerts
+// at once — exactly one request may win, and the attempt must be
+// canceled exactly once.
+func TestReplanGuardSingleWinner(t *testing.T) {
+	var g replanGuard
+	for attempt := 0; attempt < 3; attempt++ {
+		cancels := 0
+		g.arm(func() { cancels++ })
+
+		const callers = 16
+		wins := make(chan string, callers)
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				trigger := "drift"
+				if i%2 == 0 {
+					trigger = "failure"
+				}
+				if g.request(trigger, health.Alert{Lane: i}) {
+					wins <- trigger
+				}
+			}()
+		}
+		wg.Wait()
+		close(wins)
+
+		var winners []string
+		for w := range wins {
+			winners = append(winners, w)
+		}
+		if len(winners) != 1 {
+			t.Fatalf("attempt %d: %d winners (%v), want exactly 1", attempt, len(winners), winners)
+		}
+		if cancels != 1 {
+			t.Fatalf("attempt %d: attempt canceled %d times, want exactly 1", attempt, cancels)
+		}
+		trigger, _ := g.take()
+		if trigger != winners[0] {
+			t.Fatalf("attempt %d: take() = %q, want the winner %q", attempt, trigger, winners[0])
+		}
+		if trigger, _ := g.take(); trigger != "" {
+			t.Fatalf("attempt %d: second take() = %q, want empty", attempt, trigger)
+		}
+	}
+}
