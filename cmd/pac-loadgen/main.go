@@ -188,7 +188,7 @@ func run(args []string, out *os.File) error {
 			// a second export.
 			srv.SetTracer(tracer, telemetry.PidServe+1, "in-process")
 		}
-		tgt = loadgen.InProcess{Srv: srv}
+		tgt = srv
 		fmt.Fprintf(out, "target: in-process %s (lm=%v, vocab=%d)\n", cfg.Name, cfg.LM, cfg.Vocab)
 		if *train {
 			stopTrain = concurrentTrainer(ctx, out, srv, cfg)

@@ -334,12 +334,10 @@ func TestRunFleetDrainReplan(t *testing.T) {
 func TestRunLeavesProcessAsFound(t *testing.T) {
 	backend, workers := tensor.ActiveBackend().Name(), tensor.MaxWorkers()
 	afterLine := regexp.MustCompile(`after: .*`)
-	// One device: with the cache shed every sample is recomputed, and
-	// ranks recomputing side by side trip the pooled tensor runtime's
-	// known -race report (ROADMAP item 5; the parent binary shows it too
-	// under -mem-budget 1MiB).
+	// Four devices: with the cache shed every sample is recomputed, by
+	// ranks running their backbones side by side (run it under -race).
 	args := []string{"-task", "sst-2", "-samples", "16", "-epochs", "3", "-pretrain", "0",
-		"-stages", "1", "-lanes", "1", "-batch", "8", "-snapshot-every", "0"}
+		"-stages", "2", "-lanes", "2", "-batch", "8", "-snapshot-every", "0"}
 
 	var plain strings.Builder
 	if err := run(args, &plain); err != nil {

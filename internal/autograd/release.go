@@ -100,6 +100,20 @@ func ReleaseExcept(keep []*tensor.Tensor, roots ...*Variable) {
 		if n.numParents() == 0 { // leaf: value and gradient both survive
 			rs.protect(n.Value)
 			rs.protect(n.Grad)
+			continue
+		}
+		if n.pooled {
+			// Settle the tape account for everything this node reserved
+			// (newNode value + ensureGrad gradient) — per node, not per
+			// buffer, so aliased views balance against their own reserves.
+			// Roots are settled here too: their value survives for the
+			// caller, but the tape no longer owns it, and the cleared
+			// parent list keeps a second sweep from re-releasing. This
+			// happens before anything is freed: an in-place op's node
+			// shares its parent's tensor header, and once phase 2 recycles
+			// that header through one of them it reads as empty — or is
+			// already being rewritten by another goroutine's tensor.New.
+			memTape.Release(tapeBytes(n.Value) + tapeBytes(n.Grad))
 		}
 	}
 
@@ -109,15 +123,6 @@ func ReleaseExcept(keep []*tensor.Tensor, roots ...*Variable) {
 		_, isRoot := rs.rootSet[n]
 		if n.numParents() == 0 {
 			continue
-		}
-		if n.pooled {
-			// Settle the tape account for everything this node reserved
-			// (newNode value + ensureGrad gradient) — per node, not per
-			// buffer, so aliased views balance against their own reserves.
-			// Roots are settled here too: their value survives for the
-			// caller, but the tape no longer owns it, and the cleared
-			// parent list keeps a second sweep from re-releasing.
-			memTape.Release(tapeBytes(n.Value) + tapeBytes(n.Grad))
 		}
 		if !isRoot {
 			rs.free(n.Value)
@@ -178,14 +183,19 @@ func (rs *releaseState) protect(t *tensor.Tensor) {
 // caller-owned (FromSlice wrappers), so neither their data nor their
 // header may be recycled.
 func (rs *releaseState) free(t *tensor.Tensor) {
-	if t == nil || len(t.Data) == 0 {
+	if t == nil {
+		return
+	}
+	// A header this sweep has already recycled is no longer ours to
+	// read, so it is recognised by address before its Data is touched.
+	if _, seen := rs.seenShell[t]; seen {
+		return
+	}
+	if len(t.Data) == 0 {
 		return
 	}
 	p := &t.Data[0]
 	if _, kept := rs.keepBuf[p]; kept {
-		return
-	}
-	if _, seen := rs.seenShell[t]; seen {
 		return
 	}
 	rs.seenShell[t] = struct{}{}

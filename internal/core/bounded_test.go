@@ -19,7 +19,7 @@ func entryBytes(t *testing.T, ds *data.Dataset) int64 {
 	probe := acache.NewMemoryStore()
 	f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
 		Stages: 1, Lanes: 1, Cache: probe})
-	f.Phase1Epoch(data.NewLoader(ds, 4, 3), 0)
+	mustPhase1(t, f, data.NewLoader(ds, 4, 3), 0)
 	return probe.Bytes() / int64(probe.Len())
 }
 
@@ -70,7 +70,7 @@ func steadyOver(t *testing.T, ds *data.Dataset, store acache.Store) (*Framework,
 	f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
 		Stages: 1, Lanes: 1, LR: 0.01, Adam: true, Cache: store})
 	loader := data.NewLoader(ds, 4, 1)
-	f.Phase1Epoch(loader, 0)
+	mustPhase1(t, f, loader, 0)
 	if err := f.Redistribute(ds); err != nil {
 		t.Fatal(err)
 	}

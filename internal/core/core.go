@@ -288,29 +288,19 @@ func (b *cacheBuilder) observe(ids []int, tapIdx int, tap *tensor.Tensor) {
 	}
 }
 
-// Phase1Epoch runs one hybrid data+pipeline epoch over the loader
-// (paper Step 4), filling the activation cache as a side effect.
-// Returns the mean loss. Reliable-LAN wrapper: panics on device
-// failure; use Phase1EpochCtx to handle failures.
-func (f *Framework) Phase1Epoch(loader *data.Loader, epoch int) float64 {
-	loss, err := f.Phase1EpochCtx(context.Background(), loader, epoch)
-	if err != nil {
-		panic(err.Error())
-	}
-	return loss
-}
-
-// Phase1EpochCtx is the fault-aware Phase1Epoch: a dead device aborts
-// the epoch cleanly and surfaces a parallel.RankFailedError so the
-// orchestrator can re-plan on the survivors.
+// Phase1EpochCtx runs one hybrid data+pipeline epoch over the loader
+// (paper Step 4), filling the activation cache as a side effect, and
+// returns the mean loss. A dead device aborts the epoch cleanly and
+// surfaces a parallel.RankFailedError so the orchestrator can re-plan
+// on the survivors.
 func (f *Framework) Phase1EpochCtx(ctx context.Context, loader *data.Loader, epoch int) (float64, error) {
-	return f.Phase1EpochFromCtx(ctx, loader, epoch, 0)
+	return f.phase1EpochFrom(ctx, loader, epoch, 0)
 }
 
-// Phase1EpochFromCtx resumes a hybrid epoch at batch index start —
+// phase1EpochFrom resumes a hybrid epoch at batch index start —
 // batches before it were completed (and their samples cached) before
 // the interruption, so only the remainder runs.
-func (f *Framework) Phase1EpochFromCtx(ctx context.Context, loader *data.Loader, epoch, start int) (float64, error) {
+func (f *Framework) phase1EpochFrom(ctx context.Context, loader *data.Loader, epoch, start int) (float64, error) {
 	loss, err := f.hybrid.TrainEpochFromCtx(ctx, loader, epoch, start)
 	if err != nil {
 		return 0, err
@@ -351,26 +341,21 @@ func (f *Framework) Redistribute(ds *data.Dataset) error {
 	return nil
 }
 
-// CachedEpochs runs n data-parallel epochs of adapter-only training from
-// the cache (paper Step 5) across Stages×Lanes workers. Returns the
-// mean loss of the final epoch.
-func (f *Framework) CachedEpochs(loader *data.Loader, startEpoch, n int) (float64, error) {
-	return f.CachedEpochsCtx(context.Background(), loader, startEpoch, n)
-}
-
-// CachedEpochsCtx is the fault-aware CachedEpochs: the DP fabric runs
-// under the configured StepTimeout (and fault injection, if enabled)
-// and a dead worker surfaces as a parallel.RankFailedError.
+// CachedEpochsCtx runs n data-parallel epochs of adapter-only training
+// from the cache (paper Step 5) across Stages×Lanes workers and returns
+// the mean loss of the final epoch. The DP fabric runs under the
+// configured StepTimeout (and fault injection, if enabled); a dead
+// worker surfaces as a parallel.RankFailedError.
 func (f *Framework) CachedEpochsCtx(ctx context.Context, loader *data.Loader, startEpoch, n int) (float64, error) {
-	return f.CachedEpochsFromCtx(ctx, loader, startEpoch, n, 0)
+	return f.cachedEpochsFrom(ctx, loader, startEpoch, n, 0)
 }
 
-// CachedEpochsFromCtx resumes cached training at batch index startStep
+// cachedEpochsFrom resumes cached training at batch index startStep
 // of the first epoch (later epochs run in full) — the entry point for
 // elastic resume into the cache-only phase. Optimizer state restored
 // from a snapshot (RestoreSnapshot) is imported into every replica
 // before the first step so the update trajectory continues exactly.
-func (f *Framework) CachedEpochsFromCtx(ctx context.Context, loader *data.Loader, startEpoch, n, startStep int) (float64, error) {
+func (f *Framework) cachedEpochsFrom(ctx context.Context, loader *data.Loader, startEpoch, n, startStep int) (float64, error) {
 	if f.RedistributedBytes == 0 {
 		return 0, fmt.Errorf("core: run Redistribute before cached epochs")
 	}
@@ -502,7 +487,7 @@ func (f *Framework) gatherTaps(pa *peft.Parallel, mb *data.Batch) []*tensor.Tens
 // a replica: batched tap gathering from the cache, side-network
 // forward, loss, backward, gradient clip, optimizer update, then graph
 // teardown and tap-buffer recycling. It is the per-worker inner loop of
-// CachedEpochs, exported so the allocation benchmark and benchmark/'s
+// CachedEpochsCtx, exported so the allocation benchmark and benchmark/'s
 // core.steady_step_ms probe measure exactly the code the epoch ≥ 2
 // path runs.
 func (f *Framework) SteadyStep(pa *peft.Parallel, opt train.Optimizer, mb *data.Batch) float64 {
@@ -527,17 +512,12 @@ func (f *Framework) Recomputed() int64 { return atomic.LoadInt64(&f.recomputed) 
 
 // FineTune runs the complete PAC workflow: one hybrid epoch with cache
 // fill, redistribution, then cache-only epochs. epochs is the total
-// count (≥1). Returns the final epoch's mean loss.
+// count (≥1). Returns the final epoch's mean loss. It is FineTuneFromCtx
+// from the beginning with no way to give up — for examples, tests and
+// the benchmark's warm-up; a caller that handles device failures or
+// resumes uses FineTuneFromCtx.
 func (f *Framework) FineTune(ds *data.Dataset, batch int, epochs int, seed int64) (float64, error) {
-	return f.FineTuneCtx(context.Background(), ds, batch, epochs, seed)
-}
-
-// FineTuneCtx is the fault-aware FineTune: device failures in either
-// phase surface as a parallel.RankFailedError (inspect with
-// parallel.AsRankFailed) instead of panicking, so callers can drop the
-// failed device, re-plan, and retry.
-func (f *Framework) FineTuneCtx(ctx context.Context, ds *data.Dataset, batch int, epochs int, seed int64) (float64, error) {
-	return f.FineTuneFromCtx(ctx, ds, batch, epochs, seed, Cursor{})
+	return f.FineTuneFromCtx(context.Background(), ds, batch, epochs, seed, Cursor{})
 }
 
 // FineTuneFromCtx runs the PAC workflow from a resume cursor: a zero
@@ -545,12 +525,14 @@ func (f *Framework) FineTuneCtx(ctx context.Context, ds *data.Dataset, batch int
 // RestoreSnapshot and a cache salvage) continues mid-epoch from the
 // last completed step instead of replaying finished work. seed must
 // match the interrupted run's seed so the batch order replays
-// identically.
+// identically. Device failures in either phase surface as a
+// parallel.RankFailedError (inspect with parallel.AsRankFailed), so
+// callers can drop the failed device, re-plan, and retry.
 func (f *Framework) FineTuneFromCtx(ctx context.Context, ds *data.Dataset, batch int, epochs int, seed int64, from Cursor) (float64, error) {
 	f.curSeed = seed
 	loader := data.NewLoader(ds, batch, seed)
 	if from.Epoch <= 0 {
-		loss, err := f.Phase1EpochFromCtx(ctx, loader, 0, from.Step)
+		loss, err := f.phase1EpochFrom(ctx, loader, 0, from.Step)
 		if err != nil {
 			return 0, err
 		}
@@ -563,7 +545,7 @@ func (f *Framework) FineTuneFromCtx(ctx context.Context, ds *data.Dataset, batch
 		if err := f.Redistribute(ds); err != nil {
 			return 0, err
 		}
-		return f.CachedEpochsFromCtx(ctx, loader, 1, epochs-1, 0)
+		return f.cachedEpochsFrom(ctx, loader, 1, epochs-1, 0)
 	}
 	// Cache-only-phase resume: phase 1 completed before the crash; its
 	// product (the cache) was salvaged rather than rebuilt.
@@ -574,7 +556,7 @@ func (f *Framework) FineTuneFromCtx(ctx context.Context, ds *data.Dataset, batch
 	if from.Epoch >= epochs {
 		return 0, fmt.Errorf("core: resume cursor epoch %d is past the %d-epoch run", from.Epoch, epochs)
 	}
-	return f.CachedEpochsFromCtx(ctx, loader, from.Epoch, epochs-from.Epoch, from.Step)
+	return f.cachedEpochsFrom(ctx, loader, from.Epoch, epochs-from.Epoch, from.Step)
 }
 
 // Evaluate scores the trained adapters on a dataset using the reference
@@ -723,7 +705,7 @@ func (f *Framework) CaptureSnapshot(epoch, step int) *checkpoint.Snapshot {
 // every lane, optimizer moments into the matching optimizers (phase-1
 // snapshots carry one group per stage, imported directly; cached-phase
 // snapshots carry one group, staged for the DP replicas built at
-// CachedEpochs time), and the cache manifest for salvage. The model
+// CachedEpochsCtx time), and the cache manifest for salvage. The model
 // fingerprint and stage count must match the snapshot's.
 func (f *Framework) RestoreSnapshot(s *checkpoint.Snapshot) error {
 	defer f.rootSpan("snapshot", "restore")()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"pac/internal/acache"
@@ -59,8 +60,8 @@ func TestFrameworkCachedEpochsEquivalentToDirect(t *testing.T) {
 	ref := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
 		Stages: 2, Lanes: 1, LR: 0.05})
 	loader := data.NewLoader(ds, batch, 3)
-	ref.Phase1Epoch(loader, 0)
-	ref.Phase1Epoch(loader, 1)
+	mustPhase1(t, ref, loader, 0)
+	mustPhase1(t, ref, loader, 1)
 
 	a := nn.FlattenParams(f.Reference().Trainable())
 	b := nn.FlattenParams(ref.hybrid.Lanes[0].Tech.Trainable())
@@ -107,12 +108,21 @@ func TestFrameworkLearns(t *testing.T) {
 	}
 }
 
+// mustPhase1 runs a hybrid epoch over fabrics the test expects to be
+// reliable.
+func mustPhase1(t testing.TB, f *Framework, loader *data.Loader, epoch int) {
+	t.Helper()
+	if _, err := f.Phase1EpochCtx(context.Background(), loader, epoch); err != nil {
+		t.Fatalf("phase-1 epoch %d: %v", epoch, err)
+	}
+}
+
 func TestRedistributeRequiresPhase1(t *testing.T) {
 	f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4}, Stages: 1, Lanes: 1})
 	if err := f.Redistribute(smallDataset(4)); err == nil {
 		t.Fatal("redistribute before phase 1 should fail")
 	}
-	if _, err := f.CachedEpochs(nil, 0, 1); err == nil {
+	if _, err := f.CachedEpochsCtx(context.Background(), nil, 0, 1); err == nil {
 		t.Fatal("cached epochs before redistribution should fail")
 	}
 }
@@ -121,7 +131,7 @@ func TestRedistributeReportsIncompleteCoverage(t *testing.T) {
 	ds := smallDataset(8)
 	f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4}, Stages: 2, Lanes: 1})
 	loader := data.NewLoader(ds, 4, 1)
-	f.Phase1Epoch(loader, 0)
+	mustPhase1(t, f, loader, 0)
 	// A dataset with extra samples: the shortfall is reported (those
 	// samples will be recomputed on demand), not fatal.
 	bigger := smallDataset(12)
@@ -226,7 +236,9 @@ func TestFrameworkMatchesSingleDeviceTrainer(t *testing.T) {
 
 	f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
 		Stages: 1, Lanes: 1, Micro: 1, LR: 0.05})
-	f.hybrid.Step(b)
+	if _, err := f.hybrid.StepCtx(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
 
 	m := model.New(model.Tiny())
 	tech := peft.NewParallel(m, peft.Options{Reduction: 4})

@@ -47,7 +47,7 @@ func crashAndResume(t *testing.T, ds *data.Dataset, batch, epochs int, seed int6
 		}
 	}
 	f1 := New(cfg)
-	if _, err := f1.FineTuneCtx(ctx, ds, batch, epochs, seed); err == nil {
+	if _, err := f1.FineTuneFromCtx(ctx, ds, batch, epochs, seed, Cursor{}); err == nil {
 		t.Fatal("run survived the injected crash")
 	}
 	if crashSnap == nil {

@@ -19,7 +19,7 @@ func benchSteadyState(b *testing.B) (*Framework, *peft.Parallel, train.Optimizer
 	f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
 		Stages: 1, Lanes: 1, LR: 0.01, Adam: true})
 	loader := data.NewLoader(ds, 8, 1)
-	f.Phase1Epoch(loader, 0)
+	mustPhase1(b, f, loader, 0)
 	if err := f.Redistribute(ds); err != nil {
 		b.Fatal(err)
 	}

@@ -217,8 +217,8 @@ func (rs *ReplicaSet) routeSpan(ctx context.Context, op string) (context.Context
 	}
 }
 
-// ClassifyFor implements serve.Backend by routing to an in-service
-// replica.
+// ClassifyFor implements serve.Backend (and loadgen.Target) by routing
+// to an in-service replica.
 func (rs *ReplicaSet) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
 	ctx, endRoute := rs.routeSpan(ctx, "classify")
 	r, err := rs.pick()
@@ -231,7 +231,7 @@ func (rs *ReplicaSet) ClassifyFor(ctx context.Context, user int, enc [][]int, le
 	return r.srv.ClassifyFor(ctx, user, enc, lens)
 }
 
-// GenerateFor implements serve.Backend.
+// GenerateFor implements serve.Backend (and loadgen.Target).
 func (rs *ReplicaSet) GenerateFor(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
 	ctx, endRoute := rs.routeSpan(ctx, "generate")
 	r, err := rs.pick()
@@ -242,16 +242,6 @@ func (rs *ReplicaSet) GenerateFor(ctx context.Context, user int, enc [][]int, le
 	defer r.inflight.Add(-1)
 	defer endRoute(r)
 	return r.srv.GenerateFor(ctx, user, enc, lens, opts)
-}
-
-// Classify implements loadgen.Target (same routing as ClassifyFor).
-func (rs *ReplicaSet) Classify(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
-	return rs.ClassifyFor(ctx, user, enc, lens)
-}
-
-// Generate implements loadgen.Target.
-func (rs *ReplicaSet) Generate(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
-	return rs.GenerateFor(ctx, user, enc, lens, opts)
 }
 
 // Observed implements the executor's state source.

@@ -182,7 +182,9 @@ func (t *Trainer) TrainBatch(b *Batch) float64 {
 		train.ClipGradNorm(t.Opt.Params(), t.Clip)
 	}
 	t.Opt.Step()
-	return float64(loss.Value.Data[0])
+	v := float64(loss.Value.Data[0])
+	res.Release(loss)
+	return v
 }
 
 // TrainEpoch runs an epoch and returns the mean batch loss.
@@ -240,6 +242,9 @@ func Decode(tech peft.Technique, enc [][]int, lens []int, opts Options) [][]int 
 				allDone = false
 			}
 		}
+		// The step's tokens are picked: its graph, logits and taps go
+		// back to the pool before the next step allocates.
+		res.Release(res.Logits)
 		if allDone {
 			break
 		}

@@ -23,7 +23,7 @@ type RunOptions struct {
 
 	// Tracer, when non-nil, enables causal request tracing: every
 	// request carries a fresh TraceContext (propagated over X-Pac-Trace
-	// by HTTPTarget, or through the context by InProcess) and sampled
+	// by HTTPTarget, or through the context by an in-process target) and sampled
 	// requests record a client-side root span at telemetry.PidClient.
 	Tracer *telemetry.Tracer
 	// TraceSample is the head-sampling probability in [0,1]. The
@@ -170,10 +170,10 @@ issue:
 			t0 := time.Now()
 			var err error
 			if req.Op == OpGenerate {
-				_, err = tgt.Generate(rctx, req.User, [][]int{req.Tokens}, []int{req.Len},
+				_, err = tgt.GenerateFor(rctx, req.User, [][]int{req.Tokens}, []int{req.Len},
 					generate.Options{MaxLen: req.MaxLen})
 			} else {
-				_, err = tgt.Classify(rctx, req.User, [][]int{req.Tokens}, []int{req.Len})
+				_, err = tgt.ClassifyFor(rctx, req.User, [][]int{req.Tokens}, []int{req.Len})
 			}
 			dur := time.Since(t0)
 			sec := dur.Seconds()

@@ -18,7 +18,7 @@ type fakeTarget struct {
 	calls atomic.Int64
 }
 
-func (f *fakeTarget) Classify(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
+func (f *fakeTarget) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
 	f.calls.Add(1)
 	if f.delay > 0 {
 		time.Sleep(f.delay)
@@ -26,7 +26,7 @@ func (f *fakeTarget) Classify(ctx context.Context, user int, enc [][]int, lens [
 	return make([]int, len(enc)), ctx.Err()
 }
 
-func (f *fakeTarget) Generate(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
+func (f *fakeTarget) GenerateFor(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
 	f.calls.Add(1)
 	if f.delay > 0 {
 		time.Sleep(f.delay)
@@ -113,7 +113,7 @@ func TestEndToEndReplayAgainstServer(t *testing.T) {
 	mcfg.MaxSeq = 64
 	srv := serve.NewServer(peft.New(peft.ParallelAdapters, model.New(mcfg), peft.Options{Reduction: 2}), mcfg)
 
-	rep, err := Run(context.Background(), tr, InProcess{Srv: srv}, RunOptions{Speedup: 4})
+	rep, err := Run(context.Background(), tr, srv, RunOptions{Speedup: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,33 +10,18 @@ import (
 	"strings"
 
 	"pac/internal/generate"
-	"pac/internal/serve"
 	"pac/internal/telemetry"
 )
 
-// Target abstracts where replayed requests land: a serve.Server in the
-// same process (zero-copy dispatch, used by tests and the default
-// pac-loadgen mode) or a pac-serve instance over HTTP.
+// Target is where replayed requests land. The method set is the
+// request half of serve.Backend, so a *serve.Server and a
+// *fleet.ReplicaSet are targets as they stand (in-process dispatch with
+// the same per-user attribution and cancellation paths as the HTTP
+// face, used by tests and the default pac-loadgen mode); HTTPTarget
+// reaches a pac-serve instance over the network.
 type Target interface {
-	Classify(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error)
-	Generate(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error)
-}
-
-// InProcess dispatches straight into a serve.Server, exercising the
-// same per-user attribution and cancellation paths as the HTTP face
-// without network noise.
-type InProcess struct {
-	Srv *serve.Server
-}
-
-// Classify implements Target.
-func (t InProcess) Classify(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
-	return t.Srv.ClassifyFor(ctx, user, enc, lens)
-}
-
-// Generate implements Target.
-func (t InProcess) Generate(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
-	return t.Srv.GenerateFor(ctx, user, enc, lens, opts)
+	ClassifyFor(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error)
+	GenerateFor(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error)
 }
 
 // HTTPTarget replays against a pac-serve API base URL (e.g.
@@ -76,8 +61,8 @@ func (t HTTPTarget) post(ctx context.Context, path string, body, out interface{}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Classify implements Target.
-func (t HTTPTarget) Classify(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
+// ClassifyFor implements Target.
+func (t HTTPTarget) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
 	var out struct {
 		Classes []int `json:"classes"`
 	}
@@ -87,8 +72,8 @@ func (t HTTPTarget) Classify(ctx context.Context, user int, enc [][]int, lens []
 	return out.Classes, err
 }
 
-// Generate implements Target.
-func (t HTTPTarget) Generate(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
+// GenerateFor implements Target.
+func (t HTTPTarget) GenerateFor(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
 	var out struct {
 		Outputs [][]int `json:"outputs"`
 	}

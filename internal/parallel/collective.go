@@ -18,9 +18,9 @@ type RetryPolicy struct {
 	Cap  time.Duration
 }
 
-// DefaultRetry is the policy used by the panic-on-error collective
-// wrappers and by engines with no explicit policy: 6 attempts, 1 ms
-// initial backoff doubling to a 50 ms cap.
+// DefaultRetry is the policy of engines and collectives given no
+// explicit one: 6 attempts, 1 ms initial backoff doubling to a 50 ms
+// cap.
 var DefaultRetry = RetryPolicy{Max: 6, Base: time.Millisecond, Cap: 50 * time.Millisecond}
 
 func (p RetryPolicy) orDefault() RetryPolicy {
@@ -136,36 +136,21 @@ func RingAllReduceCtx(ctx context.Context, t Transport, data []float32, pol Retr
 	return nil
 }
 
-// RingAllReduce is the legacy reliable-LAN wrapper: panics on any
-// transport failure.
+// RingAllReduce is RingAllReduceCtx without a deadline and under
+// DefaultRetry, for callers that own every rank of an in-process fabric
+// (a probe timing the collective): there a transport error can only be
+// a bug in the caller, so it panics.
 func RingAllReduce(t Transport, data []float32) {
 	if err := RingAllReduceCtx(context.Background(), t, data, DefaultRetry); err != nil {
 		panic(err.Error())
 	}
 }
 
-// AllReduceMeanCtx performs RingAllReduceCtx then divides by the group
-// size, producing the mean — the gradient-averaging collective.
-func AllReduceMeanCtx(ctx context.Context, t Transport, data []float32, pol RetryPolicy) error {
-	if err := RingAllReduceCtx(ctx, t, data, pol); err != nil {
-		return err
-	}
-	inv := 1 / float32(t.Size())
-	for i := range data {
-		data[i] *= inv
-	}
-	return nil
-}
-
-// AllReduceMean is the legacy panic-on-error wrapper.
-func AllReduceMean(t Transport, data []float32) {
-	if err := AllReduceMeanCtx(context.Background(), t, data, DefaultRetry); err != nil {
-		panic(err.Error())
-	}
-}
-
 // BroadcastCtx copies root's data to every rank (in place on
-// non-roots).
+// non-roots) — with AllGatherBytesCtx, the redistribution collectives
+// of the phase transition (paper §5.2). core.Redistribute accounts for
+// the bytes they would move but, sharing one in-process store, does not
+// run them yet.
 func BroadcastCtx(ctx context.Context, t Transport, root int, data []float32, pol RetryPolicy) error {
 	if t.Size() == 1 {
 		return nil
@@ -188,16 +173,9 @@ func BroadcastCtx(ctx context.Context, t Transport, root int, data []float32, po
 	return nil
 }
 
-// Broadcast is the legacy panic-on-error wrapper.
-func Broadcast(t Transport, root int, data []float32) {
-	if err := BroadcastCtx(context.Background(), t, root, data, DefaultRetry); err != nil {
-		panic(err.Error())
-	}
-}
-
 // AllGatherBytesCtx collects every rank's blob on every rank, indexed
-// by rank. Used for the PAC cache/parameter redistribution (paper
-// §5.2).
+// by rank: the cache-shard half of the redistribution (see
+// BroadcastCtx).
 func AllGatherBytesCtx(ctx context.Context, t Transport, own []byte, pol RetryPolicy) ([][]byte, error) {
 	n := t.Size()
 	out := make([][]byte, n)
@@ -225,42 +203,4 @@ func AllGatherBytesCtx(ctx context.Context, t Transport, own []byte, pol RetryPo
 		forward = incoming
 	}
 	return out, nil
-}
-
-// AllGatherBytes is the legacy panic-on-error wrapper.
-func AllGatherBytes(t Transport, own []byte) [][]byte {
-	out, err := AllGatherBytesCtx(context.Background(), t, own, DefaultRetry)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// BarrierCtx blocks until every rank reaches it (ring token pass, two
-// rounds) or the context expires.
-func BarrierCtx(ctx context.Context, t Transport, pol RetryPolicy) error {
-	n := t.Size()
-	if n == 1 {
-		return nil
-	}
-	next := (t.Rank() + 1) % n
-	prev := (t.Rank() - 1 + n) % n
-	token := encodeF32([]float32{1})
-	for round := 0; round < 2; round++ {
-		tag := fmt.Sprintf("barrier%d", round)
-		if err := sendRetry(ctx, t, next, tag, token, pol); err != nil {
-			return err
-		}
-		if _, err := recvPeer(ctx, t, prev, tag); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Barrier is the legacy panic-on-error wrapper.
-func Barrier(t Transport) {
-	if err := BarrierCtx(context.Background(), t, DefaultRetry); err != nil {
-		panic(err.Error())
-	}
 }

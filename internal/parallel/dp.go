@@ -3,7 +3,7 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"pac/internal/autograd"
@@ -79,47 +79,6 @@ func NewDPGroup(n int, factory func(rank int) (peft.Technique, train.Optimizer))
 // Size returns the replica count.
 func (g *DPGroup) Size() int { return len(g.Techs) }
 
-// errCollector gathers per-rank failures under a lock and cancels the
-// shared step context on the first one, preferring RankFailedError as
-// the reported cause (cancellation noise from the abort is secondary).
-type errCollector struct {
-	mu     sync.Mutex
-	first  error
-	cancel context.CancelFunc
-}
-
-func (c *errCollector) record(err error) {
-	if err == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.first == nil {
-		c.first = err
-	} else if _, ok := AsRankFailed(c.first); !ok {
-		if _, ok := AsRankFailed(err); ok {
-			c.first = err
-		}
-	}
-	c.mu.Unlock()
-	c.cancel()
-}
-
-func (c *errCollector) err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.first
-}
-
-// Step trains one mini-batch assuming a reliable fabric; it panics on
-// transport failure. Use StepCtx for the fault-aware path.
-func (g *DPGroup) Step(b *data.Batch) float64 {
-	loss, err := g.StepCtx(context.Background(), b)
-	if err != nil {
-		panic(err.Error())
-	}
-	return loss
-}
-
 // StepCtx trains one mini-batch: shards it across replicas, runs them
 // concurrently, synchronizes gradients, and steps every optimizer.
 // Returns the global mean loss. If a rank dies mid-step (crash fault,
@@ -128,104 +87,54 @@ func (g *DPGroup) Step(b *data.Batch) float64 {
 // identifying the dead rank within the configured StepTimeout.
 func (g *DPGroup) StepCtx(ctx context.Context, b *data.Batch) (float64, error) {
 	n := g.Size()
-	t0 := time.Now()
-	var stepTC telemetry.TraceContext
-	if g.Trace != nil {
-		var end func()
-		if parent, ok := telemetry.TraceFrom(ctx); ok {
-			stepTC, end = g.Trace.SpanTC(parent, "step", "step", telemetry.PidOrch, 0)
-		} else {
-			stepTC, end = g.Trace.RootSpanTC("step", "step", telemetry.PidOrch, 0)
-		}
-		defer end()
-	}
-	if g.StepTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.StepTimeout)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	col := &errCollector{cancel: cancel}
-
 	shards := b.Split(n)
 	// Replicas beyond the shard count (tiny batches) contribute zero
 	// gradients but must still join the collective.
 	losses := make([]float64, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if stepTC.Valid() {
-				_, end := g.Trace.SpanTC(stepTC, "compute", "step", g.TracePID, r)
-				defer end()
-			} else {
-				defer g.Trace.Span("compute", "step", g.TracePID, r)()
-			}
-			rank0 := time.Now()
-			params := g.Techs[r].Trainable()
-			var flat []float32
-			var graph *autograd.Variable
-			if r < len(shards) && shards[r].Size() > 0 {
-				shard := shards[r]
-				logits := g.forward(r, shard, true)
-				loss := train.Loss(logits, shard, g.Regression)
-				// Weight the shard gradient by its share of the batch so
-				// the AllReduce sum equals the full-batch mean-loss
-				// gradient.
-				w := float32(shard.Size()) / float32(b.Size())
-				autograd.BackwardWithSeed(loss, tensor.FromSlice([]float32{w}, 1))
-				losses[r] = float64(loss.Value.Data[0]) * float64(w)
-				graph = loss
-			}
+	err := step{engineDP, g.Trace, g.StepTimeout, g.Health}.run(ctx, b, n, func(ctx context.Context, r int) error {
+		stepTC, _ := telemetry.TraceFrom(ctx)
+		_, end := g.Trace.SpanTC(stepTC, "compute", "step", g.TracePID, r)
+		defer end()
+		rank0 := time.Now()
+		params := g.Techs[r].Trainable()
+		if r < len(shards) && shards[r].Size() > 0 {
+			shard := shards[r]
+			logits := g.forward(r, shard, true)
+			loss := train.Loss(logits, shard, g.Regression)
+			// Weight the shard gradient by its share of the batch so
+			// the AllReduce sum equals the full-batch mean-loss
+			// gradient.
+			w := float32(shard.Size()) / float32(b.Size())
+			autograd.BackwardWithSeed(loss, tensor.FromSlice([]float32{w}, 1))
+			losses[r] = float64(loss.Value.Data[0]) * float64(w)
 			// The rank's graph is no longer needed once its gradients are
 			// flattened below (leaf grads survive teardown for the
 			// optimizer step); return its buffers to the pool even on the
 			// abort paths.
-			defer func() {
-				if graph != nil {
-					autograd.Release(graph)
-				}
-			}()
-			// Compute seconds stop before the collective — the AllReduce
-			// barrier waits on the slowest rank, so timing past it would
-			// smear a straggler across the whole group.
-			computeSec := time.Since(rank0).Seconds()
-			flat = nn.FlattenGrads(params)
-			if err := RingAllReduceCtx(ctx, g.Endpoints[r], flat, g.Retry); err != nil {
-				col.record(err)
-				return
-			}
-			nn.UnflattenGrads(params, flat)
-			g.Opts[r].Step()
-			if g.Health != nil {
-				g.Health.ReportStep(health.StepStats{
-					Engine: "dp", Lane: -1, Stage: -1, Rank: r,
-					FwdSec: computeSec, StepSec: time.Since(rank0).Seconds(),
-					Bytes: int64(4 * len(flat)),
-				})
-			}
-		}(r)
-	}
-	wg.Wait()
-	if err := col.err(); err != nil {
+			defer autograd.Release(loss)
+		}
+		// Compute seconds stop before the collective — the AllReduce
+		// barrier waits on the slowest rank, so timing past it would
+		// smear a straggler across the whole group.
+		computeSec := time.Since(rank0).Seconds()
+		flat := nn.FlattenGrads(params)
+		if err := RingAllReduceCtx(ctx, g.Endpoints[r], flat, g.Retry); err != nil {
+			return err
+		}
+		nn.UnflattenGrads(params, flat)
+		g.Opts[r].Step()
+		if g.Health != nil {
+			g.Health.ReportStep(health.StepStats{
+				Engine: "dp", Lane: -1, Stage: -1, Rank: r,
+				FwdSec: computeSec, StepSec: time.Since(rank0).Seconds(),
+				Bytes: int64(4 * len(flat)),
+			})
+		}
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	elapsed := time.Since(t0).Seconds()
-	mStepsDP.Inc()
-	mStepSecDP.Observe(elapsed)
-	tok := batchTokens(b.Lens)
-	mTokens.Add(tok)
-	if elapsed > 0 {
-		mTokensPerSec.Set(float64(tok) / elapsed)
-	}
-	if g.Health != nil {
-		g.Health.ReportStep(health.StepStats{
-			Engine: "dp", Lane: -1, Stage: -1, Rank: -1, StepSec: elapsed,
-		})
-	}
-	health.Flight().Record("step", -1, -1, "dp", elapsed)
 	var total float64
 	for _, l := range losses {
 		total += l
@@ -240,51 +149,12 @@ func (g *DPGroup) forward(r int, b *data.Batch, trainMode bool) *autograd.Variab
 	return g.Techs[r].Forward(b.Enc, b.Dec, b.Lens, trainMode).Logits
 }
 
-// TrainEpoch runs every batch of the loader's epoch and returns the mean
-// loss, panicking on transport failure (reliable-LAN wrapper).
-func (g *DPGroup) TrainEpoch(loader *data.Loader, epoch int) float64 {
-	loss, err := g.TrainEpochCtx(context.Background(), loader, epoch)
-	if err != nil {
-		panic(err.Error())
-	}
-	return loss
-}
-
-// TrainEpochCtx runs every batch of the loader's epoch and returns the
-// mean loss, aborting on the first step failure or context
-// cancellation.
-func (g *DPGroup) TrainEpochCtx(ctx context.Context, loader *data.Loader, epoch int) (float64, error) {
-	return g.TrainEpochFromCtx(ctx, loader, epoch, 0)
-}
-
 // TrainEpochFromCtx runs the loader epoch starting at batch index
-// start, skipping the batches a resumed run already completed; returns
-// the mean loss over the batches actually executed.
+// start (0 for a fresh epoch), skipping the batches a resumed run
+// already completed; returns the mean loss over the batches actually
+// executed, aborting on the first step failure or context cancellation.
 func (g *DPGroup) TrainEpochFromCtx(ctx context.Context, loader *data.Loader, epoch, start int) (float64, error) {
-	batches := loader.Epoch(epoch)
-	if start < 0 {
-		start = 0
-	}
-	var total float64
-	ran := 0
-	for i := start; i < len(batches); i++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		loss, err := g.StepCtx(ctx, batches[i])
-		if err != nil {
-			return 0, err
-		}
-		total += loss
-		ran++
-		if g.OnStep != nil {
-			g.OnStep(epoch, i)
-		}
-	}
-	if ran == 0 {
-		return 0, nil
-	}
-	return total / float64(ran), nil
+	return trainEpochFrom(ctx, loader, epoch, start, g.StepCtx, g.OnStep)
 }
 
 // InSync reports whether all replicas hold bitwise-identical trainable
@@ -292,14 +162,8 @@ func (g *DPGroup) TrainEpochFromCtx(ctx context.Context, loader *data.Loader, ep
 func (g *DPGroup) InSync() bool {
 	ref := nn.FlattenParams(g.Techs[0].Trainable())
 	for r := 1; r < g.Size(); r++ {
-		other := nn.FlattenParams(g.Techs[r].Trainable())
-		if len(other) != len(ref) {
+		if !slices.Equal(ref, nn.FlattenParams(g.Techs[r].Trainable())) {
 			return false
-		}
-		for i := range ref {
-			if ref[i] != other[i] {
-				return false
-			}
 		}
 	}
 	return true

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -16,6 +17,33 @@ import (
 )
 
 const lr = 0.05
+
+// stepper is the one door a training step has on every engine.
+type stepper interface {
+	StepCtx(ctx context.Context, b *data.Batch) (float64, error)
+}
+
+// mustStep runs one step over a fabric the test expects to be reliable.
+func mustStep(t testing.TB, e stepper, b *data.Batch) float64 {
+	t.Helper()
+	loss, err := e.StepCtx(context.Background(), b)
+	if err != nil {
+		t.Fatalf("step: %v", err)
+	}
+	return loss
+}
+
+// mustEpoch is mustStep for a whole loader epoch of a DP or hybrid engine.
+func mustEpoch(t testing.TB, e interface {
+	TrainEpochFromCtx(ctx context.Context, loader *data.Loader, epoch, start int) (float64, error)
+}, loader *data.Loader, epoch int) float64 {
+	t.Helper()
+	loss, err := e.TrainEpochFromCtx(context.Background(), loader, epoch, 0)
+	if err != nil {
+		t.Fatalf("epoch %d: %v", epoch, err)
+	}
+	return loss
+}
 
 func makeBatch(size int) *data.Batch {
 	ds := data.Generate(data.GenConfig{Task: data.SST2, Size: size, SeqLen: 8, Vocab: 64, Seed: 11})
@@ -54,7 +82,7 @@ func TestDataParallelMatchesSingleDevice(t *testing.T) {
 			tech := peft.New(kind, m, peft.Options{Reduction: 4, LoRARank: 4})
 			return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
 		})
-		loss := g.Step(b)
+		loss := mustStep(t, g, b)
 		if math.Abs(loss-wantLoss) > 1e-4 {
 			t.Fatalf("%s: DP loss %v vs single %v", kind, loss, wantLoss)
 		}
@@ -73,7 +101,7 @@ func TestDataParallelFourWorkersUnevenBatch(t *testing.T) {
 		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
 		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
 	})
-	g.Step(b)
+	mustStep(t, g, b)
 	paramsClose(t, nn.FlattenParams(g.Techs[0].Trainable()), want, 1e-4, "uneven DP")
 }
 
@@ -85,10 +113,10 @@ func TestDataParallelEpochConverges(t *testing.T) {
 		return tech, train.NewAdam(tech.Trainable(), 3e-3)
 	})
 	loader := data.NewLoader(ds, 16, 1)
-	first := g.TrainEpoch(loader, 0)
+	first := mustEpoch(t, g, loader, 0)
 	var last float64
 	for ep := 1; ep < 5; ep++ {
-		last = g.TrainEpoch(loader, ep)
+		last = mustEpoch(t, g, loader, ep)
 	}
 	if last >= first {
 		t.Fatalf("DP training not converging: %v → %v", first, last)
@@ -107,7 +135,7 @@ func TestPipelineMatchesSingleDevice(t *testing.T) {
 		want, wantLoss := singleDeviceStep(t, kind, b)
 		for _, stages := range []int{2, 3} {
 			e := pipelineFor(kind, stages, 4)
-			loss := e.Step(b)
+			loss := mustStep(t, e, b)
 			if math.Abs(loss-wantLoss) > 1e-4 {
 				t.Fatalf("%s/%d stages: loss %v vs %v", kind, stages, loss, wantLoss)
 			}
@@ -121,7 +149,7 @@ func TestPipelineSingleMicroBatch(t *testing.T) {
 	b := makeBatch(4)
 	want, _ := singleDeviceStep(t, peft.Full, b)
 	e := pipelineFor(peft.Full, 2, 1)
-	e.Step(b)
+	mustStep(t, e, b)
 	paramsClose(t, nn.FlattenParams(e.Tech.Trainable()), want, 2e-4, "M=1 pipeline")
 }
 
@@ -129,7 +157,7 @@ func TestPipelineManyMicroBatches(t *testing.T) {
 	b := makeBatch(8)
 	want, _ := singleDeviceStep(t, peft.Adapters, b)
 	e := pipelineFor(peft.Adapters, 3, 8) // one sample per micro-batch
-	e.Step(b)
+	mustStep(t, e, b)
 	paramsClose(t, nn.FlattenParams(e.Tech.Trainable()), want, 2e-4, "M=8 pipeline")
 }
 
@@ -171,7 +199,7 @@ func TestPipelineCollectsTaps(t *testing.T) {
 			perSample[id][tapIdx] = true
 		}
 	}
-	e.Step(b)
+	mustStep(t, e, b)
 	wantTaps := model.Tiny().Layers * 2
 	if len(perSample) != b.Size() {
 		t.Fatalf("taps observed for %d samples, want %d", len(perSample), b.Size())
@@ -192,7 +220,7 @@ func TestHybridMatchesSingleDevice(t *testing.T) {
 			tech := peft.New(kind, m, peft.Options{Reduction: 4, LoRARank: 4})
 			return NewPipeline(m, tech, 2, nil, 2, lr)
 		})
-		loss := h.Step(b)
+		loss := mustStep(t, h, b)
 		if math.Abs(loss-wantLoss) > 1e-4 {
 			t.Fatalf("%s: hybrid loss %v vs %v", kind, loss, wantLoss)
 		}
@@ -218,10 +246,10 @@ func TestHybridEpochConverges(t *testing.T) {
 		return e
 	})
 	loader := data.NewLoader(ds, 8, 1)
-	first := h.TrainEpoch(loader, 0)
+	first := mustEpoch(t, h, loader, 0)
 	var last float64
 	for ep := 1; ep < 6; ep++ {
-		last = h.TrainEpoch(loader, ep)
+		last = mustEpoch(t, h, loader, ep)
 	}
 	if last >= first {
 		t.Fatalf("hybrid training not converging: %v → %v", first, last)
@@ -244,7 +272,7 @@ func TestCacheFedDPGroupMatchesDirectForward(t *testing.T) {
 
 	// Reference: direct forward.
 	ref := build()
-	refLoss := ref.Step(b)
+	refLoss := mustStep(t, ref, b)
 
 	// Cache-fed: populate the store via one forward sweep, then train
 	// through ForwardFromTaps.
@@ -276,7 +304,7 @@ func TestCacheFedDPGroupMatchesDirectForward(t *testing.T) {
 		}
 		return pa.ForwardFromTaps(taps)
 	}
-	cachedLoss := g.Step(b)
+	cachedLoss := mustStep(t, g, b)
 	if math.Abs(refLoss-cachedLoss) > 1e-5 {
 		t.Fatalf("cache-fed loss %v vs direct %v", cachedLoss, refLoss)
 	}
@@ -294,14 +322,14 @@ func TestDPGroupShrinkContinuesTraining(t *testing.T) {
 		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
 		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
 	})
-	g.Step(b)
+	mustStep(t, g, b)
 	if err := g.Shrink(1); err != nil {
 		t.Fatal(err)
 	}
 	if g.Size() != 2 {
 		t.Fatalf("size %d after shrink", g.Size())
 	}
-	loss := g.Step(b)
+	loss := mustStep(t, g, b)
 	if loss <= 0 || !g.InSync() {
 		t.Fatalf("post-shrink step broken: loss %v insync %v", loss, g.InSync())
 	}
@@ -322,7 +350,7 @@ func TestDPGroupGrowJoinsInSync(t *testing.T) {
 		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
 		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
 	})
-	g.Step(b)
+	mustStep(t, g, b)
 	g.Grow(func() (peft.Technique, train.Optimizer) {
 		m := model.New(model.Tiny())
 		// Deliberately different side-network seed: Grow must overwrite.
@@ -332,7 +360,7 @@ func TestDPGroupGrowJoinsInSync(t *testing.T) {
 	if g.Size() != 3 || !g.InSync() {
 		t.Fatalf("grow broke sync: size %d insync %v", g.Size(), g.InSync())
 	}
-	g.Step(b)
+	mustStep(t, g, b)
 	if !g.InSync() {
 		t.Fatal("replicas diverged after post-grow step")
 	}
@@ -356,7 +384,7 @@ func TestDataParallelOverTCP(t *testing.T) {
 		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
 	})
 	g.Endpoints = tcp.Endpoints()
-	loss := g.Step(b)
+	loss := mustStep(t, g, b)
 	if math.Abs(loss-wantLoss) > 1e-4 {
 		t.Fatalf("TCP DP loss %v vs %v", loss, wantLoss)
 	}
@@ -376,6 +404,6 @@ func TestPipelineOverTCP(t *testing.T) {
 	}
 	defer tcp.Close()
 	e.Endpoints = tcp.Endpoints()
-	e.Step(b)
+	mustStep(t, e, b)
 	paramsClose(t, nn.FlattenParams(e.Tech.Trainable()), want, 2e-4, "TCP pipeline")
 }

@@ -60,7 +60,7 @@ func TestDPRankCrashMidEpoch(t *testing.T) {
 
 	loader := data.NewLoader(ds, 8, 1)
 	err := trainUntilFailure(t, 10*time.Second, func(ep int) error {
-		_, err := g.TrainEpochCtx(context.Background(), loader, ep)
+		_, err := g.TrainEpochFromCtx(context.Background(), loader, ep, 0)
 		return err
 	})
 	rf, ok := AsRankFailed(err)
@@ -115,7 +115,7 @@ func TestHybridRankCrashMidEpoch(t *testing.T) {
 
 	loader := data.NewLoader(ds, 8, 1)
 	err := trainUntilFailure(t, 10*time.Second, func(ep int) error {
-		_, err := h.TrainEpochCtx(context.Background(), loader, ep)
+		_, err := h.TrainEpochFromCtx(context.Background(), loader, ep, 0)
 		return err
 	})
 	rf, ok := AsRankFailed(err)

@@ -125,9 +125,7 @@ func WrapFaulty(endpoints []Transport, cfg FaultConfig) []Transport {
 	}
 	out := make([]Transport, n)
 	for r := range out {
-		e := &faultyEndpoint{fab: f, rank: r}
-		e.panicTransport = panicTransport{t: e}
-		out[r] = e
+		out[r] = &faultyEndpoint{fab: f, rank: r}
 	}
 	return out
 }
@@ -152,12 +150,6 @@ func (f *faultFabric) tick(r int) error {
 	return nil
 }
 
-func (f *faultFabric) isDead(r int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dead[r]
-}
-
 // severed reports whether traffic a→b vanishes: either side crashed or
 // the pair straddles a partition boundary.
 func (f *faultFabric) severed(a, b int) bool {
@@ -171,7 +163,6 @@ func (f *faultFabric) severed(a, b int) bool {
 }
 
 type faultyEndpoint struct {
-	panicTransport
 	fab  *faultFabric
 	rank int
 }

@@ -67,12 +67,12 @@ func TestFaultDropsAreRetriedByCollectives(t *testing.T) {
 	for r := 0; r < n; r++ {
 		for i := 0; i < vec; i++ {
 			inputs[r] = append(inputs[r], float32(r*vec+i))
-			want[i] += float32(r*vec+i) / n
+			want[i] += float32(r*vec + i)
 		}
 	}
 	errs := make([]error, n)
 	runRanks(n, eps, func(tr Transport) {
-		errs[tr.Rank()] = AllReduceMeanCtx(context.Background(), tr, inputs[tr.Rank()], DefaultRetry)
+		errs[tr.Rank()] = RingAllReduceCtx(context.Background(), tr, inputs[tr.Rank()], DefaultRetry)
 	})
 	for r, err := range errs {
 		if err != nil {
@@ -116,7 +116,7 @@ func TestFaultPartitionTimesOutAsRankFailure(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 		defer cancel()
 		data := []float32{float32(tr.Rank())}
-		errs[tr.Rank()] = AllReduceMeanCtx(ctx, tr, data, DefaultRetry)
+		errs[tr.Rank()] = RingAllReduceCtx(ctx, tr, data, DefaultRetry)
 	})
 	for r, err := range errs {
 		if _, ok := AsRankFailed(err); !ok {

@@ -2,7 +2,7 @@ package parallel
 
 import (
 	"context"
-	"sync"
+	"slices"
 	"time"
 
 	"pac/internal/autograd"
@@ -23,8 +23,8 @@ import (
 type HybridEngine struct {
 	Lanes []*PipelineEngine
 
-	// StepTimeout bounds one global mini-batch in StepCtx; it is pushed
-	// down into every lane. Zero means no deadline.
+	// StepTimeout bounds one global mini-batch in StepCtx, every lane of
+	// it. Zero means no deadline.
 	StepTimeout time.Duration
 	// Retry is the transient-fault policy for the cross-lane gradient
 	// collective; zero value uses DefaultRetry.
@@ -98,86 +98,35 @@ func (h *HybridEngine) WrapTransports(wrap func(id FabricID, eps []Transport) []
 	}
 }
 
-// Step trains one global mini-batch assuming a reliable fabric; it
-// panics on transport failure. Use StepCtx for the fault-aware path.
-func (h *HybridEngine) Step(b *data.Batch) float64 {
-	loss, err := h.StepCtx(context.Background(), b)
-	if err != nil {
-		panic(err.Error())
-	}
-	return loss
-}
-
 // StepCtx trains one global mini-batch and returns its mean loss. A
 // dead device anywhere — any stage of any lane, or a cut cross-lane
 // link — aborts every lane cleanly and surfaces a RankFailedError.
 func (h *HybridEngine) StepCtx(ctx context.Context, b *data.Batch) (float64, error) {
-	t0 := time.Now()
-	if h.Trace != nil {
-		// Root the step (or nest under an incoming trace — core's
-		// training-step root) and hand the context to every lane so each
-		// microbatch's F/B chain links back here.
-		var stepTC telemetry.TraceContext
-		var end func()
-		if parent, ok := telemetry.TraceFrom(ctx); ok {
-			stepTC, end = h.Trace.SpanTC(parent, "step", "step", telemetry.PidOrch, 0)
-		} else {
-			stepTC, end = h.Trace.RootSpanTC("step", "step", telemetry.PidOrch, 0)
-		}
-		defer end()
-		ctx = telemetry.ContextWithTrace(ctx, stepTC)
-	}
-	if h.StepTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, h.StepTimeout)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	col := &errCollector{cancel: cancel}
-
 	shards := b.Split(len(h.Lanes))
 	losses := make([]float64, len(h.Lanes))
-	var wg sync.WaitGroup
-	for l := range h.Lanes {
-		if l >= len(shards) || shards[l].Size() == 0 {
-			panic("parallel: hybrid step needs at least one sample per lane")
+	// The step's root span travels in ctx to every lane, so each
+	// micro-batch's F/B chain links back to it.
+	err := step{engineHybrid, h.Trace, h.StepTimeout, h.Health}.run(ctx, b, len(h.Lanes), func(ctx context.Context, l int) error {
+		// A lane beyond the shard count (a trailing batch smaller than
+		// the lane count) runs no micro-batch, but like a surplus DPGroup
+		// replica it still joins every stage's cross-lane AllReduce with
+		// zero gradients and steps its optimizers, so lanes stay in sync.
+		shard := &data.Batch{}
+		if l < len(shards) {
+			shard = shards[l]
 		}
-		h.Lanes[l].LossDenom = b.Size()
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			loss, err := h.Lanes[l].StepCtx(ctx, shards[l])
-			if err != nil {
-				// Attribute the failure to this lane so orchestration can
-				// map (lane, stage rank) back to a concrete device.
-				if rf, ok := AsRankFailed(err); ok && rf.Lane < 0 {
-					err = &RankFailedError{Rank: rf.Rank, Lane: l, Op: rf.Op, Err: rf.Err}
-				}
-				col.record(err)
-				return
-			}
-			losses[l] = loss
-		}(l)
-	}
-	wg.Wait()
-	if err := col.err(); err != nil {
+		lane := h.Lanes[l]
+		err := fanOut(ctx, lane.Stages(), lane.schedule(shard, b.Size(), &losses[l]))
+		// Attribute the failure to this lane so orchestration can map
+		// (lane, stage rank) back to a concrete device.
+		if rf, ok := AsRankFailed(err); ok && rf.Lane < 0 {
+			err = &RankFailedError{Rank: rf.Rank, Lane: l, Op: rf.Op, Err: rf.Err}
+		}
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
-	elapsed := time.Since(t0).Seconds()
-	mStepsHybrid.Inc()
-	mStepSecHybrid.Observe(elapsed)
-	tok := batchTokens(b.Lens)
-	mTokens.Add(tok)
-	if elapsed > 0 {
-		mTokensPerSec.Set(float64(tok) / elapsed)
-	}
-	if h.Health != nil {
-		h.Health.ReportStep(health.StepStats{
-			Engine: "hybrid", Lane: -1, Stage: -1, Rank: -1, StepSec: elapsed,
-		})
-	}
-	health.Flight().Record("step", -1, -1, "hybrid", elapsed)
 	var total float64
 	for _, v := range losses {
 		total += v
@@ -185,65 +134,20 @@ func (h *HybridEngine) StepCtx(ctx context.Context, b *data.Batch) (float64, err
 	return total, nil
 }
 
-// TrainEpoch runs every batch of a loader epoch; returns mean loss.
-// Reliable-LAN wrapper: panics on transport failure.
-func (h *HybridEngine) TrainEpoch(loader *data.Loader, epoch int) float64 {
-	loss, err := h.TrainEpochCtx(context.Background(), loader, epoch)
-	if err != nil {
-		panic(err.Error())
-	}
-	return loss
-}
-
-// TrainEpochCtx runs every batch of a loader epoch, aborting on the
-// first step failure or context cancellation; returns mean loss.
-func (h *HybridEngine) TrainEpochCtx(ctx context.Context, loader *data.Loader, epoch int) (float64, error) {
-	return h.TrainEpochFromCtx(ctx, loader, epoch, 0)
-}
-
 // TrainEpochFromCtx runs the loader epoch starting at batch index
-// start, skipping the batches a resumed run already completed; returns
-// the mean loss over the batches actually executed. start at or past
-// the batch count runs nothing (the epoch was already complete).
+// start (0 for a fresh epoch), skipping the batches a resumed run
+// already completed; returns the mean loss over the batches actually
+// executed, aborting on the first step failure or context cancellation.
 func (h *HybridEngine) TrainEpochFromCtx(ctx context.Context, loader *data.Loader, epoch, start int) (float64, error) {
-	batches := loader.Epoch(epoch)
-	if start < 0 {
-		start = 0
-	}
-	var total float64
-	ran := 0
-	for i := start; i < len(batches); i++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		loss, err := h.StepCtx(ctx, batches[i])
-		if err != nil {
-			return 0, err
-		}
-		total += loss
-		ran++
-		if h.OnStep != nil {
-			h.OnStep(epoch, i)
-		}
-	}
-	if ran == 0 {
-		return 0, nil
-	}
-	return total / float64(ran), nil
+	return trainEpochFrom(ctx, loader, epoch, start, h.StepCtx, h.OnStep)
 }
 
 // InSync reports whether all lanes hold identical trainable parameters.
 func (h *HybridEngine) InSync() bool {
 	ref := nn.FlattenParams(h.Lanes[0].AllStageParams())
 	for _, lane := range h.Lanes[1:] {
-		other := nn.FlattenParams(lane.AllStageParams())
-		if len(other) != len(ref) {
+		if !slices.Equal(ref, nn.FlattenParams(lane.AllStageParams())) {
 			return false
-		}
-		for i := range ref {
-			if ref[i] != other[i] {
-				return false
-			}
 		}
 	}
 	return true

@@ -33,7 +33,7 @@ func TestPipelinePerStageLedgerPeaks(t *testing.T) {
 		return ledgers[stage].Account("pipeline.activations")
 	}
 
-	e.Step(b)
+	mustStep(t, e, b)
 
 	peaks := make([]int64, e.Stages())
 	for s, l := range ledgers {
@@ -64,7 +64,7 @@ func TestPipelinePerStageLedgerPeaks(t *testing.T) {
 	}
 
 	// A second step from the same engine must not leave a residue either.
-	e.Step(b)
+	mustStep(t, e, b)
 	for s, l := range ledgers {
 		if got := l.Account("pipeline.activations").Bytes(); got != 0 {
 			t.Errorf("stage %d: %d bytes leaked after second step", s, got)

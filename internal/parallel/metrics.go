@@ -25,13 +25,30 @@ var (
 	mFaultCrashes    = telemetry.Default().Counter("pac_fault_injected_total", "kind", "crash")
 	mFaultSlow       = telemetry.Default().Counter("pac_fault_injected_total", "kind", "slow")
 
-	mStepsHybrid   = telemetry.Default().Counter("pac_train_steps_total", "engine", "hybrid")
-	mStepSecHybrid = telemetry.Default().Histogram("pac_train_step_seconds", nil, "engine", "hybrid")
-	mStepsDP       = telemetry.Default().Counter("pac_train_steps_total", "engine", "dp")
-	mStepSecDP     = telemetry.Default().Histogram("pac_train_step_seconds", nil, "engine", "dp")
-	mTokens        = telemetry.Default().Counter("pac_train_tokens_total")
-	mTokensPerSec  = telemetry.Default().Gauge("pac_train_tokens_per_second")
+	mTokens       = telemetry.Default().Counter("pac_train_tokens_total")
+	mTokensPerSec = telemetry.Default().Gauge("pac_train_tokens_per_second")
+
+	// One per engine: the "engine" label of the whole-step series, and
+	// the Engine of its whole-step health samples and flight events.
+	engineDP     = newEngineMetrics("dp")
+	engineHybrid = newEngineMetrics("hybrid")
+	enginePP     = newEngineMetrics("pp")
 )
+
+// engineMetrics is what the step scaffold reports a completed step to.
+type engineMetrics struct {
+	name    string
+	steps   *telemetry.Counter
+	seconds *telemetry.Histogram
+}
+
+func newEngineMetrics(name string) *engineMetrics {
+	return &engineMetrics{
+		name:    name,
+		steps:   telemetry.Default().Counter("pac_train_steps_total", "engine", name),
+		seconds: telemetry.Default().Histogram("pac_train_step_seconds", nil, "engine", name),
+	}
+}
 
 // batchTokens counts the input tokens of one mini-batch (the sum of
 // valid encoder lengths) — the numerator of tokens/sec.

@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"pac/internal/autograd"
@@ -24,8 +23,6 @@ import (
 type bundle struct {
 	Enc, Dec, Side *tensor.Tensor
 }
-
-func encodeBundle(b bundle) []byte { return appendBundle(nil, b) }
 
 // appendBundle encodes b onto out — stages pass a trace-envelope
 // prefix so the frame is built in one buffer.
@@ -95,16 +92,12 @@ type PipelineEngine struct {
 
 	// StepTimeout bounds one mini-batch in StepCtx; a stage that stops
 	// producing within it is declared dead (RankFailedError). Zero
-	// means no deadline.
+	// means no deadline. A hybrid lane runs under the hybrid's instead.
 	StepTimeout time.Duration
 	// Retry is the transient-fault retry policy for boundary sends;
 	// zero value uses DefaultRetry.
 	Retry RetryPolicy
 
-	// LossDenom overrides the loss-weight denominator (the hybrid engine
-	// sets it to the global batch size so lane gradients sum correctly);
-	// 0 uses the local mini-batch size.
-	LossDenom int
 	// SyncGrads, when non-nil, is invoked per stage after a mini-batch's
 	// gradients are complete and before the optimizer step (hybrid
 	// cross-lane AllReduce hook). A returned error aborts the step.
@@ -115,9 +108,10 @@ type PipelineEngine struct {
 	OnTap func(ids []int, tapIdx int, tap *tensor.Tensor)
 
 	// Trace, when non-nil, records per-stage forward/backward micro-batch
-	// spans as Chrome trace events. TracePID is the trace process id this
-	// engine's spans land on (the hybrid engine assigns one pid per lane);
-	// the thread id is the stage index.
+	// spans as Chrome trace events under the step's root span — StepCtx's
+	// own, or the one the hybrid engine above put in ctx. TracePID is the
+	// trace process id this engine's spans land on (the hybrid engine
+	// assigns one pid per lane); the thread id is the stage index.
 	Trace    *telemetry.Tracer
 	TracePID int
 
@@ -125,7 +119,9 @@ type PipelineEngine struct {
 	// mini-batch: the stage's summed forward and backward seconds
 	// (including boundary transport waits, excluding SyncGrads) and the
 	// boundary bytes it sent. HealthLane locates this engine in the
-	// device grid (the hybrid engine assigns one per lane).
+	// device grid (the hybrid engine assigns one per lane). StepCtx adds
+	// the whole-step sample (Lane/Stage/Rank all -1); as a hybrid lane
+	// the engine leaves that one to the hybrid engine's Health.
 	Health     health.Sink
 	HealthLane int
 
@@ -234,10 +230,10 @@ func (mc *microCtx) retainedBytes() int64 {
 }
 
 // spanEnter begins a stage span whose parent may arrive later (inside
-// the boundary frame). spanExit records it once the parent is known:
-// as a causal child when the parent is valid and sampled, silently
-// when the trace is unsampled, or as a plain span (the pre-trace
-// behavior) when no trace context reached this stage at all.
+// the boundary frame). spanExit records it once the parent is known, as
+// a causal child when the trace is sampled and not at all when it is
+// not: a step with a tracer always has a root (step.run), so a stage
+// that no context reached is inside an unsampled step.
 func (e *PipelineEngine) spanEnter() time.Time {
 	if e.Trace == nil {
 		return time.Time{}
@@ -246,16 +242,8 @@ func (e *PipelineEngine) spanEnter() time.Time {
 }
 
 func (e *PipelineEngine) spanExit(begin time.Time, parent, tc telemetry.TraceContext, name string, tid int) {
-	if e.Trace == nil {
-		return
-	}
-	switch {
-	case tc.Valid() && tc.Sampled:
+	if e.Trace != nil && tc.Sampled {
 		e.Trace.RecordSpanAt(tc, parent.SpanID, "compute", name, e.TracePID, tid, begin, time.Since(begin), nil)
-	case parent.Valid():
-		// Traced but unsampled: the root's decision wins.
-	default:
-		e.Trace.RecordSpan("compute", name, e.TracePID, tid, begin, time.Since(begin))
 	}
 }
 
@@ -269,130 +257,114 @@ func childTC(parent telemetry.TraceContext) telemetry.TraceContext {
 	return telemetry.TraceContext{TraceID: parent.TraceID, SpanID: telemetry.NewID(), Sampled: parent.Sampled}
 }
 
-// Step trains one mini-batch with the 1F1B schedule assuming a
-// reliable fabric; it panics on transport failure. Use StepCtx for the
-// fault-aware path.
-func (e *PipelineEngine) Step(b *data.Batch) float64 {
-	loss, err := e.StepCtx(context.Background(), b)
-	if err != nil {
-		panic(err.Error())
-	}
-	return loss
-}
-
 // StepCtx trains one mini-batch with the 1F1B schedule and returns the
 // global mean loss. If a stage dies mid-batch every surviving stage
 // aborts cleanly (no hang, no leaked goroutine) and the step reports a
 // RankFailedError naming the suspect stage.
 func (e *PipelineEngine) StepCtx(ctx context.Context, b *data.Batch) (float64, error) {
-	S := e.Stages()
-	if e.StepTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.StepTimeout)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	col := &errCollector{cancel: cancel}
-
-	micros := b.Split(e.Micro)
-	M := len(micros)
-	denom := b.Size()
-	if e.LossDenom > 0 {
-		denom = e.LossDenom
-	}
-	var lossTotal float64
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			ctxs := make([]*microCtx, M)
-			warmup := S - 1 - s
-			if warmup > M {
-				warmup = M
-			}
-			var st stageStats
-			fwd, bwd := 0, 0
-			runFwd := func() error {
-				t0 := time.Now()
-				mc, err := e.stageForward(ctx, s, fwd, micros[fwd], &st)
-				st.fwdSec += time.Since(t0).Seconds()
-				if err != nil {
-					return err
-				}
-				if e.Mem != nil {
-					mc.memBytes = mc.retainedBytes()
-					e.Mem(s).Reserve(mc.memBytes)
-				}
-				ctxs[fwd] = mc
-				fwd++
-				return nil
-			}
-			runBwd := func() error {
-				t0 := time.Now()
-				l, err := e.stageBackward(ctx, s, bwd, ctxs[bwd], denom, &st)
-				st.bwdSec += time.Since(t0).Seconds()
-				if err != nil {
-					return err
-				}
-				if e.Mem != nil {
-					e.Mem(s).Release(ctxs[bwd].memBytes)
-				}
-				ctxs[bwd] = nil
-				if s == S-1 {
-					lossTotal += l
-				}
-				bwd++
-				return nil
-			}
-			for i := 0; i < warmup; i++ {
-				if err := runFwd(); err != nil {
-					col.record(err)
-					return
-				}
-			}
-			for fwd < M {
-				if err := runFwd(); err != nil {
-					col.record(err)
-					return
-				}
-				if err := runBwd(); err != nil {
-					col.record(err)
-					return
-				}
-			}
-			for bwd < M {
-				if err := runBwd(); err != nil {
-					col.record(err)
-					return
-				}
-			}
-			params := e.StageParams(s)
-			if e.SyncGrads != nil {
-				if err := e.SyncGrads(ctx, s, params); err != nil {
-					col.record(err)
-					return
-				}
-			}
-			e.Opts[s].Step()
-			// Report compute+boundary time only — SyncGrads (the
-			// cross-lane AllReduce barrier) is excluded so a slow lane
-			// is visible in its own numbers, not smeared across all.
-			if e.Health != nil {
-				e.Health.ReportStep(health.StepStats{
-					Engine: "pp", Lane: e.HealthLane, Stage: s, Rank: -1,
-					FwdSec: st.fwdSec, BwdSec: st.bwdSec,
-					StepSec: st.fwdSec + st.bwdSec, Bytes: st.bytes,
-				})
-			}
-		}(s)
-	}
-	wg.Wait()
-	if err := col.err(); err != nil {
+	var loss float64
+	err := step{enginePP, e.Trace, e.StepTimeout, e.Health}.run(ctx, b, e.Stages(), e.schedule(b, b.Size(), &loss))
+	if err != nil {
 		return 0, err
 	}
-	return lossTotal, nil
+	return loss, nil
+}
+
+// schedule returns what one stage does for mini-batch b: its 1F1B
+// sequence of forwards and backwards over b's micro-batches, the
+// SyncGrads hook, the optimizer step and the stage's health sample.
+// The caller runs it for every stage at once (fanOut) — StepCtx under
+// the step scaffold, the hybrid engine per lane under its own. denom is
+// the size of the whole mini-batch a micro-batch's loss is weighted
+// against: b's own, or under the hybrid engine the global batch's, so
+// that lane gradients sum correctly. The last stage adds each
+// micro-batch's weighted loss to *loss. An empty b (a hybrid lane with
+// no shard) runs no micro-batch and goes straight to SyncGrads with
+// whatever gradients the parameters hold: none.
+func (e *PipelineEngine) schedule(b *data.Batch, denom int, loss *float64) func(ctx context.Context, s int) error {
+	S := e.Stages()
+	var micros []*data.Batch
+	if b.Size() > 0 {
+		micros = b.Split(e.Micro)
+	}
+	M := len(micros)
+	return func(ctx context.Context, s int) error {
+		ctxs := make([]*microCtx, M)
+		warmup := S - 1 - s
+		if warmup > M {
+			warmup = M
+		}
+		var st stageStats
+		fwd, bwd := 0, 0
+		runFwd := func() error {
+			t0 := time.Now()
+			mc, err := e.stageForward(ctx, s, fwd, micros[fwd], &st)
+			st.fwdSec += time.Since(t0).Seconds()
+			if err != nil {
+				return err
+			}
+			if e.Mem != nil {
+				mc.memBytes = mc.retainedBytes()
+				e.Mem(s).Reserve(mc.memBytes)
+			}
+			ctxs[fwd] = mc
+			fwd++
+			return nil
+		}
+		runBwd := func() error {
+			t0 := time.Now()
+			l, err := e.stageBackward(ctx, s, bwd, ctxs[bwd], denom, &st)
+			st.bwdSec += time.Since(t0).Seconds()
+			if err != nil {
+				return err
+			}
+			if e.Mem != nil {
+				e.Mem(s).Release(ctxs[bwd].memBytes)
+			}
+			ctxs[bwd] = nil
+			if s == S-1 {
+				*loss += l
+			}
+			bwd++
+			return nil
+		}
+		for i := 0; i < warmup; i++ {
+			if err := runFwd(); err != nil {
+				return err
+			}
+		}
+		for fwd < M {
+			if err := runFwd(); err != nil {
+				return err
+			}
+			if err := runBwd(); err != nil {
+				return err
+			}
+		}
+		for bwd < M {
+			if err := runBwd(); err != nil {
+				return err
+			}
+		}
+		params := e.StageParams(s)
+		if e.SyncGrads != nil {
+			if err := e.SyncGrads(ctx, s, params); err != nil {
+				return err
+			}
+		}
+		e.Opts[s].Step()
+		// Report compute+boundary time only — SyncGrads (the
+		// cross-lane AllReduce barrier) is excluded so a slow lane
+		// is visible in its own numbers, not smeared across all.
+		if e.Health != nil {
+			e.Health.ReportStep(health.StepStats{
+				Engine: "pp", Lane: e.HealthLane, Stage: s, Rank: -1,
+				FwdSec: st.fwdSec, BwdSec: st.bwdSec,
+				StepSec: st.fwdSec + st.bwdSec, Bytes: st.bytes,
+			})
+		}
+		return nil
+	}
 }
 
 // stageStats accumulates one stage's per-mini-batch health sample:

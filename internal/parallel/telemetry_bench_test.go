@@ -34,7 +34,7 @@ func benchHybridStep(b *testing.B, tr *telemetry.Tracer, mon *health.Monitor) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Step(batch)
+		mustStep(b, h, batch)
 	}
 }
 

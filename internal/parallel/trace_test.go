@@ -237,28 +237,3 @@ func TestDPStepTraceTree(t *testing.T) {
 		t.Fatalf("got %d rank spans, want 2", children)
 	}
 }
-
-// TestPipelineUntracedStillRecordsPlainSpans pins the pre-trace
-// behavior: an engine with a Tracer but no incoming trace context
-// records plain F/B spans without trace args.
-func TestPipelineUntracedStillRecordsPlainSpans(t *testing.T) {
-	tr := telemetry.NewTracer()
-	e := pipelineFor(peft.ParallelAdapters, 2, 2)
-	e.Trace = tr
-	if _, err := e.StepCtx(context.Background(), makeBatch(4)); err != nil {
-		t.Fatal(err)
-	}
-	spans := 0
-	for _, ev := range tr.Events() {
-		if ev.Ph != "X" {
-			continue
-		}
-		spans++
-		if ev.Args != nil {
-			t.Fatalf("untraced span %q carries args %v", ev.Name, ev.Args)
-		}
-	}
-	if want := 2 * 2 * 2; spans != want {
-		t.Fatalf("got %d plain spans, want %d", spans, want)
-	}
-}

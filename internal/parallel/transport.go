@@ -35,13 +35,10 @@ var memFrames = memledger.Default().Account("parallel.frames")
 // is FIFO — the engines' communication patterns are deterministic, so
 // tag verification suffices to catch protocol bugs.
 //
-// SendCtx/RecvCtx are the fault-aware primitives: they honor the
-// context's deadline and cancellation and report failures as errors
-// (ErrTransient for retryable faults, ErrTagMismatch for protocol
-// violations, deadline errors for suspected-dead peers). The legacy
-// Send/Recv/SendBytes/RecvBytes methods are thin panic-on-error
-// wrappers kept so engine code written against a reliable LAN keeps
-// working unchanged.
+// Both primitives honor the context's deadline and cancellation and
+// report every failure as an error (ErrTransient for retryable faults,
+// ErrTagMismatch for protocol violations, deadline errors for
+// suspected-dead peers): nothing a peer does can panic the caller.
 type Transport interface {
 	Rank() int
 	Size() int
@@ -54,42 +51,11 @@ type Transport interface {
 	// RecvCtx blocks until the next message from `from` arrives or ctx
 	// expires, then verifies its tag.
 	RecvCtx(ctx context.Context, from int, tag string) ([]byte, error)
-
-	Send(to int, tag string, payload []float32)
-	Recv(from int, tag string) []float32
-	SendBytes(to int, tag string, payload []byte)
-	RecvBytes(from int, tag string) []byte
 }
 
 type message struct {
 	tag  string
 	data []byte
-}
-
-// panicTransport adapts the ctx primitives into the legacy
-// panic-on-error surface; every endpoint embeds it.
-type panicTransport struct{ t Transport }
-
-func (p panicTransport) SendBytes(to int, tag string, payload []byte) {
-	if err := p.t.SendCtx(context.Background(), to, tag, payload); err != nil {
-		panic(fmt.Sprintf("parallel: send %d→%d %q: %v", p.t.Rank(), to, tag, err))
-	}
-}
-
-func (p panicTransport) RecvBytes(from int, tag string) []byte {
-	b, err := p.t.RecvCtx(context.Background(), from, tag)
-	if err != nil {
-		panic(fmt.Sprintf("parallel: recv %d←%d %q: %v", p.t.Rank(), from, tag, err))
-	}
-	return b
-}
-
-func (p panicTransport) Send(to int, tag string, payload []float32) {
-	p.SendBytes(to, tag, encodeF32(payload))
-}
-
-func (p panicTransport) Recv(from int, tag string) []float32 {
-	return decodeF32(p.RecvBytes(from, tag))
 }
 
 // ChanNetwork is an in-process transport fabric: rank×rank buffered
@@ -113,9 +79,7 @@ func NewChanNetwork(n int) *ChanNetwork {
 
 // Endpoint returns rank r's transport handle.
 func (cn *ChanNetwork) Endpoint(r int) Transport {
-	e := &chanEndpoint{net: cn, rank: r}
-	e.panicTransport = panicTransport{t: e}
-	return e
+	return &chanEndpoint{net: cn, rank: r}
 }
 
 // Endpoints returns all handles in rank order.
@@ -128,7 +92,6 @@ func (cn *ChanNetwork) Endpoints() []Transport {
 }
 
 type chanEndpoint struct {
-	panicTransport
 	net  *ChanNetwork
 	rank int
 }
@@ -253,9 +216,7 @@ func (tn *TCPNetwork) Close() {
 
 // Endpoint returns rank r's transport handle.
 func (tn *TCPNetwork) Endpoint(r int) Transport {
-	e := &tcpEndpoint{net: tn, rank: r}
-	e.panicTransport = panicTransport{t: e}
-	return e
+	return &tcpEndpoint{net: tn, rank: r}
 }
 
 // Endpoints returns all handles in rank order.
@@ -268,7 +229,6 @@ func (tn *TCPNetwork) Endpoints() []Transport {
 }
 
 type tcpEndpoint struct {
-	panicTransport
 	net  *TCPNetwork
 	rank int
 }

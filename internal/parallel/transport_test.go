@@ -205,18 +205,6 @@ func TestChanSendBlockedByFullPipeHonorsCtx(t *testing.T) {
 	}
 }
 
-func TestLegacyWrappersPanicOnError(t *testing.T) {
-	net := NewChanNetwork(2)
-	a, b := net.Endpoint(0), net.Endpoint(1)
-	a.Send(1, "right", []float32{1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic from legacy Recv on tag mismatch")
-		}
-	}()
-	b.Recv(0, "wrong")
-}
-
 func TestBlamePeerClassification(t *testing.T) {
 	rf := blamePeer("recv x", 3, context.DeadlineExceeded)
 	got, ok := AsRankFailed(rf)

@@ -51,6 +51,21 @@ type Result struct {
 	Taps []*tensor.Tensor
 }
 
+// Release ends the forward pass that produced r. root is the variable
+// the caller ended on — r.Logits, or a loss built on them — and
+// everything wanted from it (the picked tokens, the loss scalar) must
+// have been read: the graph under root, root's own value and the tap
+// buffers all go back to the tensor pool. This is the one place that
+// knows which buffers a forward leaves with its caller; a caller that
+// keeps the taps (a cache fill) clears r.Taps first.
+func (r *Result) Release(root *autograd.Variable) {
+	autograd.Release(root)
+	tensor.PutTensor(root.Value)
+	for _, t := range r.Taps {
+		tensor.PutTensor(t)
+	}
+}
+
 // Technique is a fine-tuning strategy bound to a model.
 type Technique interface {
 	Kind() Kind

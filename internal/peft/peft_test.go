@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"pac/internal/autograd"
+	"pac/internal/memledger"
 	"pac/internal/model"
 	"pac/internal/nn"
+	"pac/internal/tensor"
 )
 
 func batch() ([][]int, [][]int, []int, []int) {
@@ -225,5 +227,24 @@ func TestParallelHiddenWidth(t *testing.T) {
 	}
 	if nn.NumTrainable(m) != 0 {
 		t.Fatal("backbone not frozen")
+	}
+}
+
+// TestBackboneTapsSettlesTape pins the tape ledger across forwards: the
+// backbone's in-place ops (softmax, additive mask) put two nodes on one
+// tensor header, and the teardown must settle both nodes' reservations
+// before the first of them recycles the header.
+func TestBackboneTapsSettlesTape(t *testing.T) {
+	enc, dec, lens, _ := batch()
+	pa := NewParallel(model.New(model.Tiny()), Options{Reduction: 4})
+	tape := memledger.Default().Account("autograd.tape")
+	start := tape.Bytes()
+	for i := 0; i < 5; i++ {
+		for _, tap := range pa.BackboneTaps(enc, dec, lens) {
+			tensor.PutTensor(tap)
+		}
+		if got := tape.Bytes(); got != start {
+			t.Fatalf("forward %d: autograd.tape at %d bytes, started at %d", i+1, got, start)
+		}
 	}
 }

@@ -20,14 +20,14 @@ func BenchmarkServeClassifyRequest(b *testing.B) {
 	lens := []int{8, 8}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ { // warm the pool
-		if _, err := s.Classify(ctx, enc, lens); err != nil {
+		if _, err := s.ClassifyFor(ctx, AnonUser, enc, lens); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Classify(ctx, enc, lens); err != nil {
+		if _, err := s.ClassifyFor(ctx, AnonUser, enc, lens); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,7 +35,8 @@ type FleetStatuser interface {
 // when the client abandoned the request before the model ran.
 const StatusClientClosedRequest = 499
 
-// Handler exposes a Server over HTTP with a small JSON API:
+// HandlerFor exposes a Backend — a single Server or a fleet replica
+// set — over HTTP with a small JSON API:
 //
 //	POST /classify {"tokens": [[...]], "lens": [...], "user": U}  → {"classes": [...]}
 //	POST /generate {"tokens": [[...]], "lens": [...], "user": U,
@@ -56,10 +57,6 @@ const StatusClientClosedRequest = 499
 //
 // It is the network face of the Figure-1 agent: LAN clients (other
 // household devices) query the personal LLM that PAC keeps fine-tuning.
-func Handler(s *Server) http.Handler { return HandlerFor(s) }
-
-// HandlerFor is Handler generalized over any Backend (single server or
-// fleet replica set).
 func HandlerFor(s Backend) http.Handler {
 	mux := http.NewServeMux()
 

@@ -24,7 +24,7 @@ func httpServer(t *testing.T, lm bool) (*httptest.Server, *Server, model.Config)
 	m := model.New(cfg)
 	tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
 	s := NewServer(tech, cfg)
-	ts := httptest.NewServer(Handler(s))
+	ts := httptest.NewServer(HandlerFor(s))
 	t.Cleanup(ts.Close)
 	return ts, s, cfg
 }

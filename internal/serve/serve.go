@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"pac/internal/autograd"
 	"pac/internal/checkpoint"
 	"pac/internal/generate"
 	"pac/internal/health"
@@ -27,9 +26,9 @@ import (
 // memInflight tracks the activation working set of requests currently
 // executing a forward pass (estimated as tokens × hidden × 4 bytes —
 // the per-layer tap footprint; exact buffer sizes are the tensor
-// pool's business). Reserved after the post-lock cancellation check,
-// so canceled requests never hold inflight bytes, and released when
-// the request returns.
+// pool's business). Reserved after the post-lock cancellation check
+// (admit), so canceled requests never hold inflight bytes, and released
+// when the request returns.
 var memInflight = memledger.Default().Account("serve.inflight")
 
 // inflightBytes estimates one request's activation working set.
@@ -160,43 +159,56 @@ func (s *Server) UserCounts() map[int]int64 {
 // Canceled returns how many requests were abandoned before the model ran.
 func (s *Server) Canceled() int64 { return s.canceled.Value() }
 
-// Classify returns the argmax class per input sequence. A canceled
-// context aborts before the model runs (the request does not count
-// toward served totals); cancellation cannot interrupt an already
-// running forward pass.
-func (s *Server) Classify(ctx context.Context, enc [][]int, lens []int) ([]int, error) {
-	return s.ClassifyFor(ctx, AnonUser, enc, lens)
-}
-
-// ClassifyFor is Classify with per-user attribution: the load harness
-// and adapter routing use it to track which users a replica serves.
-func (s *Server) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
-	t0 := time.Now()
-	var rtc telemetry.TraceContext
+// admit is what every request passes before the model runs: the op
+// span, a cancellation check, the read side of the swap lock (its wait
+// is a span of its own, so queueing behind a weight swap shows up on
+// the critical path), a second cancellation check, and the in-flight
+// bytes. On success the caller defers done, which undoes them in
+// reverse; an abandoned request is counted, marked on its trace and
+// left holding nothing.
+func (s *Server) admit(ctx context.Context, op string, enc [][]int) (rtc telemetry.TraceContext, done func(), err error) {
+	endSpan := func() {}
 	if s.tracer != nil {
-		var end func()
-		rtc, end = s.requestSpan(ctx, "classify")
-		defer end()
+		rtc, endSpan = s.requestSpan(ctx, op)
 	}
-	if err := ctx.Err(); err != nil {
+	if err = ctx.Err(); err == nil {
+		_, endWait := s.tracer.SpanTC(rtc, "serve", "wait", s.tracePid, 0)
+		s.mu.RLock()
+		endWait()
+		// Re-check after acquiring the read side: a request that waited
+		// out a weight swap may have been abandoned by its caller
+		// meanwhile.
+		if err = ctx.Err(); err != nil {
+			s.mu.RUnlock()
+		}
+	}
+	if err != nil {
 		s.canceled.Inc()
 		s.tracer.InstantTC(rtc, "serve", "canceled", s.tracePid, 0)
-		return nil, err
-	}
-	endWait := s.waitSpan(rtc)
-	s.mu.RLock()
-	endWait()
-	defer s.mu.RUnlock()
-	// Re-check after acquiring the read side: a request that waited out a
-	// weight swap may have been abandoned by its caller meanwhile.
-	if err := ctx.Err(); err != nil {
-		s.canceled.Inc()
-		s.tracer.InstantTC(rtc, "serve", "canceled", s.tracePid, 0)
-		return nil, err
+		endSpan()
+		return rtc, nil, err
 	}
 	inflight := inflightBytes(enc, s.cfg.Hidden)
 	memInflight.Reserve(inflight)
-	defer memInflight.Release(inflight)
+	return rtc, func() {
+		memInflight.Release(inflight)
+		s.mu.RUnlock()
+		endSpan()
+	}, nil
+}
+
+// ClassifyFor returns the argmax class per input sequence, attributed
+// to user (AnonUser for none): the load harness and adapter routing
+// track which users a replica serves. A canceled context aborts before
+// the model runs (the request does not count toward served totals);
+// cancellation cannot interrupt an already running forward pass.
+func (s *Server) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
+	t0 := time.Now()
+	rtc, done, err := s.admit(ctx, "classify", enc)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
 	dec := make([][]int, len(enc))
 	for i := range dec {
 		dec[i] = []int{0}
@@ -208,51 +220,24 @@ func (s *Server) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []
 	s.attribute(user, len(enc))
 	s.observeLatency(s.latClassify, time.Since(t0).Seconds(), rtc)
 	out := tensor.ArgMaxRows(res.Logits.Value)
-	// Request done: tear down the graph and recycle the per-request tap
-	// buffers (PutTensor is a no-op for taps the teardown already freed).
-	autograd.Release(res.Logits)
-	for _, tp := range res.Taps {
-		tensor.PutTensor(tp)
-	}
+	res.Release(res.Logits)
 	return out, nil
 }
 
-// Generate decodes responses for the inputs (LM-configured models only).
-// Context semantics match Classify: cancellation before the decode
-// starts aborts without counting the request as served.
-func (s *Server) Generate(ctx context.Context, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
-	return s.GenerateFor(ctx, AnonUser, enc, lens, opts)
-}
-
-// GenerateFor is Generate with per-user attribution.
+// GenerateFor decodes responses for the inputs (LM-configured models
+// only), attributed to user. Context semantics match ClassifyFor:
+// cancellation before the decode starts aborts without counting the
+// request as served.
 func (s *Server) GenerateFor(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
 	if !s.cfg.LM {
 		return nil, fmt.Errorf("serve: model is not LM-configured")
 	}
 	t0 := time.Now()
-	var rtc telemetry.TraceContext
-	if s.tracer != nil {
-		var end func()
-		rtc, end = s.requestSpan(ctx, "generate")
-		defer end()
-	}
-	if err := ctx.Err(); err != nil {
-		s.canceled.Inc()
-		s.tracer.InstantTC(rtc, "serve", "canceled", s.tracePid, 0)
+	rtc, done, err := s.admit(ctx, "generate", enc)
+	if err != nil {
 		return nil, err
 	}
-	endWait := s.waitSpan(rtc)
-	s.mu.RLock()
-	endWait()
-	defer s.mu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		s.canceled.Inc()
-		s.tracer.InstantTC(rtc, "serve", "canceled", s.tracePid, 0)
-		return nil, err
-	}
-	inflight := inflightBytes(enc, s.cfg.Hidden)
-	memInflight.Reserve(inflight)
-	defer memInflight.Release(inflight)
+	defer done()
 	endFwd := s.forwardSpan(rtc)
 	out := generate.Decode(s.tech, enc, lens, opts)
 	endFwd()
@@ -260,16 +245,6 @@ func (s *Server) GenerateFor(ctx context.Context, user int, enc [][]int, lens []
 	s.attribute(user, len(enc))
 	s.observeLatency(s.latGenerate, time.Since(t0).Seconds(), rtc)
 	return out, nil
-}
-
-// waitSpan brackets read-lock acquisition (queueing behind a weight
-// swap shows up as wait time on the critical path).
-func (s *Server) waitSpan(rtc telemetry.TraceContext) func() {
-	if s.tracer == nil {
-		return func() {}
-	}
-	_, end := s.tracer.SpanTC(rtc, "serve", "wait", s.tracePid, 0)
-	return end
 }
 
 // forwardSpan brackets the model invocation — the per-device compute

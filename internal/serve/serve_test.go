@@ -28,7 +28,7 @@ func server(t *testing.T) (*Server, model.Config) {
 
 func TestClassifyCountsAndShapes(t *testing.T) {
 	s, _ := server(t)
-	preds, err := s.Classify(context.Background(), [][]int{{2, 3, 4, 5}, {6, 7, 8, 9}}, []int{4, 4})
+	preds, err := s.ClassifyFor(context.Background(), AnonUser, [][]int{{2, 3, 4, 5}, {6, 7, 8, 9}}, []int{4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestClassifyCountsAndShapes(t *testing.T) {
 
 func TestGenerateRequiresLMConfig(t *testing.T) {
 	s, _ := server(t)
-	if _, err := s.Generate(context.Background(), [][]int{{2, 3}}, []int{2}, generate.Options{}); err == nil {
+	if _, err := s.GenerateFor(context.Background(), AnonUser, [][]int{{2, 3}}, []int{2}, generate.Options{}); err == nil {
 		t.Fatal("non-LM server generated")
 	}
 
@@ -56,7 +56,7 @@ func TestGenerateRequiresLMConfig(t *testing.T) {
 	m := model.New(cfg)
 	tech := peft.New(peft.Full, m, peft.Options{})
 	lm := NewServer(tech, cfg)
-	out, err := lm.Generate(context.Background(), [][]int{{2, 3, 4, 5}}, []int{4}, generate.Options{MaxLen: 3})
+	out, err := lm.GenerateFor(context.Background(), AnonUser, [][]int{{2, 3, 4, 5}}, []int{4}, generate.Options{MaxLen: 3})
 	if err != nil || len(out) != 1 {
 		t.Fatalf("generate: %v %v", out, err)
 	}
@@ -66,7 +66,7 @@ func TestUpdateWeightsChangesAnswers(t *testing.T) {
 	s, _ := server(t)
 	enc := [][]int{{2, 3, 4, 5}}
 	lens := []int{4}
-	if _, err := s.Classify(context.Background(), enc, lens); err != nil { // warm
+	if _, err := s.ClassifyFor(context.Background(), AnonUser, enc, lens); err != nil { // warm
 		t.Fatal(err)
 	}
 
@@ -77,7 +77,7 @@ func TestUpdateWeightsChangesAnswers(t *testing.T) {
 	flat[len(flat)-2] = -100
 	flat[len(flat)-1] = +100
 	s.UpdateWeights(flat)
-	got, err := s.Classify(context.Background(), enc, lens)
+	got, err := s.ClassifyFor(context.Background(), AnonUser, enc, lens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestServeWhileFineTuning(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, err := s.Classify(context.Background(), [][]int{{2, 3, 4, 5}}, []int{4}); err != nil {
+				if _, err := s.ClassifyFor(context.Background(), AnonUser, [][]int{{2, 3, 4, 5}}, []int{4}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -174,10 +174,10 @@ func TestCancelledRequestNotCounted(t *testing.T) {
 	// Already-canceled context: rejected before the model runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Classify(ctx, enc, lens); !errors.Is(err, context.Canceled) {
+	if _, err := s.ClassifyFor(ctx, AnonUser, enc, lens); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if _, err := s.Generate(ctx, enc, lens, generate.Options{}); err == nil {
+	if _, err := s.GenerateFor(ctx, AnonUser, enc, lens, generate.Options{}); err == nil {
 		t.Fatal("canceled generate succeeded")
 	}
 	if s.Served() != 0 {
@@ -220,7 +220,7 @@ func TestPerUserAttribution(t *testing.T) {
 		}
 	}
 	// Anonymous requests serve but are not attributed.
-	if _, err := s.Classify(ctx, enc, lens); err != nil {
+	if _, err := s.ClassifyFor(ctx, AnonUser, enc, lens); err != nil {
 		t.Fatal(err)
 	}
 	if s.Users() != 2 {

@@ -124,7 +124,7 @@ func TestUntracedServerUnchanged(t *testing.T) {
 	m := model.New(cfg)
 	tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
 	s := NewServer(tech, cfg)
-	if _, err := s.Classify(context.Background(), [][]int{{1, 2, 3}}, []int{3}); err != nil {
+	if _, err := s.ClassifyFor(context.Background(), AnonUser, [][]int{{1, 2, 3}}, []int{3}); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.latClassify.Stats(); st.P99Exemplar != "" {

@@ -267,7 +267,7 @@ func NewInferenceServer(tech Technique, cfg ModelConfig) *Server {
 
 // HTTPHandler exposes a server over HTTP (POST /classify, /generate,
 // /swap; GET /stats).
-func HTTPHandler(s *Server) http.Handler { return serve.Handler(s) }
+func HTTPHandler(s *Server) http.Handler { return serve.HandlerFor(s) }
 
 // SaveAdaptersQuantized persists adapters with symmetric int8
 // quantization (~4× smaller, ≲1% relative error).
