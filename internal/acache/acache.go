@@ -9,7 +9,6 @@
 package acache
 
 import (
-	"fmt"
 	"sync"
 
 	"pac/internal/memledger"
@@ -183,21 +182,6 @@ func ShardIDs(ids []int, devices int) [][]int {
 		out[d] = append(out[d], id)
 	}
 	return out
-}
-
-// CoverageError verifies that a store holds exactly the given ids,
-// returning a descriptive error otherwise. The core framework calls it
-// before entering cache-only epochs.
-func CoverageError(s Store, ids []int) error {
-	if s.Len() != len(ids) {
-		return fmt.Errorf("acache: store has %d entries, want %d", s.Len(), len(ids))
-	}
-	for _, id := range ids {
-		if !s.Has(id) {
-			return fmt.Errorf("acache: sample %d missing from cache", id)
-		}
-	}
-	return nil
 }
 
 // Delete removes one entry (no-op when absent).

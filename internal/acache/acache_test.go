@@ -164,13 +164,13 @@ func TestShardRoundTrip(t *testing.T) {
 	if err := DecodeShard(dst, blob); err != nil {
 		t.Fatal(err)
 	}
-	if err := CoverageError(dst, ids); err != nil {
-		t.Fatal(err)
+	if dst.Len() != len(ids) {
+		t.Fatalf("decoded store has %d entries, want %d", dst.Len(), len(ids))
 	}
 	for _, id := range ids {
 		a, _ := src.Get(id)
-		b, _ := dst.Get(id)
-		if !entriesEqual(a, b) {
+		b, ok := dst.Get(id)
+		if !ok || !entriesEqual(a, b) {
 			t.Fatalf("shard entry %d mismatch", id)
 		}
 	}
@@ -205,21 +205,6 @@ func TestShardIDsBalancedAndComplete(t *testing.T) {
 	}
 	if len(seen) != len(ids) {
 		t.Fatal("ids lost in sharding")
-	}
-}
-
-func TestCoverageError(t *testing.T) {
-	s := NewMemoryStore()
-	_ = s.Put(1, sampleEntry(1))
-	if err := CoverageError(s, []int{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := CoverageError(s, []int{1, 2}); err == nil {
-		t.Fatal("missing id undetected")
-	}
-	_ = s.Put(3, sampleEntry(3))
-	if err := CoverageError(s, []int{1, 2}); err == nil {
-		t.Fatal("wrong id set undetected")
 	}
 }
 

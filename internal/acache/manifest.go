@@ -52,13 +52,6 @@ func (m *Manifest) Sum(id int) (uint32, bool) {
 	return sum, ok
 }
 
-// Len returns the number of samples with recorded checksums.
-func (m *Manifest) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.sums)
-}
-
 // Sums returns a copy of the id → checksum map (snapshot encoding).
 func (m *Manifest) Sums() map[int]uint32 {
 	m.mu.Lock()

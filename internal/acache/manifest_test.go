@@ -36,8 +36,8 @@ func TestManifestSumsRoundTrip(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.Observe(i, testEntry(i))
 	}
-	if m.Len() != 5 || m.Taps() != 2 {
-		t.Fatalf("len %d taps %d", m.Len(), m.Taps())
+	if len(m.Sums()) != 5 || m.Taps() != 2 {
+		t.Fatalf("len %d taps %d", len(m.Sums()), m.Taps())
 	}
 	sum3, ok := m.Sum(3)
 	if !ok || sum3 != EntrySum(testEntry(3)) {
@@ -48,8 +48,8 @@ func TestManifestSumsRoundTrip(t *testing.T) {
 	}
 
 	clone := ManifestFromSums(m.Taps(), m.Sums())
-	if clone.Len() != 5 {
-		t.Fatalf("clone len %d", clone.Len())
+	if len(clone.Sums()) != 5 {
+		t.Fatalf("clone len %d", len(clone.Sums()))
 	}
 	for i := 0; i < 5; i++ {
 		a, _ := m.Sum(i)
@@ -267,8 +267,8 @@ func TestBuildManifestSkipsUnreadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := BuildManifest(s, 2)
-	if m.Len() != 3 {
-		t.Fatalf("manifest len %d, want 3 (corrupt entry skipped)", m.Len())
+	if len(m.Sums()) != 3 {
+		t.Fatalf("manifest len %d, want 3 (corrupt entry skipped)", len(m.Sums()))
 	}
 	if _, ok := m.Sum(2); ok {
 		t.Fatal("corrupt entry has a sum")

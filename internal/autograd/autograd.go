@@ -15,7 +15,6 @@
 package autograd
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -69,7 +68,6 @@ type Variable struct {
 	auxIs   []int
 	auxMean []float32 // layer-norm row stats (pooled)
 	auxInv  []float32
-	name    string
 }
 
 var varPool = sync.Pool{New: func() any { return &Variable{} }}
@@ -82,20 +80,6 @@ func NewVar(t *tensor.Tensor) *Variable { return &Variable{Value: t} }
 // NewParam wraps a tensor as a trainable leaf that accumulates gradients.
 func NewParam(t *tensor.Tensor) *Variable {
 	return &Variable{Value: t, requiresGrad: true}
-}
-
-// Named attaches a debug name and returns the variable.
-func (v *Variable) Named(name string) *Variable {
-	v.name = name
-	return v
-}
-
-// Name returns the debug name, or a placeholder.
-func (v *Variable) Name() string {
-	if v.name == "" {
-		return fmt.Sprintf("var%v", v.Value.Shape())
-	}
-	return v.name
 }
 
 // RequiresGrad reports whether gradients flow to this variable.
@@ -196,7 +180,6 @@ func (v *Variable) reset() {
 	v.auxF, v.auxI, v.auxI2 = 0, 0, 0
 	v.auxIs = nil
 	v.auxMean, v.auxInv = nil, nil
-	v.name = ""
 }
 
 // finish wires the backward function if any parent tracks gradients

@@ -131,17 +131,6 @@ func TestDropoutTrainEvalModes(t *testing.T) {
 	}
 }
 
-func TestAccuracyMetric(t *testing.T) {
-	logits := tensor.FromSlice([]float32{
-		0.9, 0.1, // pred 0
-		0.2, 0.8, // pred 1
-		0.6, 0.4, // pred 0
-	}, 3, 2)
-	if got := Accuracy(logits, []int{0, 1, 1}); got != 2.0/3.0 {
-		t.Fatalf("Accuracy = %v", got)
-	}
-}
-
 func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {
 	// Uniform logits over C classes → loss = ln C.
 	logits := NewVar(tensor.New(2, 4))

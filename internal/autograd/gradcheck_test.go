@@ -49,13 +49,6 @@ func TestGradAdd(t *testing.T) {
 	gradCheck(t, func() *Variable { return Mean(Add(a, b)) }, []*Variable{a, b}, 1e-2)
 }
 
-func TestGradSub(t *testing.T) {
-	g := tensor.NewRNG(2)
-	a := NewParam(g.Randn(1, 2, 3))
-	b := NewParam(g.Randn(1, 2, 3))
-	gradCheck(t, func() *Variable { return Mean(Sub(a, b)) }, []*Variable{a, b}, 1e-2)
-}
-
 func TestGradMul(t *testing.T) {
 	g := tensor.NewRNG(3)
 	a := NewParam(g.Randn(1, 2, 3))
@@ -94,18 +87,10 @@ func TestGradBatchMatMulT(t *testing.T) {
 func TestGradActivations(t *testing.T) {
 	g := tensor.NewRNG(8)
 	for name, fn := range map[string]func(*Variable) *Variable{
-		"relu":    ReLU,
 		"gelu":    GELU,
-		"tanh":    Tanh,
 		"sigmoid": Sigmoid,
 	} {
 		a := NewParam(g.Uniform(-2, 2, 2, 5))
-		// Nudge values away from ReLU's kink where finite differences lie.
-		for i := range a.Value.Data {
-			if v := a.Value.Data[i]; v > -0.05 && v < 0.05 {
-				a.Value.Data[i] = 0.1
-			}
-		}
 		gradCheck(t, func() *Variable { return Mean(fn(a)) }, []*Variable{a}, 2e-2)
 		_ = name
 	}
@@ -149,15 +134,6 @@ func TestGradConcatSlice(t *testing.T) {
 		cat := Concat(a, b)
 		return Mean(SliceRows(cat, 1, 3))
 	}, []*Variable{a, b}, 1e-2)
-}
-
-func TestGradMeanRows(t *testing.T) {
-	g := tensor.NewRNG(13)
-	a := NewParam(g.Randn(1, 3, 4))
-	w := g.Randn(1, 4)
-	gradCheck(t, func() *Variable {
-		return Mean(Mul(MeanRows(a), NewVar(w)))
-	}, []*Variable{a}, 1e-2)
 }
 
 func TestGradReshapeSplitMergeHeads(t *testing.T) {

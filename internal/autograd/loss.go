@@ -82,22 +82,3 @@ func backMSE(out *Variable) {
 	}
 	pred.accPut(g)
 }
-
-// Accuracy returns the fraction of rows whose argmax matches the label.
-// Pure metric; participates in no gradient flow.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	pred := tensor.ArgMaxRows(logits)
-	if len(pred) != len(labels) {
-		panic("autograd: Accuracy length mismatch")
-	}
-	if len(labels) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range pred {
-		if pred[i] == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
-}

@@ -30,21 +30,6 @@ func backAdd(out *Variable) {
 	}
 }
 
-// Sub returns a - b.
-func Sub(a, b *Variable) *Variable {
-	return newOp2(tensor.Sub(a.Value, b.Value), backSub, a, b)
-}
-
-func backSub(out *Variable) {
-	a, b := out.parents[0], out.parents[1]
-	if a.requiresGrad {
-		a.accumulate(out.Grad)
-	}
-	if b.requiresGrad {
-		b.accPut(tensor.Scale(out.Grad, -1))
-	}
-}
-
 // Mul returns the elementwise product a * b.
 func Mul(a, b *Variable) *Variable {
 	return newOp2(tensor.Mul(a.Value, b.Value), backMul, a, b)
@@ -350,28 +335,6 @@ func backMergeHeads(out *Variable) {
 	out.parents[0].accPut(tensor.SplitHeads(out.Grad, out.auxI))
 }
 
-// ReLU applies max(0, x) elementwise.
-func ReLU(a *Variable) *Variable {
-	val := tensor.Apply(a.Value, func(v float32) float32 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	})
-	return newOp1(val, backReLU, a)
-}
-
-func backReLU(out *Variable) {
-	a := out.parents[0]
-	g := tensor.New(a.Value.Shape()...)
-	for i, v := range a.Value.Data {
-		if v > 0 {
-			g.Data[i] = out.Grad.Data[i]
-		}
-	}
-	a.accPut(g)
-}
-
 // GELU applies the tanh-approximated Gaussian error linear unit.
 func GELU(a *Variable) *Variable {
 	val := tensor.New(a.Value.Shape()...)
@@ -383,24 +346,6 @@ func backGELU(out *Variable) {
 	a := out.parents[0]
 	g := tensor.New(a.Value.Shape()...)
 	tensor.GELUGradInto(g, a.Value, out.Grad)
-	a.accPut(g)
-}
-
-// Tanh applies tanh elementwise.
-func Tanh(a *Variable) *Variable {
-	val := tensor.Apply(a.Value, func(v float32) float32 {
-		return float32(math.Tanh(float64(v)))
-	})
-	return newOp1(val, backTanh, a)
-}
-
-func backTanh(out *Variable) {
-	a := out.parents[0]
-	g := tensor.New(a.Value.Shape()...)
-	for i := range g.Data {
-		y := float64(out.Value.Data[i])
-		g.Data[i] = out.Grad.Data[i] * float32(1-y*y)
-	}
 	a.accPut(g)
 }
 
@@ -454,19 +399,11 @@ func backSoftmax(out *Variable) {
 	a.accPut(g)
 }
 
-// AddConst adds a constant tensor (no gradient flows to it). Used for
-// additive attention masks. The graph owns c afterwards: Release frees
+// AddConstInPlace adds a constant tensor (no gradient flows to it) into
+// a's value in place and returns a node sharing that storage (the
+// additive attention-mask path — valid because score values are only
+// consumed by the softmax). The graph owns c afterwards: Release frees
 // it with the rest of the graph, so pass a fresh (or cloned) tensor.
-func AddConst(a *Variable, c *tensor.Tensor) *Variable {
-	out := newOp1(tensor.Add(a.Value, c), backPassThrough, a)
-	out.auxT = c
-	return out
-}
-
-// AddConstInPlace adds a constant tensor into a's value in place and
-// returns a node sharing that storage (the fused attention-mask path —
-// valid because score values are only consumed by the softmax). The
-// graph owns c afterwards, like AddConst.
 func AddConstInPlace(a *Variable, c *tensor.Tensor) *Variable {
 	tensor.AddInPlace(a.Value, c)
 	out := newOp1(a.Value, backPassThrough, a)
@@ -606,29 +543,6 @@ func Sum(a *Variable) *Variable {
 func backSum(out *Variable) {
 	a := out.parents[0]
 	a.accPut(tensor.Full(out.Grad.Data[0], a.Value.Shape()...))
-}
-
-// MeanRows reduces [rows, cols] (rows = prod of leading dims) to [cols]
-// by averaging across rows. Used for mean pooling over sequence
-// positions.
-func MeanRows(a *Variable) *Variable {
-	rows, _ := tensor.Rows(a.Value)
-	val := tensor.SumRows(a.Value)
-	tensor.ScaleInPlace(val, 1/float32(rows))
-	return newOp1(val, backMeanRows, a)
-}
-
-func backMeanRows(out *Variable) {
-	a := out.parents[0]
-	rows, cols := tensor.Rows(a.Value)
-	g := tensor.New(a.Value.Shape()...)
-	inv := 1 / float32(rows)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			g.Data[r*cols+c] = out.Grad.Data[c] * inv
-		}
-	}
-	a.accPut(g)
 }
 
 // Dropout zeroes each element with probability p during training and

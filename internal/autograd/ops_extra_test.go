@@ -39,7 +39,7 @@ func TestGradSumAndAddConst(t *testing.T) {
 	a := NewParam(g.Randn(1, 2, 3))
 	c := g.Randn(1, 2, 3)
 	gradCheck(t, func() *Variable {
-		return Scale(Sum(AddConst(a, c)), 0.25)
+		return Scale(Sum(AddConstInPlace(Scale(a, 1), c)), 0.25)
 	}, []*Variable{a}, 1e-2)
 }
 
@@ -82,17 +82,6 @@ func TestBackwardMultiSeedShapePanics(t *testing.T) {
 		}
 	}()
 	BackwardMulti([]*Variable{y}, []*tensor.Tensor{tensor.New(3)})
-}
-
-func TestVariableNameAndNamed(t *testing.T) {
-	v := NewParam(tensor.New(2, 2)).Named("w")
-	if v.Name() != "w" {
-		t.Fatalf("Name %q", v.Name())
-	}
-	anon := NewVar(tensor.New(3))
-	if anon.Name() == "" {
-		t.Fatal("anonymous name empty")
-	}
 }
 
 func TestGraphSizeStopsAtFrozenLeaves(t *testing.T) {

@@ -24,9 +24,6 @@ type DeviceSpec struct {
 // gib converts GiB to bytes.
 func gib(g float64) int64 { return int64(g * float64(1<<30)) }
 
-// MemoryGiB returns the usable memory in GiB.
-func (d DeviceSpec) MemoryGiB() float64 { return float64(d.MemoryBytes) / (1 << 30) }
-
 // FLOPSPerSec returns the sustained throughput in FLOPs per second.
 func (d DeviceSpec) FLOPSPerSec() float64 { return d.GFLOPS * 1e9 }
 
@@ -95,17 +92,6 @@ func Nanos(n int) Cluster { return Homogeneous(JetsonNano(), n) }
 // Size returns the device count.
 func (c Cluster) Size() int { return len(c.Devices) }
 
-// MinMemory returns the smallest device memory in the cluster.
-func (c Cluster) MinMemory() int64 {
-	m := c.Devices[0].MemoryBytes
-	for _, d := range c.Devices[1:] {
-		if d.MemoryBytes < m {
-			m = d.MemoryBytes
-		}
-	}
-	return m
-}
-
 // TotalGFLOPS returns the pool's aggregate compute.
 func (c Cluster) TotalGFLOPS() float64 {
 	var s float64
@@ -113,14 +99,4 @@ func (c Cluster) TotalGFLOPS() float64 {
 		s += d.GFLOPS
 	}
 	return s
-}
-
-// IsHomogeneous reports whether all devices share one spec.
-func (c Cluster) IsHomogeneous() bool {
-	for _, d := range c.Devices[1:] {
-		if d.GFLOPS != c.Devices[0].GFLOPS || d.MemoryBytes != c.Devices[0].MemoryBytes {
-			return false
-		}
-	}
-	return true
 }

@@ -14,9 +14,6 @@ func TestDeviceSpecDerivedQuantities(t *testing.T) {
 	if d.BytesPerSec() != 10e6 {
 		t.Fatalf("BytesPerSec %v", d.BytesPerSec())
 	}
-	if d.MemoryGiB() != 2 {
-		t.Fatalf("MemoryGiB %v", d.MemoryGiB())
-	}
 }
 
 func TestPresetsOrdering(t *testing.T) {
@@ -56,28 +53,12 @@ func TestPropClusterAggregates(t *testing.T) {
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%8) + 1
 		c := Nanos(n)
-		if c.Size() != n || !c.IsHomogeneous() {
+		if c.Size() != n {
 			return false
 		}
-		if c.TotalGFLOPS() != float64(n)*JetsonNano().GFLOPS {
-			return false
-		}
-		return c.MinMemory() == JetsonNano().MemoryBytes
+		return c.TotalGFLOPS() == float64(n)*JetsonNano().GFLOPS
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMixedClusterMinMemory(t *testing.T) {
-	// The Nano has the smallest usable model memory (its 4 GiB DRAM is
-	// shared with the OS and CUDA runtime); the CPU-only RPi keeps more
-	// of its RAM for model state.
-	c := Cluster{Devices: []DeviceSpec{JetsonTX2(), RaspberryPi4(), JetsonNano()}}
-	if c.MinMemory() != JetsonNano().MemoryBytes {
-		t.Fatalf("MinMemory %d, want the Nano's %d", c.MinMemory(), JetsonNano().MemoryBytes)
-	}
-	if c.IsHomogeneous() {
-		t.Fatal("mixed pool misclassified")
 	}
 }

@@ -36,12 +36,12 @@ func (l *Liveness) SetClock(now func() time.Time) {
 }
 
 // Heartbeat records a sign of life from the named device. A heartbeat
-// never resurrects a device that was declared dead or quarantined —
-// only an explicit Reinstate does. This closes the resurrection hazard
-// the fleet orchestrator depends on: a zombie process (or a drained
-// device whose agent keeps running) can beat indefinitely, and silently
-// returning it to the alive set would reinsert it into plans mid-
-// rollout behind the orchestrator's back.
+// never resurrects a device that was declared dead or quarantined:
+// both marks last as long as the tracker. This closes the resurrection
+// hazard the fleet orchestrator depends on: a zombie process (or a
+// drained device whose agent keeps running) can beat indefinitely, and
+// silently returning it to the alive set would reinsert it into plans
+// mid-rollout behind the orchestrator's back.
 func (l *Liveness) Heartbeat(name string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -62,25 +62,12 @@ func (l *Liveness) MarkDead(name string) {
 // straggler: it is excluded from Survivors (and thus from the next
 // plan) but is not dead — it still heartbeats, and crucially a
 // heartbeat does NOT lift quarantine; slow is not the same fault as
-// silent. Only Reinstate readmits it.
+// silent.
 func (l *Liveness) Quarantine(name string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.quarantine[name] = true
 	health.Flight().Record("quarantine", -1, -1, name, 0)
-}
-
-// Reinstate readmits a quarantined or dead-marked device to the
-// schedulable pool (the operator cleared it, a probe showed it
-// recovered, or a fleet Rejoin step fired). It is the only path back to
-// the alive set; the device still needs a fresh heartbeat to count as
-// alive.
-func (l *Liveness) Reinstate(name string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.quarantine, name)
-	delete(l.dead, name)
-	health.Flight().Record("reinstate", -1, -1, name, 0)
 }
 
 // Quarantined returns the sorted names currently sidelined.
@@ -114,26 +101,6 @@ func (l *Liveness) aliveLocked(name string) bool {
 	return l.now().Sub(last) < l.ttl
 }
 
-// Dead returns the sorted names of tracked devices that are not alive.
-// Quarantined devices are excluded: they are sidelined, not failed.
-func (l *Liveness) Dead() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []string
-	for name := range l.beats {
-		if !l.aliveLocked(name) && !l.quarantine[name] {
-			out = append(out, name)
-		}
-	}
-	for name := range l.dead {
-		if _, tracked := l.beats[name]; !tracked {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Survivors filters a cluster down to its alive devices, preserving
 // order — the device set handed back to the planner after a failure.
 // Devices sharing a name share a fate: liveness is tracked per name, so
@@ -142,26 +109,6 @@ func (l *Liveness) Survivors(c Cluster) Cluster {
 	out := Cluster{Devices: make([]DeviceSpec, 0, len(c.Devices))}
 	for _, d := range c.Devices {
 		if l.Alive(d.Name) {
-			out.Devices = append(out.Devices, d)
-		}
-	}
-	return out
-}
-
-// Without returns the cluster minus the named devices, preserving
-// order. Convenience for dropping a failed device without a tracker.
-// Unknown names are ignored; duplicate names (in either the arguments
-// or the cluster) drop every matching device. The result is allocation-
-// stable: one upfront slice sized for the worst case, never grown, and
-// never aliasing the receiver's backing array.
-func (c Cluster) Without(names ...string) Cluster {
-	drop := make(map[string]bool, len(names))
-	for _, n := range names {
-		drop[n] = true
-	}
-	out := Cluster{Devices: make([]DeviceSpec, 0, len(c.Devices))}
-	for _, d := range c.Devices {
-		if !drop[d.Name] {
 			out.Devices = append(out.Devices, d)
 		}
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"reflect"
 	"testing"
 	"time"
 )
@@ -30,12 +29,9 @@ func TestLivenessHeartbeatExpiry(t *testing.T) {
 	if l.Alive("b") {
 		t.Fatal("b alive 35s after its last heartbeat (ttl 30s)")
 	}
-	if got := l.Dead(); !reflect.DeepEqual(got, []string{"b"}) {
-		t.Fatalf("Dead() = %v, want [b]", got)
-	}
 }
 
-func TestLivenessMarkDeadRequiresReinstate(t *testing.T) {
+func TestLivenessMarkDeadSurvivesHeartbeat(t *testing.T) {
 	now := time.Unix(1000, 0)
 	l := NewLiveness(time.Minute)
 	l.SetClock(func() time.Time { return now })
@@ -45,30 +41,22 @@ func TestLivenessMarkDeadRequiresReinstate(t *testing.T) {
 	if l.Alive("a") {
 		t.Fatal("MarkDead ignored despite fresh heartbeat")
 	}
-	if got := l.Dead(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("Dead() = %v, want [a]", got)
-	}
 	// The resurrection hazard: a zombie keeps heartbeating after the
 	// orchestrator declared it dead. The beat must NOT revive it.
 	l.Heartbeat("a")
 	if l.Alive("a") {
 		t.Fatal("heartbeat silently revived a marked-dead device")
 	}
-	// Only an explicit Reinstate readmits it.
-	l.Reinstate("a")
-	if !l.Alive("a") {
-		t.Fatal("reinstated device with fresh heartbeat not alive")
-	}
 }
 
-// TestLivenessInterleavings walks the heartbeat/quarantine/mark-dead/
-// reinstate state machine through the orders a real rollout produces.
+// TestLivenessInterleavings walks the heartbeat/quarantine/mark-dead
+// state machine through the orders a real rollout produces.
 func TestLivenessInterleavings(t *testing.T) {
 	now := time.Unix(1000, 0)
 	l := NewLiveness(time.Minute)
 	l.SetClock(func() time.Time { return now })
 
-	// Quarantine then dead then beats: stays out until reinstated.
+	// Quarantine then dead then beats: stays out.
 	l.Heartbeat("a")
 	l.Quarantine("a")
 	l.MarkDead("a")
@@ -76,38 +64,25 @@ func TestLivenessInterleavings(t *testing.T) {
 	if l.Alive("a") {
 		t.Fatal("quarantined+dead device revived by heartbeat")
 	}
-	// One Reinstate clears both sidelining marks.
-	l.Reinstate("a")
-	if !l.Alive("a") {
-		t.Fatal("Reinstate must clear both quarantine and dead marks")
-	}
 
-	// Reinstate without a fresh heartbeat does not fabricate liveness.
+	// A mark outlasts the heartbeat it was set beside: once the beat
+	// has expired too, a fresh one still does not bring the device back.
 	l.Heartbeat("b")
 	l.MarkDead("b")
-	now = now.Add(2 * time.Minute) // beat expires while sidelined
-	l.Reinstate("b")
-	if l.Alive("b") {
-		t.Fatal("reinstate fabricated liveness for a device with an expired heartbeat")
-	}
+	now = now.Add(2 * time.Minute)
 	l.Heartbeat("b")
-	if !l.Alive("b") {
-		t.Fatal("reinstated device with fresh heartbeat not alive")
+	if l.Alive("b") {
+		t.Fatal("marked-dead device revived by a heartbeat after its TTL ran out")
 	}
 
-	// Quarantine → beat → reinstate → beat → quarantine again: the
-	// second quarantine must hold regardless of beat history.
+	// Beat → quarantine → beat: the quarantine holds regardless of
+	// beat history.
 	l.Heartbeat("c")
-	l.Quarantine("c")
 	l.Heartbeat("c")
-	l.Reinstate("c")
-	if !l.Alive("c") {
-		t.Fatal("c should be alive after reinstate + fresh beat")
-	}
 	l.Quarantine("c")
 	l.Heartbeat("c")
 	if l.Alive("c") {
-		t.Fatal("re-quarantine lifted by heartbeat")
+		t.Fatal("quarantine lifted by heartbeat")
 	}
 
 	// Dead from silence (TTL expiry) is the one path a heartbeat may
@@ -143,56 +118,6 @@ func TestLivenessSurvivorsPreservesOrder(t *testing.T) {
 		if d.Name != want[i] {
 			t.Fatalf("survivor %d = %s, want %s (order not preserved)", i, d.Name, want[i])
 		}
-	}
-}
-
-func TestClusterWithout(t *testing.T) {
-	pool := Nanos(3)
-	rest := pool.Without(pool.Devices[0].Name)
-	if rest.Size() != 2 || rest.Devices[0].Name != pool.Devices[1].Name {
-		t.Fatalf("Without broken: %v", rest.Devices)
-	}
-	if pool.Size() != 3 {
-		t.Fatal("Without mutated the original cluster")
-	}
-}
-
-func TestClusterWithoutEdgeCases(t *testing.T) {
-	pool := Nanos(3)
-
-	// Unknown names are ignored.
-	if got := pool.Without("no-such-device"); got.Size() != 3 {
-		t.Fatalf("unknown name removed something: %d devices", got.Size())
-	}
-	// Duplicate argument names behave like one.
-	one := pool.Devices[1].Name
-	if got := pool.Without(one, one, one); got.Size() != 2 {
-		t.Fatalf("duplicate names: %d devices, want 2", got.Size())
-	}
-	// Emptying the cluster is legal and yields Size() == 0.
-	empty := pool.Without(pool.Devices[0].Name, pool.Devices[1].Name, pool.Devices[2].Name)
-	if empty.Size() != 0 {
-		t.Fatalf("emptying: %d devices left", empty.Size())
-	}
-	// Duplicate device names in the cluster all drop together.
-	dup := Cluster{Devices: []DeviceSpec{
-		{Name: "x"}, {Name: "y"}, {Name: "x"},
-	}}
-	if got := dup.Without("x"); got.Size() != 1 || got.Devices[0].Name != "y" {
-		t.Fatalf("duplicate cluster names: %v", got.Devices)
-	}
-	// The result must not alias the receiver's backing array: mutating
-	// it must leave the original untouched (allocation-stability).
-	rest := pool.Without(pool.Devices[2].Name)
-	rest.Devices = append(rest.Devices, DeviceSpec{Name: "intruder"})
-	rest.Devices[0].Name = "mutated"
-	if pool.Devices[0].Name == "mutated" || pool.Devices[2].Name == "intruder" {
-		t.Fatal("Without result aliases the original cluster")
-	}
-	// And it is a single upfront allocation: appending within capacity
-	// must not reallocate (cap == len(original)).
-	if got := pool.Without(); cap(got.Devices) != len(pool.Devices) {
-		t.Fatalf("Without not allocation-stable: cap %d, want %d", cap(got.Devices), len(pool.Devices))
 	}
 }
 
@@ -256,24 +181,10 @@ func TestQuarantineSemantics(t *testing.T) {
 	if q := l.Quarantined(); len(q) != 1 || q[0] != slow {
 		t.Fatalf("quarantined = %v", q)
 	}
-	// Quarantined is not dead: it must not appear in Dead().
-	for _, d := range l.Dead() {
-		if d == slow {
-			t.Fatal("quarantined device listed as dead")
-		}
-	}
 	// A heartbeat does NOT lift quarantine — slow is a different fault
 	// than silent, and a straggler keeps heartbeating the whole time.
 	l.Heartbeat(slow)
 	if l.Alive(slow) {
 		t.Fatal("heartbeat must not lift quarantine")
-	}
-	// Only Reinstate readmits the device.
-	l.Reinstate(slow)
-	if !l.Alive(slow) {
-		t.Fatal("reinstated device must be alive again")
-	}
-	if len(l.Quarantined()) != 0 {
-		t.Fatalf("quarantine list not empty after reinstate: %v", l.Quarantined())
 	}
 }

@@ -599,9 +599,6 @@ func (f *Framework) AdoptReferenceWeights() {
 	}
 }
 
-// Manifest exposes the cache integrity ledger (tests, reporting).
-func (f *Framework) Manifest() *acache.Manifest { return f.manifest }
-
 // rootSpan opens a traced root span on the orchestrator track, so
 // snapshot/salvage/cache work carries a trace ID pac-trace can query
 // like any request. No-op when tracing is off.
@@ -688,15 +685,6 @@ func (f *Framework) captureDP(g *parallel.DPGroup, epoch, step int) *checkpoint.
 	snap := f.baseSnapshot(epoch, step)
 	snap.Adapters = cloneValues(g.Techs[0].Trainable())
 	snap.OptGroups = []checkpoint.OptGroup{exportOpt(g.Opts[0])}
-	return snap
-}
-
-// CaptureSnapshot assembles a snapshot of the current trained state at
-// an epoch boundary (between FineTune calls or after completion) —
-// the synchronous sibling of the SnapshotEvery captures.
-func (f *Framework) CaptureSnapshot(epoch, step int) *checkpoint.Snapshot {
-	snap := f.baseSnapshot(epoch, step-1)
-	snap.Adapters = cloneValues(f.reference.Trainable())
 	return snap
 }
 

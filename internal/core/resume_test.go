@@ -208,7 +208,7 @@ func TestResumeSalvagesCorruptEntry(t *testing.T) {
 	if !ok {
 		t.Fatal("victim missing after salvage")
 	}
-	if sum, ok := f2.Manifest().Sum(victim); !ok || acache.EntrySum(e) != sum {
+	if sum, ok := f2.manifest.Sum(victim); !ok || acache.EntrySum(e) != sum {
 		t.Fatal("recomputed entry does not match manifest")
 	}
 }
@@ -218,8 +218,8 @@ func TestRestoreSnapshotRejectsMismatch(t *testing.T) {
 	if err := f.RestoreSnapshot(&checkpoint.Snapshot{Fingerprint: 12345}); err == nil {
 		t.Fatal("fingerprint mismatch accepted")
 	}
-	snap := f.CaptureSnapshot(0, 0)
-	snap.Adapters = snap.Adapters[:1]
+	snap := f.baseSnapshot(0, 0)
+	snap.Adapters = cloneValues(f.reference.Trainable())[:1]
 	if err := f.RestoreSnapshot(snap); err == nil {
 		t.Fatal("adapter count mismatch accepted")
 	}

@@ -37,9 +37,6 @@ func (e Engine) String() string {
 	return "unknown"
 }
 
-// AllEngines lists the systems in paper order.
-func AllEngines() []Engine { return []Engine{Standalone, EcoFL, EDDL, PAC} }
-
 // SimSpec describes one simulated fine-tuning job.
 type SimSpec struct {
 	Model   model.Config

@@ -21,7 +21,7 @@ func spec(cfg model.Config, kind peft.Kind, engine Engine, devices int) SimSpec 
 
 func TestEngineStrings(t *testing.T) {
 	want := []string{"Standalone", "Eco-FL", "EDDL", "PAC"}
-	for i, e := range AllEngines() {
+	for i, e := range []Engine{Standalone, EcoFL, EDDL, PAC} {
 		if e.String() != want[i] {
 			t.Fatalf("engine %d = %q", i, e.String())
 		}

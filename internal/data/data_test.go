@@ -217,18 +217,6 @@ func TestLoaderCoversAllSamplesOncePerEpoch(t *testing.T) {
 	}
 }
 
-func TestLoaderDropLast(t *testing.T) {
-	ds := genSmall(MRPC, 10)
-	l := NewLoader(ds, 4, 1).DropLast()
-	if l.NumBatches() != 2 {
-		t.Fatalf("NumBatches = %d", l.NumBatches())
-	}
-	batches := l.Epoch(0)
-	if len(batches) != 2 || batches[0].Size() != 4 || batches[1].Size() != 4 {
-		t.Fatal("DropLast kept a partial batch")
-	}
-}
-
 func TestTokenizeDeterministicAndBounded(t *testing.T) {
 	ids1, n1 := Tokenize("Turn on the living room lights", 256, 16)
 	ids2, n2 := Tokenize("turn ON the Living Room lights", 256, 16)

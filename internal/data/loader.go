@@ -77,7 +77,6 @@ type Loader struct {
 	ds        *Dataset
 	batchSize int
 	seed      int64
-	dropLast  bool
 }
 
 // NewLoader returns a loader with the given mini-batch size.
@@ -86,21 +85,6 @@ func NewLoader(ds *Dataset, batchSize int, seed int64) *Loader {
 		panic("data: batch size must be positive")
 	}
 	return &Loader{ds: ds, batchSize: batchSize, seed: seed}
-}
-
-// DropLast makes the loader skip a trailing partial batch.
-func (l *Loader) DropLast() *Loader {
-	l.dropLast = true
-	return l
-}
-
-// NumBatches returns the number of batches per epoch.
-func (l *Loader) NumBatches() int {
-	n := l.ds.Len() / l.batchSize
-	if !l.dropLast && l.ds.Len()%l.batchSize != 0 {
-		n++
-	}
-	return n
 }
 
 // Epoch returns the mini-batches for the given epoch, shuffled
@@ -112,9 +96,6 @@ func (l *Loader) Epoch(epoch int) []*Batch {
 	for start := 0; start < len(perm); start += l.batchSize {
 		end := start + l.batchSize
 		if end > len(perm) {
-			if l.dropLast {
-				break
-			}
 			end = len(perm)
 		}
 		exs := make([]Example, 0, end-start)

@@ -62,10 +62,7 @@ func (c *chaosActuator) successCount(id string) int {
 }
 
 // chaosFleet builds a live 2-group × 3-replica serving fleet of tiny
-// models at version v1, with a perturbed v2 registered for the rollout
-// and a hot per-user adapter pinned on two group-0 replicas so the
-// last-holder invariant is exercised (never tripped: the pair is rolled
-// one at a time, each rejoining before the other drains).
+// models at version v1, with a perturbed v2 registered for the rollout.
 func chaosFleet(t *testing.T) *ReplicaSet {
 	t.Helper()
 	rs := NewReplicaSet()
@@ -87,11 +84,6 @@ func chaosFleet(t *testing.T) *ReplicaSet {
 		v2[i] = w + 0.01
 	}
 	rs.RegisterVersion("v2", v2)
-	for _, name := range []string{devName(0, 0), devName(0, 1)} {
-		if err := rs.SetHotAdapters(name, []string{"user-1"}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return rs
 }
 

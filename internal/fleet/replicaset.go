@@ -30,10 +30,8 @@ type replica struct {
 	inflight    atomic.Int64
 	version     atomic.Pointer[string]
 
-	// hot adapters this replica keeps warm (last-holder invariant input)
-	// and the snapshot captured by the latest Snapshot step.
+	// the snapshot captured by the latest Snapshot step
 	mu       sync.Mutex
-	hot      []string
 	lastSnap []float32
 }
 
@@ -97,12 +95,6 @@ func (rs *ReplicaSet) Add(name string, group int, srv *serve.Server) {
 	rs.replicas = append(rs.replicas, r)
 }
 
-// Size returns the replica count.
-func (rs *ReplicaSet) Size() int { return len(rs.replicas) }
-
-// Registry exposes the fleet-level metric registry.
-func (rs *ReplicaSet) Registry() *telemetry.Registry { return rs.reg }
-
 func (rs *ReplicaSet) find(name string) (*replica, error) {
 	for _, r := range rs.replicas {
 		if r.name == name {
@@ -129,31 +121,6 @@ func (rs *ReplicaSet) SetVersion(name, version string) error {
 	}
 	r.version.Store(&version)
 	return nil
-}
-
-// SetHotAdapters declares which per-user adapters the replica holds
-// warm (input to the last-holder invariant).
-func (rs *ReplicaSet) SetHotAdapters(name string, adapters []string) error {
-	r, err := rs.find(name)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.hot = append([]string(nil), adapters...)
-	r.mu.Unlock()
-	return nil
-}
-
-// LastSnapshot returns the flat weights the latest Snapshot step
-// captured for the replica (nil when none was taken).
-func (rs *ReplicaSet) LastSnapshot(name string) []float32 {
-	r, err := rs.find(name)
-	if err != nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastSnap
 }
 
 // pick routes one request: round-robin over in-service replicas. The
@@ -248,9 +215,6 @@ func (rs *ReplicaSet) GenerateFor(ctx context.Context, user int, enc [][]int, le
 func (rs *ReplicaSet) Observed() Observed {
 	obs := Observed{Devices: make([]DeviceState, 0, len(rs.replicas))}
 	for _, r := range rs.replicas {
-		r.mu.Lock()
-		hot := append([]string(nil), r.hot...)
-		r.mu.Unlock()
 		obs.Devices = append(obs.Devices, DeviceState{
 			Name:           r.name,
 			Group:          r.group,
@@ -258,7 +222,6 @@ func (rs *ReplicaSet) Observed() Observed {
 			Draining:       r.draining.Load(),
 			Quarantined:    r.quarantined.Load(),
 			AdapterVersion: *r.version.Load(),
-			HotAdapters:    hot,
 		})
 	}
 	return obs

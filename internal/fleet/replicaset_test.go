@@ -118,7 +118,7 @@ func TestReplicaSetRollToRegisteredVersion(t *testing.T) {
 		}
 	}
 	// Snapshot steps captured pre-swap weights.
-	if snap := rs.LastSnapshot(rs.replicas[0].name); snap == nil || snap[0] != flat[0] {
+	if snap := rs.replicas[0].lastSnap; snap == nil || snap[0] != flat[0] {
 		t.Fatalf("snapshot missing or post-swap: %v", snap)
 	}
 	// Status surfaces the rollout.

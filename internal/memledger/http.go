@@ -47,7 +47,7 @@ func Handler(l *Ledger, devices func() []*Ledger) http.Handler {
 		d := memDump{
 			Snapshot: l.Snapshot(),
 			Timeline: memTimeline{
-				Cap:     l.timelineCap(),
+				Cap:     DefaultTimelineCap,
 				Samples: l.Timeline(),
 			},
 		}
@@ -62,13 +62,4 @@ func Handler(l *Ledger, devices func() []*Ledger) http.Handler {
 		enc.SetIndent("", " ")
 		_ = enc.Encode(d)
 	})
-}
-
-func (l *Ledger) timelineCap() int {
-	if l == nil {
-		return 0
-	}
-	l.timeline.mu.Lock()
-	defer l.timeline.mu.Unlock()
-	return l.timeline.capacity()
 }

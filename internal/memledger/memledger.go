@@ -74,14 +74,6 @@ type Account struct {
 	releases atomic.Int64
 }
 
-// Name returns the account name ("" on nil).
-func (a *Account) Name() string {
-	if a == nil {
-		return ""
-	}
-	return a.name
-}
-
 // Reserve records n bytes entering the account (n ≤ 0 is a no-op).
 func (a *Account) Reserve(n int64) {
 	if a == nil || n <= 0 {

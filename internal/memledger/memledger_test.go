@@ -58,7 +58,7 @@ func TestNilSafety(t *testing.T) {
 	a.Reserve(10)
 	a.Release(10)
 	a.Add(-5)
-	if a.Bytes() != 0 || a.Peak() != 0 || a.Name() != "" {
+	if a.Bytes() != 0 || a.Peak() != 0 {
 		t.Fatal("nil account not a no-op")
 	}
 	if l.Account("x") != nil {
@@ -214,24 +214,24 @@ func TestConcurrentAccounting(t *testing.T) {
 
 func TestTimelineRing(t *testing.T) {
 	l := New("ring")
-	l.SetTimelineCap(4)
 	a := l.Account("x")
 	base := time.Unix(1000, 0)
-	for i := 0; i < 10; i++ {
+	const over = 6 // samples past the ring's capacity
+	for i := 0; i < DefaultTimelineCap+over; i++ {
 		a.Reserve(1)
 		l.SampleAt(base.Add(time.Duration(i) * time.Second))
 	}
 	got := l.Timeline()
-	if len(got) != 4 {
-		t.Fatalf("timeline kept %d samples, want 4", len(got))
+	if len(got) != DefaultTimelineCap {
+		t.Fatalf("timeline kept %d samples, want %d", len(got), DefaultTimelineCap)
 	}
 	for i, s := range got {
-		wantT := base.Add(time.Duration(6+i) * time.Second).UnixNano()
+		wantT := base.Add(time.Duration(over+i) * time.Second).UnixNano()
 		if s.T != wantT {
 			t.Fatalf("sample %d: t = %d, want %d (oldest-first after wrap)", i, s.T, wantT)
 		}
-		if s.Accounts["x"] != int64(7+i) {
-			t.Fatalf("sample %d: x = %d, want %d", i, s.Accounts["x"], 7+i)
+		if s.Accounts["x"] != int64(over+1+i) {
+			t.Fatalf("sample %d: x = %d, want %d", i, s.Accounts["x"], over+1+i)
 		}
 	}
 }

@@ -27,21 +27,13 @@ type timeline struct {
 	ring []TimelineSample
 	head int
 	full bool
-	cap  int
-}
-
-func (t *timeline) capacity() int {
-	if t.cap < 1 {
-		return DefaultTimelineCap
-	}
-	return t.cap
 }
 
 func (t *timeline) push(s TimelineSample) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.ring == nil {
-		t.ring = make([]TimelineSample, 0, t.capacity())
+		t.ring = make([]TimelineSample, 0, DefaultTimelineCap)
 	}
 	if t.full {
 		t.ring[t.head] = s
@@ -65,20 +57,6 @@ func (t *timeline) snapshot() []TimelineSample {
 		out = append(out, t.ring...)
 	}
 	return out
-}
-
-// SetTimelineCap resizes the timeline ring capacity for future samples
-// (existing samples are kept; the new cap applies once the ring is
-// rebuilt). Call before StartSampler.
-func (l *Ledger) SetTimelineCap(n int) {
-	if l == nil || n < 1 {
-		return
-	}
-	l.timeline.mu.Lock()
-	if l.timeline.ring == nil {
-		l.timeline.cap = n
-	}
-	l.timeline.mu.Unlock()
 }
 
 // Sample records one timeline observation now. The sampler calls this

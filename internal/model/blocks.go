@@ -30,9 +30,6 @@ type State struct {
 	Logits *autograd.Variable // [batch, numClasses]
 }
 
-// Batch returns the batch size of the state's inputs.
-func (s *State) Batch() int { return len(s.EncIDs) }
-
 // Block is one pipeline-partitionable unit of the model.
 type Block interface {
 	nn.Module

@@ -105,7 +105,7 @@ func TestFrozenModelProducesNoParamGrads(t *testing.T) {
 	if s.Logits.RequiresGrad() {
 		t.Fatal("frozen model output requires grad")
 	}
-	if nn.NumTrainable(m) != 0 {
+	if len(nn.TrainableParams(m)) != 0 {
 		t.Fatal("freeze incomplete")
 	}
 }

@@ -112,20 +112,3 @@ func PaddingMask(lens []int, heads, qLen, kLen int) *tensor.Tensor {
 	}
 	return m
 }
-
-// CombineMasks sums additive masks elementwise; nil entries are skipped.
-// Returns nil when every input is nil.
-func CombineMasks(masks ...*tensor.Tensor) *tensor.Tensor {
-	var out *tensor.Tensor
-	for _, m := range masks {
-		if m == nil {
-			continue
-		}
-		if out == nil {
-			out = m.Clone()
-		} else {
-			tensor.AddInPlace(out, m)
-		}
-	}
-	return out
-}

@@ -29,16 +29,16 @@ type Linear struct {
 // AttachLoRA adds a rank-r bypass initialized per the LoRA paper:
 // A ~ N(0, 0.02²), B = 0, so the bypass starts as a no-op.
 func (l *Linear) AttachLoRA(r int, scale float32, rng *tensor.RNG) {
-	l.LoraA = autograd.NewParam(rng.Randn(0.02, l.in, r)).Named("lora.A")
-	l.LoraB = autograd.NewParam(tensor.New(r, l.out)).Named("lora.B")
+	l.LoraA = autograd.NewParam(rng.Randn(0.02, l.in, r))
+	l.LoraB = autograd.NewParam(tensor.New(r, l.out))
 	l.LoraScale = scale
 }
 
 // NewLinear returns a Linear layer with Xavier-uniform weights.
 func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 	return &Linear{
-		W:   autograd.NewParam(rng.XavierUniform(in, out, in, out)).Named("linear.W"),
-		B:   autograd.NewParam(tensor.New(out)).Named("linear.B"),
+		W:   autograd.NewParam(rng.XavierUniform(in, out, in, out)),
+		B:   autograd.NewParam(tensor.New(out)),
 		in:  in,
 		out: out,
 	}
@@ -88,9 +88,6 @@ func (l *Linear) QuantizeFrozen() bool {
 	return true
 }
 
-// In returns the input width.
-func (l *Linear) In() int { return l.in }
-
 // Out returns the output width.
 func (l *Linear) Out() int { return l.out }
 
@@ -104,8 +101,8 @@ type LayerNorm struct {
 // NewLayerNorm returns a LayerNorm over vectors of width dim.
 func NewLayerNorm(dim int) *LayerNorm {
 	return &LayerNorm{
-		Gamma: autograd.NewParam(tensor.Ones(dim)).Named("ln.gamma"),
-		Beta:  autograd.NewParam(tensor.New(dim)).Named("ln.beta"),
+		Gamma: autograd.NewParam(tensor.Ones(dim)),
+		Beta:  autograd.NewParam(tensor.New(dim)),
 		Eps:   1e-5,
 	}
 }
@@ -127,7 +124,7 @@ type Embedding struct {
 // NewEmbedding returns an embedding table with N(0, 0.02²) entries.
 func NewEmbedding(vocab, dim int, rng *tensor.RNG) *Embedding {
 	return &Embedding{
-		Table: autograd.NewParam(rng.Randn(0.02, vocab, dim)).Named("embed.table"),
+		Table: autograd.NewParam(rng.Randn(0.02, vocab, dim)),
 		dim:   dim,
 	}
 }
@@ -211,8 +208,8 @@ type Bottleneck struct {
 // dim.
 func NewBottleneck(dim, r int, rng *tensor.RNG) *Bottleneck {
 	return &Bottleneck{
-		Down: autograd.NewParam(rng.XavierUniform(dim, r, dim, r)).Named("adapter.down"),
-		Up:   autograd.NewParam(tensor.New(r, dim)).Named("adapter.up"),
+		Down: autograd.NewParam(rng.XavierUniform(dim, r, dim, r)),
+		Up:   autograd.NewParam(tensor.New(r, dim)),
 		dim:  dim,
 	}
 }

@@ -59,9 +59,7 @@ func TestBottleneckGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	b := NewBottleneck(4, 2, rng)
 	// Give Up nonzero values so gradients are informative.
-	for i := range b.Up.Value.Data {
-		b.Up.Value.Data[i] = rng.NormFloat32() * 0.3
-	}
+	copy(b.Up.Value.Data, rng.Randn(0.3, len(b.Up.Value.Data)).Data)
 	x := autograd.NewVar(rng.Randn(1, 2, 4))
 	w := rng.Randn(1, 2, 4)
 	loss := func() *autograd.Variable {
@@ -91,8 +89,8 @@ func TestBottleneckGradCheck(t *testing.T) {
 
 func TestLinearInOutAccessors(t *testing.T) {
 	l := NewLinear(7, 3, tensor.NewRNG(24))
-	if l.In() != 7 || l.Out() != 3 {
-		t.Fatalf("In/Out = %d/%d", l.In(), l.Out())
+	if l.in != 7 || l.Out() != 3 {
+		t.Fatalf("in/Out = %d/%d", l.in, l.Out())
 	}
 }
 

@@ -24,33 +24,6 @@ func Freeze(m Module) {
 	}
 }
 
-// Unfreeze enables gradient tracking for every parameter of m.
-func Unfreeze(m Module) {
-	for _, p := range m.Params() {
-		p.SetRequiresGrad(true)
-	}
-}
-
-// NumParams returns the total element count across m's parameters.
-func NumParams(m Module) int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.Value.Numel()
-	}
-	return n
-}
-
-// NumTrainable returns the element count of parameters that require grad.
-func NumTrainable(m Module) int {
-	n := 0
-	for _, p := range m.Params() {
-		if p.RequiresGrad() {
-			n += p.Value.Numel()
-		}
-	}
-	return n
-}
-
 // TrainableParams filters m's parameters to those requiring gradients.
 func TrainableParams(m Module) []*autograd.Variable {
 	var out []*autograd.Variable

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"time"
 
@@ -167,35 +166,4 @@ func (g *DPGroup) InSync() bool {
 		}
 	}
 	return true
-}
-
-// Shrink removes the replica at rank — a device leaving the pool (edge
-// devices drop off LANs routinely). The collective fabric is rebuilt
-// over the survivors; their weights are already in sync, so training
-// continues without any state transfer.
-func (g *DPGroup) Shrink(rank int) error {
-	if g.Size() <= 1 {
-		return fmt.Errorf("parallel: cannot shrink a single-replica group")
-	}
-	if rank < 0 || rank >= g.Size() {
-		return fmt.Errorf("parallel: shrink rank %d out of range", rank)
-	}
-	g.Techs = append(g.Techs[:rank], g.Techs[rank+1:]...)
-	g.Opts = append(g.Opts[:rank], g.Opts[rank+1:]...)
-	g.Endpoints = NewChanNetwork(g.Size()).Endpoints()
-	return nil
-}
-
-// Grow adds a replica — a device joining the pool. factory builds the
-// replica (model + technique + optimizer); its trainable parameters are
-// overwritten with the group's current weights before it participates,
-// so the data-parallel invariant holds immediately. The new member's
-// optimizer state starts fresh (momentum/Adam moments cannot be
-// recovered for a newcomer).
-func (g *DPGroup) Grow(factory func() (peft.Technique, train.Optimizer)) {
-	tech, opt := factory()
-	nn.UnflattenParams(tech.Trainable(), nn.FlattenParams(g.Techs[0].Trainable()))
-	g.Techs = append(g.Techs, tech)
-	g.Opts = append(g.Opts, opt)
-	g.Endpoints = NewChanNetwork(g.Size()).Endpoints()
 }

@@ -315,57 +315,6 @@ func TestCacheFedDPGroupMatchesDirectForward(t *testing.T) {
 	}
 }
 
-func TestDPGroupShrinkContinuesTraining(t *testing.T) {
-	b := makeBatch(9)
-	g := NewDPGroup(3, func(rank int) (peft.Technique, train.Optimizer) {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-	})
-	mustStep(t, g, b)
-	if err := g.Shrink(1); err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 2 {
-		t.Fatalf("size %d after shrink", g.Size())
-	}
-	loss := mustStep(t, g, b)
-	if loss <= 0 || !g.InSync() {
-		t.Fatalf("post-shrink step broken: loss %v insync %v", loss, g.InSync())
-	}
-	// Shrinking to zero is refused.
-	_ = g.Shrink(0)
-	if err := g.Shrink(0); err == nil {
-		t.Fatal("shrink below one replica accepted")
-	}
-	if err := g.Shrink(5); err == nil {
-		t.Fatal("out-of-range rank accepted")
-	}
-}
-
-func TestDPGroupGrowJoinsInSync(t *testing.T) {
-	b := makeBatch(8)
-	g := NewDPGroup(2, func(rank int) (peft.Technique, train.Optimizer) {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-	})
-	mustStep(t, g, b)
-	g.Grow(func() (peft.Technique, train.Optimizer) {
-		m := model.New(model.Tiny())
-		// Deliberately different side-network seed: Grow must overwrite.
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4, Seed: 777})
-		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-	})
-	if g.Size() != 3 || !g.InSync() {
-		t.Fatalf("grow broke sync: size %d insync %v", g.Size(), g.InSync())
-	}
-	mustStep(t, g, b)
-	if !g.InSync() {
-		t.Fatal("replicas diverged after post-grow step")
-	}
-}
-
 func TestDataParallelOverTCP(t *testing.T) {
 	// The engines must run over genuine sockets, not just channels: swap
 	// the fabric for a loopback TCP mesh and require the same result as

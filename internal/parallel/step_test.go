@@ -190,7 +190,7 @@ func TestSurface(t *testing.T) {
 		want []string
 	}{
 		{reflect.TypeOf((*Transport)(nil)).Elem(), []string{"Rank", "RecvCtx", "SendCtx", "Size"}},
-		{reflect.TypeOf(&DPGroup{}), []string{"Grow", "InSync", "Shrink", "Size", "StepCtx", "TrainEpochFromCtx"}},
+		{reflect.TypeOf(&DPGroup{}), []string{"InSync", "Size", "StepCtx", "TrainEpochFromCtx"}},
 		{reflect.TypeOf(&HybridEngine{}), []string{"InSync", "StepCtx", "TrainEpochFromCtx", "WrapTransports"}},
 		{reflect.TypeOf(&PipelineEngine{}), []string{"AllStageParams", "StageParams", "Stages", "StepCtx"}},
 	} {

@@ -46,8 +46,8 @@ func NewParallel(m *model.Model, opts Options) *Parallel {
 	layerIdx := m.LayerBlocks()
 	for _, bi := range layerIdx {
 		p.norms = append(p.norms, nn.NewLayerNorm(h))
-		p.down = append(p.down, autograd.NewParam(pruneInit(m.Blocks[bi], h, r, rng.Split())).Named("pa.down"))
-		p.mix = append(p.mix, autograd.NewParam(tensor.New(r, r)).Named("pa.mix"))
+		p.down = append(p.down, autograd.NewParam(pruneInit(m.Blocks[bi], h, r, rng.Split())))
+		p.mix = append(p.mix, autograd.NewParam(tensor.New(r, r)))
 	}
 	p.head = nn.NewLinear(r, m.Cfg.NumClasses, rng.Split())
 	return p
@@ -90,9 +90,6 @@ func (p *Parallel) QuantizeBackbone() int { return p.m.QuantizeBackbone() }
 // Kind implements Technique.
 func (p *Parallel) Kind() Kind { return ParallelAdapters }
 
-// Name implements Technique.
-func (p *Parallel) Name() string { return "ParallelAdapters" }
-
 // BackboneBackward implements Technique: the side network's gradient
 // "highway" never enters the backbone.
 func (p *Parallel) BackboneBackward() bool { return false }
@@ -106,9 +103,6 @@ func (p *Parallel) Trainable() []*autograd.Variable {
 	}
 	return append(out, p.head.Params()...)
 }
-
-// Hidden returns the side network's hidden width r.
-func (p *Parallel) Hidden() int { return p.r }
 
 // Forward implements Technique: it runs the frozen backbone forward
 // (tape-free) to obtain taps, then the side network over them. The

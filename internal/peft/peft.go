@@ -69,7 +69,6 @@ func (r *Result) Release(root *autograd.Variable) {
 // Technique is a fine-tuning strategy bound to a model.
 type Technique interface {
 	Kind() Kind
-	Name() string
 	// Trainable returns the parameters the optimizer updates, in a
 	// deterministic order shared by all replicas.
 	Trainable() []*autograd.Variable
@@ -140,7 +139,6 @@ type fullTechnique struct{ m *model.Model }
 func newFull(m *model.Model) Technique { return &fullTechnique{m: m} }
 
 func (t *fullTechnique) Kind() Kind             { return Full }
-func (t *fullTechnique) Name() string           { return "Full" }
 func (t *fullTechnique) BackboneBackward() bool { return true }
 
 func (t *fullTechnique) Trainable() []*autograd.Variable { return nn.TrainableParams(t.m) }
@@ -179,7 +177,6 @@ func newAdapters(m *model.Model, opts Options) Technique {
 }
 
 func (t *adaptersTechnique) Kind() Kind             { return Adapters }
-func (t *adaptersTechnique) Name() string           { return "Adapters" }
 func (t *adaptersTechnique) BackboneBackward() bool { return true }
 
 func (t *adaptersTechnique) Trainable() []*autograd.Variable {
@@ -228,7 +225,6 @@ func newLoRA(m *model.Model, opts Options) Technique {
 }
 
 func (t *loraTechnique) Kind() Kind             { return LoRA }
-func (t *loraTechnique) Name() string           { return "LoRA" }
 func (t *loraTechnique) BackboneBackward() bool { return true }
 
 func (t *loraTechnique) Trainable() []*autograd.Variable { return t.params }

@@ -222,10 +222,10 @@ func TestBackboneBackwardFlags(t *testing.T) {
 func TestParallelHiddenWidth(t *testing.T) {
 	m := model.New(model.Small()) // hidden 32
 	p := NewParallel(m, Options{Reduction: 8})
-	if p.Hidden() != 4 {
-		t.Fatalf("side hidden = %d want 4", p.Hidden())
+	if p.r != 4 {
+		t.Fatalf("side hidden = %d want 4", p.r)
 	}
-	if nn.NumTrainable(m) != 0 {
+	if len(nn.TrainableParams(m)) != 0 {
 		t.Fatal("backbone not frozen")
 	}
 }

@@ -7,6 +7,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -101,10 +102,6 @@ func NewServer(tech peft.Technique, cfg model.Config) *Server {
 	return s
 }
 
-// Registry exposes the server's metric registry (for /metrics exposition
-// and the debug mux).
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
 // SetTracer enables request tracing: spans land on the pid track
 // labeled device (telemetry.PidServe conventions). Call before serving
 // traffic; device also stamps each compute span's Args so pac-trace
@@ -159,14 +156,45 @@ func (s *Server) UserCounts() map[int]int64 {
 // Canceled returns how many requests were abandoned before the model ran.
 func (s *Server) Canceled() int64 { return s.canceled.Value() }
 
-// admit is what every request passes before the model runs: the op
-// span, a cancellation check, the read side of the swap lock (its wait
-// is a span of its own, so queueing behind a weight swap shows up on
-// the critical path), a second cancellation check, and the in-flight
+// errInvalidRequest marks a request whose tokens or lengths the model
+// cannot take; the HTTP handler answers it 400.
+var errInvalidRequest = errors.New("serve: invalid request")
+
+// validate rejects what would index past the embedding table, the
+// position table or a row: every row holds 1..MaxSeq ids in
+// [0, Vocab), and lens[i] counts a prefix of row i.
+func (s *Server) validate(enc [][]int, lens []int) error {
+	if len(lens) != len(enc) {
+		return fmt.Errorf("%w: %d lens for %d rows", errInvalidRequest, len(lens), len(enc))
+	}
+	for i, row := range enc {
+		if len(row) == 0 || len(row) > s.cfg.MaxSeq {
+			return fmt.Errorf("%w: row %d has %d tokens, want 1..%d", errInvalidRequest, i, len(row), s.cfg.MaxSeq)
+		}
+		if lens[i] < 0 || lens[i] > len(row) {
+			return fmt.Errorf("%w: lens[%d] = %d, row has %d tokens", errInvalidRequest, i, lens[i], len(row))
+		}
+		for _, id := range row {
+			if id < 0 || id >= s.cfg.Vocab {
+				return fmt.Errorf("%w: token id %d outside [0, %d)", errInvalidRequest, id, s.cfg.Vocab)
+			}
+		}
+	}
+	return nil
+}
+
+// admit is what every request passes before the model runs: the token
+// check (a request it fails holds and counts nothing), the op span, a
+// cancellation check, the read side of the swap lock (its wait is a
+// span of its own, so queueing behind a weight swap shows up on the
+// critical path), a second cancellation check, and the in-flight
 // bytes. On success the caller defers done, which undoes them in
 // reverse; an abandoned request is counted, marked on its trace and
 // left holding nothing.
-func (s *Server) admit(ctx context.Context, op string, enc [][]int) (rtc telemetry.TraceContext, done func(), err error) {
+func (s *Server) admit(ctx context.Context, op string, enc [][]int, lens []int) (rtc telemetry.TraceContext, done func(), err error) {
+	if err = s.validate(enc, lens); err != nil {
+		return rtc, nil, err
+	}
 	endSpan := func() {}
 	if s.tracer != nil {
 		rtc, endSpan = s.requestSpan(ctx, op)
@@ -204,7 +232,7 @@ func (s *Server) admit(ctx context.Context, op string, enc [][]int) (rtc telemet
 // cancellation cannot interrupt an already running forward pass.
 func (s *Server) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
 	t0 := time.Now()
-	rtc, done, err := s.admit(ctx, "classify", enc)
+	rtc, done, err := s.admit(ctx, "classify", enc, lens)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +261,7 @@ func (s *Server) GenerateFor(ctx context.Context, user int, enc [][]int, lens []
 		return nil, fmt.Errorf("serve: model is not LM-configured")
 	}
 	t0 := time.Now()
-	rtc, done, err := s.admit(ctx, "generate", enc)
+	rtc, done, err := s.admit(ctx, "generate", enc, lens)
 	if err != nil {
 		return nil, err
 	}

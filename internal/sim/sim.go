@@ -123,14 +123,3 @@ func BroadcastTime(bytes int64, n int, bytesPerSec, latencySec float64) float64 
 	}
 	return float64(n-1) * TransferTime(bytes, bytesPerSec, latencySec)
 }
-
-// AllToAllTime returns the time for n devices to exchange shards of
-// bytes total payload (each device sends bytes/n to every peer),
-// serialized per device uplink as on a shared half-duplex LAN.
-func AllToAllTime(bytes int64, n int, bytesPerSec, latencySec float64) float64 {
-	if n <= 1 || bytes <= 0 {
-		return 0
-	}
-	perDevice := float64(bytes) / float64(n)
-	return float64(n-1)*latencySec + float64(n-1)*perDevice/bytesPerSec
-}

@@ -94,17 +94,13 @@ func TestRingAllReduceProperties(t *testing.T) {
 	}
 }
 
-func TestBroadcastAndAllToAll(t *testing.T) {
+func TestBroadcastTime(t *testing.T) {
 	if BroadcastTime(1e6, 1, 1e6, 0) != 0 {
 		t.Fatal("self-broadcast free")
 	}
 	got := BroadcastTime(1e6, 3, 1e6, 0)
 	if math.Abs(got-2) > 1e-9 {
 		t.Fatalf("broadcast %v", got)
-	}
-	a2a := AllToAllTime(8e6, 4, 1e6, 0)
-	if math.Abs(a2a-6) > 1e-9 { // 3 peers × 2e6/1e6
-		t.Fatalf("alltoall %v", a2a)
 	}
 }
 
@@ -222,26 +218,20 @@ func TestDataParallelStep(t *testing.T) {
 
 func TestClusterPresets(t *testing.T) {
 	nano := cluster.JetsonNano()
-	if nano.MemoryGiB() > 4 || nano.MemoryGiB() < 1 {
-		t.Fatalf("nano memory %v GiB implausible", nano.MemoryGiB())
+	if gib := float64(nano.MemoryBytes) / (1 << 30); gib > 4 || gib < 1 {
+		t.Fatalf("nano memory %v GiB implausible", gib)
 	}
 	if nano.BytesPerSec() != 16e6 {
 		t.Fatalf("128 Mbps should be 16 MB/s, got %v", nano.BytesPerSec())
 	}
 	c := cluster.Nanos(8)
-	if c.Size() != 8 || !c.IsHomogeneous() {
+	if c.Size() != 8 {
 		t.Fatal("Nanos cluster malformed")
 	}
 	if c.Devices[0].Name == c.Devices[1].Name {
 		t.Fatal("device names not unique")
 	}
 	het := cluster.Cluster{Devices: []cluster.DeviceSpec{cluster.JetsonNano(), cluster.JetsonTX2()}}
-	if het.IsHomogeneous() {
-		t.Fatal("heterogeneous cluster misdetected")
-	}
-	if het.MinMemory() != cluster.JetsonNano().MemoryBytes {
-		t.Fatal("MinMemory wrong")
-	}
 	if het.TotalGFLOPS() != cluster.JetsonNano().GFLOPS+cluster.JetsonTX2().GFLOPS {
 		t.Fatal("TotalGFLOPS wrong")
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"pac/internal/telemetry"
 )
@@ -27,18 +26,6 @@ func (t *Trace) add(ev TraceEvent) {
 		return
 	}
 	t.Events = append(t.Events, ev)
-}
-
-// Sorted returns events ordered by start time (stable by stage).
-func (t *Trace) Sorted() []TraceEvent {
-	out := append([]TraceEvent(nil), t.Events...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Stage < out[j].Stage
-	})
-	return out
 }
 
 // ChromeEvent re-exports the shared Chrome tracing record so existing
@@ -67,25 +54,4 @@ func (t *Trace) ChromeJSON() ([]byte, error) {
 		})
 	}
 	return telemetry.EncodeChromeJSON(evs)
-}
-
-// Utilization returns per-stage busy fraction over the trace's span.
-func (t *Trace) Utilization(stages int) []float64 {
-	busy := make([]float64, stages)
-	var span float64
-	for _, e := range t.Events {
-		if e.End > span {
-			span = e.End
-		}
-		if e.Stage >= 0 && e.Stage < stages && e.Kind != "TX" {
-			busy[e.Stage] += e.End - e.Start
-		}
-	}
-	if span == 0 {
-		return busy
-	}
-	for i := range busy {
-		busy[i] /= span
-	}
-	return busy
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"sort"
 	"testing"
 )
 
@@ -37,11 +38,18 @@ func TestTraceCoversAllTasks(t *testing.T) {
 	}
 }
 
+// byStart returns the trace's events ordered by start time.
+func byStart(tr *Trace) []TraceEvent {
+	out := append([]TraceEvent(nil), tr.Events...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out
+}
+
 func TestTraceNoOverlapPerStage(t *testing.T) {
 	for _, gpipe := range []bool{false, true} {
 		tr, cfg := tracedRun(t, gpipe)
 		perStage := map[int][]TraceEvent{}
-		for _, e := range tr.Sorted() {
+		for _, e := range byStart(tr) {
 			if e.Stage >= 0 {
 				perStage[e.Stage] = append(perStage[e.Stage], e)
 			}
@@ -67,7 +75,7 @@ func TestTraceSharedLANSerializesTransfers(t *testing.T) {
 	cfg.Trace = tr
 	Pipeline(cfg)
 	var tx []TraceEvent
-	for _, e := range tr.Sorted() {
+	for _, e := range byStart(tr) {
 		if e.Kind == "TX" {
 			tx = append(tx, e)
 		}
@@ -96,20 +104,6 @@ func TestChromeJSONWellFormed(t *testing.T) {
 		if ev["ph"] != "X" || ev["dur"] == nil {
 			t.Fatalf("malformed chrome event %v", ev)
 		}
-	}
-}
-
-func TestTraceUtilization(t *testing.T) {
-	tr, cfg := tracedRun(t, false)
-	util := tr.Utilization(len(cfg.Stages))
-	for s, u := range util {
-		if u <= 0 || u > 1 {
-			t.Fatalf("stage %d utilization %v", s, u)
-		}
-	}
-	// Stage 0 of a 1F1B pipeline idles during the tail: utilization < 1.
-	if util[0] >= 0.999 {
-		t.Fatalf("stage 0 utilization %v suspiciously perfect", util[0])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -51,6 +52,19 @@ func (sc *script) build(c core.Config, snap *checkpoint.Snapshot) (Trainer, core
 	sc.built = append(sc.built, c)
 	sc.cursors = append(sc.cursors, cur)
 	return scripted(func(ctx context.Context) error { return sc.steps[i](ctx, c, sc.sup) }), cur, nil
+}
+
+// dead lists the pool's devices the tracker has given up on: neither
+// alive nor merely quarantined.
+func (sc *script) dead() []string {
+	quarantined := sc.sup.live.Quarantined()
+	var out []string
+	for _, d := range sc.sup.cfg.Pool.Devices {
+		if !sc.sup.live.Alive(d.Name) && !slices.Contains(quarantined, d.Name) {
+			out = append(out, d.Name)
+		}
+	}
+	return out
 }
 
 // supervise runs steps under a supervisor on the usual 2 stages × 2
@@ -127,7 +141,7 @@ func TestFailureReplan(t *testing.T) {
 		"re-plan: ",
 		"recovering from snapshot: epoch 1, step 7 (2 stages × 1 lanes)",
 		"health: 0 step reports, 0 alerts, 0 drift re-plan(s) across 2 attempt(s)")
-	if got := sc.sup.live.Dead(); len(got) != 1 || got[0] != "jetson-nano-3" {
+	if got := sc.dead(); len(got) != 1 || got[0] != "jetson-nano-3" {
 		t.Errorf("dead devices %v, want [jetson-nano-3]", got)
 	}
 	if res.Recoveries != 1 || res.DriftReplans != 0 || res.FleetReplans != 0 {
@@ -201,7 +215,7 @@ func TestUnknownDeviceKeepsPool(t *testing.T) {
 	if strings.Contains(out, "re-planning") {
 		t.Errorf("re-planned for a failure no device answers for:\n%s", out)
 	}
-	if dead := sc.sup.live.Dead(); len(dead) != 0 {
+	if dead := sc.dead(); len(dead) != 0 {
 		t.Errorf("dead devices %v, want none", dead)
 	}
 	if res.Recoveries != 1 || len(sc.built) != 2 || sc.built[1].Lanes != 2 {
@@ -235,8 +249,8 @@ func TestDriftReplan(t *testing.T) {
 	if res.DriftReplans != 1 || res.Recoveries != 0 {
 		t.Errorf("result %+v, want 1 drift re-plan, recovery budget untouched", res)
 	}
-	if len(sc.sup.live.Dead()) != 0 {
-		t.Errorf("a slow lane was declared dead: %v", sc.sup.live.Dead())
+	if len(sc.dead()) != 0 {
+		t.Errorf("a slow lane was declared dead: %v", sc.dead())
 	}
 	if len(sc.built) != 2 || sc.built[1].Lanes != 1 {
 		t.Errorf("attempts built with lanes %v, want 2 then 1", lanesOf(sc.built))

@@ -12,7 +12,7 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("pac_dbg_total").Add(42)
 	tr := NewTracer()
-	tr.Span("cat", "s", 0, 0)()
+	span(tr, "cat", "s", 0, 0)()
 
 	ln, err := Serve("127.0.0.1:0", NewDebugMux(reg, tr))
 	if err != nil {

@@ -41,15 +41,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n buckets from start in steps of width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 func newHistogram(buckets []float64) *Histogram {
 	if buckets == nil {
 		buckets = DefBuckets()
@@ -149,9 +140,6 @@ func (h *Histogram) snapshot() (counts []int64, sum float64, count int64) {
 	}
 	return counts, math.Float64frombits(h.sum.Load()), h.count.Load()
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }

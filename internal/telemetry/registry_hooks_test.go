@@ -23,7 +23,7 @@ func TestOnScrapeConcurrentRegistration(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				g := reg.Gauge("hook_gauge", "w", string(rune('a'+w)))
-				reg.OnScrape(func() { g.Add(1) })
+				reg.OnScrape(func() { g.Set(1) })
 			}
 		}()
 	}

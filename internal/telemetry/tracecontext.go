@@ -128,15 +128,6 @@ func AppendEnvelope(dst []byte, tc TraceContext) []byte {
 	return append(dst, hdr[:]...)
 }
 
-// WrapEnvelope prepends tc to payload. An invalid tc returns payload
-// unchanged.
-func WrapEnvelope(tc TraceContext, payload []byte) []byte {
-	if !tc.Valid() {
-		return payload
-	}
-	return append(AppendEnvelope(make([]byte, 0, envLen+len(payload)), tc), payload...)
-}
-
 // UnwrapEnvelope splits a frame into its trace context and payload.
 // Frames without a valid envelope return a zero context and the frame
 // untouched.

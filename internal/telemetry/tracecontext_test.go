@@ -73,7 +73,7 @@ func TestContextCarriesTrace(t *testing.T) {
 func TestEnvelopeRoundTrip(t *testing.T) {
 	payload := []byte("hello frames")
 	tc := TraceContext{TraceID: NewID(), SpanID: NewID(), Sampled: true}
-	frame := WrapEnvelope(tc, payload)
+	frame := append(AppendEnvelope(nil, tc), payload...)
 	got, rest := UnwrapEnvelope(frame)
 	if got != tc {
 		t.Fatalf("envelope context: got %+v want %+v", got, tc)
@@ -82,8 +82,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		t.Fatalf("envelope payload: got %q want %q", rest, payload)
 	}
 	// Untraced frames pass through untouched both ways.
-	if out := WrapEnvelope(TraceContext{}, payload); &out[0] != &payload[0] {
-		t.Fatal("invalid context copied the payload")
+	if out := AppendEnvelope(payload, TraceContext{}); &out[0] != &payload[0] || len(out) != len(payload) {
+		t.Fatal("invalid context copied or grew the payload")
 	}
 	got, rest = UnwrapEnvelope(payload)
 	if got.Valid() || string(rest) != string(payload) {
@@ -100,11 +100,12 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 func TestTracerRingBounded(t *testing.T) {
 	tr := NewTracerCap(8)
 	tr.SetProcessName(1, "dev")
+	before := mTraceDropped.Value()
 	for i := 0; i < 20; i++ {
 		tr.Instant("test", fmt.Sprintf("ev%d", i), 1, 0)
 	}
-	if got := tr.Dropped(); got != 12 {
-		t.Fatalf("Dropped = %d, want 12", got)
+	if got := mTraceDropped.Value() - before; got != 12 {
+		t.Fatalf("pac_trace_dropped_total moved by %d, want 12", got)
 	}
 	evs := tr.Events()
 	if len(evs) != 9 { // 1 meta + 8 retained spans

@@ -41,10 +41,10 @@ var mTraceDropped = Default().Counter("pac_trace_dropped_total")
 // write, cheap relative to the micro-batch-level work it brackets.
 //
 // Span events live in a bounded ring (DefaultTraceCap unless
-// NewTracerCap chose otherwise); process/thread-name metadata is kept
-// aside so track labels survive ring wraparound. Beyond the original
-// fire-and-forget Span/Instant, the *TC family threads a TraceContext
-// through: RootSpanTC mints a new trace, SpanTC parents a child under
+// NewTracerCap chose otherwise); process-name metadata is kept aside
+// so track labels survive ring wraparound. Beyond the fire-and-forget
+// Instant, the *TC family threads a TraceContext through: RootSpanTC
+// mints a new trace, SpanTC parents a child under
 // an incoming context (from an HTTP header or a transport envelope),
 // and each recorded span carries trace/span/parent IDs in Args so
 // Perfetto still renders the dump while pac-trace rebuilds the causal
@@ -52,14 +52,13 @@ var mTraceDropped = Default().Counter("pac_trace_dropped_total")
 type Tracer struct {
 	start time.Time
 
-	mu      sync.Mutex
-	ring    []ChromeEvent // span + instant events, bounded
-	head    int           // next write slot once full
-	full    bool
-	meta    []ChromeEvent // Ph "M" process/thread names, unbounded (tiny)
-	dropped int64
-	rng     *rand.Rand
-	sample  float64 // RootSpanTC sampling probability, default 1
+	mu     sync.Mutex
+	ring   []ChromeEvent // span + instant events, bounded
+	head   int           // next write slot once full
+	full   bool
+	meta   []ChromeEvent // Ph "M" process names, unbounded (tiny)
+	rng    *rand.Rand
+	sample float64 // RootSpanTC sampling probability, default 1
 }
 
 // NewTracer starts an empty trace with the default event cap;
@@ -107,7 +106,6 @@ func (t *Tracer) add(ev ChromeEvent) {
 	if t.full {
 		t.ring[t.head] = ev
 		t.head = (t.head + 1) % len(t.ring)
-		t.dropped++
 		t.mu.Unlock()
 		mTraceDropped.Inc()
 		return
@@ -123,33 +121,6 @@ func (t *Tracer) addMeta(ev ChromeEvent) {
 	t.mu.Lock()
 	t.meta = append(t.meta, ev)
 	t.mu.Unlock()
-}
-
-// Dropped returns how many span events this tracer has overwritten.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Span opens a complete event and returns the closure that ends it:
-//
-//	defer tr.Span("compute", "F3", lane, stage)()
-func (t *Tracer) Span(cat, name string, pid, tid int) func() {
-	if t == nil {
-		return func() {}
-	}
-	begin := time.Now()
-	return func() {
-		t.add(ChromeEvent{
-			Name: name, Cat: cat, Ph: "X",
-			Ts: t.since(begin), Dur: float64(time.Since(begin).Nanoseconds()) / 1e3,
-			Pid: pid, Tid: tid,
-		})
-	}
 }
 
 // traceArgs stamps span identity into Chrome Args: trace/span always,
@@ -221,20 +192,6 @@ func (t *Tracer) SpanTCArgs(parent TraceContext, cat, name string, pid, tid int,
 	}
 }
 
-// RecordSpan records a plain (untraced) span from explicit timestamps.
-// Pipeline stages use it when a span must open before its parent is
-// known (the parent arrives inside the boundary frame).
-func (t *Tracer) RecordSpan(cat, name string, pid, tid int, begin time.Time, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.add(ChromeEvent{
-		Name: name, Cat: cat, Ph: "X",
-		Ts: t.since(begin), Dur: float64(d.Nanoseconds()) / 1e3,
-		Pid: pid, Tid: tid,
-	})
-}
-
 // RecordSpanAt records a span retroactively from explicit timestamps —
 // the tail sampler uses it to admit a request's client-side span after
 // its latency is known. parent 0 records a root.
@@ -275,15 +232,6 @@ func (t *Tracer) SetProcessName(pid int, name string) {
 		return
 	}
 	t.addMeta(ChromeEvent{Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]interface{}{"name": name}})
-}
-
-// SetThreadName labels a (pid, tid) track in the viewer.
-func (t *Tracer) SetThreadName(pid, tid int, name string) {
-	if t == nil {
-		return
-	}
-	t.addMeta(ChromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 		Args: map[string]interface{}{"name": name}})
 }
 

@@ -9,12 +9,20 @@ import (
 	"time"
 )
 
+// sampled is a valid, sampled parent: SpanTC records under it.
+var sampled = TraceContext{TraceID: 1, SpanID: 1, Sampled: true}
+
+// span opens a child of sampled and returns the closure that ends it.
+func span(tr *Tracer, cat, name string, pid, tid int) func() {
+	_, end := tr.SpanTC(sampled, cat, name, pid, tid)
+	return end
+}
+
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Span("cat", "span", 0, 0)()
+	span(tr, "cat", "span", 0, 0)()
 	tr.Instant("cat", "mark", 0, 0)
 	tr.SetProcessName(0, "p")
-	tr.SetThreadName(0, 0, "t")
 	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer recorded something")
 	}
@@ -23,7 +31,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 func TestTracerSpans(t *testing.T) {
 	tr := NewTracer()
 	tr.SetProcessName(1, "lane 1")
-	end := tr.Span("compute", "F0", 1, 2)
+	end := span(tr, "compute", "F0", 1, 2)
 	time.Sleep(2 * time.Millisecond)
 	end()
 	evs := tr.Events()
@@ -53,7 +61,7 @@ func TestTracerConcurrentAppend(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				tr.Span("cat", "s", i, j)()
+				span(tr, "cat", "s", i, j)()
 			}
 		}(i)
 	}
@@ -66,7 +74,7 @@ func TestTracerConcurrentAppend(t *testing.T) {
 func TestTracerChromeJSONRoundTrip(t *testing.T) {
 	tr := NewTracer()
 	tr.SetProcessName(0, "p0")
-	tr.Span("comm", "allreduce", 0, 1)()
+	span(tr, "comm", "allreduce", 0, 1)()
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatal(err)

@@ -129,8 +129,9 @@ func softmaxRows(dst, a []float32, start, end, cols int) {
 	}
 }
 
-// LayerNormBackwardInto is LayerNormBackward writing into caller-owned
-// (zeroed) buffers, so the gradients can come from the pool.
+// LayerNormBackwardInto computes the gradients of LayerNormForward
+// given the upstream gradient dOut, writing dX, dGamma and dBeta into
+// caller-owned (zeroed) buffers, so the gradients can come from the pool.
 func LayerNormBackwardInto(dx, dGamma, dBeta, a, gamma, dOut *Tensor, stats *LayerNormStats) {
 	cols := a.shape[len(a.shape)-1]
 	rows := a.Numel() / cols

@@ -21,16 +21,6 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	checkSame("Sub", a, b)
-	out := New(a.shape...)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
 // Mul returns a * b elementwise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	checkSame("Mul", a, b)
@@ -144,15 +134,6 @@ func MaxAbs(a *Tensor) float32 {
 		}
 	}
 	return m
-}
-
-// Norm2 returns the Euclidean norm of all elements.
-func Norm2(a *Tensor) float32 {
-	var s float64
-	for _, v := range a.Data {
-		s += float64(v) * float64(v)
-	}
-	return float32(math.Sqrt(s))
 }
 
 // ArgMaxRows returns, for an [rows, cols]-viewed tensor, the index of the
@@ -287,15 +268,4 @@ func shardLayerNorm(kr *kern, start, end int) {
 			kr.dst[base+c] = norm*kr.b[c] + kr.c[c]
 		}
 	}
-}
-
-// LayerNormBackward computes gradients for LayerNormForward. It returns
-// (dX, dGamma, dBeta) given the upstream gradient dOut.
-func LayerNormBackward(a, gamma, dOut *Tensor, stats *LayerNormStats) (dx, dGamma, dBeta *Tensor) {
-	cols := a.shape[len(a.shape)-1]
-	dx = New(a.shape...)
-	dGamma = New(cols)
-	dBeta = New(cols)
-	LayerNormBackwardInto(dx, dGamma, dBeta, a, gamma, dOut, stats)
-	return dx, dGamma, dBeta
 }

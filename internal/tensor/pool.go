@@ -1,7 +1,7 @@
 // Memory pool for kernel buffers: power-of-two size-class free lists
 // with ownership canaries. The training hot path allocates every
 // intermediate and gradient buffer through Get/GetTensor and returns
-// them at step boundaries (autograd.Release, Arena.Release), so
+// them at step boundaries (autograd.Release), so
 // steady-state training runs at near-zero garbage per step — the
 // allocator discipline PAC needs on memory-starved edge devices.
 //
@@ -271,52 +271,3 @@ func (s PoolStats) String() string {
 	return fmt.Sprintf("pool: %d gets (%.1f%% hit), %d puts, %d rejected, %.1f KiB pooled, %.1f KiB outstanding",
 		total, hitRate, s.Puts, s.Rejected, float64(s.BytesPooled)/1024, float64(s.BytesOutstanding)/1024)
 }
-
-// Arena is a step-scoped allocation scope: everything obtained through
-// it goes back to the pool in one Release call at a step boundary.
-// An Arena is not safe for concurrent use; give each worker its own.
-type Arena struct {
-	bufs    [][]float32
-	tensors []*Tensor
-}
-
-// NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{} }
-
-// Get returns a zeroed pooled slice owned by the arena.
-func (a *Arena) Get(n int) []float32 {
-	b := Get(n)
-	a.bufs = append(a.bufs, b)
-	return b
-}
-
-// GetTensor returns a zeroed pooled tensor owned by the arena.
-func (a *Arena) GetTensor(shape ...int) *Tensor {
-	t := GetTensor(shape...)
-	a.tensors = append(a.tensors, t)
-	return t
-}
-
-// Adopt transfers ownership of a caller-held pooled tensor to the arena.
-func (a *Arena) Adopt(t *Tensor) { a.tensors = append(a.tensors, t) }
-
-// Release returns every arena allocation to the pool and empties the
-// arena for reuse. Tensors whose buffers were already released through
-// another path are skipped (Put rejects them as foreign only if their
-// canary was destroyed; releasing the same arena twice is a no-op
-// because Release empties the lists).
-func (a *Arena) Release() {
-	for i, b := range a.bufs {
-		Put(b)
-		a.bufs[i] = nil
-	}
-	a.bufs = a.bufs[:0]
-	for i, t := range a.tensors {
-		PutTensor(t)
-		a.tensors[i] = nil
-	}
-	a.tensors = a.tensors[:0]
-}
-
-// Live returns the number of allocations currently owned by the arena.
-func (a *Arena) Live() int { return len(a.bufs) + len(a.tensors) }

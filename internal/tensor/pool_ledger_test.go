@@ -47,13 +47,11 @@ func TestPoolLedgerReconciles(t *testing.T) {
 	Put(b)
 	check("after recycled put")
 
-	// Tensor and arena paths route through the same Get/Put.
-	a := NewArena()
-	a.GetTensor(8, 64)
-	a.Get(100)
-	check("arena live")
-	a.Release()
-	check("arena released")
+	// The tensor path routes through the same Get/Put.
+	x := GetTensor(8, 64)
+	check("tensor live")
+	PutTensor(x)
+	check("tensor released")
 
 	// Outstanding must have moved at all during this test.
 	if inuse.Peak() == 0 {

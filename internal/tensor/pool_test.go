@@ -99,43 +99,6 @@ func TestPutTensorRecyclesShell(t *testing.T) {
 	}
 }
 
-func TestArenaReleaseLeavesNoAliasedLiveTensors(t *testing.T) {
-	a := NewArena()
-	x := a.GetTensor(16, 16)
-	y := a.Get(50)
-	x.Data[0], y[0] = 1, 1
-	if a.Live() != 2 {
-		t.Fatalf("Live = %d, want 2", a.Live())
-	}
-	a.Release()
-	if a.Live() != 0 {
-		t.Fatalf("Live after Release = %d", a.Live())
-	}
-	// The canary test: writing through the stale alias after release must
-	// be caught at the next checkout of that class.
-	y[1] = 3
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stale write through released arena buffer went undetected")
-		}
-	}()
-	for i := 0; i < 64; i++ {
-		Get(50)
-	}
-}
-
-func TestArenaAdoptAndReuse(t *testing.T) {
-	a := NewArena()
-	tt := GetTensor(8)
-	a.Adopt(tt)
-	a.Release()
-	if a.Live() != 0 {
-		t.Fatal("arena not empty after Release")
-	}
-	// Releasing again is a no-op.
-	a.Release()
-}
-
 // TestSetMaxWorkersDuringMatMul exercises the documented guarantee that
 // SetMaxWorkers is safe while kernels are running (run under -race to
 // verify: the old implementation read a plain int racily).

@@ -31,22 +31,6 @@ func TestPropAddCommutative(t *testing.T) {
 	}
 }
 
-func TestPropSubSelfIsZero(t *testing.T) {
-	f := func(seed int64, rows, cols uint8) bool {
-		a := genTensor(seed, rows, cols)
-		z := Sub(a, a)
-		for _, v := range z.Data {
-			if v != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropScaleDistributesOverAdd(t *testing.T) {
 	f := func(seed int64, rows, cols uint8, sRaw int8) bool {
 		a := genTensor(seed, rows, cols)

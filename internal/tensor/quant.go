@@ -97,10 +97,6 @@ func (q *QuantizedWeight) Dequantize() *Tensor {
 	return w
 }
 
-// Bytes returns the storage footprint of the quantized weight (int8
-// matrix plus fp32 scales).
-func (q *QuantizedWeight) Bytes() int { return len(q.Q) + 4*len(q.Scale) }
-
 // quantScratch holds the per-call int8 activation buffer; pooled so the
 // serving/cache-fill hot path allocates nothing after warm-up.
 type quantScratch struct{ qa []int8 }

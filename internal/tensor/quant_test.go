@@ -164,8 +164,9 @@ func TestQuantMatMulShapeMismatchPanics(t *testing.T) {
 
 func TestQuantizedWeightBytes(t *testing.T) {
 	q := QuantizeWeight(New(24, 16))
-	if got, want := q.Bytes(), 24*16+4*16; got != want {
-		t.Fatalf("Bytes() = %d want %d", got, want)
+	// One int8 per weight plus one fp32 scale per output channel.
+	if len(q.Q) != 24*16 || len(q.Scale) != 16 {
+		t.Fatalf("storage = %d int8 + %d scales, want %d + %d", len(q.Q), len(q.Scale), 24*16, 16)
 	}
 }
 

@@ -21,9 +21,6 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// NormFloat32 returns a standard normal sample.
-func (g *RNG) NormFloat32() float32 { return float32(g.r.NormFloat64()) }
-
 // Randn returns a tensor with i.i.d. N(0, std²) entries.
 func (g *RNG) Randn(std float32, shape ...int) *Tensor {
 	t := New(shape...)

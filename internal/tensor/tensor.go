@@ -21,8 +21,8 @@ type Tensor struct {
 
 // New returns a zero-filled tensor of the given shape. The backing
 // buffer comes from the size-class pool (see pool.go): tensors that are
-// later handed to Put/PutTensor — directly, via Arena.Release, or via
-// autograd graph teardown — are recycled instead of becoming garbage.
+// later handed to Put/PutTensor — directly or via autograd graph
+// teardown — are recycled instead of becoming garbage.
 // Tensors that are never returned are simply collected by the GC, so
 // callers outside the training hot path need not care.
 func New(shape ...int) *Tensor {
@@ -105,26 +105,6 @@ func (t *Tensor) SetShape(shape ...int) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
 	}
 	t.shape = append(t.shape[:0], shape...)
-}
-
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
-
-// Set writes the element at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
 }
 
 // SameShape reports whether a and b have identical shapes.

@@ -39,26 +39,6 @@ func TestNewShapeAndNumel(t *testing.T) {
 	}
 }
 
-func TestAtSetRoundTrip(t *testing.T) {
-	a := New(3, 4)
-	a.Set(7.5, 2, 1)
-	if a.At(2, 1) != 7.5 {
-		t.Fatalf("At = %v", a.At(2, 1))
-	}
-	if a.Data[2*4+1] != 7.5 {
-		t.Fatal("row-major layout violated")
-	}
-}
-
-func TestAtPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(2, 2).At(2, 0)
-}
-
 func TestFromSliceValidatesLength(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -90,7 +70,6 @@ func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{5, 6, 7, 8}, 2, 2)
 	tensorsClose(t, Add(a, b), FromSlice([]float32{6, 8, 10, 12}, 2, 2), 0)
-	tensorsClose(t, Sub(b, a), FromSlice([]float32{4, 4, 4, 4}, 2, 2), 0)
 	tensorsClose(t, Mul(a, b), FromSlice([]float32{5, 12, 21, 32}, 2, 2), 0)
 	tensorsClose(t, Scale(a, 2), FromSlice([]float32{2, 4, 6, 8}, 2, 2), 0)
 }
@@ -110,7 +89,6 @@ func TestReductions(t *testing.T) {
 	almostEq(t, Sum(a), -2, 1e-6, "Sum")
 	almostEq(t, Mean(a), -0.5, 1e-6, "Mean")
 	almostEq(t, MaxAbs(a), 4, 0, "MaxAbs")
-	almostEq(t, Norm2(a), float32(math.Sqrt(30)), 1e-5, "Norm2")
 	tensorsClose(t, SumRows(a), FromSlice([]float32{4, -6}, 2), 1e-6)
 }
 
@@ -195,7 +173,8 @@ func TestLayerNormBackwardNumerical(t *testing.T) {
 	beta := g.Randn(0.1, 5)
 	dOut := g.Randn(1, 2, 5)
 	_, stats := LayerNormForward(a, gamma, beta, 1e-5)
-	dx, dGamma, dBeta := LayerNormBackward(a, gamma, dOut, stats)
+	dx, dGamma, dBeta := New(2, 5), New(5), New(5)
+	LayerNormBackwardInto(dx, dGamma, dBeta, a, gamma, dOut, stats)
 
 	loss := func() float64 {
 		out, _ := LayerNormForward(a, gamma, beta, 1e-5)

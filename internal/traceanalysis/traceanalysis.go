@@ -10,7 +10,6 @@ package traceanalysis
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 
@@ -93,19 +92,6 @@ func Parse(blob []byte) ([]telemetry.ChromeEvent, error) {
 		return nil, fmt.Errorf("traceanalysis: decode: %w", err)
 	}
 	return evs, nil
-}
-
-// Load reads and builds a dump from a trace file.
-func Load(path string) (*Dump, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	evs, err := Parse(blob)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return Build(evs), nil
 }
 
 // Build reconstructs span trees from a flat event list. Duplicate span

@@ -17,9 +17,6 @@ type Optimizer interface {
 	Step()
 	// Params returns the parameter set the optimizer manages.
 	Params() []*autograd.Variable
-	// StateBytes returns the optimizer-state footprint in bytes (the
-	// quantity the paper's Table 1 folds into "Activations").
-	StateBytes() int64
 }
 
 // Stateful is implemented by optimizers whose update rule carries
@@ -103,39 +100,20 @@ func (s *SGD) LoadState(ts []*tensor.Tensor, _ int) error {
 	return nil
 }
 
-// StateBytes implements Optimizer.
-func (s *SGD) StateBytes() int64 {
-	if s.velocity == nil {
-		return 0
-	}
-	var n int64
-	for _, v := range s.velocity {
-		n += int64(v.Numel()) * 4
-	}
-	return n
-}
-
-// Adam is the Adam optimizer (Kingma & Ba) with optional decoupled
-// weight decay (AdamW when decay > 0).
+// Adam is the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	params []*autograd.Variable
 	lr     float32
 	beta1  float32
 	beta2  float32
 	eps    float32
-	decay  float32
 	m, v   []*tensor.Tensor
 	step   int
 }
 
 // NewAdam returns an Adam optimizer with standard betas.
 func NewAdam(params []*autograd.Variable, lr float32) *Adam {
-	return NewAdamW(params, lr, 0)
-}
-
-// NewAdamW returns Adam with decoupled weight decay.
-func NewAdamW(params []*autograd.Variable, lr, decay float32) *Adam {
-	a := &Adam{params: params, lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, decay: decay}
+	a := &Adam{params: params, lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
 	a.m = make([]*tensor.Tensor, len(params))
 	a.v = make([]*tensor.Tensor, len(params))
 	for i, p := range params {
@@ -162,9 +140,6 @@ func (a *Adam) Step() {
 			mh := m.Data[j] / bc1
 			vh := v.Data[j] / bc2
 			upd := a.lr * mh / (float32(math.Sqrt(float64(vh))) + a.eps)
-			if a.decay != 0 {
-				upd += a.lr * a.decay * p.Value.Data[j]
-			}
 			p.Value.Data[j] -= upd
 		}
 		p.ZeroGrad()
@@ -202,15 +177,6 @@ func (a *Adam) LoadState(ts []*tensor.Tensor, step int) error {
 	}
 	a.step = step
 	return nil
-}
-
-// StateBytes implements Optimizer.
-func (a *Adam) StateBytes() int64 {
-	var n int64
-	for _, m := range a.m {
-		n += int64(m.Numel()) * 8 // m and v
-	}
-	return n
 }
 
 // ClipGradNorm rescales gradients so their global L2 norm is at most

@@ -36,7 +36,7 @@ func setGrads(params []*autograd.Variable, step int) {
 // exact update trajectory.
 func TestAdamStateRoundTrip(t *testing.T) {
 	a := stateParams(1)
-	optA := NewAdamW(a, 0.05, 0.01)
+	optA := NewAdam(a, 0.05)
 	for s := 0; s < 3; s++ {
 		setGrads(a, s)
 		optA.Step()
@@ -48,7 +48,7 @@ func TestAdamStateRoundTrip(t *testing.T) {
 	for i := range b {
 		b[i].Value.CopyFrom(a[i].Value)
 	}
-	optB := NewAdamW(b, 0.05, 0.01)
+	optB := NewAdam(b, 0.05)
 	ts, step := optA.StateTensors()
 	if step != 3 {
 		t.Fatalf("step = %d, want 3", step)

