@@ -69,7 +69,9 @@ func GELUInto(dst, a *Tensor) {
 }
 
 func shardGELU(kr *kern, start, end int) {
-	kr.bk.GELURows(kr.dst, kr.a, start, end)
+	for i := start; i < end; i++ {
+		kr.dst[i] = geluScalar(kr.a[i])
+	}
 }
 
 // GELUGradInto writes gelu'(pre)·g into dst (all same element count).
@@ -84,7 +86,9 @@ func GELUGradInto(dst, pre, g *Tensor) {
 }
 
 func shardGELUGrad(kr *kern, start, end int) {
-	kr.bk.GELUGradRows(kr.dst, kr.a, kr.b, start, end)
+	for i := start; i < end; i++ {
+		kr.dst[i] = kr.b[i] * geluGradScalar(kr.a[i])
+	}
 }
 
 // SoftmaxInPlace replaces a with its row-wise softmax over the last
@@ -100,10 +104,10 @@ func SoftmaxInPlace(a *Tensor) {
 }
 
 func shardSoftmaxInPlace(kr *kern, start, end int) {
-	kr.bk.SoftmaxRows(kr.a, kr.a, start, end, kr.i0)
+	softmaxRows(kr.a, kr.a, start, end, kr.i0)
 }
 
-// softmaxRows is the reference row-wise softmax every backend shares:
+// softmaxRows is the row-wise softmax Softmax and SoftmaxInPlace share:
 // max-subtracted, float64 exp and sum, so rows survive ±1e4-magnitude
 // logits without overflow and all-equal rows come out exactly uniform.
 // dst may alias a.

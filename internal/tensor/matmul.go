@@ -40,9 +40,9 @@ func matShape(t *Tensor) (rows, cols int) {
 	return rows, cols
 }
 
-// matmulInto computes a[m,k]·b[k,n] into out through the active
-// backend. Shards own their output rows outright (zero then
-// accumulate), so out does not need to be pre-zeroed.
+// matmulInto computes a[m,k]·b[k,n] into out. Shards own their output
+// rows outright (zero then accumulate), so out does not need to be
+// pre-zeroed.
 func matmulInto(out, a, b []float32, m, k, n int) {
 	kr := getKern()
 	kr.fn = shardMatMul
@@ -52,7 +52,49 @@ func matmulInto(out, a, b []float32, m, k, n int) {
 }
 
 func shardMatMul(kr *kern, start, end int) {
-	kr.bk.MatMulRows(kr.dst, kr.a, kr.b, start, end, kr.i0, kr.i1)
+	accumRows(kr.dst, kr.a, kr.b, start, end, kr.i0, kr.i1, kr.i0, 1)
+}
+
+// accumRows computes rows [start,end) of out = A·B for b [k,n], where
+// A's element (i, p) sits at a[i*sa+p*sp]: (sa, sp) = (k, 1) reads a
+// [m,k] A, and (1, m) reads a [k,m] one as its transpose, so one loop
+// serves A·B and Aᵀ·B without a transposed copy. It zeroes the rows it
+// owns first.
+//
+// Each pass over an output row consumes four k steps, so the row is
+// loaded and stored once per four rows of b instead of once per row.
+// The four products still join the element one at a time, in index
+// order, so every output is the single in-order chain a naive dot
+// product builds.
+func accumRows(out, a, b []float32, start, end, k, n, sa, sp int) {
+	for i := start; i < end; i++ {
+		orow := out[i*n : (i+1)*n]
+		clear(orow)
+		ai := i * sa
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			a0, a1, a2, a3 := a[ai+p*sp], a[ai+(p+1)*sp], a[ai+(p+2)*sp], a[ai+(p+3)*sp]
+			b0 := b[p*n:][:len(orow)]
+			b1 := b[(p+1)*n:][:len(orow)]
+			b2 := b[(p+2)*n:][:len(orow)]
+			b3 := b[(p+3)*n:][:len(orow)]
+			for j := range orow {
+				o := orow[j]
+				o += a0 * b0[j]
+				o += a1 * b1[j]
+				o += a2 * b2[j]
+				o += a3 * b3[j]
+				orow[j] = o
+			}
+		}
+		for ; p < k; p++ {
+			av := a[ai+p*sp]
+			brow := b[p*n:][:len(orow)]
+			for j := range orow {
+				orow[j] += av * brow[j]
+			}
+		}
+	}
 }
 
 // matmulTRows computes rows [i0,i1) of A·Bᵀ·alpha into o. The kernel is
@@ -126,7 +168,7 @@ func MatMulT(a, b *Tensor) *Tensor {
 }
 
 func shardMatMulT(kr *kern, start, end int) {
-	kr.bk.MatMulTRows(kr.dst, kr.a, kr.b, start, end, kr.i0, kr.i1, kr.f0)
+	matmulTRows(kr.dst, kr.a, kr.b, start, end, kr.i0, kr.i1, kr.f0)
 }
 
 // TMatMul computes C = Aᵀ·B for A [k,m] and B [k,n], i.e. the weight
@@ -148,7 +190,7 @@ func TMatMul(a, b *Tensor) *Tensor {
 }
 
 func shardTMatMul(kr *kern, start, end int) {
-	kr.bk.TMatMulRows(kr.dst, kr.a, kr.b, start, end, kr.i0, kr.i1, kr.i2)
+	accumRows(kr.dst, kr.a, kr.b, start, end, kr.i0, kr.i2, 1, kr.i1)
 }
 
 // BatchMatMul computes, for each batch index, C[b] = A[b]·B[b] where
@@ -174,7 +216,7 @@ func shardBatchMatMul(kr *kern, start, end int) {
 		ab := kr.a[bi*m*k : (bi+1)*m*k]
 		bb := kr.b[bi*k*n : (bi+1)*k*n]
 		ob := kr.dst[bi*m*n : (bi+1)*m*n]
-		kr.bk.MatMulRows(ob, ab, bb, 0, m, k, n)
+		accumRows(ob, ab, bb, 0, m, k, n, k, 1)
 	}
 }
 
@@ -219,7 +261,7 @@ func shardBatchMatMulT(kr *kern, start, end int) {
 		ab := kr.a[bi*m*k : (bi+1)*m*k]
 		bb := kr.b[bi*n*k : (bi+1)*n*k]
 		ob := kr.dst[bi*m*n : (bi+1)*m*n]
-		kr.bk.MatMulTRows(ob, ab, bb, 0, m, k, n, kr.f0)
+		matmulTRows(ob, ab, bb, 0, m, k, n, kr.f0)
 	}
 }
 
@@ -246,6 +288,6 @@ func shardBatchTMatMul(kr *kern, start, end int) {
 		ab := kr.a[bi*k*m : (bi+1)*k*m]
 		bb := kr.b[bi*k*n : (bi+1)*k*n]
 		ob := kr.dst[bi*m*n : (bi+1)*m*n]
-		kr.bk.TMatMulRows(ob, ab, bb, 0, m, k, m, n)
+		accumRows(ob, ab, bb, 0, m, k, n, 1, m)
 	}
 }

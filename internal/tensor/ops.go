@@ -169,7 +169,7 @@ func Softmax(a *Tensor) *Tensor {
 }
 
 func shardSoftmax(kr *kern, start, end int) {
-	kr.bk.SoftmaxRows(kr.dst, kr.a, start, end, kr.i0)
+	softmaxRows(kr.dst, kr.a, start, end, kr.i0)
 }
 
 // LogSoftmax computes a numerically stable row-wise log-softmax over the

@@ -47,11 +47,6 @@ type kern struct {
 	f0                 float32
 	closure            func(start, end int) // parallelFor compatibility
 
-	// bk is the compute backend captured at dispatch (getKern) time, so
-	// every shard of one kernel call runs on the same backend even if
-	// SetBackend races with the call.
-	bk Backend
-
 	n, chunk int
 	next     atomic.Int64
 	wg       sync.WaitGroup
@@ -64,11 +59,7 @@ type kern struct {
 
 var kernPool = sync.Pool{New: func() any { return new(kern) }}
 
-func getKern() *kern {
-	k := kernPool.Get().(*kern)
-	k.bk = ActiveBackend()
-	return k
-}
+func getKern() *kern { return kernPool.Get().(*kern) }
 
 func (k *kern) release() {
 	if k.refs.Add(-1) != 0 {
@@ -78,7 +69,6 @@ func (k *kern) release() {
 	k.dst, k.a, k.b, k.c, k.d, k.e = nil, nil, nil, nil, nil, nil
 	k.i8a, k.i8b = nil, nil
 	k.closure = nil
-	k.bk = nil
 	kernPool.Put(k)
 }
 
