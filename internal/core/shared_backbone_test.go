@@ -1,0 +1,141 @@
+package core
+
+import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"reflect"
+	"testing"
+
+	"pac/internal/acache"
+	"pac/internal/data"
+	"pac/internal/model"
+	"pac/internal/nn"
+	"pac/internal/peft"
+	"pac/internal/tensor"
+)
+
+// backboneSum hashes a backbone's weights and the int8 forms of its
+// frozen projections.
+func backboneSum(m *model.Model) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	floats := func(xs []float32) {
+		for _, v := range xs {
+			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+			h.Write(buf[:])
+		}
+	}
+	for _, p := range m.Params() {
+		floats(p.Value.Data)
+	}
+	var linears []*nn.Linear
+	for _, b := range m.Blocks {
+		switch l := b.(type) {
+		case *model.EncLayer:
+			linears = append(linears, l.Attn.Q, l.Attn.K, l.Attn.V, l.Attn.O, l.FF.Up, l.FF.Down)
+		case *model.DecLayer:
+			linears = append(linears, l.SelfAttn.Q, l.SelfAttn.K, l.SelfAttn.V, l.SelfAttn.O,
+				l.CrossAttn.Q, l.CrossAttn.K, l.CrossAttn.V, l.CrossAttn.O, l.FF.Up, l.FF.Down)
+		case *model.Head:
+			linears = append(linears, l.Proj)
+		}
+	}
+	for _, l := range linears {
+		if l.QW == nil {
+			h.Write([]byte{0})
+			continue
+		}
+		for _, q := range l.QW.Q {
+			h.Write([]byte{byte(q)})
+		}
+		floats(l.QW.Scale)
+	}
+	return h.Sum64()
+}
+
+// TestCachedEpochsShareOneFrozenBackbone: every cached-epoch rank runs
+// the reference replica's backbone rather than a copy of its own, and a
+// bounded fine-tune — whose misses recompute taps through that one
+// backbone from every rank at once (run it under -race) — leaves the
+// backbone weights and their int8 forms bit for bit as they were.
+func TestCachedEpochsShareOneFrozenBackbone(t *testing.T) {
+	ds := smallDataset(16)
+	for _, backend := range tensor.Backends() {
+		t.Run(backend, func(t *testing.T) {
+			prev := tensor.ActiveBackend().Name()
+			if err := tensor.SetBackend(backend); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := tensor.SetBackend(prev); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			per := entryBytes(t, ds)
+			f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
+				Stages: 2, Lanes: 2, LR: 0.05, Adam: true, QuantizeBackbone: true,
+				Cache: acache.NewBounded(acache.NewMemoryStore(), 8*per)})
+			before := backboneSum(f.refModel)
+			if _, err := f.FineTune(ds, 4, 3, 3); err != nil {
+				t.Fatal(err)
+			}
+			if f.Recomputed() == 0 {
+				t.Fatal("no cache misses: the shared backbone never ran in the cached epochs")
+			}
+			if after := backboneSum(f.refModel); after != before {
+				t.Fatalf("backbone checksum %016x before fine-tuning, %016x after", before, after)
+			}
+
+			g, err := f.dpGroup()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := reflect.ValueOf(f.refModel).Pointer()
+			for r, tech := range g.Techs {
+				if m := reflect.ValueOf(tech).Elem().FieldByName("m").Pointer(); m != ref {
+					t.Fatalf("rank %d runs its own backbone", r)
+				}
+			}
+		})
+	}
+}
+
+// TestCachedEpochsReturnTheirTapBatches: a CachedEpochsCtx call leaves
+// checked out neither a backbone per rank nor the ranks' last tap
+// batches, so consecutive calls grow the pool's outstanding bytes
+// equally and by less than one backbone. One step per epoch at batch 16
+// makes each rank's last tap batch a third of a backbone, so leaving
+// them out crosses that bound too. (What a call still leaves — the
+// ranks' side-network parameters, gradients and optimizer state, and a
+// few small buffers per step — is the ledger's business, not this
+// test's.)
+func TestCachedEpochsReturnTheirTapBatches(t *testing.T) {
+	const batch = 16
+	ds := smallDataset(batch)
+	var backbone int64
+	for _, p := range model.New(model.Tiny()).Params() {
+		backbone += int64(p.Value.Numel()) * 4
+	}
+	f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
+		Stages: 2, Lanes: 2, LR: 0.05, Adam: true})
+	if _, err := f.FineTune(ds, batch, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	loader := data.NewLoader(ds, batch, 3)
+	var grew [2]int64
+	for i := range grew {
+		before := tensor.ReadPoolStats().BytesOutstanding
+		if _, err := f.CachedEpochsCtx(context.Background(), loader, 2+i, 1); err != nil {
+			t.Fatal(err)
+		}
+		grew[i] = tensor.ReadPoolStats().BytesOutstanding - before
+	}
+	if grew[0] != grew[1] {
+		t.Fatalf("consecutive calls grew the pool by %d and %d bytes", grew[0], grew[1])
+	}
+	if grew[0] >= backbone {
+		t.Fatalf("a call grew the pool by %d bytes, at least one backbone (%d)", grew[0], backbone)
+	}
+}
