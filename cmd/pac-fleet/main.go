@@ -260,16 +260,17 @@ func runSim(out io.Writer, cfg simConfig) error {
 		health.Enable(cfg.flightSize)
 	}
 
-	// Build the in-process serving fleet at v1 and register the target
-	// version as perturbed weights.
+	// Build the in-process serving fleet at v1 — one side network per
+	// replica over one frozen backbone, since a roll swaps side-network
+	// weights only — and register the target version as perturbed
+	// weights.
 	rs := fleet.NewReplicaSet()
 	mcfg := model.Tiny()
+	m := model.New(mcfg)
 	var flat []float32
 	for g := 0; g < cfg.groups; g++ {
 		for i := 0; i < cfg.replicas; i++ {
-			m := model.New(mcfg)
-			tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-			srv := serve.NewServer(tech, mcfg)
+			srv := serve.NewServer(peft.NewParallel(m, peft.Options{Reduction: 4}), mcfg)
 			if flat == nil {
 				flat = srv.SnapshotWeights()
 			}

@@ -23,13 +23,14 @@
 // crossings record flight events and count in pac_mem_pressure_total.
 //
 // -replicas N > 1 hosts a fleet.ReplicaSet of N identical replicas
-// behind the same API instead of a single server. Requests round-robin
-// over in-service replicas, POST /swap becomes a goal-state rolling
-// operation (each replica is drained, quiesced, snapshotted, swapped,
-// and rejoined in turn, never dropping below the -min-replicas floor —
-// zero-downtime by construction), GET /fleet/status reports the
-// observed fleet and last rollout plan, and -fleet-journal makes
-// rollouts crash-resumable.
+// behind the same API instead of a single server. The replicas share one
+// frozen backbone, each with its own side network, so a swap replaces
+// side-network weights only. Requests round-robin over in-service
+// replicas, POST /swap becomes a goal-state rolling operation (each
+// replica is drained, quiesced, snapshotted, swapped, and rejoined in
+// turn, never dropping below the -min-replicas floor — zero-downtime by
+// construction), GET /fleet/status reports the observed fleet and last
+// rollout plan, and -fleet-journal makes rollouts crash-resumable.
 //
 // -trace-sample P enables causal request tracing: requests carrying an
 // X-Pac-Trace header join the caller's trace (router and replica spans
@@ -40,7 +41,8 @@
 // Perfetto or pac-trace.
 //
 // -backend int8 serves the frozen backbone through its int8 weight
-// forms (built once at load); adapters and every swap stay fp32.
+// forms (built once at startup, for every replica); adapters and every
+// swap stay fp32.
 //
 // pac-loadgen replays seeded multi-user traces against this API and
 // gates latency/throughput SLOs.
@@ -131,48 +133,26 @@ func run(args []string, out io.Writer, ready func(net.Listener)) error {
 
 	// Backend: a single server, or a replica fleet whose /swap is an
 	// orchestrated zero-downtime rolling operation.
-	var backend serve.Backend
-	newReplica := func() (*serve.Server, error) {
-		m := model.New(cfg)
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 2})
-		if o.adapters != "" {
-			if _, err := checkpoint.Load(o.adapters, tech, cfg); err != nil {
-				return nil, err
-			}
-		}
-		if tensor.BackendQuantized() {
-			// After the checkpoint load so scales see the weights that
-			// will actually serve (swaps replace adapters only, never
-			// the frozen backbone).
-			if q, ok := tech.(peft.BackboneQuantizer); ok {
-				q.QuantizeBackbone()
-			}
-		}
-		return serve.NewServer(tech, cfg), nil
+	techs, err := replicas(cfg, max(o.replicas, 1), o.adapters)
+	if err != nil {
+		return err
 	}
-	if o.replicas > 1 {
+	servers := make([]*serve.Server, len(techs))
+	for i, tech := range techs {
+		servers[i] = serve.NewServer(tech, cfg)
+		servers[i].SetTracer(tracer, telemetry.PidServe+1+i, fmt.Sprintf("replica-%d", i))
+	}
+	var backend serve.Backend = servers[0]
+	if len(servers) > 1 {
 		rs := fleet.NewReplicaSet()
 		rs.MinReplicas = o.minReplicas
 		rs.JournalPath = o.fleetJournal
 		rs.SetTracer(tracer, telemetry.PidServe)
-		for i := 0; i < o.replicas; i++ {
-			srv, err := newReplica()
-			if err != nil {
-				return fmt.Errorf("replica %d: %w", i, err)
-			}
-			name := fmt.Sprintf("replica-%d", i)
-			srv.SetTracer(tracer, telemetry.PidServe+1+i, name)
-			rs.Add(name, 0, srv)
+		for i, srv := range servers {
+			rs.Add(fmt.Sprintf("replica-%d", i), 0, srv)
 		}
 		backend = rs
 		fmt.Fprintf(out, "fleet: %d replicas, floor %d\n", o.replicas, o.minReplicas)
-	} else {
-		srv, err := newReplica()
-		if err != nil {
-			return err
-		}
-		srv.SetTracer(tracer, telemetry.PidServe+1, "replica-0")
-		backend = srv
 	}
 	if o.adapters != "" {
 		fmt.Fprintf(out, "loaded adapters from %s\n", o.adapters)
@@ -195,4 +175,27 @@ func run(args []string, out io.Writer, ready func(net.Listener)) error {
 		ready(ln)
 	}
 	return http.Serve(ln, serve.HandlerFor(backend))
+}
+
+// replicas builds n serving side networks over one frozen backbone:
+// one model, quantized once when the tensor backend computes in int8,
+// and one Parallel Adapters technique per replica, each loaded from the
+// adapters checkpoint when one is named. A load or a swap writes side
+// network weights only, so the replicas never write what they share and
+// the int8 scales stay those of the weights that serve.
+func replicas(cfg model.Config, n int, adapters string) ([]*peft.Parallel, error) {
+	m := model.New(cfg)
+	techs := make([]*peft.Parallel, n)
+	for i := range techs {
+		techs[i] = peft.NewParallel(m, peft.Options{Reduction: 2}) // freezes m
+		if adapters != "" {
+			if _, err := checkpoint.Load(adapters, techs[i], cfg); err != nil {
+				return nil, fmt.Errorf("replica %d: %w", i, err)
+			}
+		}
+	}
+	if tensor.BackendQuantized() {
+		m.QuantizeBackbone()
+	}
+	return techs, nil
 }

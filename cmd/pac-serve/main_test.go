@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pac/internal/memledger"
+	"pac/internal/model"
 	"pac/internal/tensor"
 )
 
@@ -93,15 +94,44 @@ func TestRunServes(t *testing.T) {
 	}
 }
 
+// TestRunFleetMode serves from two replicas on each backend: the router
+// round-robins, so two requests reach both side networks over the one
+// backbone.
 func TestRunFleetMode(t *testing.T) {
-	base, log, stop := serving(t, "-replicas", "2")
-	defer stop()
-	resp, err := http.Get(base + "/fleet/status")
-	if status := getJSON(t, resp, err); len(status) == 0 {
-		t.Error("/fleet/status is empty")
+	for _, backend := range tensor.Backends() {
+		t.Run(backend, func(t *testing.T) {
+			base, log, stop := serving(t, "-replicas", "2", "-backend", backend)
+			defer stop()
+			resp, err := http.Get(base + "/fleet/status")
+			if status := getJSON(t, resp, err); len(status) == 0 {
+				t.Error("/fleet/status is empty")
+			}
+			for i := 0; i < 2; i++ {
+				resp, err := http.Post(base+"/classify", "application/json", strings.NewReader(`{"tokens":[[17,33,21,54]]}`))
+				if classes, ok := getJSON(t, resp, err)["classes"].([]interface{}); !ok || len(classes) != 1 {
+					t.Errorf("/classify answered without one class per row: %v", classes)
+				}
+			}
+			if !strings.Contains(log.String(), "fleet: 2 replicas, floor 1") {
+				t.Errorf("log does not announce the fleet:\n%s", log)
+			}
+		})
 	}
-	if !strings.Contains(log.String(), "fleet: 2 replicas, floor 1") {
-		t.Errorf("log does not announce the fleet:\n%s", log)
+}
+
+// TestReplicasShareOneBackbone: the replicas are side networks over one
+// frozen model, not a model each.
+func TestReplicasShareOneBackbone(t *testing.T) {
+	techs, err := replicas(model.Tiny(), 2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(techs) != 2 {
+		t.Fatalf("built %d replicas, want 2", len(techs))
+	}
+	backbone := func(i int) uintptr { return reflect.ValueOf(techs[i]).Elem().FieldByName("m").Pointer() }
+	if techs[0] == techs[1] || backbone(0) != backbone(1) {
+		t.Fatal("the two replicas do not share one backbone under two side networks")
 	}
 }
 

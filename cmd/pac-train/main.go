@@ -285,7 +285,6 @@ func run(args []string, out io.Writer) error {
 	sc.Core.Cache = store
 	sc.Core.Regression = spec.Regression
 	sc.Core.Backbone = backbone
-	sc.Core.QuantizeBackbone = tensor.BackendQuantized()
 	sc.Core.Trace = tracer
 	// Per-device memory views: the pipeline engine reserves each
 	// micro-batch's retained activations in its (lane, stage) device's

@@ -56,15 +56,11 @@ type Config struct {
 	// to Adam (recommended for real training; SGD keeps the engines'
 	// gradient-equivalence tests exact).
 	Adam bool
-	// Backbone, when non-nil, seeds every internal model replica with
-	// this model's weights before freezing — the pretrained personal LLM
-	// that PAC adapts. It must have been built from the same Config.Model.
+	// Backbone, when non-nil, seeds the framework's frozen backbone with
+	// this model's weights — the pretrained personal LLM that PAC adapts.
+	// The weights are copied: the caller's model stays the caller's. It
+	// must have been built from the same Config.Model.
 	Backbone *model.Model
-	// QuantizeBackbone builds int8 forms of every replica's frozen
-	// backbone projections at construction, so quantized tensor
-	// backends (-backend int8) run the backbone forward in int8 while
-	// adapters, gradients, and optimizer state stay fp32.
-	QuantizeBackbone bool
 	// StepTimeout bounds each distributed training step: a rank that
 	// goes silent for longer is declared dead and the step returns a
 	// parallel.RankFailedError instead of hanging. Zero disables the
@@ -123,12 +119,13 @@ type Framework struct {
 	hybrid *parallel.HybridEngine
 	cache  acache.Store
 
-	// reference holds a full replica used for evaluation and as the
-	// source of truth for adapter weights after training. refModel is
-	// its frozen backbone, which every cached-epoch rank shares: the
-	// backbone never changes, and a rank only runs it on a cache miss.
+	// backbone is the one frozen model of the deployment. Every hybrid
+	// lane, the reference and every cached-epoch rank is a side network
+	// over it: the backbone never changes, so nobody needs a copy.
+	backbone *model.Model
+	// reference is the side network used for evaluation and as the
+	// source of truth for adapter weights after training.
 	reference *peft.Parallel
-	refModel  *model.Model
 
 	// cacheMu-free: cache stores are concurrency-safe; partial entries
 	// are assembled via a builder keyed by sample id.
@@ -157,9 +154,11 @@ type Framework struct {
 	CoverageMissing int
 }
 
-// New builds a PAC framework: instantiates the model per lane, attaches
-// Parallel Adapters (Step 0), freezes the backbone (Step 3), and wires
-// the hybrid engine (Step 2's plan, expressed as Stages × Lanes).
+// New builds a PAC framework: instantiates the one backbone, attaches
+// Parallel Adapters per lane (Step 0), freezes the backbone (Step 3),
+// and wires the hybrid engine (Step 2's plan, expressed as Stages ×
+// Lanes). A quantized tensor backend gets the backbone's int8 forms,
+// built once here.
 func New(cfg Config) *Framework {
 	if cfg.Stages < 1 || cfg.Lanes < 1 {
 		panic("core: need at least one stage and one lane")
@@ -177,25 +176,21 @@ func New(cfg Config) *Framework {
 	f.manifest = acache.NewManifest(2 * cfg.Model.Layers)
 	f.builder = newCacheBuilder(2*cfg.Model.Layers, f.cache, f.manifest)
 
-	newBackbone := func() *model.Model {
-		m := model.New(cfg.Model)
-		if cfg.Backbone != nil {
-			nn.CopyParams(m, cfg.Backbone)
-		}
-		if cfg.QuantizeBackbone {
-			// Freeze first (idempotent with the technique's own freeze)
-			// so the projections are quantizable; scales computed here
-			// stay valid for the replica's lifetime.
-			m.Freeze()
-			m.QuantizeBackbone()
-		}
-		return m
+	m := model.New(cfg.Model)
+	if cfg.Backbone != nil {
+		nn.CopyParams(m, cfg.Backbone)
 	}
+	if tensor.BackendQuantized() {
+		// Freeze first (idempotent with every side network's own freeze)
+		// so the projections are quantizable; scales computed here stay
+		// valid for the framework's lifetime.
+		m.Freeze()
+		m.QuantizeBackbone()
+	}
+	f.backbone = m
 
 	f.hybrid = parallel.NewHybrid(cfg.Lanes, cfg.Stages, cfg.Micro, cfg.LR, func(lane int) *parallel.PipelineEngine {
-		m := newBackbone()
-		tech := peft.NewParallel(m, cfg.Opts)
-		e := parallel.NewPipeline(m, tech, cfg.Stages, nil, cfg.Micro, cfg.LR)
+		e := parallel.NewPipeline(m, peft.NewParallel(m, cfg.Opts), cfg.Stages, nil, cfg.Micro, cfg.LR)
 		if cfg.Adam {
 			e.Opts = nil
 			for s := 0; s < e.Stages(); s++ {
@@ -229,8 +224,7 @@ func New(cfg Config) *Framework {
 		})
 	}
 
-	f.refModel = newBackbone()
-	f.reference = peft.NewParallel(f.refModel, cfg.Opts)
+	f.reference = peft.NewParallel(m, cfg.Opts)
 	return f
 }
 
@@ -368,22 +362,8 @@ func (f *Framework) cachedEpochsFrom(ctx context.Context, loader *data.Loader, s
 	if f.cfg.OnSnapshot != nil && f.cfg.SnapshotEvery > 0 {
 		g.OnStep = func(epoch, step int) { f.maybeSnapshot(epoch, step, g) }
 	}
-	// Each rank's gathered tap tensors are pooled; recycle the previous
-	// step's set when the next one is assembled (after Release the old
-	// leaves are dead, only the batched tap buffers remain checked out).
-	prevTaps := make([][]*tensor.Tensor, len(g.Techs))
-	putTaps := func(rank int) {
-		for _, t := range prevTaps[rank] {
-			tensor.PutTensor(t)
-		}
-		prevTaps[rank] = nil
-	}
-	g.Forward = func(rank int, mb *data.Batch, trainMode bool) *autograd.Variable {
-		pa := g.Techs[rank].(*peft.Parallel)
-		putTaps(rank)
-		taps := f.gatherTaps(pa, mb)
-		prevTaps[rank] = taps
-		return pa.ForwardFromTaps(taps)
+	g.Forward = func(rank int, mb *data.Batch, _ bool) *peft.Result {
+		return f.cachedForward(g.Techs[rank].(*peft.Parallel), mb)
 	}
 	var loss float64
 	for e := 0; e < n; e++ {
@@ -398,12 +378,6 @@ func (f *Framework) cachedEpochsFrom(ctx context.Context, loader *data.Loader, s
 		f.epochsRun++
 		mEpochsCached.Inc()
 	}
-	// Every rank has joined the last step, so nothing reads its last
-	// tap set any more. (After an error a rank that timed out may still
-	// hold its set; those stay checked out.)
-	for rank := range prevTaps {
-		putTaps(rank)
-	}
 	// Adopt the final weights into the reference replica and back into
 	// every hybrid lane, so a subsequent phase-1 pass (new data arriving,
 	// another FineTune call) continues from the trained adapters instead
@@ -417,13 +391,13 @@ func (f *Framework) cachedEpochsFrom(ctx context.Context, loader *data.Loader, s
 }
 
 // dpGroup builds the cached-epoch data-parallel group: Stages×Lanes
-// ranks over the reference's frozen backbone, each starting from the
+// ranks over the framework's frozen backbone, each starting from the
 // reference's adapter weights, on the configured fabric, with any
 // optimizer state a restored snapshot left pending.
 func (f *Framework) dpGroup() (*parallel.DPGroup, error) {
 	flat := nn.FlattenParams(f.reference.Trainable())
 	g := parallel.NewDPGroup(f.cfg.Stages*f.cfg.Lanes, func(rank int) (peft.Technique, train.Optimizer) {
-		tech := peft.NewParallel(f.refModel, f.cfg.Opts)
+		tech := peft.NewParallel(f.backbone, f.cfg.Opts)
 		nn.UnflattenParams(tech.Trainable(), flat)
 		if f.cfg.Adam {
 			return tech, train.NewAdam(tech.Trainable(), f.cfg.LR)
@@ -459,12 +433,14 @@ func (f *Framework) dpGroup() (*parallel.DPGroup, error) {
 	return g, nil
 }
 
-// gatherTaps assembles the batched tap tensors for a micro-batch from
-// per-sample cache entries. A miss (a capacity-bounded cache had no room
-// for the sample) falls back to recomputing the sample's taps through
-// the replica's frozen backbone alone — identical values, just slower —
-// and offers them to the cache.
-func (f *Framework) gatherTaps(pa *peft.Parallel, mb *data.Batch) []*tensor.Tensor {
+// cachedForward is the cached-epoch forward of one side network: it
+// assembles the batched tap tensors for a micro-batch from per-sample
+// cache entries, then runs the side network over them. A miss (a
+// capacity-bounded cache had no room for the sample) falls back to
+// recomputing the sample's taps through the shared frozen backbone alone
+// — identical values, just slower — and offers them to the cache. The
+// batched taps are pooled; the result's Release returns them.
+func (f *Framework) cachedForward(pa *peft.Parallel, mb *data.Batch) *peft.Result {
 	out := make([]*tensor.Tensor, pa.NumTaps())
 	for i, id := range mb.IDs {
 		entry, ok := f.cache.Get(id)
@@ -501,28 +477,25 @@ func (f *Framework) gatherTaps(pa *peft.Parallel, mb *data.Batch) []*tensor.Tens
 			}
 		}
 	}
-	return out
+	return &peft.Result{Logits: pa.ForwardFromTaps(out), Taps: out}
 }
 
 // SteadyStep runs one steady-state cached-activation training step on
 // a replica: batched tap gathering from the cache, side-network
-// forward, loss, backward, gradient clip, optimizer update, then graph
-// teardown and tap-buffer recycling. It is the per-worker inner loop of
-// CachedEpochsCtx, exported so the allocation benchmark and benchmark/'s
+// forward, loss, backward, gradient clip, optimizer update, then the
+// teardown that returns the graph, the loss value and the batched taps
+// to the pool. It is the per-worker inner loop of CachedEpochsCtx,
+// exported so the allocation benchmark and benchmark/'s
 // core.steady_step_ms probe measure exactly the code the epoch ≥ 2
 // path runs.
 func (f *Framework) SteadyStep(pa *peft.Parallel, opt train.Optimizer, mb *data.Batch) float64 {
-	taps := f.gatherTaps(pa, mb)
-	logits := pa.ForwardFromTaps(taps)
-	loss := train.Loss(logits, mb, false)
+	res := f.cachedForward(pa, mb)
+	loss := train.Loss(res.Logits, mb, false)
 	autograd.Backward(loss)
 	train.ClipGradNorm(opt.Params(), 1)
 	opt.Step()
 	v := float64(loss.Value.Data[0])
-	autograd.Release(loss)
-	for _, t := range taps {
-		tensor.PutTensor(t)
-	}
+	res.Release(loss)
 	return v
 }
 
@@ -774,11 +747,11 @@ func (f *Framework) RestoreSnapshot(s *checkpoint.Snapshot) error {
 
 // SalvageCache verifies the surviving activation-cache entries against
 // the manifest and recomputes only the damaged or missing samples'
-// taps through the reference replica's frozen backbone — O(lost
-// shard), not O(whole epoch). The expected coverage follows the resume
-// cursor: mid-phase-1, only the batches already trained should be
-// cached (the replayed remainder refills itself); from the cached
-// phase on, the full dataset.
+// taps through the frozen backbone — O(lost shard), not O(whole
+// epoch). The expected coverage follows the resume cursor: mid-phase-1,
+// only the batches already trained should be cached (the replayed
+// remainder refills itself); from the cached phase on, the full
+// dataset.
 func (f *Framework) SalvageCache(ds *data.Dataset, batch int, seed int64, from Cursor) (acache.SalvageReport, error) {
 	defer f.rootSpan("cache", "salvage")()
 	var want []int

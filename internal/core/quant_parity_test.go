@@ -34,12 +34,12 @@ func TestQuantizedBackboneEndToEndParity(t *testing.T) {
 		before, after train.EvalResult
 		params        []float32
 	}
-	run := func(backend string, quantize bool) runResult {
+	run := func(backend string) runResult {
 		if err := tensor.SetBackend(backend); err != nil {
 			t.Fatal(err)
 		}
 		f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 2},
-			Stages: 2, Lanes: 2, LR: 0.05, QuantizeBackbone: quantize})
+			Stages: 2, Lanes: 2, LR: 0.05})
 		before := f.Evaluate(evalDS, 8)
 		var err error
 		for pass := 0; pass < 2 && err == nil; pass++ {
@@ -52,8 +52,8 @@ func TestQuantizedBackboneEndToEndParity(t *testing.T) {
 		return runResult{before, after, nn.FlattenParams(f.Reference().Trainable())}
 	}
 
-	fp32 := run("generic", false)
-	int8 := run("int8", true)
+	fp32 := run("generic")
+	int8 := run("int8")
 
 	// Both runs must actually learn.
 	if fp32.after.Loss >= fp32.before.Loss {
@@ -104,16 +104,16 @@ func TestQuantizedBackboneForwardParityUntrained(t *testing.T) {
 	}()
 
 	ds := smallDataset(16)
-	eval := func(backend string, quantize bool) train.EvalResult {
+	eval := func(backend string) train.EvalResult {
 		if err := tensor.SetBackend(backend); err != nil {
 			t.Fatal(err)
 		}
 		f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
-			Stages: 1, Lanes: 1, QuantizeBackbone: quantize})
+			Stages: 1, Lanes: 1})
 		return f.Evaluate(ds, 8)
 	}
-	fp32 := eval("generic", false)
-	int8 := eval("int8", true)
+	fp32 := eval("generic")
+	int8 := eval("int8")
 	if fp32.N != int8.N || fp32.N != ds.Len() {
 		t.Fatalf("eval coverage: fp32 %d int8 %d of %d", fp32.N, int8.N, ds.Len())
 	}

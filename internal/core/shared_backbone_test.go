@@ -16,6 +16,24 @@ import (
 	"pac/internal/tensor"
 )
 
+// projections lists a backbone's frozen projections: the linears that
+// carry int8 forms under a quantized backend.
+func projections(m *model.Model) []*nn.Linear {
+	var out []*nn.Linear
+	for _, b := range m.Blocks {
+		switch l := b.(type) {
+		case *model.EncLayer:
+			out = append(out, l.Attn.Q, l.Attn.K, l.Attn.V, l.Attn.O, l.FF.Up, l.FF.Down)
+		case *model.DecLayer:
+			out = append(out, l.SelfAttn.Q, l.SelfAttn.K, l.SelfAttn.V, l.SelfAttn.O,
+				l.CrossAttn.Q, l.CrossAttn.K, l.CrossAttn.V, l.CrossAttn.O, l.FF.Up, l.FF.Down)
+		case *model.Head:
+			out = append(out, l.Proj)
+		}
+	}
+	return out
+}
+
 // backboneSum hashes a backbone's weights and the int8 forms of its
 // frozen projections.
 func backboneSum(m *model.Model) uint64 {
@@ -30,19 +48,7 @@ func backboneSum(m *model.Model) uint64 {
 	for _, p := range m.Params() {
 		floats(p.Value.Data)
 	}
-	var linears []*nn.Linear
-	for _, b := range m.Blocks {
-		switch l := b.(type) {
-		case *model.EncLayer:
-			linears = append(linears, l.Attn.Q, l.Attn.K, l.Attn.V, l.Attn.O, l.FF.Up, l.FF.Down)
-		case *model.DecLayer:
-			linears = append(linears, l.SelfAttn.Q, l.SelfAttn.K, l.SelfAttn.V, l.SelfAttn.O,
-				l.CrossAttn.Q, l.CrossAttn.K, l.CrossAttn.V, l.CrossAttn.O, l.FF.Up, l.FF.Down)
-		case *model.Head:
-			linears = append(linears, l.Proj)
-		}
-	}
-	for _, l := range linears {
+	for _, l := range projections(m) {
 		if l.QW == nil {
 			h.Write([]byte{0})
 			continue
@@ -55,12 +61,18 @@ func backboneSum(m *model.Model) uint64 {
 	return h.Sum64()
 }
 
-// TestCachedEpochsShareOneFrozenBackbone: every cached-epoch rank runs
-// the reference replica's backbone rather than a copy of its own, and a
-// bounded fine-tune — whose misses recompute taps through that one
-// backbone from every rank at once (run it under -race) — leaves the
-// backbone weights and their int8 forms bit for bit as they were.
-func TestCachedEpochsShareOneFrozenBackbone(t *testing.T) {
+// backboneOf returns the model a Parallel Adapters side network runs.
+func backboneOf(tech peft.Technique) uintptr {
+	return reflect.ValueOf(tech).Elem().FieldByName("m").Pointer()
+}
+
+// TestOneFrozenBackbone: a Framework holds one backbone. Every hybrid
+// lane's engine and side network, the reference and every cached-epoch
+// rank run that one model; it carries int8 forms exactly when the
+// backend computes in int8; and a bounded fine-tune — whose hybrid lanes
+// and cache misses run it from several goroutines at once (run it under
+// -race) — leaves its weights and int8 forms bit for bit as they were.
+func TestOneFrozenBackbone(t *testing.T) {
 	ds := smallDataset(16)
 	for _, backend := range tensor.Backends() {
 		t.Run(backend, func(t *testing.T) {
@@ -75,26 +87,39 @@ func TestCachedEpochsShareOneFrozenBackbone(t *testing.T) {
 			}()
 			per := entryBytes(t, ds)
 			f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
-				Stages: 2, Lanes: 2, LR: 0.05, Adam: true, QuantizeBackbone: true,
+				Stages: 2, Lanes: 2, LR: 0.05, Adam: true,
 				Cache: acache.NewBounded(acache.NewMemoryStore(), 8*per)})
-			before := backboneSum(f.refModel)
+			for _, l := range projections(f.backbone) {
+				if got, want := l.QW != nil, tensor.BackendQuantized(); got != want {
+					t.Fatalf("a projection has int8 forms %v on backend %s", got, backend)
+				}
+			}
+			before := backboneSum(f.backbone)
 			if _, err := f.FineTune(ds, 4, 3, 3); err != nil {
 				t.Fatal(err)
 			}
 			if f.Recomputed() == 0 {
 				t.Fatal("no cache misses: the shared backbone never ran in the cached epochs")
 			}
-			if after := backboneSum(f.refModel); after != before {
+			if after := backboneSum(f.backbone); after != before {
 				t.Fatalf("backbone checksum %016x before fine-tuning, %016x after", before, after)
 			}
 
+			one := reflect.ValueOf(f.backbone).Pointer()
+			for l, lane := range f.hybrid.Lanes {
+				if reflect.ValueOf(lane.Model).Pointer() != one || backboneOf(lane.Tech) != one {
+					t.Fatalf("lane %d runs its own backbone", l)
+				}
+			}
+			if backboneOf(f.reference) != one {
+				t.Fatal("the reference runs its own backbone")
+			}
 			g, err := f.dpGroup()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := reflect.ValueOf(f.refModel).Pointer()
 			for r, tech := range g.Techs {
-				if m := reflect.ValueOf(tech).Elem().FieldByName("m").Pointer(); m != ref {
+				if backboneOf(tech) != one {
 					t.Fatalf("rank %d runs its own backbone", r)
 				}
 			}

@@ -41,8 +41,9 @@ type DPGroup struct {
 
 	// Forward overrides the per-replica forward pass; nil uses
 	// Techs[r].Forward. Cache-enabled training injects the
-	// ForwardFromTaps path here.
-	Forward func(rank int, b *data.Batch, trainMode bool) *autograd.Variable
+	// ForwardFromTaps path here. The rank step ends with the result's
+	// Release, so its taps go back to the pool with the graph.
+	Forward func(rank int, b *data.Batch, trainMode bool) *peft.Result
 
 	// OnStep, when non-nil, observes every completed training step:
 	// (epoch, step) where step is the 0-based batch index just finished.
@@ -98,19 +99,19 @@ func (g *DPGroup) StepCtx(ctx context.Context, b *data.Batch) (float64, error) {
 		params := g.Techs[r].Trainable()
 		if r < len(shards) && shards[r].Size() > 0 {
 			shard := shards[r]
-			logits := g.forward(r, shard, true)
-			loss := train.Loss(logits, shard, g.Regression)
+			res := g.forward(r, shard, true)
+			loss := train.Loss(res.Logits, shard, g.Regression)
 			// Weight the shard gradient by its share of the batch so
 			// the AllReduce sum equals the full-batch mean-loss
 			// gradient.
 			w := float32(shard.Size()) / float32(b.Size())
 			autograd.BackwardWithSeed(loss, tensor.FromSlice([]float32{w}, 1))
 			losses[r] = float64(loss.Value.Data[0]) * float64(w)
-			// The rank's graph is no longer needed once its gradients are
-			// flattened below (leaf grads survive teardown for the
-			// optimizer step); return its buffers to the pool even on the
-			// abort paths.
-			defer autograd.Release(loss)
+			// The rank's graph, loss value and taps are no longer needed
+			// once its gradients are flattened below (leaf grads survive
+			// teardown for the optimizer step); return them to the pool
+			// even on the abort paths.
+			defer res.Release(loss)
 		}
 		// Compute seconds stop before the collective — the AllReduce
 		// barrier waits on the slowest rank, so timing past it would
@@ -141,11 +142,11 @@ func (g *DPGroup) StepCtx(ctx context.Context, b *data.Batch) (float64, error) {
 	return total, nil
 }
 
-func (g *DPGroup) forward(r int, b *data.Batch, trainMode bool) *autograd.Variable {
+func (g *DPGroup) forward(r int, b *data.Batch, trainMode bool) *peft.Result {
 	if g.Forward != nil {
 		return g.Forward(r, b, trainMode)
 	}
-	return g.Techs[r].Forward(b.Enc, b.Dec, b.Lens, trainMode).Logits
+	return g.Techs[r].Forward(b.Enc, b.Dec, b.Lens, trainMode)
 }
 
 // TrainEpochFromCtx runs the loader epoch starting at batch index

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pac/internal/acache"
-	"pac/internal/autograd"
 	"pac/internal/data"
 	"pac/internal/model"
 	"pac/internal/nn"
@@ -284,7 +283,7 @@ func TestCacheFedDPGroupMatchesDirectForward(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g.Forward = func(rank int, mb *data.Batch, trainMode bool) *autograd.Variable {
+	g.Forward = func(rank int, mb *data.Batch, trainMode bool) *peft.Result {
 		pa := g.Techs[rank].(*peft.Parallel)
 		// Assemble batch taps from per-sample cache entries.
 		taps := make([]*tensor.Tensor, pa.NumTaps())
@@ -292,7 +291,7 @@ func TestCacheFedDPGroupMatchesDirectForward(t *testing.T) {
 			entry, ok := store.Get(id)
 			if !ok {
 				t.Errorf("cache miss for %d", id)
-				return pa.Forward(mb.Enc, mb.Dec, mb.Lens, trainMode).Logits
+				return pa.Forward(mb.Enc, mb.Dec, mb.Lens, trainMode)
 			}
 			for ti := range taps {
 				if taps[ti] == nil {
@@ -302,7 +301,7 @@ func TestCacheFedDPGroupMatchesDirectForward(t *testing.T) {
 				}
 			}
 		}
-		return pa.ForwardFromTaps(taps)
+		return &peft.Result{Logits: pa.ForwardFromTaps(taps), Taps: taps}
 	}
 	cachedLoss := mustStep(t, g, b)
 	if math.Abs(refLoss-cachedLoss) > 1e-5 {

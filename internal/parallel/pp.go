@@ -550,8 +550,13 @@ func (e *PipelineEngine) stageBackward(ctx context.Context, s, m int, mc *microC
 	}
 	// The micro-batch is fully consumed (loss read, boundary gradient
 	// frames encoded): tear its graph down so the stage's intermediates
-	// go back to the pool before the next micro-batch allocates.
+	// go back to the pool before the next micro-batch allocates. The
+	// sweep leaves the roots' values to their caller, and that is this
+	// function: the loss and the boundary outputs were read above.
 	autograd.Release(roots...)
+	for _, r := range roots {
+		tensor.PutTensor(r.Value)
+	}
 	return lossVal, nil
 }
 

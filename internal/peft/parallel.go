@@ -81,10 +81,11 @@ func pruneInit(b model.Block, h, r int, rng *tensor.RNG) *tensor.Tensor {
 	return out
 }
 
-// QuantizeBackbone implements BackboneQuantizer: the backbone is frozen
-// for the lifetime of the technique, so its projections can carry int8
-// forms computed once. The side network (norms, down/mix, head) is
-// trainable and never quantized.
+// QuantizeBackbone builds the int8 forms of the frozen backbone's
+// projections (Model.QuantizeBackbone) and returns how many were built.
+// The side network (norms, down/mix, head) is trainable and never
+// quantized. A backbone shared by several side networks is quantized
+// once, by whoever built it.
 func (p *Parallel) QuantizeBackbone() int { return p.m.QuantizeBackbone() }
 
 // Kind implements Technique.
@@ -139,9 +140,10 @@ func (p *Parallel) NumTaps() int { return p.taps }
 
 // SideInit returns the zero side state a_0 for a batch of the given
 // sequence length, so every adapter — including the first — has the same
-// f_i(b_i, a_{i-1}) form.
+// f_i(b_i, a_{i-1}) form. The zeros are GC-owned, not pooled: a_0 is a
+// graph leaf, and a release sweep never returns a leaf to the pool.
 func (p *Parallel) SideInit(batch, seq int) *autograd.Variable {
-	return autograd.NewVar(tensor.New(batch, seq, p.r))
+	return autograd.NewVar(tensor.FromSlice(make([]float32, batch*seq*p.r), batch, seq, p.r))
 }
 
 // SideStep applies adapter i: a_i = GELU(LN_i(b_i)·D_i + a_{i-1}·R_i).

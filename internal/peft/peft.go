@@ -80,14 +80,6 @@ type Technique interface {
 	BackboneBackward() bool
 }
 
-// BackboneQuantizer is implemented by techniques whose backbone stays
-// frozen end to end (ParallelAdapters), making int8 quantization of the
-// backbone projections safe. QuantizeBackbone builds the int8 weight
-// forms and returns how many projections were quantized.
-type BackboneQuantizer interface {
-	QuantizeBackbone() int
-}
-
 // Options configures technique construction.
 type Options struct {
 	Reduction int   // Parallel Adapters / Adapters bottleneck factor k (paper: 8)
@@ -115,9 +107,10 @@ func (o Options) EffectiveReduction() int { return o.withDefaults().Reduction }
 // EffectiveLoRARank returns the LoRA rank with the default (32) applied.
 func (o Options) EffectiveLoRARank() int { return o.withDefaults().LoRARank }
 
-// New attaches a technique to m and returns it. The model is mutated
-// (frozen and/or extended) according to the technique; attach exactly
-// one technique per model instance.
+// New attaches a technique to m and returns it. Full trains m, and
+// Adapters and LoRA extend it, so attach one of them per model instance.
+// Parallel Adapters only freeze m, so any number of Parallel side
+// networks may attach to one frozen backbone.
 func New(kind Kind, m *model.Model, opts Options) Technique {
 	opts = opts.withDefaults()
 	switch kind {

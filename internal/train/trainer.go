@@ -82,8 +82,9 @@ func (t *Trainer) TrainBatch(b *data.Batch) float64 {
 	}
 	t.Opt.Step()
 	v := float64(loss.Value.Data[0])
-	// The step is complete: return the graph's tensors to the pool.
-	autograd.Release(loss)
+	// The step is complete: return the graph's tensors, the loss value
+	// and any taps to the pool.
+	res.Release(loss)
 	return v
 }
 
@@ -137,7 +138,7 @@ func Evaluate(tech peft.Technique, ds *data.Dataset, batchSize int) EvalResult {
 			preds = append(preds, tensor.ArgMaxRows(res.Logits.Value)...)
 			labels = append(labels, b.Labels...)
 		}
-		autograd.Release(loss)
+		res.Release(loss)
 	}
 	out := EvalResult{N: n}
 	if n > 0 {
