@@ -49,7 +49,7 @@ func goldenLine(scenario string, vals []float32) string {
 
 // TestGoldenOutputs pins the outputs of the program's numeric paths
 // across commits: fine-tuning (unbounded, bounded and resumed), one step
-// of each engine, the pac-train command, serving on both backends, both
+// of each engine, the pac-train command, serving on both backends, the
 // decoders, and every product kernel. The
 // equivalence tests elsewhere compare two paths of one binary and pass
 // when both move together; this one compares against
@@ -292,10 +292,12 @@ func goldenServe(t *testing.T, backend string, add func(string, []float32)) {
 	add("serve/classify/"+backend, logits)
 }
 
-// goldenDecode pins both decoders on a language-model Tiny: Decode runs
-// through the Parallel Adapters side network, DecodeIncremental through
-// the bare backbone's KV cache. Tokens are recorded as float32 with -1
-// closing each row.
+// goldenDecode pins the decoders on a language-model Tiny: Decode runs
+// through the Parallel Adapters side network, DecodeParallel through the
+// same side network on the KV cache, DecodeIncremental through the bare
+// backbone's KV cache. Tokens are recorded as float32 with -1 closing
+// each row. The cached lines read Decode's: the same tokens, and step by
+// step the rows of the full forward's logits for the same prefix.
 func goldenDecode(t *testing.T, add func(string, []float32)) {
 	cfg := model.Tiny()
 	cfg.Vocab, cfg.NumClasses, cfg.LM = 24, 24, true
@@ -317,8 +319,36 @@ func goldenDecode(t *testing.T, add func(string, []float32)) {
 	}
 	add("generate/decode/tokens", tokens(generate.Decode(tech, enc, lens, opts)))
 	res := tech.Forward(enc, [][]int{{generate.BOS, 7}, {generate.BOS, 7}}, lens, false)
-	add("generate/decode/logits", append([]float32(nil), res.Logits.Value.Data...))
+	full := append([]float32(nil), res.Logits.Value.Data...)
+	add("generate/decode/logits", full)
 	res.Release(res.Logits)
+
+	pa := tech.(*peft.Parallel)
+	cached, err := generate.DecodeParallel(pa, enc, lens, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("generate/cached/tokens", tokens(cached))
+	c, err := generate.NewParallelDecoder(pa, enc, lens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	steps := append([]float32(nil), c.Step([]int{generate.BOS, generate.BOS}).Data...)
+	steps = append(steps, c.Step([]int{7, 7}).Data...)
+	// Step s's row i is row 2i+s of the full forward over [BOS, 7].
+	vocab := cfg.Vocab
+	for s := 0; s < 2; s++ {
+		for i := 0; i < 2; i++ {
+			got, want := steps[(2*s+i)*vocab:][:vocab], full[(2*i+s)*vocab:][:vocab]
+			for j := range got {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("cached step %d row %d logit %d: %v, full forward %v", s, i, j, got[j], want[j])
+				}
+			}
+		}
+	}
+	add("generate/cached/logits", steps)
 
 	inc, err := generate.DecodeIncremental(m, enc, lens, opts)
 	if err != nil {

@@ -573,18 +573,7 @@ func backDropout(out *Variable) {
 // sequence dimension. The Parallel Adapters side network uses it to pool
 // encoder-side state before seeding the decoder-side chain.
 func MeanSeq(a *Variable) *Variable {
-	batch, seq, d := a.Value.Dim(0), a.Value.Dim(1), a.Value.Dim(2)
-	val := tensor.New(batch, d)
-	for b := 0; b < batch; b++ {
-		for s := 0; s < seq; s++ {
-			base := (b*seq + s) * d
-			for c := 0; c < d; c++ {
-				val.Data[b*d+c] += a.Value.Data[base+c]
-			}
-		}
-	}
-	tensor.ScaleInPlace(val, 1/float32(seq))
-	return newOp1(val, backMeanSeq, a)
+	return newOp1(tensor.MeanSeq(a.Value), backMeanSeq, a)
 }
 
 func backMeanSeq(out *Variable) {
@@ -606,15 +595,7 @@ func backMeanSeq(out *Variable) {
 // BroadcastSeq expands [batch, d] → [batch, seq, d] by repeating each
 // row seq times (inverse shape of MeanSeq).
 func BroadcastSeq(a *Variable, seq int) *Variable {
-	batch, d := a.Value.Dim(0), a.Value.Dim(1)
-	val := tensor.New(batch, seq, d)
-	for b := 0; b < batch; b++ {
-		src := a.Value.Data[b*d : (b+1)*d]
-		for s := 0; s < seq; s++ {
-			copy(val.Data[(b*seq+s)*d:(b*seq+s+1)*d], src)
-		}
-	}
-	out := newOp1(val, backBroadcastSeq, a)
+	out := newOp1(tensor.BroadcastSeq(a.Value, seq), backBroadcastSeq, a)
 	out.auxI = seq
 	return out
 }

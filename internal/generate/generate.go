@@ -106,10 +106,10 @@ func GenSeq2Seq(task Task, size, seqLen, targetLen, vocab int, seed int64) *Seq2
 	return ds
 }
 
-// Batch is a teacher-forced generation batch: DecIn[i] = BOS + target
-// minus its last token; Labels[i] = target + EOS, flattened row-major to
-// match the [batch·decSeq, vocab] logits layout.
-type Batch struct {
+// teacherBatch is a teacher-forced generation batch: DecIn[i] = BOS +
+// target minus its last token; Labels[i] = target + EOS, flattened
+// row-major to match the [batch·decSeq, vocab] logits layout.
+type teacherBatch struct {
 	IDs    []int
 	Enc    [][]int
 	Lens   []int
@@ -118,9 +118,9 @@ type Batch struct {
 	DecSeq int
 }
 
-// BatchOf assembles a teacher-forced batch.
-func BatchOf(examples []Seq2SeqExample) *Batch {
-	b := &Batch{}
+// batchOf assembles a teacher-forced batch.
+func batchOf(examples []Seq2SeqExample) *teacherBatch {
+	b := &teacherBatch{}
 	for _, ex := range examples {
 		decIn := append([]int{BOS}, ex.Target...)
 		labels := append(append([]int{}, ex.Target...), EOS)
@@ -146,11 +146,11 @@ func NewLoader(ds *Seq2SeqDataset, batchSize int, seed int64) *Loader {
 	return &Loader{ds: ds, batchSize: batchSize, seed: seed}
 }
 
-// Epoch returns the epoch's batches in a deterministic shuffled order.
-func (l *Loader) Epoch(epoch int) []*Batch {
+// epoch returns the epoch's batches in a deterministic shuffled order.
+func (l *Loader) epoch(epoch int) []*teacherBatch {
 	rng := tensor.NewRNG(l.seed*7919 + int64(epoch))
 	perm := rng.Perm(l.ds.Len())
-	var out []*Batch
+	var out []*teacherBatch
 	for start := 0; start < len(perm); start += l.batchSize {
 		end := start + l.batchSize
 		if end > len(perm) {
@@ -160,7 +160,7 @@ func (l *Loader) Epoch(epoch int) []*Batch {
 		for _, idx := range perm[start:end] {
 			exs = append(exs, l.ds.Examples[idx])
 		}
-		out = append(out, BatchOf(exs))
+		out = append(out, batchOf(exs))
 	}
 	return out
 }
@@ -173,8 +173,8 @@ type Trainer struct {
 	Clip float32
 }
 
-// TrainBatch runs one optimization step and returns the mean token loss.
-func (t *Trainer) TrainBatch(b *Batch) float64 {
+// trainBatch runs one optimization step and returns the mean token loss.
+func (t *Trainer) trainBatch(b *teacherBatch) float64 {
 	res := t.Tech.Forward(b.Enc, b.DecIn, b.Lens, true)
 	loss := autograd.SoftmaxCrossEntropy(res.Logits, b.Labels)
 	autograd.Backward(loss)
@@ -190,9 +190,9 @@ func (t *Trainer) TrainBatch(b *Batch) float64 {
 // TrainEpoch runs an epoch and returns the mean batch loss.
 func (t *Trainer) TrainEpoch(l *Loader, epoch int) float64 {
 	var total float64
-	batches := l.Epoch(epoch)
+	batches := l.epoch(epoch)
 	for _, b := range batches {
-		total += t.TrainBatch(b)
+		total += t.trainBatch(b)
 	}
 	if len(batches) == 0 {
 		return 0
@@ -299,8 +299,8 @@ func pick(logits []float32, temperature float64, rng *tensor.RNG) int {
 	return len(logits) - 1
 }
 
-// ExactMatch returns the fraction of predictions equal to their targets.
-func ExactMatch(pred [][]int, targets [][]int) float64 {
+// exactMatch returns the fraction of predictions equal to their targets.
+func exactMatch(pred [][]int, targets [][]int) float64 {
 	if len(pred) == 0 {
 		return 0
 	}
@@ -313,10 +313,10 @@ func ExactMatch(pred [][]int, targets [][]int) float64 {
 	return float64(hits) / float64(len(pred))
 }
 
-// TokenAccuracy returns the fraction of positions predicted correctly
+// tokenAccuracy returns the fraction of positions predicted correctly
 // (over the shorter of prediction and target, penalizing length
 // mismatches against the target length).
-func TokenAccuracy(pred [][]int, targets [][]int) float64 {
+func tokenAccuracy(pred [][]int, targets [][]int) float64 {
 	var correct, total float64
 	for i := range pred {
 		t := targets[i]
@@ -364,5 +364,5 @@ func Eval(tech peft.Technique, ds *Seq2SeqDataset, batchSize int) (exact, token 
 		}
 		preds = append(preds, Decode(tech, enc, lens, Options{MaxLen: ds.TargetLen + 2})...)
 	}
-	return ExactMatch(preds, targets), TokenAccuracy(preds, targets)
+	return exactMatch(preds, targets), tokenAccuracy(preds, targets)
 }

@@ -63,7 +63,7 @@ func TestGenSeq2SeqShapesAndTasks(t *testing.T) {
 
 func TestBatchOfTeacherForcing(t *testing.T) {
 	ds := GenSeq2Seq(Copy, 2, 6, 3, 16, 2)
-	b := BatchOf(ds.Examples)
+	b := batchOf(ds.Examples)
 	if b.DecSeq != 4 { // BOS + 3 target tokens
 		t.Fatalf("DecSeq %d", b.DecSeq)
 	}
@@ -85,7 +85,7 @@ func TestLMModelLogitShape(t *testing.T) {
 	m := model.New(cfg)
 	tech := peft.New(peft.Full, m, peft.Options{})
 	ds := GenSeq2Seq(Copy, 3, 6, 2, 32, 3)
-	b := BatchOf(ds.Examples)
+	b := batchOf(ds.Examples)
 	res := tech.Forward(b.Enc, b.DecIn, b.Lens, false)
 	if got := res.Logits.Value.Shape(); got[0] != 3*b.DecSeq || got[1] != 32 {
 		t.Fatalf("logits shape %v", got)
@@ -183,12 +183,12 @@ func TestDecodeGreedyDeterministicSamplingNot(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	pred := [][]int{{1, 2, 3}, {4, 5}, {7, 8, 9}}
 	targ := [][]int{{1, 2, 3}, {4, 5, 6}, {7, 0, 9}}
-	if got := ExactMatch(pred, targ); got != 1.0/3 {
-		t.Fatalf("ExactMatch %v", got)
+	if got := exactMatch(pred, targ); got != 1.0/3 {
+		t.Fatalf("exactMatch %v", got)
 	}
 	// Token accuracy: 3/3 + 2/3 + 2/3 over 9 target tokens = 7/9.
-	if got := TokenAccuracy(pred, targ); got < 7.0/9-1e-9 || got > 7.0/9+1e-9 {
-		t.Fatalf("TokenAccuracy %v", got)
+	if got := tokenAccuracy(pred, targ); got < 7.0/9-1e-9 || got > 7.0/9+1e-9 {
+		t.Fatalf("tokenAccuracy %v", got)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestLoaderCoversDataset(t *testing.T) {
 	ds := GenSeq2Seq(Reverse, 10, 6, 2, 16, 6)
 	l := NewLoader(ds, 4, 1)
 	seen := map[int]bool{}
-	for _, b := range l.Epoch(0) {
+	for _, b := range l.epoch(0) {
 		for _, id := range b.IDs {
 			seen[id] = true
 		}

@@ -1,19 +1,22 @@
 package generate
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
+	"pac/internal/autograd"
 	"pac/internal/memledger"
 	"pac/internal/model"
 	"pac/internal/nn"
+	"pac/internal/peft"
 	"pac/internal/tensor"
 )
 
-// memKV accounts generation state held across decode steps: the cached
-// encoder output, the cross-attention K/V and the growing
-// self-attention K/V cache. Reserved at decoder creation, extended as
-// the KV cache grows, released by Close.
+// memKV accounts generation state held across decode steps: the
+// cross-attention K/V and padding mask, a side network's decoder start
+// state, and the growing self-attention K/V cache. Reserved at decoder
+// creation, extended as the KV cache grows, released by Close.
 var memKV = memledger.Default().Account("generate.kv")
 
 // tensorBytes is the float32 payload size of t (0 for nil).
@@ -25,62 +28,89 @@ func tensorBytes(t *tensor.Tensor) int64 {
 }
 
 // IncrementalDecoder decodes one token per step in O(1) work per new
-// position: the encoder runs once, each decoder layer's cross-attention
-// keys/values are precomputed, and self-attention keys/values are
-// cached and extended as the sequence grows — the standard KV-cache
-// optimization of LLM inference engines, built on the frozen-value
-// (inference-only) tensor path.
+// position — the KV-cache decode loop of LLM inference engines. The
+// encoder runs once, each decoder layer's cross-attention keys/values
+// are computed once, and self-attention keys/values are cached and
+// extended as the sequence grows. A step records no autograd node: every
+// projection, norm and activation is the value form of the layer a full
+// forward runs (nn.Linear.Value, nn.LayerNorm.Value, nn.FeedForward.Value),
+// on the same kernels. Each of those kernels computes an output row from
+// that row alone, in one in-order chain, and the entries a causal mask
+// blocks in a full forward come out of the softmax as exact zeros that
+// join the end of each chain — so a step's logits equal bit for bit the
+// last row of a full forward over the same prefix (barring an Inf or NaN
+// weight, whose zero products would not vanish).
+//
+// One engine serves two heads: the backbone's own LM head
+// (NewIncrementalDecoder), or a Parallel Adapters side network
+// (NewParallelDecoder). The side network's encoder half and crossover
+// run once per decoder; each step then feeds the new position's taps —
+// one row per decoder layer — through its decoder half, and the
+// backbone's LM head, whose output Parallel Adapters discard, never runs.
 type IncrementalDecoder struct {
 	m     *model.Model
-	lens  []int
+	side  *peft.Parallel // nil: the backbone's LM head
 	batch int
 	pos   int // decoded positions so far
+	scale float32
 
-	enc *tensor.Tensor // [batch, encSeq, hidden]
-
-	layers []*decLayerState
-	head   *model.LMHead
+	embed     *model.DecEmbed
+	layers    []*decLayerState
+	head      *model.LMHead
+	crossMask *tensor.Tensor // [batch·heads, 1, encSeq]; nil without lens
+	start     *tensor.Tensor // side head: CrossOver's [batch, 1, r] state
+	logits    *tensor.Tensor // the last Step's result, recycled by the next
 
 	// kvBytes is what this decoder has reserved in the generate.kv
-	// ledger account: encoder output + cross K/V at creation, plus the
-	// self-attention cache as it grows per Step. Close releases it.
+	// ledger account: cross K/V, mask and start state at creation, plus
+	// the self-attention cache as it grows per Step. Close releases it.
 	kvBytes int64
 }
 
 // decLayerState caches one decoder layer's attention state.
 type decLayerState struct {
 	layer *model.DecLayer
-	// Self-attention cache, grown per step: [batch·heads, t, dh].
+	// Self-attention cache, grown per step (GC-owned, see appendPos):
+	// [batch·heads, t, dh].
 	selfK, selfV *tensor.Tensor
 	// Cross-attention keys/values, fixed: [batch·heads, encSeq, dh].
 	crossK, crossV *tensor.Tensor
 }
 
-// NewIncrementalDecoder prepares a session for a batch of encoder
-// inputs. The model must be LM-configured, and its decoder layers must
-// carry no in-backbone adapters (the KV fast path serves the frozen
-// backbone; techniques that alter the decoder math fall back to Decode).
+// NewIncrementalDecoder prepares a session that decodes through the
+// backbone's own LM head. The model must be LM-configured and carry no
+// in-backbone adapters or LoRA bypasses (techniques that alter the
+// backbone math decode through Decode).
 func NewIncrementalDecoder(m *model.Model, encIDs [][]int, lens []int) (*IncrementalDecoder, error) {
+	return newDecoder(m, nil, encIDs, lens)
+}
+
+// NewParallelDecoder prepares a session that decodes through p's side
+// network over its frozen backbone: the personalised model, step for
+// step the one Decode(p, …) runs.
+func NewParallelDecoder(p *peft.Parallel, encIDs [][]int, lens []int) (*IncrementalDecoder, error) {
+	return newDecoder(p.Backbone(), p, encIDs, lens)
+}
+
+func newDecoder(m *model.Model, side *peft.Parallel, encIDs [][]int, lens []int) (*IncrementalDecoder, error) {
 	if !m.Cfg.LM {
 		return nil, fmt.Errorf("generate: incremental decoding requires an LM-configured model")
 	}
-	// Run the encoder region once.
-	s := &model.State{EncIDs: encIDs, EncLens: lens}
-	m.ForwardRange(s, 0, m.Cfg.Layers+1)
-
-	d := &IncrementalDecoder{m: m, lens: lens, batch: len(encIDs), enc: s.Enc.Value}
+	dh := m.Cfg.Hidden / m.Cfg.Heads
+	d := &IncrementalDecoder{m: m, side: side, batch: len(encIDs), scale: float32(1 / math.Sqrt(float64(dh)))}
 	for _, b := range m.Blocks {
 		switch blk := b.(type) {
-		case *model.DecLayer:
-			if blk.Post != nil {
-				return nil, fmt.Errorf("generate: incremental decoding does not support in-backbone adapters")
+		case *model.EncLayer:
+			if blk.Post != nil || bypassed(blk.Attn) {
+				return nil, errBackboneAltered
 			}
-			st := &decLayerState{layer: blk}
-			// Precompute cross K/V from the encoder output.
-			heads := m.Cfg.Heads
-			st.crossK = tensor.SplitHeads(applyLinear(blk.CrossAttn.K, d.enc), heads)
-			st.crossV = tensor.SplitHeads(applyLinear(blk.CrossAttn.V, d.enc), heads)
-			d.layers = append(d.layers, st)
+		case *model.DecEmbed:
+			d.embed = blk
+		case *model.DecLayer:
+			if blk.Post != nil || bypassed(blk.SelfAttn) || bypassed(blk.CrossAttn) {
+				return nil, errBackboneAltered
+			}
+			d.layers = append(d.layers, &decLayerState{layer: blk})
 		case *model.LMHead:
 			d.head = blk
 		}
@@ -88,169 +118,241 @@ func NewIncrementalDecoder(m *model.Model, encIDs [][]int, lens []int) (*Increme
 	if d.head == nil {
 		return nil, fmt.Errorf("generate: model lacks an LM head")
 	}
-	d.kvBytes = tensorBytes(d.enc)
+
+	// The encoder region runs once, on the tape, and its graph goes back
+	// to the pool at once, as BackboneTaps releases its own: only the taps
+	// stay, and the last of them is the encoder output.
+	s := &model.State{EncIDs: encIDs, EncLens: lens}
+	m.ForwardRange(s, 0, m.Cfg.Layers+1)
+	encTaps := make([]*tensor.Tensor, len(s.Taps))
+	for i, t := range s.Taps {
+		encTaps[i] = t.Value
+	}
+	autograd.ReleaseExcept(encTaps, s.Enc)
+	enc := s.Enc.Value
 	for _, st := range d.layers {
+		st.crossK = d.splitHeads(st.layer.CrossAttn.K, enc)
+		st.crossV = d.splitHeads(st.layer.CrossAttn.V, enc)
 		d.kvBytes += tensorBytes(st.crossK) + tensorBytes(st.crossV)
 	}
+	if lens != nil {
+		d.crossMask = nn.PaddingMask(lens, m.Cfg.Heads, 1, enc.Dim(1))
+	}
+	if side != nil {
+		d.start = side.SideStart(encTaps)
+	}
+	for _, t := range encTaps {
+		tensor.PutTensor(t)
+	}
+	d.kvBytes += tensorBytes(d.crossMask) + tensorBytes(d.start)
 	memKV.Reserve(d.kvBytes)
 	return d, nil
 }
 
-// Close settles the decoder's generate.kv ledger reservation (encoder
-// output, cross K/V, and the accumulated self-attention cache).
-// Idempotent.
-func (d *IncrementalDecoder) Close() {
-	if d.kvBytes == 0 {
-		return
-	}
-	memKV.Release(d.kvBytes)
-	d.kvBytes = 0
-}
+var errBackboneAltered = errors.New("generate: incremental decoding does not support in-backbone adapters or LoRA")
 
-// applyLinear computes x·W + b on raw tensors, preserving leading dims.
-// Frozen projections carrying an int8 form take the quantized matmul
-// when the active backend asks for it — the incremental decoder runs the
-// backbone outside autograd, so it gates only on the weight, never on
-// gradient state.
-func applyLinear(l *nn.Linear, x *tensor.Tensor) *tensor.Tensor {
-	shape := x.Shape()
-	var y *tensor.Tensor
-	if l.QW != nil && !l.W.RequiresGrad() && tensor.BackendQuantized() {
-		y = tensor.QuantMatMul(x, l.QW)
-	} else {
-		y = tensor.MatMul(x, l.W.Value)
-	}
-	y = tensor.AddRowBroadcast(y, l.B.Value)
-	out := append(append([]int(nil), shape[:len(shape)-1]...), l.Out())
-	return y.Reshape(out...)
-}
+// bypassed reports whether LoRA attached to an attention block (LoRA
+// attaches to Q and V only).
+func bypassed(a *nn.MultiHeadAttention) bool { return a.Q.LoraA != nil || a.V.LoraA != nil }
 
-// applyLN normalizes on raw tensors.
-func applyLN(l *nn.LayerNorm, x *tensor.Tensor) *tensor.Tensor {
-	out, _ := tensor.LayerNormForward(x, l.Gamma.Value, l.Beta.Value, l.Eps)
+// splitHeads projects x through l and splits the heads:
+// [batch, seq, hidden] → [batch·heads, seq, dh].
+func (d *IncrementalDecoder) splitHeads(l *nn.Linear, x *tensor.Tensor) *tensor.Tensor {
+	y := l.Value(x)
+	out := tensor.SplitHeads(y, d.m.Cfg.Heads)
+	tensor.PutTensor(y)
 	return out
 }
 
+// Close returns the decoder's pooled state (cross K/V, mask, start
+// state, the last logits), drops its GC-owned self-attention cache and
+// settles its generate.kv ledger reservation. Idempotent; the decoder is
+// unusable afterwards.
+func (d *IncrementalDecoder) Close() {
+	for _, st := range d.layers {
+		tensor.PutTensor(st.crossK)
+		tensor.PutTensor(st.crossV)
+		st.crossK, st.crossV, st.selfK, st.selfV = nil, nil, nil, nil
+	}
+	for _, t := range []*tensor.Tensor{d.crossMask, d.start, d.logits} {
+		tensor.PutTensor(t)
+	}
+	d.crossMask, d.start, d.logits = nil, nil, nil
+	if d.kvBytes != 0 {
+		memKV.Release(d.kvBytes)
+		d.kvBytes = 0
+	}
+}
+
 // Step feeds one new token per batch row (position pos) and returns the
-// next-token logits [batch, vocab].
+// next-token logits [batch, vocab]. The logits stay valid until the next
+// Step or Close, which recycle them.
 func (d *IncrementalDecoder) Step(tokens []int) *tensor.Tensor {
 	if len(tokens) != d.batch {
 		panic("generate: token count mismatch")
 	}
-	cfg := d.m.Cfg
-	heads := cfg.Heads
-	dh := cfg.Hidden / heads
+	tensor.PutTensor(d.logits)
+	d.logits = nil
+	hidden := d.m.Cfg.Hidden
 
-	// Embed the single new position, mirroring DecEmbed.Forward.
-	var decEmbed *model.DecEmbed
-	for _, b := range d.m.Blocks {
-		if de, ok := b.(*model.DecEmbed); ok {
-			decEmbed = de
-			break
-		}
-	}
-	x := tensor.New(d.batch, 1, cfg.Hidden)
+	// Embed the single new position, as DecEmbed.Forward does.
+	emb := tensor.New(d.batch, 1, hidden)
+	posRow := d.embed.Pos.Table.Value.Data[d.pos*hidden : (d.pos+1)*hidden]
 	for i, tok := range tokens {
-		tokRow := decEmbed.Tok.Table.Value.Data[tok*cfg.Hidden : (tok+1)*cfg.Hidden]
-		posRow := decEmbed.Pos.Table.Value.Data[d.pos*cfg.Hidden : (d.pos+1)*cfg.Hidden]
-		dst := x.Data[i*cfg.Hidden : (i+1)*cfg.Hidden]
+		tokRow := d.embed.Tok.Table.Value.Data[tok*hidden : (tok+1)*hidden]
+		dst := emb.Data[i*hidden : (i+1)*hidden]
 		for j := range dst {
 			dst[j] = tokRow[j] + posRow[j]
 		}
 	}
 
-	scale := float32(1 / math.Sqrt(float64(dh)))
+	// Each layer's output row is the tap the side network reads.
+	x := emb
+	taps := make([]*tensor.Tensor, 0, len(d.layers))
 	for _, st := range d.layers {
-		l := st.layer
-		// Self-attention over the cached prefix + the new position.
-		h := applyLN(l.LN1, x)
-		q := tensor.SplitHeads(applyLinear(l.SelfAttn.Q, h), heads) // [b·h, 1, dh]
-		k := tensor.SplitHeads(applyLinear(l.SelfAttn.K, h), heads)
-		v := tensor.SplitHeads(applyLinear(l.SelfAttn.V, h), heads)
-		if st.selfK == nil {
-			st.selfK, st.selfV = k, v
-		} else {
-			st.selfK = concatSeq(st.selfK, k)
-			st.selfV = concatSeq(st.selfV, v)
-		}
-		// Account the self-attention cache growth: one new position of
-		// K and V per layer per step.
-		grown := tensorBytes(k) + tensorBytes(v)
-		d.kvBytes += grown
-		memKV.Add(grown)
-		scores := tensor.Scale(tensor.BatchMatMulT(q, st.selfK), scale)
-		probs := tensor.Softmax(scores)
-		ctx := tensor.BatchMatMul(probs, st.selfV)
-		attnOut := applyLinear(l.SelfAttn.O, tensor.MergeHeads(ctx, heads))
-		x = tensor.Add(x, attnOut)
-
-		// Cross-attention over the precomputed encoder K/V.
-		h = applyLN(l.LN2, x)
-		q = tensor.SplitHeads(applyLinear(l.CrossAttn.Q, h), heads)
-		scores = tensor.Scale(tensor.BatchMatMulT(q, st.crossK), scale)
-		if d.lens != nil {
-			mask := nn.PaddingMask(d.lens, heads, 1, d.enc.Dim(1))
-			scores = tensor.Add(scores, mask)
-		}
-		probs = tensor.Softmax(scores)
-		ctx = tensor.BatchMatMul(probs, st.crossV)
-		x = tensor.Add(x, applyLinear(l.CrossAttn.O, tensor.MergeHeads(ctx, heads)))
-
-		// Feed-forward.
-		h = applyLN(l.LN3, x)
-		up := applyLinear(l.FF.Up, h)
-		up = tensor.Apply(up, geluF32)
-		x = tensor.Add(x, applyLinear(l.FF.Down, up))
+		x = d.layerStep(st, x)
+		taps = append(taps, x)
 	}
 	d.pos++
 
-	// LM head for the single position.
-	out := applyLN(d.head.LN, x)
-	return applyLinear(d.head.Proj, out.Reshape(d.batch, d.m.Cfg.Hidden))
-}
-
-// geluF32 mirrors autograd.GELU's tanh approximation.
-func geluF32(v float32) float32 {
-	const c = 0.7978845608028654
-	x := float64(v)
-	return float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
-}
-
-// concatSeq appends along the sequence dimension: [b, t, d] + [b, 1, d].
-func concatSeq(a, b *tensor.Tensor) *tensor.Tensor {
-	batch, t, dim := a.Dim(0), a.Dim(1), a.Dim(2)
-	out := tensor.New(batch, t+1, dim)
-	for i := 0; i < batch; i++ {
-		copy(out.Data[i*(t+1)*dim:], a.Data[i*t*dim:(i+1)*t*dim])
-		copy(out.Data[(i*(t+1)+t)*dim:], b.Data[i*dim:(i+1)*dim])
+	if d.side != nil {
+		d.logits = d.side.SideLogits(d.start, taps)
+	} else {
+		h := d.head.LN.Value(x)
+		h.SetShape(d.batch, hidden)
+		d.logits = d.head.Proj.Value(h)
+		tensor.PutTensor(h)
 	}
+	tensor.PutTensor(emb)
+	for _, t := range taps {
+		tensor.PutTensor(t)
+	}
+	return d.logits
+}
+
+// layerStep runs one decoder layer on the new position x ([batch, 1,
+// hidden]) and returns its output in a fresh buffer, leaving x intact.
+func (d *IncrementalDecoder) layerStep(st *decLayerState, x *tensor.Tensor) *tensor.Tensor {
+	l := st.layer
+
+	// Self-attention over the cached prefix plus the new position.
+	h := l.LN1.Value(x)
+	q := d.splitHeads(l.SelfAttn.Q, h)
+	k := d.splitHeads(l.SelfAttn.K, h)
+	v := d.splitHeads(l.SelfAttn.V, h)
+	tensor.PutTensor(h)
+	grown := tensorBytes(k) + tensorBytes(v)
+	st.selfK = appendPos(st.selfK, k)
+	st.selfV = appendPos(st.selfV, v)
+	d.kvBytes += grown
+	memKV.Add(grown)
+	a := d.attend(l.SelfAttn, q, st.selfK, st.selfV, nil)
+	out := tensor.Add(x, a)
+	tensor.PutTensor(a)
+
+	// Cross-attention over the encoder's K/V.
+	h = l.LN2.Value(out)
+	q = d.splitHeads(l.CrossAttn.Q, h)
+	tensor.PutTensor(h)
+	a = d.attend(l.CrossAttn, q, st.crossK, st.crossV, d.crossMask)
+	tensor.AddInPlace(out, a)
+	tensor.PutTensor(a)
+
+	// Feed-forward.
+	h = l.LN3.Value(out)
+	a = l.FF.Value(h)
+	tensor.PutTensor(h)
+	tensor.AddInPlace(out, a)
+	tensor.PutTensor(a)
 	return out
 }
 
-// DecodeIncremental generates with the KV cache; semantics match Decode
-// with greedy or temperature sampling.
-func DecodeIncremental(m *model.Model, enc [][]int, lens []int, opts Options) ([][]int, error) {
-	if opts.MaxLen <= 0 {
-		opts.MaxLen = 16
+// attend is MultiHeadAttention.Forward's score path for the new
+// position's query q ([batch·heads, 1, dh]), which it consumes:
+// Q·Kᵀ/√dh in one kernel, the additive mask and the softmax in place,
+// the context product, merged heads and the output projection.
+func (d *IncrementalDecoder) attend(mha *nn.MultiHeadAttention, q, k, v, mask *tensor.Tensor) *tensor.Tensor {
+	scores := tensor.BatchMatMulTScaled(q, k, d.scale)
+	tensor.PutTensor(q)
+	if mask != nil {
+		tensor.AddInPlace(scores, mask)
 	}
+	tensor.SoftmaxInPlace(scores)
+	ctx := tensor.BatchMatMul(scores, v)
+	tensor.PutTensor(scores)
+	merged := tensor.MergeHeads(ctx, mha.Heads)
+	tensor.PutTensor(ctx)
+	out := mha.O.Value(merged)
+	tensor.PutTensor(merged)
+	return out
+}
+
+// appendPos returns the [b, t, d] cache (nil for t = 0) grown by one
+// position row [b, 1, d], and returns row to the pool. The grown cache is
+// a fresh GC-owned buffer, not a pooled one: the cache is request state,
+// reallocated at every step at a size set by the request's batch and
+// length, and the pool keeps every buffer it hands out for the life of
+// the process, while the heap gives it back once the request is done.
+func appendPos(cache, row *tensor.Tensor) *tensor.Tensor {
+	batch, dim := row.Dim(0), row.Dim(2)
+	t, old := 0, []float32(nil)
+	if cache != nil {
+		t, old = cache.Dim(1), cache.Data
+	}
+	out := tensor.FromSlice(make([]float32, batch*(t+1)*dim), batch, t+1, dim)
+	for i := 0; i < batch; i++ {
+		copy(out.Data[i*(t+1)*dim:], old[i*t*dim:(i+1)*t*dim])
+		copy(out.Data[(i*(t+1)+t)*dim:], row.Data[i*dim:(i+1)*dim])
+	}
+	tensor.PutTensor(row)
+	return out
+}
+
+// DecodeIncremental generates through the backbone's LM head with the KV
+// cache; its semantics match Decode with greedy or temperature sampling.
+func DecodeIncremental(m *model.Model, enc [][]int, lens []int, opts Options) ([][]int, error) {
 	d, err := NewIncrementalDecoder(m, enc, lens)
 	if err != nil {
 		return nil, err
 	}
+	return d.decode(opts), nil
+}
+
+// DecodeParallel generates through p's side network with the KV cache:
+// the same tokens Decode(p, enc, lens, opts) returns — each step's logits
+// are the bits Decode picks from — at one decoder row per token instead
+// of a full re-run of encoder and decoder.
+func DecodeParallel(p *peft.Parallel, enc [][]int, lens []int, opts Options) ([][]int, error) {
+	d, err := NewParallelDecoder(p, enc, lens)
+	if err != nil {
+		return nil, err
+	}
+	return d.decode(opts), nil
+}
+
+// decode is Decode's loop on the cached decoder: the same picks, in the
+// same row order (so the same RNG draws), the same EOS padding of
+// finished rows, and the same output shape. It closes d.
+func (d *IncrementalDecoder) decode(opts Options) [][]int {
 	defer d.Close()
+	if opts.MaxLen <= 0 {
+		opts.MaxLen = 16
+	}
 	rng := tensor.NewRNG(opts.Seed)
-	batch := len(enc)
-	current := make([]int, batch)
+	current := make([]int, d.batch)
 	for i := range current {
 		current[i] = BOS
 	}
-	done := make([]bool, batch)
-	out := make([][]int, batch)
+	done := make([]bool, d.batch)
+	out := make([][]int, d.batch)
+	for i := range out {
+		out[i] = []int{}
+	}
 	for step := 0; step < opts.MaxLen; step++ {
 		logits := d.Step(current)
 		vocab := logits.Dim(1)
 		allDone := true
-		for i := 0; i < batch; i++ {
+		for i := range current {
 			if done[i] {
 				current[i] = EOS
 				continue
@@ -268,5 +370,5 @@ func DecodeIncremental(m *model.Model, enc [][]int, lens []int, opts Options) ([
 			break
 		}
 	}
-	return out, nil
+	return out
 }

@@ -48,7 +48,7 @@ func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 // dimension must equal in. The output keeps the leading dimensions.
 func (l *Linear) Forward(x *autograd.Variable) *autograd.Variable {
 	if l.LoraA == nil {
-		if l.QW != nil && !l.W.RequiresGrad() && !x.RequiresGrad() && tensor.BackendQuantized() {
+		if l.usesInt8(x.RequiresGrad()) {
 			// Frozen-backbone int8 path: the weight was quantized once
 			// at load; the bias and everything downstream stay fp32.
 			return autograd.AffineQuantized(x, l.QW, l.B)
@@ -65,6 +65,47 @@ func (l *Linear) Forward(x *autograd.Variable) *autograd.Variable {
 		y = autograd.Reshape(y, outShape...)
 	}
 	return y
+}
+
+// usesInt8 is the gating rule Forward and Value share: the frozen int8
+// form serves an input that carries no gradient (xGrad false) on a
+// quantized backend.
+func (l *Linear) usesInt8(xGrad bool) bool {
+	return l.QW != nil && !l.W.RequiresGrad() && !xGrad && tensor.BackendQuantized()
+}
+
+// Value is Forward on bare tensors, for inference that records no graph
+// (the cached decoder): the same gating and the same kernels, so the
+// same bits. A LoRA bypass lives on the tape only, so a layer carrying
+// one panics here.
+func (l *Linear) Value(x *tensor.Tensor) *tensor.Tensor {
+	if l.LoraA != nil {
+		panic("nn: Linear.Value with a LoRA bypass attached")
+	}
+	y := l.project(x, l.usesInt8(false))
+	keepLeading(y, x)
+	return y
+}
+
+// project is x·W + b as [rows, out] through the int8 form or fp32,
+// exactly as autograd.AffineQuantized and autograd.Affine compute it.
+func (l *Linear) project(x *tensor.Tensor, quantized bool) *tensor.Tensor {
+	var y *tensor.Tensor
+	if quantized {
+		y = tensor.QuantMatMul(x, l.QW)
+	} else {
+		y = tensor.MatMul(x, l.W.Value)
+	}
+	tensor.AddRowBroadcastInPlace(y, l.B.Value)
+	return y
+}
+
+// keepLeading re-views a [rows, cols] result y as [batch, seq, cols]
+// when x is [batch, seq, in], as the fused affine ops shape theirs.
+func keepLeading(y, x *tensor.Tensor) {
+	if s := x.Shape(); len(s) == 3 {
+		y.SetShape(s[0], s[1], y.Dim(1))
+	}
 }
 
 // Params implements Module.
@@ -88,9 +129,6 @@ func (l *Linear) QuantizeFrozen() bool {
 	return true
 }
 
-// Out returns the output width.
-func (l *Linear) Out() int { return l.out }
-
 // LayerNorm normalizes over the last dimension with learned scale/shift.
 type LayerNorm struct {
 	Gamma *autograd.Variable
@@ -110,6 +148,17 @@ func NewLayerNorm(dim int) *LayerNorm {
 // Forward applies layer normalization.
 func (l *LayerNorm) Forward(x *autograd.Variable) *autograd.Variable {
 	return autograd.LayerNorm(x, l.Gamma, l.Beta, l.Eps)
+}
+
+// Value is Forward on bare tensors: the same kernel, with the row
+// statistics a backward would need handed straight back to the pool.
+func (l *LayerNorm) Value(x *tensor.Tensor) *tensor.Tensor {
+	rows := x.Numel() / x.Dim(x.Dims()-1)
+	stats := tensor.LayerNormStats{Mean: tensor.Get(rows), InvStd: tensor.Get(rows)}
+	y := tensor.LayerNormForwardStats(x, l.Gamma.Value, l.Beta.Value, l.Eps, &stats)
+	tensor.Put(stats.Mean)
+	tensor.Put(stats.InvStd)
+	return y
 }
 
 // Params implements Module.
@@ -167,14 +216,34 @@ func NewFeedForward(dim, ffDim int, rng *tensor.RNG) *FeedForward {
 // gelu(x·W1 + b1) in one node, the down-projection in another.
 func (f *FeedForward) Forward(x *autograd.Variable) *autograd.Variable {
 	if f.Up.LoraA == nil && f.Down.LoraA == nil {
-		if f.Up.QW != nil && f.Down.QW != nil && !f.Up.W.RequiresGrad() &&
-			!f.Down.W.RequiresGrad() && !x.RequiresGrad() && tensor.BackendQuantized() {
+		if f.usesInt8(x.RequiresGrad()) {
 			h := autograd.AffineGELUQuantized(x, f.Up.QW, f.Up.B)
 			return autograd.AffineQuantized(h, f.Down.QW, f.Down.B)
 		}
 		return autograd.Affine(autograd.AffineGELU(x, f.Up.W, f.Up.B), f.Down.W, f.Down.B)
 	}
 	return f.Down.Forward(autograd.GELU(f.Up.Forward(x)))
+}
+
+// usesInt8 is the fused block's gating rule, shared by Forward and Value:
+// both halves take their int8 forms or neither does.
+func (f *FeedForward) usesInt8(xGrad bool) bool {
+	return f.Up.usesInt8(xGrad) && f.Down.usesInt8(xGrad)
+}
+
+// Value is Forward on bare tensors (see Linear.Value): gelu(x·W1 + b1)
+// activated in place, then the down-projection.
+func (f *FeedForward) Value(x *tensor.Tensor) *tensor.Tensor {
+	if f.Up.LoraA != nil || f.Down.LoraA != nil {
+		panic("nn: FeedForward.Value with a LoRA bypass attached")
+	}
+	quantized := f.usesInt8(false)
+	h := f.Up.project(x, quantized)
+	tensor.GELUInto(h, h)
+	y := f.Down.project(h, quantized)
+	tensor.PutTensor(h)
+	keepLeading(y, x)
+	return y
 }
 
 // QuantizeFrozen quantizes both halves when frozen, reporting how many

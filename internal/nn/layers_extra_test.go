@@ -89,8 +89,8 @@ func TestBottleneckGradCheck(t *testing.T) {
 
 func TestLinearInOutAccessors(t *testing.T) {
 	l := NewLinear(7, 3, tensor.NewRNG(24))
-	if l.in != 7 || l.Out() != 3 {
-		t.Fatalf("in/Out = %d/%d", l.in, l.Out())
+	if l.in != 7 || l.out != 3 {
+		t.Fatalf("in/out = %d/%d", l.in, l.out)
 	}
 }
 

@@ -138,43 +138,36 @@ func (p *Parallel) BackboneTaps(enc, dec [][]int, lens []int) []*tensor.Tensor {
 // NumTaps returns the number of side adapters (2 × layers).
 func (p *Parallel) NumTaps() int { return p.taps }
 
+// Backbone returns the frozen model the side network reads its taps from.
+func (p *Parallel) Backbone() *model.Model { return p.m }
+
 // SideInit returns the zero side state a_0 for a batch of the given
 // sequence length, so every adapter — including the first — has the same
 // f_i(b_i, a_{i-1}) form. The zeros are GC-owned, not pooled: a_0 is a
 // graph leaf, and a release sweep never returns a leaf to the pool.
 func (p *Parallel) SideInit(batch, seq int) *autograd.Variable {
-	return autograd.NewVar(tensor.FromSlice(make([]float32, batch*seq*p.r), batch, seq, p.r))
+	return tape{}.zeros(batch, seq, p.r)
 }
 
 // SideStep applies adapter i: a_i = GELU(LN_i(b_i)·D_i + a_{i-1}·R_i).
 // tap is the frozen backbone activation b_i; state is a_{i-1} with a
 // matching [batch, seq, r] shape.
 func (p *Parallel) SideStep(i int, tap *tensor.Tensor, state *autograd.Variable) *autograd.Variable {
-	b := autograd.NewVar(tap)
-	// Fused: both projections keep their 3-D shape (no reshape views) and
-	// the add+GELU lands in a single node.
-	u := autograd.Affine(p.norms[i].Forward(b), p.down[i], nil)
-	mixed := autograd.Affine(state, p.mix[i], nil)
-	return autograd.AddGELU(u, mixed)
+	return sideStep[*autograd.Variable](tape{}, p, i, tap, state)
 }
 
 // CrossOver converts the encoder-side state into the decoder-side
 // initial state: pool over the encoder sequence, broadcast across
 // decoder positions.
 func (p *Parallel) CrossOver(encState *autograd.Variable, decSeq int) *autograd.Variable {
-	return autograd.BroadcastSeq(autograd.MeanSeq(encState), decSeq)
+	return crossOver[*autograd.Variable](tape{}, encState, decSeq)
 }
 
 // Head projects the final decoder-side state to logits: pooled for
 // classification, per-position [batch·decSeq, vocab] for language
 // modeling.
 func (p *Parallel) Head(state *autograd.Variable) *autograd.Variable {
-	if p.cfg.LM {
-		batch, seq := state.Value.Dim(0), state.Value.Dim(1)
-		out := p.head.Forward(state)
-		return autograd.Reshape(out, batch*seq, p.cfg.NumClasses)
-	}
-	return p.head.Forward(autograd.MeanSeq(state))
+	return head[*autograd.Variable](tape{}, p, state)
 }
 
 // ForwardFromTaps runs only the side network given backbone tap values —
@@ -185,19 +178,31 @@ func (p *Parallel) ForwardFromTaps(taps []*tensor.Tensor) *autograd.Variable {
 	if len(taps) != p.taps {
 		panic("peft: tap count mismatch")
 	}
-	encTaps := taps[:p.cfg.Layers]
 	decTaps := taps[p.cfg.Layers:]
+	a := sideEncoder[*autograd.Variable](tape{}, p, taps[:p.cfg.Layers], decTaps[0].Dim(1))
+	return sideDecoder[*autograd.Variable](tape{}, p, a, decTaps)
+}
 
-	encShape := encTaps[0].Shape()
-	a := p.SideInit(encShape[0], encShape[1])
-	for i, tap := range encTaps {
-		a = p.SideStep(i, tap, a)
-	}
-	a = p.CrossOver(a, decTaps[0].Dim(1))
-	for i, tap := range decTaps {
-		a = p.SideStep(p.cfg.Layers+i, tap, a)
-	}
-	return p.Head(a)
+// SideStart is the encoder half of the side network on bare values, for
+// a decoder that runs it once per request: the encoder side steps over
+// the Layers encoder taps, then CrossOver to a single decoder position.
+// It returns the [batch, 1, r] decoder start state in a pooled buffer
+// the caller owns; every intermediate is back in the pool, and no
+// autograd node is recorded.
+func (p *Parallel) SideStart(encTaps []*tensor.Tensor) *tensor.Tensor {
+	v := &values{}
+	return v.keep(sideEncoder[*tensor.Tensor](v, p, encTaps, 1))
+}
+
+// SideLogits is the decoder half on bare values, for one new position:
+// the Layers decoder side steps from start over that position's taps
+// ([batch, 1, hidden] each), then the head. It returns [batch, classes]
+// logits in a pooled buffer the caller owns, and leaves start and the
+// taps untouched. Its bits are the last row ForwardFromTaps computes
+// over the same prefix: every op on the way is position-wise.
+func (p *Parallel) SideLogits(start *tensor.Tensor, decTaps []*tensor.Tensor) *tensor.Tensor {
+	v := &values{}
+	return v.keep(sideDecoder[*tensor.Tensor](v, p, start, decTaps))
 }
 
 // SideParams returns the trainable parameters of side adapters
@@ -214,3 +219,143 @@ func (p *Parallel) SideParams(tapStart, tapEnd int) []*autograd.Variable {
 
 // HeadParams returns the side head's trainable parameters.
 func (p *Parallel) HeadParams() []*autograd.Variable { return p.head.Params() }
+
+// The side network's math — Eq. 1, the crossover, the head — is written
+// once, below, over sideOps: training and the cache-hit path evaluate it
+// on the tape, the cached decoder on bare values. Both forms run the same
+// kernels in the same order, so they agree bit for bit.
+
+// sideOps is what that math needs from the form it runs in.
+type sideOps[T any] interface {
+	leaf(t *tensor.Tensor) T
+	zeros(batch, seq, n int) T
+	norm(l *nn.LayerNorm, x T) T
+	affine(x T, w, b *autograd.Variable) T // b may be nil
+	addGELU(a, b T) T
+	meanSeq(x T) T
+	broadcastSeq(x T, seq int) T
+	flatten(x T) T // [batch, seq, n] → [batch·seq, n]
+}
+
+func sideStep[T any](o sideOps[T], p *Parallel, i int, tap *tensor.Tensor, state T) T {
+	u := o.affine(o.norm(p.norms[i], o.leaf(tap)), p.down[i], nil)
+	return o.addGELU(u, o.affine(state, p.mix[i], nil))
+}
+
+func crossOver[T any](o sideOps[T], encState T, decSeq int) T {
+	return o.broadcastSeq(o.meanSeq(encState), decSeq)
+}
+
+func head[T any](o sideOps[T], p *Parallel, state T) T {
+	if p.cfg.LM {
+		return o.flatten(o.affine(state, p.head.W, p.head.B))
+	}
+	return o.affine(o.meanSeq(state), p.head.W, p.head.B)
+}
+
+// sideEncoder runs a_0 through the encoder side steps and crosses over to
+// decSeq decoder positions.
+func sideEncoder[T any](o sideOps[T], p *Parallel, encTaps []*tensor.Tensor, decSeq int) T {
+	shape := encTaps[0].Shape()
+	a := o.zeros(shape[0], shape[1], p.r)
+	for i, tap := range encTaps {
+		a = sideStep(o, p, i, tap, a)
+	}
+	return crossOver(o, a, decSeq)
+}
+
+// sideDecoder runs the decoder side steps from a, then the head.
+func sideDecoder[T any](o sideOps[T], p *Parallel, a T, decTaps []*tensor.Tensor) T {
+	for i, tap := range decTaps {
+		a = sideStep(o, p, p.cfg.Layers+i, tap, a)
+	}
+	return head(o, p, a)
+}
+
+// tape evaluates the side network on autograd Variables. The head is a
+// trainable, LoRA-free nn.Linear, whose Forward is exactly Affine.
+type tape struct{}
+
+func (tape) leaf(t *tensor.Tensor) *autograd.Variable { return autograd.NewVar(t) }
+
+func (tape) zeros(batch, seq, n int) *autograd.Variable {
+	return autograd.NewVar(tensor.FromSlice(make([]float32, batch*seq*n), batch, seq, n))
+}
+
+func (tape) norm(l *nn.LayerNorm, x *autograd.Variable) *autograd.Variable { return l.Forward(x) }
+
+func (tape) affine(x, w, b *autograd.Variable) *autograd.Variable { return autograd.Affine(x, w, b) }
+
+func (tape) addGELU(a, b *autograd.Variable) *autograd.Variable { return autograd.AddGELU(a, b) }
+func (tape) meanSeq(x *autograd.Variable) *autograd.Variable    { return autograd.MeanSeq(x) }
+
+func (tape) broadcastSeq(x *autograd.Variable, seq int) *autograd.Variable {
+	return autograd.BroadcastSeq(x, seq)
+}
+
+func (tape) flatten(x *autograd.Variable) *autograd.Variable {
+	s := x.Value.Shape()
+	return autograd.Reshape(x, s[0]*s[1], s[2])
+}
+
+// values evaluates the side network on bare tensors: each op is the
+// kernel its autograd twin computes its value with, and nothing is
+// recorded for a backward. Every tensor it makes is pooled and listed in
+// made; keep hands the result to the caller and returns the rest to the
+// pool, the value-side counterpart of a graph's release sweep. Leaves
+// (taps, a caller's start state) are never its to free.
+type values struct{ made []*tensor.Tensor }
+
+func (v *values) own(t *tensor.Tensor) *tensor.Tensor {
+	v.made = append(v.made, t)
+	return t
+}
+
+func (v *values) keep(out *tensor.Tensor) *tensor.Tensor {
+	for _, t := range v.made {
+		if t != out {
+			tensor.PutTensor(t)
+		}
+	}
+	return out
+}
+
+func (v *values) leaf(t *tensor.Tensor) *tensor.Tensor { return t }
+
+func (v *values) zeros(batch, seq, n int) *tensor.Tensor { return v.own(tensor.New(batch, seq, n)) }
+
+func (v *values) norm(l *nn.LayerNorm, x *tensor.Tensor) *tensor.Tensor { return v.own(l.Value(x)) }
+
+// affine is autograd.Affine's value: x·w, the bias added in place, and
+// x's leading dimensions kept.
+func (v *values) affine(x *tensor.Tensor, w, b *autograd.Variable) *tensor.Tensor {
+	y := tensor.MatMul(x, w.Value)
+	if b != nil {
+		tensor.AddRowBroadcastInPlace(y, b.Value)
+	}
+	if s := x.Shape(); len(s) == 3 {
+		y.SetShape(s[0], s[1], y.Dim(1))
+	}
+	return v.own(y)
+}
+
+// addGELU is autograd.AddGELU's value, activated in place: no backward
+// will ask for the pre-activation.
+func (v *values) addGELU(a, b *tensor.Tensor) *tensor.Tensor {
+	y := tensor.Add(a, b)
+	tensor.GELUInto(y, y)
+	return v.own(y)
+}
+
+func (v *values) meanSeq(x *tensor.Tensor) *tensor.Tensor { return v.own(tensor.MeanSeq(x)) }
+
+func (v *values) broadcastSeq(x *tensor.Tensor, seq int) *tensor.Tensor {
+	return v.own(tensor.BroadcastSeq(x, seq))
+}
+
+// flatten re-views x in place: it is always a tensor this evaluator made.
+func (v *values) flatten(x *tensor.Tensor) *tensor.Tensor {
+	s := x.Shape()
+	x.SetShape(s[0]*s[1], s[2])
+	return x
+}

@@ -253,9 +253,13 @@ func (s *Server) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []
 }
 
 // GenerateFor decodes responses for the inputs (LM-configured models
-// only), attributed to user. Context semantics match ClassifyFor:
-// cancellation before the decode starts aborts without counting the
-// request as served.
+// only), attributed to user. Parallel Adapters decode through the KV
+// cache (generate.DecodeParallel: the encoder and the side network's
+// encoder half once, then one decoder row per token), which returns
+// Decode's tokens bit for bit; Full, LoRA and Adapters alter the
+// backbone math and re-run the model per token through generate.Decode.
+// Context semantics match ClassifyFor: cancellation before the decode
+// starts aborts without counting the request as served.
 func (s *Server) GenerateFor(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
 	if !s.cfg.LM {
 		return nil, fmt.Errorf("serve: model is not LM-configured")
@@ -267,8 +271,16 @@ func (s *Server) GenerateFor(ctx context.Context, user int, enc [][]int, lens []
 	}
 	defer done()
 	endFwd := s.forwardSpan(rtc)
-	out := generate.Decode(s.tech, enc, lens, opts)
+	var out [][]int
+	if pa, ok := s.tech.(*peft.Parallel); ok {
+		out, err = generate.DecodeParallel(pa, enc, lens, opts)
+	} else {
+		out = generate.Decode(s.tech, enc, lens, opts)
+	}
 	endFwd()
+	if err != nil {
+		return nil, err
+	}
 	s.served.Add(int64(len(enc)))
 	s.attribute(user, len(enc))
 	s.observeLatency(s.latGenerate, time.Since(t0).Seconds(), rtc)

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -232,5 +234,92 @@ func TestPerUserAttribution(t *testing.T) {
 	}
 	if s.Served() != 4 {
 		t.Fatalf("served %d want 4", s.Served())
+	}
+}
+
+// TestConcurrentGenerateDuringSwaps runs 8 GenerateFor callers on one
+// Parallel Adapters server while /swap alternates two adapter sets.
+// Every reply is what Decode answers under one of the two sets — a
+// request runs wholly under one set, since a swap takes the write side
+// of the lock — and under -race the cached decoders share the backbone
+// and the side network without a data race.
+func TestConcurrentGenerateDuringSwaps(t *testing.T) {
+	_, s, cfg := httpServer(t, true)
+	h := HandlerFor(s)
+	pa := s.tech.(*peft.Parallel)
+	prompts := [][]int{{2, 3, 4, 5}, {5, 6, 7, 8, 9}, {10, 11, 12}, {4, 4, 9, 13, 2, 7}}
+	opts := generate.Options{MaxLen: 5}
+
+	setA := nn.FlattenParams(pa.Trainable())
+	setB := append([]float32(nil), setA...)
+	for i := range setB {
+		setB[i] += float32(i%7-3) * 0.3
+	}
+	var paths [2]string
+	var want [2][][]int
+	for set, vals := range [][]float32{setA, setB} {
+		nn.UnflattenParams(pa.Trainable(), vals)
+		paths[set] = filepath.Join(t.TempDir(), fmt.Sprintf("set%d.pack", set))
+		if err := checkpoint.Save(paths[set], "set", pa, cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range prompts {
+			want[set] = append(want[set], generate.Decode(pa, [][]int{p}, []int{len(p)}, opts)[0])
+		}
+	}
+	differ := 0
+	for j := range prompts {
+		if fmt.Sprint(want[0][j]) != fmt.Sprint(want[1][j]) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the two adapter sets decode every prompt alike: the swaps would go unseen")
+	}
+	nn.UnflattenParams(pa.Trainable(), setA)
+
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				j := (c + r) % len(prompts)
+				out, err := s.GenerateFor(context.Background(), c, [][]int{prompts[j]}, []int{len(prompts[j])}, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := fmt.Sprint(out[0]); got != fmt.Sprint(want[0][j]) && got != fmt.Sprint(want[1][j]) {
+					t.Errorf("caller %d prompt %d: %v, want %v (set A) or %v (set B)", c, j, out[0], want[0][j], want[1][j])
+				}
+			}
+		}(c)
+	}
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	// Swap for as long as the callers run, and at least 10 times.
+	swaps := 0
+swapping:
+	for ; ; swaps++ {
+		if swaps >= 10 {
+			select {
+			case <-finished:
+				break swapping
+			default:
+			}
+		}
+		body := fmt.Sprintf(`{"path":%q}`, paths[(swaps+1)%2])
+		if code := postDirect(h, "/swap", body); code != http.StatusOK {
+			t.Errorf("swap %d: status %d", swaps, code)
+			break
+		}
+	}
+	<-finished
+	if s.Served() != 8*6 || s.Swaps() != int64(swaps) {
+		t.Fatalf("served %d, swaps %d; want 48 and %d", s.Served(), s.Swaps(), swaps)
 	}
 }

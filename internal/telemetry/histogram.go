@@ -22,10 +22,10 @@ type Histogram struct {
 	exemplars []atomic.Uint64
 }
 
-// DefBuckets are the default duration buckets in seconds: 1 ms to 10 s,
+// defBuckets are the default duration buckets in seconds: 1 ms to 10 s,
 // roughly ×2.5 per step — sized for training steps, collectives, cache
 // I/O and snapshot writes alike.
-func DefBuckets() []float64 {
+func defBuckets() []float64 {
 	return []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 }
 
@@ -43,7 +43,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 func newHistogram(buckets []float64) *Histogram {
 	if buckets == nil {
-		buckets = DefBuckets()
+		buckets = defBuckets()
 	}
 	bounds := append([]float64(nil), buckets...)
 	sort.Float64s(bounds)
@@ -88,7 +88,7 @@ func (h *Histogram) StampExemplar(v float64, traceID uint64) {
 }
 
 // bucketIndex returns the index of the bucket holding the q-quantile
-// rank, mirroring Quantile's walk. -1 for an empty histogram.
+// rank, mirroring quantile's walk. -1 for an empty histogram.
 func (h *Histogram) bucketIndex(q float64) int {
 	counts, _, total := h.snapshot()
 	if total == 0 {
@@ -105,11 +105,11 @@ func (h *Histogram) bucketIndex(q float64) int {
 	return len(counts) - 1
 }
 
-// QuantileExemplar returns the trace ID exemplar for the bucket
+// quantileExemplar returns the trace ID exemplar for the bucket
 // holding the q-quantile rank, falling back outward (higher buckets
 // first — the interesting tail — then lower) when that bucket has no
 // exemplar yet. 0 when the histogram holds no exemplars at all.
-func (h *Histogram) QuantileExemplar(q float64) uint64 {
+func (h *Histogram) quantileExemplar(q float64) uint64 {
 	i := h.bucketIndex(q)
 	if i < 0 {
 		return 0
@@ -144,12 +144,12 @@ func (h *Histogram) snapshot() (counts []int64, sum float64, count int64) {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear
+// quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear
 // interpolation within the bucket holding the target rank — the same
 // estimate Prometheus' histogram_quantile computes. An empty histogram
 // returns 0. Ranks landing in the overflow bucket are clamped to the
 // highest finite bound (there is no upper edge to interpolate toward).
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	counts, _, total := h.snapshot()
 	if total == 0 {
 		return 0
@@ -222,11 +222,11 @@ func (h *Histogram) Stats() HistStats {
 	st := HistStats{
 		Count: count,
 		Sum:   sum,
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
+		P50:   h.quantile(0.50),
+		P95:   h.quantile(0.95),
+		P99:   h.quantile(0.99),
 	}
-	if ex := h.QuantileExemplar(0.99); ex != 0 {
+	if ex := h.quantileExemplar(0.99); ex != 0 {
 		st.P99Exemplar = fmt.Sprintf("%016x", ex)
 	}
 	return st

@@ -199,7 +199,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 }
 
 // Histogram returns (registering if needed) the histogram series. nil
-// buckets use DefBuckets. The bucket layout of an already-registered
+// buckets use defBuckets. The bucket layout of an already-registered
 // series wins; later bucket arguments are ignored.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *Histogram {
 	s := r.register(name, histogramKind, labels)

@@ -88,7 +88,7 @@ func TestConcurrentRegistryMutation(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := newHistogram([]float64{1, 2})
-	if q := h.Quantile(0.5); q != 0 {
+	if q := h.quantile(0.5); q != 0 {
 		t.Fatalf("empty histogram p50 = %v, want 0", q)
 	}
 	if st := h.Stats(); st.Count != 0 || h.Sum() != 0 {
@@ -100,7 +100,7 @@ func TestHistogramSingleSample(t *testing.T) {
 	h := newHistogram([]float64{1, 2, 4})
 	h.Observe(1.5) // lands in (1, 2]
 	for _, q := range []float64{0.01, 0.5, 0.99} {
-		if v := h.Quantile(q); v <= 1 || v > 2 {
+		if v := h.quantile(q); v <= 1 || v > 2 {
 			t.Fatalf("q%v = %v, want within (1, 2]", q, v)
 		}
 	}
@@ -114,7 +114,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	h.Observe(100) // overflow
 	h.Observe(200)
 	// Quantiles clamp to the highest finite bound.
-	if v := h.Quantile(0.99); v != 2 {
+	if v := h.quantile(0.99); v != 2 {
 		t.Fatalf("overflow p99 = %v, want 2", v)
 	}
 	counts, sum, count := h.snapshot()
@@ -150,7 +150,7 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 		h.Observe(5) // all in first bucket
 	}
 	// Rank 50 of 100 inside [0,10): linear interpolation gives 5.
-	if v := h.Quantile(0.5); math.Abs(v-5) > 1e-9 {
+	if v := h.quantile(0.5); math.Abs(v-5) > 1e-9 {
 		t.Fatalf("p50 = %v, want 5", v)
 	}
 }

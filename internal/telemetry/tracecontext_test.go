@@ -228,10 +228,10 @@ func TestQuantileExemplarFallback(t *testing.T) {
 		h.Observe(0.5)
 	}
 	h.ObserveTrace(0.05, 0x123)
-	if got := h.QuantileExemplar(0.99); got != 0x123 {
+	if got := h.quantileExemplar(0.99); got != 0x123 {
 		t.Fatalf("fallback exemplar = %x, want 123", got)
 	}
-	if got := newHistogram(nil).QuantileExemplar(0.99); got != 0 {
+	if got := newHistogram(nil).quantileExemplar(0.99); got != 0 {
 		t.Fatalf("empty histogram exemplar = %x", got)
 	}
 }

@@ -182,6 +182,10 @@ func TestQuantMatMulIntoAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		QuantMatMulInto(dst, a, q)
 	})
+	if raceEnabled {
+		t.Logf("%.1f allocs/op under -race, which drops sync.Pool Puts at random; the assertion runs without -race", allocs)
+		return
+	}
 	if allocs > 0 {
 		t.Fatalf("QuantMatMulInto allocates %.1f per op after warm-up", allocs)
 	}

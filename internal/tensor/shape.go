@@ -135,3 +135,35 @@ func SliceRows(a *Tensor, start, end int) *Tensor {
 
 // Rows views the tensor as [rows, cols] with cols being the last dim.
 func Rows(a *Tensor) (rows, cols int) { return matShape(a) }
+
+// MeanSeq averages [batch, seq, d] over the sequence dimension into
+// [batch, d]: each output sums its seq inputs in position order, then
+// scales by 1/seq.
+func MeanSeq(a *Tensor) *Tensor {
+	batch, seq, d := a.shape[0], a.shape[1], a.shape[2]
+	out := New(batch, d)
+	for b := 0; b < batch; b++ {
+		for s := 0; s < seq; s++ {
+			base := (b*seq + s) * d
+			for c := 0; c < d; c++ {
+				out.Data[b*d+c] += a.Data[base+c]
+			}
+		}
+	}
+	ScaleInPlace(out, 1/float32(seq))
+	return out
+}
+
+// BroadcastSeq repeats each row of [batch, d] seq times into
+// [batch, seq, d] (the inverse shape of MeanSeq).
+func BroadcastSeq(a *Tensor, seq int) *Tensor {
+	batch, d := a.shape[0], a.shape[1]
+	out := New(batch, seq, d)
+	for b := 0; b < batch; b++ {
+		src := a.Data[b*d : (b+1)*d]
+		for s := 0; s < seq; s++ {
+			copy(out.Data[(b*seq+s)*d:(b*seq+s+1)*d], src)
+		}
+	}
+	return out
+}
