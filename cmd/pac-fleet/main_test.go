@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,107 +72,5 @@ func TestRunOfflineRejectsMissingFlags(t *testing.T) {
 	var sb strings.Builder
 	if err := run(nil, &sb); err == nil {
 		t.Fatal("bare invocation accepted")
-	}
-}
-
-func TestRunSimCrashResume(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "rollout.pacj")
-	report := filepath.Join(dir, "fleet.json")
-	flight := filepath.Join(dir, "flight.json")
-
-	var sb strings.Builder
-	err := run([]string{"-sim", "-replicas", "3", "-groups", "2", "-min-replicas", "2",
-		"-to", "v2", "-fault-seed", "42", "-fault-rate", "0.5",
-		"-crash-after-steps", "6", "-journal", journal, "-report", report,
-		"-flight-size", "256", "-flight-out", flight}, &sb)
-	if err != nil {
-		t.Fatalf("sim: %v\n%s", err, sb.String())
-	}
-
-	blob, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep simReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Converged {
-		t.Error("sim did not converge")
-	}
-	if !rep.Crashed {
-		t.Error("crash point never fired")
-	}
-	if rep.ResumedSkips < 6 {
-		t.Errorf("resumed skips = %d, want >= 6", rep.ResumedSkips)
-	}
-	if len(rep.RepeatedSteps) > 0 {
-		t.Errorf("repeated steps: %v", rep.RepeatedSteps)
-	}
-	if len(rep.Violations) > 0 {
-		t.Errorf("violations: %v", rep.Violations)
-	}
-	if rep.Steps != 36 {
-		t.Errorf("steps = %d, want 36 (6 devices x 6 steps)", rep.Steps)
-	}
-
-	// Flight dump exists, mentions the fleet kind, and bounds details.
-	fblob, err := os.ReadFile(flight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump struct {
-		Events []struct {
-			Kind   string `json:"kind"`
-			Detail string `json:"detail"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal(fblob, &dump); err != nil {
-		t.Fatal(err)
-	}
-	fleetEvents := 0
-	for _, ev := range dump.Events {
-		if ev.Kind == "fleet" {
-			fleetEvents++
-		}
-		if len(ev.Detail) > 128 {
-			t.Errorf("flight detail unbounded: %d bytes", len(ev.Detail))
-		}
-	}
-	if fleetEvents == 0 {
-		t.Error("flight dump has no fleet events")
-	}
-}
-
-func TestRunSimWithConcurrentLoad(t *testing.T) {
-	dir := t.TempDir()
-	report := filepath.Join(dir, "fleet.json")
-	var sb strings.Builder
-	err := run([]string{"-sim", "-replicas", "3", "-groups", "1", "-min-replicas", "2",
-		"-load-qps", "200", "-load-duration", "400ms", "-report", report}, &sb)
-	if err != nil {
-		t.Fatalf("sim with load: %v\n%s", err, sb.String())
-	}
-	var rep simReport
-	blob, _ := os.ReadFile(report)
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Load == nil || rep.Load.Issued == 0 {
-		t.Fatal("load report missing or empty")
-	}
-	if rep.Load.Errors != 0 || rep.Load.Canceled != 0 {
-		t.Fatalf("load dropped requests: %+v", rep.Load)
-	}
-}
-
-func TestRunSimRejectsBadShape(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-sim", "-replicas", "2", "-min-replicas", "2"}, &sb); err == nil {
-		t.Fatal("floor >= replicas accepted (no rollout headroom)")
-	}
-	if err := run([]string{"-sim", "-crash-after-steps", "3"}, &sb); err == nil {
-		t.Fatal("crash without journal accepted")
 	}
 }

@@ -51,6 +51,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sync"
@@ -74,8 +75,10 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
-	fs := flag.NewFlagSet("pac-loadgen", flag.ExitOnError)
+// run is the whole command behind a testable seam: flags in, log lines
+// and the rendered report on out, error instead of os.Exit.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("pac-loadgen", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "trace synthesis seed")
 	users := fs.Int("users", 50, "user population size")
 	zipf := fs.Float64("zipf", 1.1, "user popularity skew (0 = uniform)")
@@ -182,7 +185,7 @@ func run(args []string, out *os.File) error {
 			cfg.NumClasses = cfg.Vocab
 			cfg.LM = true
 		}
-		srv := serve.NewServer(peft.New(peft.ParallelAdapters, model.New(cfg), peft.Options{Reduction: 2}), cfg)
+		srv := serve.NewServer(peft.NewParallel(model.New(cfg), peft.Options{Reduction: 2}), cfg)
 		if tracer != nil {
 			// One dump holds client and server spans: full trees without
 			// a second export.
@@ -230,7 +233,7 @@ func run(args []string, out *os.File) error {
 // and pushes each round's adapters to the server when the serving
 // replica shares the classifier layout. The returned func stops the
 // loop and waits for it.
-func concurrentTrainer(ctx context.Context, out *os.File, srv *serve.Server, serveCfg model.Config) func() {
+func concurrentTrainer(ctx context.Context, out io.Writer, srv *serve.Server, serveCfg model.Config) func() {
 	tctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	push := !serveCfg.LM // LM serving replicas have a different head layout

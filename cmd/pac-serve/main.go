@@ -1,11 +1,11 @@
 // Command pac-serve hosts a personal LLM over HTTP: classification and
-// generation endpoints backed by a Parallel-Adapters replica, with
-// checkpoint hot-swap — the serving half of the paper's Figure 1 agent.
+// generation endpoints backed by one Parallel Adapters side network over
+// a frozen backbone, with checkpoint hot-swap — the serving half of the
+// paper's Figure 1 agent.
 //
 // Usage:
 //
 //	pac-serve [-addr :8080] [-lm] [-vocab N] [-adapters FILE]
-//	          [-replicas N] [-min-replicas N] [-fleet-journal FILE]
 //	          [-telemetry-addr HOST:PORT] [-flight-size N] [-trace-sample P]
 //	          [-mem-budget BYTES] [-backend generic|int8] [-workers N]
 //
@@ -13,8 +13,11 @@
 // GET /metrics (Prometheus text). Requests may carry a "user" field for
 // per-user attribution (/stats reports the distinct user count); each
 // request runs under its connection context, so a client that
-// disconnects while queued behind a weight swap is dropped without
-// counting as served. -telemetry-addr additionally serves the debug mux
+// disconnects before its request reaches the model is dropped without
+// counting as served. POST /swap loads the checkpoint into a copy of the
+// side network and publishes the copy with one pointer store: requests
+// never wait for a swap, and each runs wholly on the side network it
+// started with. -telemetry-addr additionally serves the debug mux
 // (/metrics, /debug/vars, /debug/pprof, /debug/flight — the
 // flight-recorder ring of recent weight swaps as JSON — and /debug/mem,
 // the memory ledger's per-subsystem byte breakdown and timeline) on a
@@ -22,27 +25,16 @@
 // -mem-budget arms the ledger's pressure watermarks: warn and critical
 // crossings record flight events and count in pac_mem_pressure_total.
 //
-// -replicas N > 1 hosts a fleet.ReplicaSet of N identical replicas
-// behind the same API instead of a single server. The replicas share one
-// frozen backbone, each with its own side network, so a swap replaces
-// side-network weights only. Requests round-robin over in-service
-// replicas, POST /swap becomes a goal-state rolling operation (each
-// replica is drained, quiesced, snapshotted, swapped, and rejoined in
-// turn, never dropping below the -min-replicas floor — zero-downtime by
-// construction), GET /fleet/status reports the observed fleet and last
-// rollout plan, and -fleet-journal makes rollouts crash-resumable.
-//
 // -trace-sample P enables causal request tracing: requests carrying an
-// X-Pac-Trace header join the caller's trace (router and replica spans
-// nest under the client span and the header echoes on the response);
+// X-Pac-Trace header join the caller's trace (the server's spans nest
+// under the client span and the header echoes on the response);
 // headerless requests are head-sampled at probability P. Spans record
 // into a bounded ring (overwrites count in pac_trace_dropped_total) and
 // export as Chrome JSON at the telemetry address's /debug/trace for
 // Perfetto or pac-trace.
 //
 // -backend int8 serves the frozen backbone through its int8 weight
-// forms (built once at startup, for every replica); adapters and every
-// swap stay fp32.
+// forms (built once at startup); adapters and every swap stay fp32.
 //
 // pac-loadgen replays seeded multi-user traces against this API and
 // gates latency/throughput SLOs.
@@ -63,7 +55,6 @@ import (
 	"os"
 
 	"pac/internal/checkpoint"
-	"pac/internal/fleet"
 	"pac/internal/model"
 	"pac/internal/peft"
 	"pac/internal/runtimecfg"
@@ -84,9 +75,9 @@ func main() {
 type options struct {
 	rt runtimecfg.Config
 
-	addr, adapters, fleetJournal string
-	lm                           bool
-	vocab, replicas, minReplicas int
+	addr, adapters string
+	lm             bool
+	vocab          int
 }
 
 // newFlags defines the command's flag surface (pinned by TestFlagSurface).
@@ -97,9 +88,6 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs.BoolVar(&o.lm, "lm", false, "serve a language model (enables /generate)")
 	fs.IntVar(&o.vocab, "vocab", 64, "vocabulary size")
 	fs.StringVar(&o.adapters, "adapters", "", "checkpoint to load at startup")
-	fs.IntVar(&o.replicas, "replicas", 1, "serving replicas behind the fleet router (>1 makes /swap a zero-downtime rolling operation)")
-	fs.IntVar(&o.minReplicas, "min-replicas", 1, "in-service floor during rolling operations (fleet mode)")
-	fs.StringVar(&o.fleetJournal, "fleet-journal", "", "crash-resume journal for rolling operations (fleet mode; empty disables)")
 	o.rt.RegisterFlags(fs, runtimecfg.Config{Backend: "generic", FlightSize: 128})
 	return fs, o
 }
@@ -123,40 +111,32 @@ func run(args []string, out io.Writer, ready func(net.Listener)) error {
 	defer rt.Close()
 	tracer := rt.Tracer
 
+	// pac-train's model shape, so its -save checkpoints load and swap in.
 	cfg := model.Tiny()
 	cfg.Vocab = o.vocab
-	cfg.MaxSeq = 64
+	cfg.MaxSeq = 32
 	if o.lm {
 		cfg.NumClasses = o.vocab
 		cfg.LM = true
 	}
 
-	// Backend: a single server, or a replica fleet whose /swap is an
-	// orchestrated zero-downtime rolling operation.
-	techs, err := replicas(cfg, max(o.replicas, 1), o.adapters)
-	if err != nil {
-		return err
-	}
-	servers := make([]*serve.Server, len(techs))
-	for i, tech := range techs {
-		servers[i] = serve.NewServer(tech, cfg)
-		servers[i].SetTracer(tracer, telemetry.PidServe+1+i, fmt.Sprintf("replica-%d", i))
-	}
-	var backend serve.Backend = servers[0]
-	if len(servers) > 1 {
-		rs := fleet.NewReplicaSet()
-		rs.MinReplicas = o.minReplicas
-		rs.JournalPath = o.fleetJournal
-		rs.SetTracer(tracer, telemetry.PidServe)
-		for i, srv := range servers {
-			rs.Add(fmt.Sprintf("replica-%d", i), 0, srv)
-		}
-		backend = rs
-		fmt.Fprintf(out, "fleet: %d replicas, floor %d\n", o.replicas, o.minReplicas)
-	}
+	// One frozen backbone, quantized once when the tensor backend
+	// computes in int8, under one side network. A swap publishes a new
+	// side network and never writes the backbone, so the int8 scales stay
+	// those of the weights that serve.
+	m := model.New(cfg)
+	side := peft.NewParallel(m, peft.Options{Reduction: 2}) // freezes m
 	if o.adapters != "" {
+		if _, err := checkpoint.Load(o.adapters, side, cfg); err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "loaded adapters from %s\n", o.adapters)
 	}
+	if tensor.BackendQuantized() {
+		m.QuantizeBackbone()
+	}
+	srv := serve.NewServer(side, cfg)
+	srv.SetTracer(tracer, telemetry.PidServe, "pac-serve")
 
 	// The debug mux is the process-wide surface (tensor pool, GC, flight
 	// ring, span dump, memory ledger); per-request serving metrics stay
@@ -174,28 +154,5 @@ func run(args []string, out io.Writer, ready func(net.Listener)) error {
 	if ready != nil {
 		ready(ln)
 	}
-	return http.Serve(ln, serve.HandlerFor(backend))
-}
-
-// replicas builds n serving side networks over one frozen backbone:
-// one model, quantized once when the tensor backend computes in int8,
-// and one Parallel Adapters technique per replica, each loaded from the
-// adapters checkpoint when one is named. A load or a swap writes side
-// network weights only, so the replicas never write what they share and
-// the int8 scales stay those of the weights that serve.
-func replicas(cfg model.Config, n int, adapters string) ([]*peft.Parallel, error) {
-	m := model.New(cfg)
-	techs := make([]*peft.Parallel, n)
-	for i := range techs {
-		techs[i] = peft.NewParallel(m, peft.Options{Reduction: 2}) // freezes m
-		if adapters != "" {
-			if _, err := checkpoint.Load(adapters, techs[i], cfg); err != nil {
-				return nil, fmt.Errorf("replica %d: %w", i, err)
-			}
-		}
-	}
-	if tensor.BackendQuantized() {
-		m.QuantizeBackbone()
-	}
-	return techs, nil
+	return http.Serve(ln, serve.HandlerFor(srv))
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -11,8 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"pac/internal/checkpoint"
 	"pac/internal/memledger"
 	"pac/internal/model"
+	"pac/internal/peft"
 	"pac/internal/tensor"
 )
 
@@ -57,17 +60,32 @@ func getJSON(t *testing.T, resp *http.Response, err error) map[string]interface{
 	return v
 }
 
+// adaptersFor saves a checkpoint pac-serve's default model accepts.
+func adaptersFor(t *testing.T) string {
+	t.Helper()
+	cfg := model.Tiny()
+	cfg.MaxSeq = 32
+	path := filepath.Join(t.TempDir(), "adapters.pack")
+	if err := checkpoint.Save(path, "a", peft.NewParallel(model.New(cfg), peft.Options{Reduction: 2, Seed: 9}), cfg, 0); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestRunServes(t *testing.T) {
 	backend := tensor.ActiveBackend().Name()
-	base, log, stop := serving(t, "-telemetry-addr", "127.0.0.1:0", "-mem-budget", "64MiB", "-backend", "int8")
+	adapters := adaptersFor(t)
+	base, log, stop := serving(t, "-telemetry-addr", "127.0.0.1:0", "-mem-budget", "64MiB", "-backend", "int8", "-adapters", adapters)
 
 	resp, err := http.Post(base+"/classify", "application/json", strings.NewReader(`{"tokens":[[17,33,21,54]],"user":7}`))
 	if classes, ok := getJSON(t, resp, err)["classes"].([]interface{}); !ok || len(classes) != 1 {
 		t.Errorf("/classify answered without one class per row: %v", classes)
 	}
+	resp, err = http.Post(base+"/swap", "application/json", strings.NewReader(fmt.Sprintf(`{"path":%q}`, adapters)))
+	getJSON(t, resp, err)
 	resp, err = http.Get(base + "/stats")
-	if got := getJSON(t, resp, err)["backend"]; got != "int8" {
-		t.Errorf("/stats names backend %v, want int8", got)
+	if stats := getJSON(t, resp, err); stats["backend"] != "int8" || stats["swaps"] != float64(1) {
+		t.Errorf("/stats names backend %v and %v swaps, want int8 and 1", stats["backend"], stats["swaps"])
 	}
 	if budget, _, _ := memledger.Default().Budget(); budget != 64<<20 {
 		t.Errorf("budget armed at %d bytes while serving, want 64 MiB", budget)
@@ -78,6 +96,7 @@ func TestRunServes(t *testing.T) {
 	}
 	for _, want := range []string{
 		"memory budget: 67.1 MB",
+		"loaded adapters from " + adapters,
 		"telemetry: http://127.0.0.1:",
 		"backend=int8) on " + strings.TrimPrefix(base, "http://"),
 	} {
@@ -94,53 +113,11 @@ func TestRunServes(t *testing.T) {
 	}
 }
 
-// TestRunFleetMode serves from two replicas on each backend: the router
-// round-robins, so two requests reach both side networks over the one
-// backbone.
-func TestRunFleetMode(t *testing.T) {
-	for _, backend := range tensor.Backends() {
-		t.Run(backend, func(t *testing.T) {
-			base, log, stop := serving(t, "-replicas", "2", "-backend", backend)
-			defer stop()
-			resp, err := http.Get(base + "/fleet/status")
-			if status := getJSON(t, resp, err); len(status) == 0 {
-				t.Error("/fleet/status is empty")
-			}
-			for i := 0; i < 2; i++ {
-				resp, err := http.Post(base+"/classify", "application/json", strings.NewReader(`{"tokens":[[17,33,21,54]]}`))
-				if classes, ok := getJSON(t, resp, err)["classes"].([]interface{}); !ok || len(classes) != 1 {
-					t.Errorf("/classify answered without one class per row: %v", classes)
-				}
-			}
-			if !strings.Contains(log.String(), "fleet: 2 replicas, floor 1") {
-				t.Errorf("log does not announce the fleet:\n%s", log)
-			}
-		})
-	}
-}
-
-// TestReplicasShareOneBackbone: the replicas are side networks over one
-// frozen model, not a model each.
-func TestReplicasShareOneBackbone(t *testing.T) {
-	techs, err := replicas(model.Tiny(), 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(techs) != 2 {
-		t.Fatalf("built %d replicas, want 2", len(techs))
-	}
-	backbone := func(i int) uintptr { return reflect.ValueOf(techs[i]).Elem().FieldByName("m").Pointer() }
-	if techs[0] == techs[1] || backbone(0) != backbone(1) {
-		t.Fatal("the two replicas do not share one backbone under two side networks")
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"unknown backend":                   {"-backend", "nope"},
-		"malformed budget":                  {"-mem-budget", "garbage"},
-		"unreadable adapters":               {"-adapters", filepath.Join(t.TempDir(), "missing.pack")},
-		"unreadable adapters in fleet mode": {"-replicas", "2", "-adapters", filepath.Join(t.TempDir(), "missing.pack")},
+		"unknown backend":     {"-backend", "nope"},
+		"malformed budget":    {"-mem-budget", "garbage"},
+		"unreadable adapters": {"-adapters", filepath.Join(t.TempDir(), "missing.pack")},
 	} {
 		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, func(ln net.Listener) {
 			t.Errorf("%s: run went on to serve", name)
@@ -156,9 +133,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // removing a flag is a reviewed change to this list.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"adapters", "addr", "backend", "fleet-journal", "flight-size", "lm",
-		"mem-budget", "min-replicas", "replicas", "telemetry-addr",
-		"trace-sample", "vocab", "workers",
+		"adapters", "addr", "backend", "flight-size", "lm", "mem-budget",
+		"telemetry-addr", "trace-sample", "vocab", "workers",
 	}
 	fs, _ := newFlags()
 	var got []string
@@ -166,7 +142,7 @@ func TestFlagSurface(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flag surface changed:\n got %v\nwant %v", got, want)
 	}
-	for _, retired := range []string{"-trace-cap", "-mem-warn-frac", "-mem-crit-frac"} {
+	for _, retired := range []string{"-trace-cap", "-mem-warn-frac", "-mem-crit-frac", "-replicas", "-min-replicas", "-fleet-journal"} {
 		err := run([]string{retired, "1"}, io.Discard, nil)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+retired) {
 			t.Errorf("%s: got %v, want a flag-parse error", retired, err)

@@ -270,7 +270,7 @@ func goldenPacTrain(t *testing.T, add func(string, []float32)) {
 func goldenServe(t *testing.T, backend string, add func(string, []float32)) {
 	cfg := model.Tiny()
 	m := model.New(cfg)
-	tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 2})
+	tech := peft.NewParallel(m, peft.Options{Reduction: 2})
 	if tensor.BackendQuantized() {
 		m.QuantizeBackbone()
 	}

@@ -334,15 +334,17 @@ func Decode(blob []byte) (*Checkpoint, error) {
 				vals[j] = float32(int8(q)) * scale
 			}
 		} else {
+			// One read per tensor, not one per value: decoding is most of
+			// what a serving hot-swap costs.
 			if int64(numel)*4 > int64(r.Len()) {
 				return nil, fmt.Errorf("checkpoint: tensor %d truncated: %w", i, ErrCorrupt)
 			}
+			raw := make([]byte, numel*4)
+			if _, err := io.ReadFull(r, raw); err != nil {
+				return nil, fmt.Errorf("checkpoint: tensor %d truncated: %w", i, ErrCorrupt)
+			}
 			for j := range vals {
-				bits, err := r32()
-				if err != nil {
-					return nil, fmt.Errorf("checkpoint: tensor %d truncated: %w", i, ErrCorrupt)
-				}
-				vals[j] = math.Float32frombits(bits)
+				vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
 			}
 		}
 		ck.Params = append(ck.Params, tensor.FromSlice(vals, shape...))

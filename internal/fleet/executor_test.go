@@ -11,7 +11,7 @@ import (
 )
 
 // simFleet is an in-memory fleet the executor tests actuate against:
-// Apply mutates device state the way the real ReplicaSet would, and
+// Apply mutates a map of device states the way a real actuator would, and
 // counts applications per step ID so resume tests can prove steps were
 // not repeated.
 type simFleet struct {

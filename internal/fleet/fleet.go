@@ -1,8 +1,10 @@
 // Package fleet is the goal-state orchestrator for intentional topology
 // changes: rolling adapter/backbone upgrades, draining a device for
-// maintenance, resizing a stage group — with zero downtime and safety
-// invariants, where the rest of the system only *reacts* (liveness loss,
-// drift quarantine).
+// maintenance, resizing a stage group — under safety invariants, where
+// the rest of the system only *reacts* (liveness loss, drift
+// quarantine). Its consumers are pac-train's maintenance drain (through
+// internal/supervisor) and pac-fleet's offline planner; a single
+// pac-serve needs none of it, since its adapter swap is a pointer store.
 //
 // The model is declarative: a GoalSpec states the desired fleet (member
 // devices, maintenance quarantine, per-stage-group adapter version and
@@ -21,7 +23,7 @@
 // same torn-write discipline as checkpoints) and to the health flight
 // recorder under the "fleet" kind, so a crashed orchestrator resumes
 // mid-plan without repeating completed steps: the control plane dies
-// and restarts, the data plane keeps serving.
+// and restarts, the devices keep running.
 package fleet
 
 import (

@@ -111,7 +111,7 @@ func TestEndToEndReplayAgainstServer(t *testing.T) {
 	mcfg.NumClasses = cfg.Vocab
 	mcfg.LM = true
 	mcfg.MaxSeq = 64
-	srv := serve.NewServer(peft.New(peft.ParallelAdapters, model.New(mcfg), peft.Options{Reduction: 2}), mcfg)
+	srv := serve.NewServer(peft.NewParallel(model.New(mcfg), peft.Options{Reduction: 2}), mcfg)
 
 	rep, err := Run(context.Background(), tr, srv, RunOptions{Speedup: 4})
 	if err != nil {

@@ -13,12 +13,11 @@ import (
 	"pac/internal/telemetry"
 )
 
-// Target is where replayed requests land. The method set is the
-// request half of serve.Backend, so a *serve.Server and a
-// *fleet.ReplicaSet are targets as they stand (in-process dispatch with
-// the same per-user attribution and cancellation paths as the HTTP
-// face, used by tests and the default pac-loadgen mode); HTTPTarget
-// reaches a pac-serve instance over the network.
+// Target is where replayed requests land. A *serve.Server is one as it
+// stands (in-process dispatch with the same per-user attribution and
+// cancellation paths as the HTTP face, used by tests and the default
+// pac-loadgen mode); HTTPTarget reaches a pac-serve instance over the
+// network.
 type Target interface {
 	ClassifyFor(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error)
 	GenerateFor(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error)

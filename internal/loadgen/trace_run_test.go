@@ -23,7 +23,7 @@ func tinyServer(tr *telemetry.Tracer) *serve.Server {
 	mcfg := model.Tiny()
 	mcfg.Vocab = 32
 	mcfg.NumClasses = 32
-	srv := serve.NewServer(peft.New(peft.ParallelAdapters, model.New(mcfg), peft.Options{Reduction: 2}), mcfg)
+	srv := serve.NewServer(peft.NewParallel(model.New(mcfg), peft.Options{Reduction: 2}), mcfg)
 	if tr != nil {
 		srv.SetTracer(tr, telemetry.PidServe+1, "replica-0")
 	}

@@ -81,6 +81,36 @@ func pruneInit(b model.Block, h, r int, rng *tensor.RNG) *tensor.Tensor {
 	return out
 }
 
+// Clone returns a second side network over the same frozen backbone:
+// norms, down, mix and head are fresh parameters holding copies of this
+// one's values, the backbone pointer is shared. It writes nothing the two
+// share — it never freezes the backbone again, whose RequiresGrad flags
+// in-flight forwards read — so it may run while requests use p. The
+// copies are GC-owned, not pooled: a replaced side network is dropped,
+// never released.
+func (p *Parallel) Clone() *Parallel {
+	c := *p
+	c.norms = make([]*nn.LayerNorm, len(p.norms))
+	for i, n := range p.norms {
+		ln := *n
+		ln.Gamma, ln.Beta = cloneParam(n.Gamma), cloneParam(n.Beta)
+		c.norms[i] = &ln
+	}
+	c.down = make([]*autograd.Variable, len(p.down))
+	c.mix = make([]*autograd.Variable, len(p.mix))
+	for i := range p.down {
+		c.down[i], c.mix[i] = cloneParam(p.down[i]), cloneParam(p.mix[i])
+	}
+	head := *p.head
+	head.W, head.B = cloneParam(p.head.W), cloneParam(p.head.B)
+	c.head = &head
+	return &c
+}
+
+func cloneParam(v *autograd.Variable) *autograd.Variable {
+	return autograd.NewParam(tensor.FromSlice(append([]float32(nil), v.Value.Data...), v.Value.Shape()...))
+}
+
 // QuantizeBackbone builds the int8 forms of the frozen backbone's
 // projections (Model.QuantizeBackbone) and returns how many were built.
 // The side network (norms, down/mix, head) is trainable and never

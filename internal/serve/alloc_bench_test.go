@@ -14,8 +14,7 @@ import (
 func BenchmarkServeClassifyRequest(b *testing.B) {
 	cfg := model.Tiny()
 	m := model.New(cfg)
-	tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-	s := NewServer(tech, cfg)
+	s := NewServer(peft.NewParallel(m, peft.Options{Reduction: 4}), cfg)
 	enc := [][]int{{2, 3, 4, 5, 6, 7, 8, 9}, {9, 8, 7, 6, 5, 4, 3, 2}}
 	lens := []int{8, 8}
 	ctx := context.Background()

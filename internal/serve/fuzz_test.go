@@ -46,8 +46,8 @@ func TestAdmitRejectsTokensTheModelCannotTake(t *testing.T) {
 		t.Fatalf("rejected requests left a mark: served %d, canceled %d, in-flight %d B",
 			s.Served(), s.Canceled(), memInflight.Bytes())
 	}
-	// In-process callers (loadgen's target, the fleet router) are behind
-	// the same check, and it covers the row-length bound HTTP cannot see.
+	// In-process callers (loadgen's target) are behind the same check,
+	// and it covers the row-length bound HTTP cannot see.
 	ctx := context.Background()
 	long := [][]int{make([]int, s.cfg.MaxSeq+1)}
 	if _, err := s.ClassifyFor(ctx, AnonUser, long, []int{len(long[0])}); !errors.Is(err, errInvalidRequest) {
@@ -56,8 +56,8 @@ func TestAdmitRejectsTokensTheModelCannotTake(t *testing.T) {
 	if _, err := s.GenerateFor(ctx, AnonUser, [][]int{{1, 2}}, nil, generate.Options{MaxLen: 2}); !errors.Is(err, errInvalidRequest) {
 		t.Errorf("GenerateFor(no lens): %v, want errInvalidRequest", err)
 	}
-	// A rejection holds nothing: the write side of the swap lock is free
-	// and a well-formed request is still answered.
+	// A rejection holds nothing: a swap goes through and a well-formed
+	// request is still answered.
 	s.UpdateWeights(s.SnapshotWeights())
 	for _, path := range []string{"/classify", "/generate"} {
 		if code := postDirect(h, path, validBody); code != http.StatusOK {

@@ -5,38 +5,43 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"pac/internal/generate"
 	"pac/internal/telemetry"
 )
 
-// Backend is the request-serving surface the HTTP handler binds to: a
-// single *Server, or a fleet replica set that routes each request to an
-// in-service replica and turns /swap into an orchestrated zero-downtime
-// rolling operation.
-type Backend interface {
-	ClassifyFor(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error)
-	GenerateFor(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error)
-	SwapCheckpoint(path string) error
-	Stats() map[string]interface{}
-	WriteMetrics(w io.Writer)
-}
-
-// FleetStatuser is the optional Backend extension a replica set
-// implements; when present, the handler additionally mounts GET
-// /fleet/status with the rollout/journal view.
-type FleetStatuser interface {
-	FleetStatus() map[string]interface{}
-}
-
 // StatusClientClosedRequest is the (nginx-convention) status reported
 // when the client abandoned the request before the model ran.
 const StatusClientClosedRequest = 499
 
-// HandlerFor exposes a Backend — a single Server or a fleet replica
-// set — over HTTP with a small JSON API:
+// maxBodyBytes bounds every POST body. It is over 100× the largest
+// request the serving benchmark sends, so only a client trying to make
+// the process allocate without bound meets it.
+const maxBodyBytes = 1 << 20
+
+// decodeBody JSON-decodes a POST body of at most maxBodyBytes into v. When
+// it cannot, it answers the request itself (405, 413 or 400) and reports
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return false
+	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body over %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+		return false
+	case err != nil:
+		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
+// HandlerFor exposes a Server over HTTP with a small JSON API:
 //
 //	POST /classify {"tokens": [[...]], "lens": [...], "user": U}  → {"classes": [...]}
 //	POST /generate {"tokens": [[...]], "lens": [...], "user": U,
@@ -51,13 +56,14 @@ const StatusClientClosedRequest = 499
 // The histogram summaries carry count, sum, p50/p95/p99 and cumulative
 // bucket counts. The optional "user" field attributes the request to a
 // user id (pac-loadgen sets it when replaying multi-user traces); omit
-// it for anonymous requests. Each request runs under the connection's
-// context: a client that disconnects while its request is queued behind
-// a weight swap is dropped without counting toward served totals.
+// it for anonymous requests. A POST body over 1 MiB is answered 413;
+// reading stops at the limit. Each request runs under the
+// connection's context: a client that disconnects before its request
+// reaches the model is dropped without counting toward served totals.
 //
 // It is the network face of the Figure-1 agent: LAN clients (other
 // household devices) query the personal LLM that PAC keeps fine-tuning.
-func HandlerFor(s Backend) http.Handler {
+func HandlerFor(s *Server) http.Handler {
 	mux := http.NewServeMux()
 
 	type seqReq struct {
@@ -68,13 +74,8 @@ func HandlerFor(s Backend) http.Handler {
 		Temperature float64 `json:"temperature"`
 	}
 	decode := func(w http.ResponseWriter, r *http.Request) (*seqReq, bool) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return nil, false
-		}
 		req := seqReq{User: AnonUser}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		if !decodeBody(w, r, &req) {
 			return nil, false
 		}
 		if len(req.Tokens) == 0 {
@@ -154,15 +155,14 @@ func HandlerFor(s Backend) http.Handler {
 	})
 
 	mux.HandleFunc("/swap", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
 		var req struct {
 			Path string `json:"path"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Path == "" {
-			http.Error(w, "bad request", http.StatusBadRequest)
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		if req.Path == "" {
+			http.Error(w, "bad request: no path", http.StatusBadRequest)
 			return
 		}
 		if err := s.SwapCheckpoint(req.Path); err != nil {
@@ -180,12 +180,6 @@ func HandlerFor(s Backend) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.WriteMetrics(w)
 	})
-
-	if fs, ok := s.(FleetStatuser); ok {
-		mux.HandleFunc("/fleet/status", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, fs.FleetStatus())
-		})
-	}
 
 	return mux
 }

@@ -22,8 +22,7 @@ func httpServer(t testing.TB, lm bool) (*httptest.Server, *Server, model.Config)
 		cfg.Vocab, cfg.NumClasses, cfg.LM = 16, 16, true
 	}
 	m := model.New(cfg)
-	tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-	s := NewServer(tech, cfg)
+	s := NewServer(peft.NewParallel(m, peft.Options{Reduction: 4}), cfg)
 	ts := httptest.NewServer(HandlerFor(s))
 	t.Cleanup(ts.Close)
 	return ts, s, cfg
@@ -253,5 +252,30 @@ func TestHTTPUserAttribution(t *testing.T) {
 	}
 	if _, ok := stats["canceled"]; !ok {
 		t.Fatal("stats missing canceled")
+	}
+}
+
+// TestHTTPBodyLimit: a POST body over 1 MiB is answered 413 and reaches
+// neither the model nor the in-flight ledger.
+func TestHTTPBodyLimit(t *testing.T) {
+	_, s, _ := httpServer(t, false)
+	h := HandlerFor(s)
+	var body strings.Builder
+	body.WriteString(`{"tokens":[[`)
+	for body.Len() < 2<<20 {
+		body.WriteString("1,")
+	}
+	body.WriteString(`1]],"path":"x"}`)
+	for _, path := range []string{"/classify", "/swap"} {
+		if code := postDirect(h, path, body.String()); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a 2 MiB body: status %d, want 413", path, code)
+		}
+	}
+	if s.Served() != 0 || s.Swaps() != 0 || memInflight.Bytes() != 0 {
+		t.Fatalf("an oversized body left a mark: served %d, swaps %d, in-flight %d B",
+			s.Served(), s.Swaps(), memInflight.Bytes())
+	}
+	if code := postDirect(h, "/classify", `{"tokens":[[2,3,4,5]]}`); code != http.StatusOK {
+		t.Fatalf("a small body after the large one: status %d", code)
 	}
 }

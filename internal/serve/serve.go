@@ -1,8 +1,8 @@
 // Package serve hosts a personal LLM for inference while PAC fine-tunes
 // it — the two halves of the paper's Figure 1 agent. The server answers
-// classification and generation requests from the current adapter
-// weights and hot-swaps adapters (from a live Framework or a checkpoint
-// file) without dropping requests.
+// classification and generation requests from the current side network
+// and hot-swaps adapters (from a live Framework or a checkpoint file)
+// without making a request wait.
 package serve
 
 import (
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pac/internal/checkpoint"
@@ -27,9 +28,9 @@ import (
 // memInflight tracks the activation working set of requests currently
 // executing a forward pass (estimated as tokens × hidden × 4 bytes —
 // the per-layer tap footprint; exact buffer sizes are the tensor
-// pool's business). Reserved after the post-lock cancellation check
-// (admit), so canceled requests never hold inflight bytes, and released
-// when the request returns.
+// pool's business). Reserved after the cancellation check (admit), so
+// canceled requests never hold inflight bytes, and released when the
+// request returns.
 var memInflight = memledger.Default().Account("serve.inflight")
 
 // inflightBytes estimates one request's activation working set.
@@ -41,17 +42,21 @@ func inflightBytes(enc [][]int, hidden int) int64 {
 	return int64(tokens) * int64(hidden) * 4
 }
 
-// Server hosts one technique replica behind a read-write lock: requests
-// take the read side, weight swaps the write side.
+// Server hosts one Parallel Adapters side network over a frozen
+// backbone. The side network sits behind an atomic pointer: a request
+// loads it once and uses that one for its whole forward or decode, and a
+// swap clones it, loads the clone and publishes it with one store. So no
+// request waits for a swap and no swap waits for a request; swaps
+// serialize among themselves only.
 //
 // Serving metrics live in a per-server registry (not the process-wide
 // telemetry.Default()) so each server's /stats and /metrics report only
 // its own traffic — several servers can coexist in one process without
 // cross-talk.
 type Server struct {
-	mu   sync.RWMutex
-	tech peft.Technique
-	cfg  model.Config
+	side   atomic.Pointer[peft.Parallel]
+	swapMu sync.Mutex // writers only: two swaps never clone one base
+	cfg    model.Config
 
 	reg         *telemetry.Registry
 	served      *telemetry.Counter
@@ -60,17 +65,16 @@ type Server struct {
 	latClassify *telemetry.Histogram
 	latGenerate *telemetry.Histogram
 
-	// Per-user request attribution: which users this replica actually
+	// Per-user request attribution: which users this server actually
 	// serves, fed by the load harness and the adapter-routing work that
 	// builds on it. AnonUser requests are not attributed.
 	umu        sync.Mutex
 	userServed map[int]int64
 
 	// Causal tracing (SetTracer): requests record a span tree — the op
-	// span with wait (lock acquisition) and forward (model compute)
-	// children on the tracePid track — parented under the trace context
-	// in ctx (the X-Pac-Trace header, or a fleet route span). Nil
-	// tracer keeps the request path exactly as fast as before: one
+	// span with a forward (model compute) child on the tracePid track —
+	// parented under the trace context in ctx (the X-Pac-Trace header).
+	// Nil tracer keeps the request path exactly as fast as before: one
 	// pointer check, no context lookups.
 	tracer      *telemetry.Tracer
 	tracePid    int
@@ -80,16 +84,16 @@ type Server struct {
 // AnonUser marks a request with no user attribution.
 const AnonUser = -1
 
-// NewServer wraps a technique for serving. The technique's model must
-// match cfg.
-func NewServer(tech peft.Technique, cfg model.Config) *Server {
+// NewServer serves side network p, whose backbone must match cfg. The
+// server owns p from here on: change its weights through UpdateWeights
+// or SwapCheckpoint, never in place.
+func NewServer(p *peft.Parallel, cfg model.Config) *Server {
 	reg := telemetry.NewRegistry()
 	reg.Help("pac_serve_served_total", "Sequences answered.")
 	reg.Help("pac_serve_swaps_total", "Adapter hot-swaps performed.")
 	reg.Help("pac_serve_request_seconds", "Model-invocation latency per API request.")
 	reg.Help("pac_serve_canceled_total", "Requests abandoned before the model ran (context canceled).")
 	s := &Server{
-		tech:        tech,
 		cfg:         cfg,
 		reg:         reg,
 		served:      reg.Counter("pac_serve_served_total"),
@@ -99,13 +103,14 @@ func NewServer(tech peft.Technique, cfg model.Config) *Server {
 		latGenerate: reg.Histogram("pac_serve_request_seconds", nil, "op", "generate"),
 		userServed:  make(map[int]int64),
 	}
+	s.side.Store(p)
 	return s
 }
 
 // SetTracer enables request tracing: spans land on the pid track
 // labeled device (telemetry.PidServe conventions). Call before serving
 // traffic; device also stamps each compute span's Args so pac-trace
-// attributes per-stage time to a concrete replica.
+// attributes per-stage time to a concrete server.
 func (s *Server) SetTracer(tr *telemetry.Tracer, pid int, device string) {
 	s.tracer = tr
 	s.tracePid = pid
@@ -114,7 +119,7 @@ func (s *Server) SetTracer(tr *telemetry.Tracer, pid int, device string) {
 }
 
 // requestSpan opens the op span for a traced request: a child of the
-// context's trace (header or route span) when present, a fresh
+// context's trace (the X-Pac-Trace header) when present, a fresh
 // server-side root otherwise — uninstrumented clients still get
 // server-side trees.
 func (s *Server) requestSpan(ctx context.Context, op string) (telemetry.TraceContext, func()) {
@@ -185,54 +190,40 @@ func (s *Server) validate(enc [][]int, lens []int) error {
 
 // admit is what every request passes before the model runs: the token
 // check (a request it fails holds and counts nothing), the op span, a
-// cancellation check, the read side of the swap lock (its wait is a
-// span of its own, so queueing behind a weight swap shows up on the
-// critical path), a second cancellation check, and the in-flight
-// bytes. On success the caller defers done, which undoes them in
-// reverse; an abandoned request is counted, marked on its trace and
-// left holding nothing.
-func (s *Server) admit(ctx context.Context, op string, enc [][]int, lens []int) (rtc telemetry.TraceContext, done func(), err error) {
+// cancellation check, and the in-flight bytes. It hands back the side
+// network the request runs on, loaded once here. On success the caller
+// defers done, which undoes the rest in reverse; an abandoned request is
+// counted, marked on its trace and left holding nothing.
+func (s *Server) admit(ctx context.Context, op string, enc [][]int, lens []int) (side *peft.Parallel, rtc telemetry.TraceContext, done func(), err error) {
 	if err = s.validate(enc, lens); err != nil {
-		return rtc, nil, err
+		return nil, rtc, nil, err
 	}
 	endSpan := func() {}
 	if s.tracer != nil {
 		rtc, endSpan = s.requestSpan(ctx, op)
 	}
-	if err = ctx.Err(); err == nil {
-		_, endWait := s.tracer.SpanTC(rtc, "serve", "wait", s.tracePid, 0)
-		s.mu.RLock()
-		endWait()
-		// Re-check after acquiring the read side: a request that waited
-		// out a weight swap may have been abandoned by its caller
-		// meanwhile.
-		if err = ctx.Err(); err != nil {
-			s.mu.RUnlock()
-		}
-	}
-	if err != nil {
+	if err = ctx.Err(); err != nil {
 		s.canceled.Inc()
 		s.tracer.InstantTC(rtc, "serve", "canceled", s.tracePid, 0)
 		endSpan()
-		return rtc, nil, err
+		return nil, rtc, nil, err
 	}
 	inflight := inflightBytes(enc, s.cfg.Hidden)
 	memInflight.Reserve(inflight)
-	return rtc, func() {
+	return s.side.Load(), rtc, func() {
 		memInflight.Release(inflight)
-		s.mu.RUnlock()
 		endSpan()
 	}, nil
 }
 
 // ClassifyFor returns the argmax class per input sequence, attributed
 // to user (AnonUser for none): the load harness and adapter routing
-// track which users a replica serves. A canceled context aborts before
+// track which users a server serves. A canceled context aborts before
 // the model runs (the request does not count toward served totals);
 // cancellation cannot interrupt an already running forward pass.
 func (s *Server) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []int) ([]int, error) {
 	t0 := time.Now()
-	rtc, done, err := s.admit(ctx, "classify", enc, lens)
+	side, rtc, done, err := s.admit(ctx, "classify", enc, lens)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +233,7 @@ func (s *Server) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []
 		dec[i] = []int{0}
 	}
 	endFwd := s.forwardSpan(rtc)
-	res := s.tech.Forward(enc, dec, lens, false)
+	res := side.Forward(enc, dec, lens, false)
 	endFwd()
 	s.served.Add(int64(len(enc)))
 	s.attribute(user, len(enc))
@@ -253,30 +244,24 @@ func (s *Server) ClassifyFor(ctx context.Context, user int, enc [][]int, lens []
 }
 
 // GenerateFor decodes responses for the inputs (LM-configured models
-// only), attributed to user. Parallel Adapters decode through the KV
-// cache (generate.DecodeParallel: the encoder and the side network's
-// encoder half once, then one decoder row per token), which returns
-// Decode's tokens bit for bit; Full, LoRA and Adapters alter the
-// backbone math and re-run the model per token through generate.Decode.
-// Context semantics match ClassifyFor: cancellation before the decode
-// starts aborts without counting the request as served.
+// only), attributed to user, through the KV cache
+// (generate.DecodeParallel: the encoder and the side network's encoder
+// half once, then one decoder row per token), which returns
+// generate.Decode's tokens bit for bit. Context semantics match
+// ClassifyFor: cancellation before the decode starts aborts without
+// counting the request as served.
 func (s *Server) GenerateFor(ctx context.Context, user int, enc [][]int, lens []int, opts generate.Options) ([][]int, error) {
 	if !s.cfg.LM {
 		return nil, fmt.Errorf("serve: model is not LM-configured")
 	}
 	t0 := time.Now()
-	rtc, done, err := s.admit(ctx, "generate", enc, lens)
+	side, rtc, done, err := s.admit(ctx, "generate", enc, lens)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
 	endFwd := s.forwardSpan(rtc)
-	var out [][]int
-	if pa, ok := s.tech.(*peft.Parallel); ok {
-		out, err = generate.DecodeParallel(pa, enc, lens, opts)
-	} else {
-		out = generate.Decode(s.tech, enc, lens, opts)
-	}
+	out, err := generate.DecodeParallel(side, enc, lens, opts)
 	endFwd()
 	if err != nil {
 		return nil, err
@@ -308,36 +293,52 @@ func (s *Server) observeLatency(h *telemetry.Histogram, sec float64, rtc telemet
 	h.Observe(sec)
 }
 
+// swap publishes a new side network: a clone of the current one after
+// load has filled it. A failed load publishes nothing. Requests already
+// running keep the side network they loaded; the next one loads the new.
+func (s *Server) swap(load func(*peft.Parallel) error) error {
+	s.swapMu.Lock()
+	defer s.swapMu.Unlock()
+	next := s.side.Load().Clone()
+	if err := load(next); err != nil {
+		return err
+	}
+	s.side.Store(next)
+	s.swapped.Inc()
+	return nil
+}
+
 // UpdateWeights installs new trainable parameters (e.g. pushed from a
 // PAC framework after a fine-tuning round). The flat layout must match
-// the technique's Trainable() enumeration.
+// the side network's Trainable() enumeration.
 func (s *Server) UpdateWeights(flat []float32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	nn.UnflattenParams(s.tech.Trainable(), flat)
-	s.swapped.Inc()
+	_ = s.swap(func(p *peft.Parallel) error { // cannot fail: a bad length panics
+		nn.UnflattenParams(p.Trainable(), flat)
+		return nil
+	})
 	health.Flight().Record("swap", -1, -1, "weights", float64(len(flat)))
 }
 
-// SwapCheckpoint hot-loads adapters from a checkpoint file.
+// SwapCheckpoint hot-loads adapters from a checkpoint file. The file
+// must pass every check checkpoint.Load makes (technique kind, model
+// fingerprint, tensor count and shapes) before anything is published.
 func (s *Server) SwapCheckpoint(path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := checkpoint.Load(path, s.tech, s.cfg); err != nil {
+	err := s.swap(func(p *peft.Parallel) error {
+		_, err := checkpoint.Load(path, p, s.cfg)
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	s.swapped.Inc()
 	health.Flight().Record("swap", -1, -1, "checkpoint "+path, 0)
 	return nil
 }
 
 // SnapshotWeights captures the current trainable parameters as one
-// flat vector — the serving-side Snapshot step of a fleet rollout. The
-// read lock makes the capture consistent with respect to swaps.
+// flat vector. A published side network is never written again, so the
+// capture is consistent without a lock.
 func (s *Server) SnapshotWeights() []float32 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return nn.FlattenParams(s.tech.Trainable())
+	return nn.FlattenParams(s.side.Load().Trainable())
 }
 
 // Served returns the number of sequences answered.

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"pac/internal/checkpoint"
 	"pac/internal/core"
@@ -24,8 +23,7 @@ func server(t *testing.T) (*Server, model.Config) {
 	t.Helper()
 	cfg := model.Tiny()
 	m := model.New(cfg)
-	tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-	return NewServer(tech, cfg), cfg
+	return NewServer(peft.NewParallel(m, peft.Options{Reduction: 4}), cfg), cfg
 }
 
 func TestClassifyCountsAndShapes(t *testing.T) {
@@ -55,9 +53,7 @@ func TestGenerateRequiresLMConfig(t *testing.T) {
 
 	cfg := model.Tiny()
 	cfg.Vocab, cfg.NumClasses, cfg.LM = 16, 16, true
-	m := model.New(cfg)
-	tech := peft.New(peft.Full, m, peft.Options{})
-	lm := NewServer(tech, cfg)
+	lm := NewServer(peft.NewParallel(model.New(cfg), peft.Options{Reduction: 4}), cfg)
 	out, err := lm.GenerateFor(context.Background(), AnonUser, [][]int{{2, 3, 4, 5}}, []int{4}, generate.Options{MaxLen: 3})
 	if err != nil || len(out) != 1 {
 		t.Fatalf("generate: %v %v", out, err)
@@ -73,8 +69,7 @@ func TestUpdateWeightsChangesAnswers(t *testing.T) {
 	}
 
 	// Push deliberately skewed weights: bias the head hard toward class 1.
-	params := s.tech.Trainable()
-	flat := nn.FlattenParams(params)
+	flat := s.SnapshotWeights()
 	// The head bias is the last two entries (Linear [r,2] + bias [2]).
 	flat[len(flat)-2] = -100
 	flat[len(flat)-1] = +100
@@ -109,7 +104,7 @@ func TestSwapCheckpointHotReload(t *testing.T) {
 	// Server now computes exactly what the trained replica computes.
 	enc, lens := [][]int{{3, 4, 5, 6}}, []int{4}
 	want := tech2.Forward(enc, [][]int{{0}}, lens, false).Logits.Value.Data
-	got := s.tech.Forward(enc, [][]int{{0}}, lens, false).Logits.Value.Data
+	got := s.side.Load().Forward(enc, [][]int{{0}}, lens, false).Logits.Value.Data
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatal("swap did not install trained weights")
@@ -131,7 +126,7 @@ func TestServeWhileFineTuning(t *testing.T) {
 	// through UpdateWeights (never by aliasing the framework's replica,
 	// which the fine-tuning loop mutates concurrently).
 	serveModel := model.New(cfg)
-	s := NewServer(peft.New(peft.ParallelAdapters, serveModel, peft.Options{Reduction: 4}), cfg)
+	s := NewServer(peft.NewParallel(serveModel, peft.Options{Reduction: 4}), cfg)
 
 	stop := make(chan struct{})
 	var served int64
@@ -188,24 +183,11 @@ func TestCancelledRequestNotCounted(t *testing.T) {
 	if s.Canceled() == 0 {
 		t.Fatal("cancellation not recorded")
 	}
-
-	// Canceled while queued behind a weight swap: the request blocks on
-	// the read lock, is abandoned, and must not count once it unblocks.
-	s.mu.Lock()
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.ClassifyFor(ctx2, 7, enc, lens)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the request park on the lock
-	cancel2()
-	s.mu.Unlock()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("queued request: want context.Canceled, got %v", err)
+	if _, err := s.ClassifyFor(ctx, 7, enc, lens); !errors.Is(err, context.Canceled) {
+		t.Fatalf("attributed request: want context.Canceled, got %v", err)
 	}
-	if s.Served() != 0 {
-		t.Fatalf("abandoned queued request counted as served: %d", s.Served())
+	if memInflight.Bytes() != 0 {
+		t.Fatalf("canceled requests hold %d in-flight bytes", memInflight.Bytes())
 	}
 	if s.Users() != 0 {
 		t.Fatalf("abandoned request attributed: %v", s.UserCounts())
@@ -240,13 +222,13 @@ func TestPerUserAttribution(t *testing.T) {
 // TestConcurrentGenerateDuringSwaps runs 8 GenerateFor callers on one
 // Parallel Adapters server while /swap alternates two adapter sets.
 // Every reply is what Decode answers under one of the two sets — a
-// request runs wholly under one set, since a swap takes the write side
-// of the lock — and under -race the cached decoders share the backbone
-// and the side network without a data race.
+// request runs wholly on the side network it loaded at admission — and
+// under -race the cached decoders share the backbone and the side
+// networks without a data race.
 func TestConcurrentGenerateDuringSwaps(t *testing.T) {
 	_, s, cfg := httpServer(t, true)
 	h := HandlerFor(s)
-	pa := s.tech.(*peft.Parallel)
+	pa := s.side.Load()
 	prompts := [][]int{{2, 3, 4, 5}, {5, 6, 7, 8, 9}, {10, 11, 12}, {4, 4, 9, 13, 2, 7}}
 	opts := generate.Options{MaxLen: 5}
 

@@ -15,8 +15,7 @@ import (
 func tracedServer(tr *telemetry.Tracer, pid int, device string) *Server {
 	cfg := model.Tiny()
 	m := model.New(cfg)
-	tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-	s := NewServer(tech, cfg)
+	s := NewServer(peft.NewParallel(m, peft.Options{Reduction: 4}), cfg)
 	s.SetTracer(tr, pid, device)
 	return s
 }
@@ -33,8 +32,9 @@ func spansByName(evs []telemetry.ChromeEvent) map[string][]telemetry.ChromeEvent
 
 // TestClassifyRequestSpanTree drives /classify with an X-Pac-Trace
 // header and asserts the server records the op span (child of the
-// header context) with wait and forward children, echoes the header,
-// and stamps the trace as the latency-bucket exemplar.
+// header context) with a forward child, echoes the header, and stamps
+// the trace as the latency-bucket exemplar. No request waits for a swap,
+// so there is no wait span.
 func TestClassifyRequestSpanTree(t *testing.T) {
 	tr := telemetry.NewTracer()
 	s := tracedServer(tr, telemetry.PidServe+1, "replica-0")
@@ -68,14 +68,11 @@ func TestClassifyRequestSpanTree(t *testing.T) {
 		t.Fatalf("op span device %v", op[0].Args["device"])
 	}
 	opSpanID, _ := op[0].Args["span"].(string)
-	for _, name := range []string{"wait", "forward"} {
-		evs := spans[name]
-		if len(evs) != 1 {
-			t.Fatalf("got %d %s spans, want 1", len(evs), name)
-		}
-		if evs[0].Args["parent"] != opSpanID {
-			t.Fatalf("%s span parent %v, want %s", name, evs[0].Args["parent"], opSpanID)
-		}
+	if fwd := spans["forward"]; len(fwd) != 1 || fwd[0].Args["parent"] != opSpanID {
+		t.Fatalf("forward spans %v, want one under op span %s", fwd, opSpanID)
+	}
+	if wait := spans["wait"]; len(wait) != 0 {
+		t.Fatalf("got %d wait spans, want none", len(wait))
 	}
 
 	// Latency exemplar: the classify histogram's sampled bucket names
@@ -122,8 +119,7 @@ func TestCanceledRequestTraced(t *testing.T) {
 func TestUntracedServerUnchanged(t *testing.T) {
 	cfg := model.Tiny()
 	m := model.New(cfg)
-	tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-	s := NewServer(tech, cfg)
+	s := NewServer(peft.NewParallel(m, peft.Options{Reduction: 4}), cfg)
 	if _, err := s.ClassifyFor(context.Background(), AnonUser, [][]int{{1, 2, 3}}, []int{3}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 // hybrid lanes trace as pid 0..lanes-1 (tid = pipeline stage), the
 // cached-epoch data-parallel group as PidDP (tid = replica rank),
 // orchestration work — whole steps, snapshot capture/restore, cache
-// salvage — as PidOrch, the serving layer (router at PidServe,
-// replica i at PidServe+1+i) as PidServe, and the load generator's
+// salvage — as PidOrch, a serve.Server as PidServe (pac-loadgen's
+// in-process target as PidServe+1), and the load generator's
 // client-side request spans as PidClient. Memory-ledger counter
 // tracks (process ledger at PidMem, device ledger i at PidMem+1+i)
 // render the /debug/mem timeline under the same spans. The tracer

@@ -2,13 +2,11 @@ package traceanalysis_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"pac/internal/fleet"
 	"pac/internal/loadgen"
 	"pac/internal/model"
 	"pac/internal/peft"
@@ -19,23 +17,18 @@ import (
 
 // TestP99CriticalPathAcrossHTTPAndDevices is the acceptance path for
 // the tracing tentpole: pac-loadgen replays a trace over real HTTP
-// against a 2-replica fleet, the report's p99 exemplar resolves to a
-// span tree that crosses the HTTP boundary onto multiple simulated
-// devices, and the critical path sums to the measured request latency
+// against one server, the report's p99 exemplar resolves to a span tree
+// that crosses the HTTP boundary from the client's device onto the
+// server's, and the critical path sums to the measured request latency
 // within ±5%.
 func TestP99CriticalPathAcrossHTTPAndDevices(t *testing.T) {
 	tracer := telemetry.NewTracer()
-	rs := fleet.NewReplicaSet()
-	rs.SetTracer(tracer, telemetry.PidServe)
-	for i := 0; i < 2; i++ {
-		cfg := model.Tiny()
-		cfg.Vocab = 32
-		cfg.NumClasses = 32
-		srv := serve.NewServer(peft.New(peft.ParallelAdapters, model.New(cfg), peft.Options{Reduction: 2}), cfg)
-		srv.SetTracer(tracer, telemetry.PidServe+1+i, fmt.Sprintf("replica-%d", i))
-		rs.Add(fmt.Sprintf("replica-%d", i), 0, srv)
-	}
-	hs := httptest.NewServer(serve.HandlerFor(rs))
+	cfg := model.Tiny()
+	cfg.Vocab = 32
+	cfg.NumClasses = 32
+	srv := serve.NewServer(peft.NewParallel(model.New(cfg), peft.Options{Reduction: 2}), cfg)
+	srv.SetTracer(tracer, telemetry.PidServe, "pac-serve")
+	hs := httptest.NewServer(serve.HandlerFor(srv))
 	defer hs.Close()
 
 	trace := loadgen.Synthesize(loadgen.SynthConfig{
@@ -74,16 +67,16 @@ func TestP99CriticalPathAcrossHTTPAndDevices(t *testing.T) {
 	}
 	tr := dump.AnalyzeTree(tree)
 
-	// The tree roots at the loadgen client span and crosses HTTP into
-	// router + replica pids: at least 3 simulated devices in one tree.
+	// The tree roots at the loadgen client span and crosses HTTP into the
+	// server's pid: 2 simulated devices in one tree.
 	if tr.Root != string(loadgen.OpClassify) {
 		t.Fatalf("tree root %q, want the client op span", tr.Root)
 	}
 	if tree.Root().Pid != telemetry.PidClient {
 		t.Fatalf("root pid %d, want client %d", tree.Root().Pid, telemetry.PidClient)
 	}
-	if tr.Devices < 3 {
-		t.Fatalf("tree spans %d device(s), want client+router+replica", tr.Devices)
+	if tr.Devices < 2 {
+		t.Fatalf("tree spans %d device(s), want client+server", tr.Devices)
 	}
 	var sawCompute bool
 	for _, seg := range tr.Path {

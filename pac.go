@@ -260,9 +260,11 @@ func Decode(tech Technique, enc [][]int, lens []int, opts GenOptions) [][]int {
 // Server hosts a technique for inference with hot-swappable adapters.
 type Server = serve.Server
 
-// NewInferenceServer wraps a technique for serving.
-func NewInferenceServer(tech Technique, cfg ModelConfig) *Server {
-	return serve.NewServer(tech, cfg)
+// NewInferenceServer serves a Parallel Adapters side network (what
+// Attach(ParallelAdapters, …) builds); swaps publish copies, so the
+// server owns side from here on.
+func NewInferenceServer(side *peft.Parallel, cfg ModelConfig) *Server {
+	return serve.NewServer(side, cfg)
 }
 
 // HTTPHandler exposes a server over HTTP (POST /classify, /generate,
