@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -21,50 +22,58 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (comma-separated): table1, figure3, table2, table3, figure8, figure9, figure10, figure11, ablations")
-	qSamples := flag.Int("quality-samples", 320, "samples per task for the Table 3 real-training sweep")
-	qEpochs := flag.Int("quality-epochs", 8, "epochs for the Table 3 real-training sweep")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "pac-bench: %v\n", err)
+		os.Exit(2)
+	}
+}
 
-	run := map[string]func() *bench.Table{
-		"table1":   bench.Table1,
-		"figure3":  bench.Figure3,
-		"table2":   bench.Table2,
-		"figure8":  bench.Figure8,
-		"figure9":  bench.Figure9,
-		"figure10": bench.Figure10,
-		"figure11": bench.Figure11,
-		"table3": func() *bench.Table {
-			return bench.Table3(bench.QualityConfig{Samples: *qSamples, Epochs: *qEpochs})
+// run is the whole command behind a testable seam: every -exp name is
+// checked before any experiment runs.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("pac-bench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment to run (comma-separated): table1, figure3, table2, table3, figure8, figure9, figure10, figure11, ablations")
+	qSamples := fs.Int("quality-samples", 320, "samples per task for the Table 3 real-training sweep")
+	qEpochs := fs.Int("quality-epochs", 8, "epochs for the Table 3 real-training sweep")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	tables := map[string]func() []*bench.Table{
+		"table1":   one(bench.Table1),
+		"figure3":  one(bench.Figure3),
+		"table2":   one(bench.Table2),
+		"figure8":  one(bench.Figure8),
+		"figure9":  one(bench.Figure9),
+		"figure10": one(bench.Figure10),
+		"figure11": one(bench.Figure11),
+		"table3": func() []*bench.Table {
+			return []*bench.Table{bench.Table3(bench.QualityConfig{Samples: *qSamples, Epochs: *qEpochs})}
+		},
+		"ablations": func() []*bench.Table {
+			return []*bench.Table{bench.RedistributionAblation(), bench.ScheduleAblation(), bench.ReductionSweep(),
+				bench.EpochSweep(), bench.CacheCompressionAblation(), bench.StragglerAblation()}
 		},
 	}
-	order := []string{"table1", "figure3", "table2", "table3", "figure8", "figure9", "figure10", "figure11"}
 
-	var selected []string
-	switch *exp {
-	case "all":
-		selected = append(selected, order...)
-		selected = append(selected, "ablations")
-	default:
+	selected := []string{"table1", "figure3", "table2", "table3", "figure8", "figure9", "figure10", "figure11", "ablations"}
+	if *exp != "all" {
 		selected = strings.Split(*exp, ",")
 	}
-
-	for _, name := range selected {
-		name = strings.TrimSpace(name)
-		if name == "ablations" {
-			fmt.Println(bench.RedistributionAblation().Render())
-			fmt.Println(bench.ScheduleAblation().Render())
-			fmt.Println(bench.ReductionSweep().Render())
-			fmt.Println(bench.EpochSweep().Render())
-			fmt.Println(bench.CacheCompressionAblation().Render())
-			fmt.Println(bench.StragglerAblation().Render())
-			continue
+	for i, name := range selected {
+		selected[i] = strings.TrimSpace(name)
+		if tables[selected[i]] == nil {
+			return fmt.Errorf("unknown experiment %q", selected[i])
 		}
-		fn, ok := run[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "pac-bench: unknown experiment %q\n", name)
-			os.Exit(2)
-		}
-		fmt.Println(fn().Render())
 	}
+	for _, name := range selected {
+		for _, t := range tables[name]() {
+			fmt.Fprintln(out, t.Render())
+		}
+	}
+	return nil
+}
+
+func one(f func() *bench.Table) func() []*bench.Table {
+	return func() []*bench.Table { return []*bench.Table{f()} }
 }

@@ -16,7 +16,7 @@
 //	          [-max-recoveries N] [-step-timeout D] [-fault-drop P]
 //	          [-slow-lane N] [-slow-delay D]
 //	          [-replan-on-drift] [-straggler-factor F]
-//	          [-drain-device N] [-drain-delay D] [-fleet-journal FILE]
+//	          [-drain-device N] [-drain-delay D]
 //	          [-flight-size N] [-flight-out FILE]
 //	          [-telemetry-addr HOST:PORT] [-trace-out FILE] [-trace-sample P]
 //	          [-mem-budget BYTES] [-mem-report FILE]
@@ -118,9 +118,8 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's Chrome/Perfetto JSON trace to this file (sampled at -trace-sample)")
 	fs.Float64Var(&o.sup.FaultDrop, "fault-drop", 0, "per-send probability of an injected transient drop (0 disables)")
 	fs.BoolVar(&o.sup.ReplanOnDrift, "replan-on-drift", false, "let health-monitor straggler/drift alerts trigger a re-plan (quarantine + profile feedback)")
-	fs.IntVar(&o.sup.Drain.Device, "drain-device", -1, "orchestrate a goal-state maintenance drain of this device index mid-run (-1 disables)")
+	fs.IntVar(&o.sup.Drain.Device, "drain-device", -1, "drain this device index mid-run: quarantine it and re-plan on the rest (-1 disables)")
 	fs.DurationVar(&o.sup.Drain.Delay, "drain-delay", 50*time.Millisecond, "delay before the -drain-device fleet drain starts (after the first snapshot when -snapshot-every > 0)")
-	fs.StringVar(&o.sup.Drain.Journal, "fleet-journal", "", "crash-resume journal for the -drain-device fleet drain (empty disables)")
 	fs.Float64Var(&o.sup.StragglerFactor, "straggler-factor", 3, "flag a lane/rank as a straggler when slower than the healthy median by this factor")
 	fs.StringVar(&o.flightOut, "flight-out", "", "write the flight-recorder dump to this file at exit")
 	fs.IntVar(&o.sup.Slow.Lane, "slow-lane", -1, "inject a persistent per-send delay into every stage of this lane's pipeline fabric (-1 disables)")

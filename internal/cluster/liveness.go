@@ -12,7 +12,7 @@ import (
 // while its last heartbeat is younger than the TTL; a device that goes
 // quiet — or is explicitly reported dead by an engine's
 // RankFailedError — drops out of the surviving set, which the
-// orchestrator feeds back into the planner to re-plan around the loss.
+// supervisor feeds back into the planner to re-plan around the loss.
 type Liveness struct {
 	mu         sync.Mutex
 	ttl        time.Duration
@@ -38,10 +38,10 @@ func (l *Liveness) SetClock(now func() time.Time) {
 // Heartbeat records a sign of life from the named device. A heartbeat
 // never resurrects a device that was declared dead or quarantined:
 // both marks last as long as the tracker. This closes the resurrection
-// hazard the fleet orchestrator depends on: a zombie process (or a
-// drained device whose agent keeps running) can beat indefinitely, and
-// silently returning it to the alive set would reinsert it into plans
-// mid-rollout behind the orchestrator's back.
+// hazard: a zombie process (or a drained device whose agent keeps
+// running) can beat indefinitely, and silently returning it to the
+// alive set would reinsert it into the next plan behind the
+// supervisor's back.
 func (l *Liveness) Heartbeat(name string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -287,7 +287,7 @@ func (b *cacheBuilder) observe(ids []int, tapIdx int, tap *tensor.Tensor) {
 // Phase1EpochCtx runs one hybrid data+pipeline epoch over the loader
 // (paper Step 4), filling the activation cache as a side effect, and
 // returns the mean loss. A dead device aborts the epoch cleanly and
-// surfaces a parallel.RankFailedError so the orchestrator can re-plan
+// surfaces a parallel.RankFailedError so the supervisor can re-plan
 // on the survivors.
 func (f *Framework) Phase1EpochCtx(ctx context.Context, loader *data.Loader, epoch int) (float64, error) {
 	return f.phase1EpochFrom(ctx, loader, epoch, 0)

@@ -27,9 +27,7 @@ import (
 // "alert" (monitor alert raised), "snapshot-capture", "snapshot-restore",
 // "salvage" (elastic-resume transitions), "dead"/"quarantine"/"reinstate"
 // (liveness transitions), "replan" (supervisor re-planned), "swap"
-// (serving adapter hot-swap), "fleet" (orchestrator step transitions:
-// plan headers and per-step start/done/failed/skip, detail "<transition>
-// <step-id>", value the attempt number).
+// (serving adapter hot-swap).
 type Event struct {
 	// Seq is the global append order (1-based); the ring keeps the
 	// highest Size sequence numbers.

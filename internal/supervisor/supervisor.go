@@ -30,9 +30,10 @@
 //	         while more than one lane is left). Every stage of the lane
 //	         is quarantined; the measured per-stage profile, analytic
 //	         until one exists; free.
-//	fleet    internal/fleet's maintenance drain of one device, run
-//	         beside the loop, reached its Drain step, which has already
-//	         quarantined the device; analytic costs; free.
+//	fleet    a maintenance drain of one device (Drain), run beside the
+//	         loop, has quarantined the device; refused when its stage
+//	         would be left with no device in service, a no-op when the
+//	         device is already out; analytic costs; free.
 //
 // After any of them the plan is printed, the lane count shrinks by one
 // to fit the smaller pool, injected faults are cleared (they have
@@ -147,7 +148,7 @@ type Supervisor struct {
 
 	guard        replanGuard
 	driftEnabled atomic.Bool
-	draining     atomic.Bool       // the fleet drain has taken its Drain step
+	draining     atomic.Bool       // the fleet drain has quarantined its device
 	monitors     []*health.Monitor // one per attempt
 
 	snapMu    sync.Mutex
@@ -206,7 +207,7 @@ func (s *Supervisor) Run() (Result, error) {
 
 	// The drain runs beside the loop and never writes to Out. Its outcome
 	// is collected once the loop is over: a drain still waiting for its
-	// turn is canceled, one past its Drain step is moments from done.
+	// turn is canceled, one that has quarantined its device is done.
 	drainCtx, stopDrain := context.WithCancel(context.Background())
 	defer stopDrain()
 	var drained chan string

@@ -350,6 +350,59 @@ func TestDrainOutlivedByTraining(t *testing.T) {
 	}
 }
 
+// settle trains long enough for a drain released by the attempt's
+// snapshot to act, and finishes unless a re-plan request cancels it.
+func settle(ctx context.Context, _ core.Config, _ *Supervisor) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(250 * time.Millisecond):
+		return nil
+	}
+}
+
+// drainLeavesPoolAlone checks a drain that must not act: training
+// finishes on its second attempt, no fleet re-plan ran, and the
+// quarantine list is what the first re-plan left.
+func drainLeavesPoolAlone(t *testing.T, sc *script, res Result, out string, err error, quarantined []string) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	wantOutput(t, out, "fleet: 0 drain re-plan(s)")
+	if strings.Contains(out, "re-planning on fleet drain") || res.FleetReplans != 0 || len(sc.built) != 2 || res.Loss != 0.25 {
+		t.Errorf("result %+v, %d attempts: want training finished after one re-plan, no fleet re-plan\n%s", res, len(sc.built), out)
+	}
+	if q := sc.sup.live.Quarantined(); !slices.Equal(q, quarantined) {
+		t.Errorf("quarantined %v, want %v", q, quarantined)
+	}
+}
+
+// TestDrainOfSidelinedDevice is the regression test for a drain of a
+// device drift had already quarantined: it reported a re-plan around the
+// device that never happened.
+func TestDrainOfSidelinedDevice(t *testing.T) {
+	drift := func(ctx context.Context, c core.Config, s *Supervisor) error {
+		s.onAlert(lane1Slow)
+		return untilCanceled(ctx, c, s)
+	}
+	cfg := Config{ReplanOnDrift: true, Drain: &Drain{Device: 3}}
+	cfg.Core.SnapshotEvery = 1
+	sc, res, out, err := supervise(t, cfg, nil, drift, snapshotThen(1, 2, settle))
+	drainLeavesPoolAlone(t, sc, res, out, err, []string{"jetson-nano-2", "jetson-nano-3"})
+	wantOutput(t, out, "fleet drain of jetson-nano-3: already out of service, nothing to re-plan")
+}
+
+// TestDrainRefusedAtStageFloor: device 3 is dead, so draining device 1
+// would leave stage 1 with no device in service.
+func TestDrainRefusedAtStageFloor(t *testing.T) {
+	cfg := Config{MaxRecoveries: 1, Drain: &Drain{Device: 1}}
+	cfg.Core.SnapshotEvery = 1
+	sc, res, out, err := supervise(t, cfg, nil, lane1Stage1Dies, snapshotThen(1, 2, settle))
+	drainLeavesPoolAlone(t, sc, res, out, err, []string{})
+	wantOutput(t, out, "fleet drain of jetson-nano-1 refused: stage 1 would have no device in service")
+}
+
 func TestNewRejectsBadInjection(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"crash device": {Crash: &Crash{Device: 4, Phase: "hybrid"}},
