@@ -3,9 +3,8 @@
 // fine-tuning epoch and replayed in later epochs so the frozen LLM
 // backbone never runs again. It provides a concurrency-safe in-memory
 // store, a disk-backed store for edge devices whose DRAM cannot hold the
-// cache (the paper reloads per micro-batch from flash), and the
-// serialization used when PAC redistributes cache shards between devices
-// for the data-parallel phase (paper §5.2).
+// cache (the paper reloads per micro-batch from flash), and the entry
+// encoding the disk store persists and the manifest checksums.
 package acache
 
 import (
@@ -167,21 +166,6 @@ func (s *MemoryStore) Clear() error {
 	s.entries = map[int]Entry{}
 	s.bytes = 0
 	return nil
-}
-
-// ShardIDs assigns sample ids to devices round-robin, the distribution
-// PAC uses when redistributing the cache for data-parallel epochs. The
-// result is deterministic in the input order.
-func ShardIDs(ids []int, devices int) [][]int {
-	if devices <= 0 {
-		panic("acache: ShardIDs with no devices")
-	}
-	out := make([][]int, devices)
-	for i, id := range ids {
-		d := i % devices
-		out[d] = append(out[d], id)
-	}
-	return out
 }
 
 // Delete removes one entry (no-op when absent).

@@ -1,6 +1,7 @@
 package acache
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -115,20 +116,52 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
+// overflowEntry is a 20-byte encoding — magic, 1 tap, ndims 2, dims
+// 0xFFFFFFFF × 0xFFFFFFFF — whose element count overflows int.
+var overflowEntry = []byte{
+	0x43, 0x43, 0x41, 0x50,
+	1, 0, 0, 0,
+	2, 0, 0, 0,
+	0xff, 0xff, 0xff, 0xff,
+	0xff, 0xff, 0xff, 0xff,
+}
+
+// garbageEntries are encodings DecodeEntry must reject.
+func garbageEntries() [][]byte {
+	return [][]byte{
 		nil,
 		{1, 2, 3},
 		EncodeEntry(sampleEntry(5))[:10], // truncated
 		append(EncodeEntry(sampleEntry(5)), 0xde, 0xad),  // trailing
 		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},             // bad magic
 		{0x43, 0x43, 0x41, 0x50, 0xff, 0xff, 0xff, 0xff}, // huge tap count
+		overflowEntry, // dims whose product overflows int
 	}
-	for i, c := range cases {
+}
+
+func TestDecodeRejectsGarbage(t *testing.T) {
+	for i, c := range garbageEntries() {
 		if _, err := DecodeEntry(c); err == nil {
 			t.Fatalf("case %d: garbage decoded without error", i)
 		}
 	}
+}
+
+// FuzzDecodeEntry: decoding never panics, and whatever decodes is the
+// canonical encoding of its result.
+func FuzzDecodeEntry(f *testing.F) {
+	for _, c := range append(garbageEntries(), EncodeEntry(sampleEntry(5))) {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		e, err := DecodeEntry(b)
+		if err != nil {
+			return
+		}
+		if got := EncodeEntry(e); !bytes.Equal(got, b) {
+			t.Fatalf("decode/encode of %d bytes gave %d different bytes", len(b), len(got))
+		}
+	})
 }
 
 func TestPropCodecRoundTrip(t *testing.T) {
@@ -144,67 +177,6 @@ func TestPropCodecRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShardRoundTrip(t *testing.T) {
-	src := NewMemoryStore()
-	var ids []int
-	for i := 0; i < 5; i++ {
-		if err := src.Put(i*10, sampleEntry(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, i*10)
-	}
-	blob, err := EncodeShard(src, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := NewMemoryStore()
-	if err := DecodeShard(dst, blob); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Len() != len(ids) {
-		t.Fatalf("decoded store has %d entries, want %d", dst.Len(), len(ids))
-	}
-	for _, id := range ids {
-		a, _ := src.Get(id)
-		b, ok := dst.Get(id)
-		if !ok || !entriesEqual(a, b) {
-			t.Fatalf("shard entry %d mismatch", id)
-		}
-	}
-}
-
-func TestEncodeShardMissingID(t *testing.T) {
-	if _, err := EncodeShard(NewMemoryStore(), []int{1}); err == nil {
-		t.Fatal("expected error for uncached id")
-	}
-}
-
-func TestShardIDsBalancedAndComplete(t *testing.T) {
-	ids := make([]int, 10)
-	for i := range ids {
-		ids[i] = i + 100
-	}
-	shards := ShardIDs(ids, 3)
-	if len(shards) != 3 {
-		t.Fatal("wrong shard count")
-	}
-	seen := map[int]bool{}
-	for _, sh := range shards {
-		if len(sh) < 3 || len(sh) > 4 {
-			t.Fatalf("unbalanced shard of %d", len(sh))
-		}
-		for _, id := range sh {
-			if seen[id] {
-				t.Fatal("duplicate id across shards")
-			}
-			seen[id] = true
-		}
-	}
-	if len(seen) != len(ids) {
-		t.Fatal("ids lost in sharding")
 	}
 }
 

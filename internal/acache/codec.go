@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"pac/internal/tensor"
@@ -16,9 +15,9 @@ import (
 //	uint32 tap count
 //	per tap: uint32 ndims, ndims × uint32 dims, dims-product × float32
 //
-// Everything little-endian. The same codec serves the disk store and the
-// cross-device redistribution traffic, so the byte counts the simulator
-// charges for redistribution match what a real deployment would ship.
+// Everything little-endian. The disk store persists these bytes (plus a
+// CRC-32 footer) and the manifest checksums them, so one encoding backs
+// every integrity check.
 
 const entryMagic = 0x50414343 // "PACC"
 
@@ -78,6 +77,11 @@ func DecodeEntry(data []byte) (Entry, error) {
 				return nil, fmt.Errorf("acache: decode dim: %w", err)
 			}
 			shape[j] = int(d)
+			// Bound the product by the bytes left before multiplying: a
+			// crafted shape must not overflow numel or size the slice.
+			if d != 0 && numel > r.Len()/4/int(d) {
+				return nil, fmt.Errorf("acache: tap %d truncated: shape %v exceeds %d bytes left", i, shape[:j+1], r.Len())
+			}
 			numel *= int(d)
 		}
 		if int64(numel)*4 > int64(r.Len()) {
@@ -97,58 +101,4 @@ func DecodeEntry(data []byte) (Entry, error) {
 		return nil, fmt.Errorf("acache: %d trailing bytes", r.Len())
 	}
 	return entry, nil
-}
-
-// EncodeShard serializes a set of (id, entry) pairs for redistribution.
-func EncodeShard(s Store, ids []int) ([]byte, error) {
-	var buf bytes.Buffer
-	writeU32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	writeU32(uint32(len(ids)))
-	for _, id := range ids {
-		e, ok := s.Get(id)
-		if !ok {
-			return nil, fmt.Errorf("acache: shard id %d not cached", id)
-		}
-		blob := EncodeEntry(e)
-		writeU32(uint32(id))
-		writeU32(uint32(len(blob)))
-		buf.Write(blob)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeShard parses a shard into dst.
-func DecodeShard(dst Store, data []byte) error {
-	r := bytes.NewReader(data)
-	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
-	}
-	count, err := readU32()
-	if err != nil {
-		return fmt.Errorf("acache: shard header: %w", err)
-	}
-	for i := uint32(0); i < count; i++ {
-		id, err := readU32()
-		if err != nil {
-			return fmt.Errorf("acache: shard id: %w", err)
-		}
-		size, err := readU32()
-		if err != nil {
-			return fmt.Errorf("acache: shard size: %w", err)
-		}
-		blob := make([]byte, size)
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return fmt.Errorf("acache: shard payload: %w", err)
-		}
-		entry, err := DecodeEntry(blob)
-		if err != nil {
-			return err
-		}
-		if err := dst.Put(int(id), entry); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -21,8 +21,8 @@ import (
 // CRC-32 (IEEE) footer. Get verifies the footer before decoding; an
 // entry that fails (torn write, flash bit rot) is dropped from the
 // index and deleted, so the caller's miss path recomputes that one
-// sample instead of the epoch failing. Footer-less files from older
-// versions still decode (legacy fallback).
+// sample instead of the epoch failing: a file either passes its CRC
+// and decodes or is a miss.
 type DiskStore struct {
 	dir string
 
@@ -85,9 +85,9 @@ func (s *DiskStore) Put(id int, taps Entry) error {
 	return nil
 }
 
-// Get implements Store. A file that fails its CRC (and is not a valid
-// legacy footer-less entry) counts as corrupt: the entry is deleted
-// and reported as a miss, and the caller recomputes that sample.
+// Get implements Store. A file that fails its CRC or does not decode
+// counts as corrupt: the entry is deleted and reported as a miss, and
+// the caller recomputes that sample.
 func (s *DiskStore) Get(id int) (Entry, bool) {
 	s.mu.Lock()
 	_, ok := s.index[id]
@@ -114,10 +114,6 @@ func (s *DiskStore) Get(id int) (Entry, bool) {
 				return entry, true
 			}
 		}
-	}
-	// Legacy fallback: entries written before the CRC footer existed.
-	if entry, err := DecodeEntry(file); err == nil {
-		return entry, true
 	}
 	s.dropCorrupt(id)
 	return nil, false

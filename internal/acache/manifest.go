@@ -3,7 +3,6 @@ package acache
 import (
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"sync"
 )
 
@@ -27,8 +26,8 @@ func NewManifest(taps int) *Manifest {
 }
 
 // EntrySum is the checksum recorded per entry: CRC-32 (IEEE) of the
-// entry's canonical encoding — the same bytes the disk store persists
-// and redistribution ships, so one sum serves every store kind.
+// entry's canonical encoding — the same bytes the disk store persists,
+// so one sum serves every store kind.
 func EntrySum(e Entry) uint32 {
 	return crc32.ChecksumIEEE(EncodeEntry(e))
 }
@@ -71,57 +70,6 @@ func ManifestFromSums(taps int, sums map[int]uint32) *Manifest {
 		m.sums[id] = s
 	}
 	return m
-}
-
-// BuildManifest scans a store and records a checksum for every entry it
-// can read — the bootstrap path when no recorded manifest survived.
-// Unreadable entries (a disk store's corrupt files) are simply absent.
-func BuildManifest(s Store, taps int) *Manifest {
-	m := NewManifest(taps)
-	for _, id := range s.IDs() {
-		if e, ok := s.Get(id); ok {
-			m.sums[id] = EntrySum(e)
-		}
-	}
-	return m
-}
-
-// ShardManifest describes one device's cache shard: the sample-ID
-// range it covers and a checksum per entry, aligned with IDs.
-type ShardManifest struct {
-	Device       int
-	IDs          []int
-	Sums         []uint32
-	MinID, MaxID int
-}
-
-// Shards groups the manifest into per-device shard descriptors using
-// the same round-robin assignment as ShardIDs — the metadata each
-// device would carry alongside its shard in a LAN deployment.
-func (m *Manifest) Shards(devices int) []ShardManifest {
-	m.mu.Lock()
-	ids := make([]int, 0, len(m.sums))
-	for id := range m.sums {
-		ids = append(ids, id)
-	}
-	m.mu.Unlock()
-	sort.Ints(ids)
-	out := make([]ShardManifest, devices)
-	for d, shard := range ShardIDs(ids, devices) {
-		sm := ShardManifest{Device: d, IDs: shard}
-		for i, id := range shard {
-			sum, _ := m.Sum(id)
-			sm.Sums = append(sm.Sums, sum)
-			if i == 0 || id < sm.MinID {
-				sm.MinID = id
-			}
-			if id > sm.MaxID {
-				sm.MaxID = id
-			}
-		}
-		out[d] = sm
-	}
-	return out
 }
 
 // SalvageReport summarizes one salvage pass.

@@ -1,6 +1,8 @@
 package acache
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,38 +59,6 @@ func TestManifestSumsRoundTrip(t *testing.T) {
 		if a != b {
 			t.Fatalf("sum %d diverged", i)
 		}
-	}
-}
-
-func TestManifestShards(t *testing.T) {
-	m := NewManifest(2)
-	for i := 0; i < 7; i++ {
-		m.Observe(i, testEntry(i))
-	}
-	shards := m.Shards(3)
-	if len(shards) != 3 {
-		t.Fatalf("%d shards", len(shards))
-	}
-	seen := map[int]bool{}
-	for _, sm := range shards {
-		if len(sm.IDs) != len(sm.Sums) {
-			t.Fatal("ids/sums misaligned")
-		}
-		for i, id := range sm.IDs {
-			if seen[id] {
-				t.Fatalf("id %d in two shards", id)
-			}
-			seen[id] = true
-			if id < sm.MinID || id > sm.MaxID {
-				t.Fatalf("id %d outside range [%d,%d]", id, sm.MinID, sm.MaxID)
-			}
-			if want, _ := m.Sum(id); sm.Sums[i] != want {
-				t.Fatalf("shard sum for %d wrong", id)
-			}
-		}
-	}
-	if len(seen) != 7 {
-		t.Fatalf("shards cover %d ids, want 7", len(seen))
 	}
 }
 
@@ -154,10 +124,41 @@ func TestSalvageNilRecomputeDropsOnly(t *testing.T) {
 	}
 }
 
-// TestDiskStoreTornWrite covers the per-entry CRC footer: a truncated
-// or bit-flipped entry file must read as a clean miss (dropped, counted
-// corrupt) so the trainer recomputes one sample instead of crashing or
-// training on garbage.
+// TestDiskStoreLegacyEntry: a footer-less file (a valid encoding with
+// no CRC) is not served. It is a counted-corrupt miss, its file is
+// deleted, and a fresh Put of the same sample reads back.
+func TestDiskStoreLegacyEntry(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "7.pac")
+	if err := os.WriteFile(p, EncodeEntry(testEntry(7)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(7); ok {
+		t.Fatal("footer-less entry served")
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want 1 corrupt miss", st)
+	}
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Fatalf("footer-less file not deleted: %v", err)
+	}
+	if err := s.Put(7, testEntry(7)); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := s.Get(7); !ok || EntrySum(e) != EntrySum(testEntry(7)) {
+		t.Fatal("re-put entry lost")
+	}
+}
+
+// TestDiskStoreTornWrite covers the per-entry CRC footer: a damaged
+// entry file must read as a clean miss (dropped, counted corrupt) so
+// the trainer recomputes one sample instead of crashing or training on
+// garbage. A file reaches the decoder only through its CRC, and the
+// decoder rejects what a valid CRC cannot vouch for.
 func TestDiskStoreTornWrite(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewDiskStore(dir)
@@ -189,88 +190,59 @@ func TestDiskStoreTornWrite(t *testing.T) {
 	if err := os.WriteFile(p1, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Entry 3: a valid encoding with no CRC footer.
+	if err := os.WriteFile(filepath.Join(dir, "3.pac"), EncodeEntry(testEntry(3)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Entry 4: a correct CRC over a shape whose element count overflows.
+	crafted := binary.LittleEndian.AppendUint32(append([]byte(nil), overflowEntry...), crc32.ChecksumIEEE(overflowEntry))
+	if err := os.WriteFile(filepath.Join(dir, "4.pac"), crafted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	damaged := []int{0, 1, 3, 4}
+	all := []int{0, 1, 2, 3, 4}
 
 	// Reopen (a process restart re-indexes the directory).
 	s, err = NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(0); ok {
-		t.Fatal("torn entry served")
-	}
-	if _, ok := s.Get(1); ok {
-		t.Fatal("bit-flipped entry served")
+	for _, id := range damaged {
+		if _, ok := s.Get(id); ok {
+			t.Fatalf("damaged entry %d served", id)
+		}
 	}
 	if e, ok := s.Get(2); !ok || EntrySum(e) != EntrySum(testEntry(2)) {
 		t.Fatal("intact entry lost")
 	}
 	st := s.Stats()
-	if st.Corrupt != 2 {
-		t.Fatalf("corrupt count %d, want 2", st.Corrupt)
+	if st.Corrupt != 4 {
+		t.Fatalf("corrupt count %d, want 4", st.Corrupt)
 	}
-	if st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("hits %d misses %d, want 1/2 (corrupt reads are misses)", st.Hits, st.Misses)
+	if st.Hits != 1 || st.Misses != 4 {
+		t.Fatalf("hits %d misses %d, want 1/4 (corrupt reads are misses)", st.Hits, st.Misses)
 	}
 	// Dropped for good: the damaged files are gone and Has reports a
 	// clean miss, so the caller's recompute path repopulates.
-	if s.Has(0) || s.Has(1) {
-		t.Fatal("corrupt entries still indexed")
+	for _, id := range damaged {
+		if s.Has(id) {
+			t.Fatalf("corrupt entry %d still indexed", id)
+		}
 	}
 
-	// Salvage restores coverage, recomputing exactly the damaged two.
-	rep, err := Salvage(s, []int{0, 1, 2}, nil, func(id int) (Entry, error) {
+	// Salvage restores coverage, recomputing exactly the damaged four.
+	rep, err := Salvage(s, all, nil, func(id int) (Entry, error) {
 		return testEntry(id), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Verified != 1 || rep.Missing != 2 || rep.Recomputed != 2 {
+	if rep.Verified != 1 || rep.Missing != 4 || rep.Recomputed != 4 {
 		t.Fatalf("report %+v", rep)
 	}
-	for i := 0; i < 3; i++ {
-		if e, ok := s.Get(i); !ok || EntrySum(e) != EntrySum(testEntry(i)) {
-			t.Fatalf("sample %d wrong after salvage", i)
+	for _, id := range all {
+		if e, ok := s.Get(id); !ok || EntrySum(e) != EntrySum(testEntry(id)) {
+			t.Fatalf("sample %d wrong after salvage", id)
 		}
-	}
-}
-
-// TestDiskStoreLegacyEntry: files written before the CRC footer existed
-// (raw entry encoding) must still load.
-func TestDiskStoreLegacyEntry(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "7.pac"), EncodeEntry(testEntry(7)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := s.Get(7)
-	if !ok {
-		t.Fatal("legacy entry rejected")
-	}
-	if EntrySum(e) != EntrySum(testEntry(7)) {
-		t.Fatal("legacy entry decoded wrong")
-	}
-}
-
-func TestBuildManifestSkipsUnreadable(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillStore(t, s, nil, 4)
-	// Damage entry 2 on disk.
-	p := filepath.Join(dir, "2.pac")
-	if err := os.WriteFile(p, []byte{1, 2, 3}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m := BuildManifest(s, 2)
-	if len(m.Sums()) != 3 {
-		t.Fatalf("manifest len %d, want 3 (corrupt entry skipped)", len(m.Sums()))
-	}
-	if _, ok := m.Sum(2); ok {
-		t.Fatal("corrupt entry has a sum")
 	}
 }

@@ -309,9 +309,11 @@ func (f *Framework) phase1EpochFrom(ctx context.Context, loader *data.Loader, ep
 
 // Redistribute performs the phase transition (paper §5.2): every device
 // receives the full adapter parameters and the complete activation
-// cache. With the in-process store the data is already shared; the
-// method verifies coverage, synchronizes the reference replica, and
-// accounts the bytes a LAN deployment would move.
+// cache. Every rank shares this process's store, so nothing moves: the
+// method checks cache coverage, copies lane 0's adapters into the
+// reference replica and records RedistributedBytes, the bytes a
+// transfer between devices would ship. The simulator prices that
+// transfer (bench.RedistributionAblation).
 func (f *Framework) Redistribute(ds *data.Dataset) error {
 	if !f.phase1Done {
 		return fmt.Errorf("core: redistribute before phase 1")

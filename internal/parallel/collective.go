@@ -145,62 +145,3 @@ func RingAllReduce(t Transport, data []float32) {
 		panic(err.Error())
 	}
 }
-
-// BroadcastCtx copies root's data to every rank (in place on
-// non-roots) — with AllGatherBytesCtx, the redistribution collectives
-// of the phase transition (paper §5.2). core.Redistribute accounts for
-// the bytes they would move but, sharing one in-process store, does not
-// run them yet.
-func BroadcastCtx(ctx context.Context, t Transport, root int, data []float32, pol RetryPolicy) error {
-	if t.Size() == 1 {
-		return nil
-	}
-	if t.Rank() == root {
-		for r := 0; r < t.Size(); r++ {
-			if r != root {
-				if err := sendRetry(ctx, t, r, "bcast", encodeF32(data), pol); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	raw, err := recvPeer(ctx, t, root, "bcast")
-	if err != nil {
-		return err
-	}
-	copy(data, decodeF32(raw))
-	return nil
-}
-
-// AllGatherBytesCtx collects every rank's blob on every rank, indexed
-// by rank: the cache-shard half of the redistribution (see
-// BroadcastCtx).
-func AllGatherBytesCtx(ctx context.Context, t Transport, own []byte, pol RetryPolicy) ([][]byte, error) {
-	n := t.Size()
-	out := make([][]byte, n)
-	out[t.Rank()] = own
-	if n == 1 {
-		return out, nil
-	}
-	// Ring circulation: n−1 steps, each forwarding the previously
-	// received blob.
-	next := (t.Rank() + 1) % n
-	prev := (t.Rank() - 1 + n) % n
-	forward := own
-	src := t.Rank()
-	for s := 0; s < n-1; s++ {
-		tag := fmt.Sprintf("gather%d", s)
-		if err := sendRetry(ctx, t, next, tag, forward, pol); err != nil {
-			return nil, err
-		}
-		incoming, err := recvPeer(ctx, t, prev, tag)
-		if err != nil {
-			return nil, err
-		}
-		src = (src - 1 + n) % n
-		out[src] = incoming
-		forward = incoming
-	}
-	return out, nil
-}

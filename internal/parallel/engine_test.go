@@ -313,45 +313,3 @@ func TestCacheFedDPGroupMatchesDirectForward(t *testing.T) {
 		t.Fatal("cache never hit")
 	}
 }
-
-func TestDataParallelOverTCP(t *testing.T) {
-	// The engines must run over genuine sockets, not just channels: swap
-	// the fabric for a loopback TCP mesh and require the same result as
-	// the chan-based group.
-	b := makeBatch(8)
-	want, wantLoss := singleDeviceStep(t, peft.ParallelAdapters, b)
-
-	tcp, err := NewTCPNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcp.Close()
-	g := NewDPGroup(2, func(rank int) (peft.Technique, train.Optimizer) {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-	})
-	g.Endpoints = tcp.Endpoints()
-	loss := mustStep(t, g, b)
-	if math.Abs(loss-wantLoss) > 1e-4 {
-		t.Fatalf("TCP DP loss %v vs %v", loss, wantLoss)
-	}
-	paramsClose(t, nn.FlattenParams(g.Techs[0].Trainable()), want, 1e-4, "TCP DP")
-}
-
-func TestPipelineOverTCP(t *testing.T) {
-	b := makeBatch(4)
-	want, _ := singleDeviceStep(t, peft.Full, b)
-
-	m := model.New(model.Tiny())
-	tech := peft.New(peft.Full, m, peft.Options{})
-	e := NewPipeline(m, tech, 2, nil, 2, lr)
-	tcp, err := NewTCPNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcp.Close()
-	e.Endpoints = tcp.Endpoints()
-	mustStep(t, e, b)
-	paramsClose(t, nn.FlattenParams(e.Tech.Trainable()), want, 2e-4, "TCP pipeline")
-}

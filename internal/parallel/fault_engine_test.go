@@ -148,22 +148,6 @@ func TestDataParallelEquivalenceUnderDelayChan(t *testing.T) {
 	paramsClose(t, nn.FlattenParams(g.Techs[0].Trainable()), want, 1e-4, "delay-only chan DP")
 }
 
-func TestDataParallelEquivalenceUnderDelayTCP(t *testing.T) {
-	b := makeBatch(8)
-	want, _ := singleDeviceStep(t, peft.ParallelAdapters, b)
-	tcp := newTCP(t, 2)
-	g := NewDPGroup(2, func(rank int) (peft.Technique, train.Optimizer) {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-	})
-	g.Endpoints = WrapFaulty(tcp.Endpoints(), delayOnly)
-	if _, err := g.StepCtx(context.Background(), b); err != nil {
-		t.Fatal(err)
-	}
-	paramsClose(t, nn.FlattenParams(g.Techs[0].Trainable()), want, 1e-4, "delay-only TCP DP")
-}
-
 func TestPipelineEquivalenceUnderDelayChan(t *testing.T) {
 	b := makeBatch(4)
 	want, _ := singleDeviceStep(t, peft.Full, b)
@@ -175,14 +159,26 @@ func TestPipelineEquivalenceUnderDelayChan(t *testing.T) {
 	paramsClose(t, nn.FlattenParams(e.Tech.Trainable()), want, 2e-4, "delay-only chan pipeline")
 }
 
-func TestPipelineEquivalenceUnderDelayTCP(t *testing.T) {
-	b := makeBatch(4)
-	want, _ := singleDeviceStep(t, peft.Full, b)
-	e := pipelineFor(peft.Full, 2, 2)
-	tcp := newTCP(t, 2)
-	e.Endpoints = WrapFaulty(tcp.Endpoints(), delayOnly)
-	if _, err := e.StepCtx(context.Background(), b); err != nil {
+// TestHybridEquivalenceUnderDelayChan: 2 lanes × 2 stages with every
+// fabric — each lane's pipe and each stage's all-reduce ring — behind a
+// delay-only decorator, whose frames copy the payload, still match one
+// device.
+func TestHybridEquivalenceUnderDelayChan(t *testing.T) {
+	b := makeBatch(8)
+	want, _ := singleDeviceStep(t, peft.ParallelAdapters, b)
+	h := NewHybrid(2, 2, 2, lr, func(lane int) *PipelineEngine {
+		m := model.New(model.Tiny())
+		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
+		return NewPipeline(m, tech, 2, nil, 2, lr)
+	})
+	h.WrapTransports(func(_ FabricID, eps []Transport) []Transport {
+		return WrapFaulty(eps, delayOnly)
+	})
+	if _, err := h.StepCtx(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
-	paramsClose(t, nn.FlattenParams(e.Tech.Trainable()), want, 2e-4, "delay-only TCP pipeline")
+	if !h.InSync() {
+		t.Fatal("lanes diverged")
+	}
+	paramsClose(t, nn.FlattenParams(h.Lanes[0].Tech.Trainable()), want, 2e-4, "delay-only chan hybrid")
 }
