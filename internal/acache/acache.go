@@ -24,9 +24,9 @@ var memAcct = memledger.Default().Account("acache")
 // every transformer layer, encoder layers first.
 type Entry []*tensor.Tensor
 
-// Bytes returns the storage footprint of the entry in bytes (float32
+// size returns the storage footprint of the entry in bytes (float32
 // payload only; framing is negligible).
-func (e Entry) Bytes() int64 {
+func (e Entry) size() int64 {
 	var n int64
 	for _, t := range e {
 		n += int64(t.Numel()) * 4
@@ -90,12 +90,12 @@ func (s *MemoryStore) Put(id int, taps Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.entries[id]; ok {
-		ob := old.Bytes()
+		ob := old.size()
 		s.bytes -= ob
 		memAcct.Release(ob)
 	}
 	s.entries[id] = taps
-	nb := taps.Bytes()
+	nb := taps.size()
 	s.bytes += nb
 	memAcct.Reserve(nb)
 	s.stats.Puts++
@@ -173,7 +173,7 @@ func (s *MemoryStore) Delete(id int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.entries[id]; ok {
-		ob := old.Bytes()
+		ob := old.size()
 		s.bytes -= ob
 		memAcct.Release(ob)
 		delete(s.entries, id)

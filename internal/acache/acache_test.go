@@ -107,7 +107,7 @@ func TestDiskStoreReopenRecoversIndex(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	e := sampleEntry(4)
-	got, err := DecodeEntry(EncodeEntry(e))
+	got, err := decodeEntry(encodeEntry(e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +126,13 @@ var overflowEntry = []byte{
 	0xff, 0xff, 0xff, 0xff,
 }
 
-// garbageEntries are encodings DecodeEntry must reject.
+// garbageEntries are encodings decodeEntry must reject.
 func garbageEntries() [][]byte {
 	return [][]byte{
 		nil,
 		{1, 2, 3},
-		EncodeEntry(sampleEntry(5))[:10], // truncated
-		append(EncodeEntry(sampleEntry(5)), 0xde, 0xad),  // trailing
+		encodeEntry(sampleEntry(5))[:10], // truncated
+		append(encodeEntry(sampleEntry(5)), 0xde, 0xad),  // trailing
 		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},             // bad magic
 		{0x43, 0x43, 0x41, 0x50, 0xff, 0xff, 0xff, 0xff}, // huge tap count
 		overflowEntry, // dims whose product overflows int
@@ -141,7 +141,7 @@ func garbageEntries() [][]byte {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	for i, c := range garbageEntries() {
-		if _, err := DecodeEntry(c); err == nil {
+		if _, err := decodeEntry(c); err == nil {
 			t.Fatalf("case %d: garbage decoded without error", i)
 		}
 	}
@@ -150,15 +150,15 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 // FuzzDecodeEntry: decoding never panics, and whatever decodes is the
 // canonical encoding of its result.
 func FuzzDecodeEntry(f *testing.F) {
-	for _, c := range append(garbageEntries(), EncodeEntry(sampleEntry(5))) {
+	for _, c := range append(garbageEntries(), encodeEntry(sampleEntry(5))) {
 		f.Add(c)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		e, err := DecodeEntry(b)
+		e, err := decodeEntry(b)
 		if err != nil {
 			return
 		}
-		if got := EncodeEntry(e); !bytes.Equal(got, b) {
+		if got := encodeEntry(e); !bytes.Equal(got, b) {
 			t.Fatalf("decode/encode of %d bytes gave %d different bytes", len(b), len(got))
 		}
 	})
@@ -172,7 +172,7 @@ func TestPropCodecRoundTrip(t *testing.T) {
 		for i := range e {
 			e[i] = g.Randn(1, int(d1%5)+1, int(d2%5)+1)
 		}
-		got, err := DecodeEntry(EncodeEntry(e))
+		got, err := decodeEntry(encodeEntry(e))
 		return err == nil && entriesEqual(got, e)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -206,8 +206,8 @@ func TestMemoryStoreConcurrentAccess(t *testing.T) {
 func TestEntryBytesAndClone(t *testing.T) {
 	e := sampleEntry(6)
 	want := int64((2*4*8 + 2*1*8) * 4)
-	if e.Bytes() != want {
-		t.Fatalf("Bytes = %d want %d", e.Bytes(), want)
+	if e.size() != want {
+		t.Fatalf("size = %d want %d", e.size(), want)
 	}
 	c := e.Clone()
 	c[0].Data[0] = 999

@@ -45,7 +45,7 @@ func NewBounded(inner Store, maxBytes int64) *Bounded {
 func (b *Bounded) Put(id int, taps Entry) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.tooBig > 0 && taps.Bytes() >= b.tooBig && !b.inner.Has(id) {
+	if b.tooBig > 0 && taps.size() >= b.tooBig && !b.inner.Has(id) {
 		b.turnAway()
 		return nil
 	}
@@ -54,7 +54,7 @@ func (b *Bounded) Put(id int, taps Entry) error {
 	}
 	if b.inner.Bytes() > b.bound {
 		b.dropFromInner(id)
-		b.tooBig = taps.Bytes()
+		b.tooBig = taps.size()
 		b.turnAway()
 	}
 	return nil

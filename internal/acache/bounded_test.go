@@ -242,7 +242,7 @@ func TestF16RoundTripPrecision(t *testing.T) {
 	vals := g.Randn(1, 1000).Data
 	var maxRel float64
 	for _, v := range vals {
-		back := F16ToFloat32(Float32ToF16(v))
+		back := f16ToFloat32(float32ToF16(v))
 		rel := math.Abs(float64(back-v)) / math.Max(1e-6, math.Abs(float64(v)))
 		if rel > maxRel {
 			maxRel = rel
@@ -257,17 +257,17 @@ func TestF16RoundTripPrecision(t *testing.T) {
 func TestF16SpecialValues(t *testing.T) {
 	cases := []float32{0, -0, 1, -1, 0.5, 65504 /* max half */, 1e-8 /* subnormal half range */}
 	for _, v := range cases {
-		back := F16ToFloat32(Float32ToF16(v))
+		back := f16ToFloat32(float32ToF16(v))
 		if math.Abs(float64(back-v)) > math.Abs(float64(v))*1e-3+1e-7 {
 			t.Fatalf("value %v roundtripped to %v", v, back)
 		}
 	}
 	// Overflow clamps to +Inf.
-	if !math.IsInf(float64(F16ToFloat32(Float32ToF16(1e10))), 1) {
+	if !math.IsInf(float64(f16ToFloat32(float32ToF16(1e10))), 1) {
 		t.Fatal("overflow should produce +Inf")
 	}
 	// NaN stays NaN.
-	if !math.IsNaN(float64(F16ToFloat32(Float32ToF16(float32(math.NaN()))))) {
+	if !math.IsNaN(float64(f16ToFloat32(float32ToF16(float32(math.NaN()))))) {
 		t.Fatal("NaN lost")
 	}
 }
@@ -277,8 +277,8 @@ func TestPropF16MonotoneOrder(t *testing.T) {
 	f := func(aRaw, bRaw int16) bool {
 		a := float32(aRaw) / 64
 		b := float32(bRaw) / 64
-		ha := F16ToFloat32(Float32ToF16(a))
-		hb := F16ToFloat32(Float32ToF16(b))
+		ha := f16ToFloat32(float32ToF16(a))
+		hb := f16ToFloat32(float32ToF16(b))
 		if a < b {
 			return ha <= hb
 		}

@@ -1,10 +1,8 @@
 package acache
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"pac/internal/tensor"
 )
@@ -13,7 +11,7 @@ import (
 //
 //	uint32 magic "PACC"
 //	uint32 tap count
-//	per tap: uint32 ndims, ndims × uint32 dims, dims-product × float32
+//	per tap: one tensor record (tensor.AppendRecord)
 //
 // Everything little-endian. The disk store persists these bytes (plus a
 // CRC-32 footer) and the manifest checksums them, so one encoding backs
@@ -21,84 +19,40 @@ import (
 
 const entryMagic = 0x50414343 // "PACC"
 
-// EncodeEntry serializes an entry.
-func EncodeEntry(e Entry) []byte {
-	var buf bytes.Buffer
-	writeU32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	writeU32(entryMagic)
-	writeU32(uint32(len(e)))
+// encodeEntry serializes an entry, leaving room for DiskStore's footer.
+func encodeEntry(e Entry) []byte {
+	n := 8 + 4
 	for _, t := range e {
-		shape := t.Shape()
-		writeU32(uint32(len(shape)))
-		for _, d := range shape {
-			writeU32(uint32(d))
-		}
-		for _, v := range t.Data {
-			writeU32(math.Float32bits(v))
-		}
+		n += 4 * (1 + t.Dims() + len(t.Data))
 	}
-	return buf.Bytes()
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, n), entryMagic)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(e)))
+	for _, t := range e {
+		b = tensor.AppendRecord(b, t)
+	}
+	return b
 }
 
-// DecodeEntry parses a serialized entry.
-func DecodeEntry(data []byte) (Entry, error) {
-	r := bytes.NewReader(data)
-	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
-	}
-	magic, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("acache: decode: %w", err)
-	}
-	if magic != entryMagic {
+// decodeEntry parses a serialized entry.
+func decodeEntry(data []byte) (Entry, error) {
+	r := tensor.NewReader(data)
+	if magic := r.U32(); magic != entryMagic {
 		return nil, fmt.Errorf("acache: bad magic %#x", magic)
 	}
-	count, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("acache: decode tap count: %w", err)
-	}
-	const maxTaps = 1 << 16
-	if count > maxTaps {
+	count := r.U32()
+	if count > 1<<16 {
 		return nil, fmt.Errorf("acache: implausible tap count %d", count)
 	}
-	entry := make(Entry, 0, count)
+	entry := Entry{}
 	for i := uint32(0); i < count; i++ {
-		nd, err := readU32()
-		if err != nil || nd > 8 {
-			return nil, fmt.Errorf("acache: decode dims of tap %d: ndims=%d err=%v", i, nd, err)
+		t := r.Record()
+		if t == nil {
+			break
 		}
-		shape := make([]int, nd)
-		numel := 1
-		for j := range shape {
-			d, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("acache: decode dim: %w", err)
-			}
-			shape[j] = int(d)
-			// Bound the product by the bytes left before multiplying: a
-			// crafted shape must not overflow numel or size the slice.
-			if d != 0 && numel > r.Len()/4/int(d) {
-				return nil, fmt.Errorf("acache: tap %d truncated: shape %v exceeds %d bytes left", i, shape[:j+1], r.Len())
-			}
-			numel *= int(d)
-		}
-		if int64(numel)*4 > int64(r.Len()) {
-			return nil, fmt.Errorf("acache: tap %d truncated: need %d bytes, have %d", i, numel*4, r.Len())
-		}
-		data := make([]float32, numel)
-		for j := range data {
-			bits, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("acache: decode payload: %w", err)
-			}
-			data[j] = math.Float32frombits(bits)
-		}
-		entry = append(entry, tensor.FromSlice(data, shape...))
+		entry = append(entry, t)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("acache: %d trailing bytes", r.Len())
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("acache: decode: %w", err)
 	}
 	return entry, nil
 }

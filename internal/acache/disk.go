@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"pac/internal/tensor"
 )
 
 // DiskStore persists cache entries as one file per sample under a
@@ -66,10 +68,8 @@ func (s *DiskStore) path(id int) string {
 
 // Put implements Store.
 func (s *DiskStore) Put(id int, taps Entry) error {
-	blob := EncodeEntry(taps)
-	var footer [4]byte
-	binary.LittleEndian.PutUint32(footer[:], crc32.ChecksumIEEE(blob))
-	file := append(blob, footer[:]...)
+	blob := encodeEntry(taps)
+	file := binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
 	tmp := s.path(id) + ".tmp"
 	if err := os.WriteFile(tmp, file, 0o644); err != nil {
 		return fmt.Errorf("acache: write entry: %w", err)
@@ -103,16 +103,9 @@ func (s *DiskStore) Get(id int) (Entry, bool) {
 		return nil, false
 	}
 	file, err := os.ReadFile(s.path(id))
-	if err != nil {
-		s.dropCorrupt(id)
-		return nil, false
-	}
-	if n := len(file); n >= 4 {
-		blob, footer := file[:n-4], file[n-4:]
-		if crc32.ChecksumIEEE(blob) == binary.LittleEndian.Uint32(footer) {
-			if entry, err := DecodeEntry(blob); err == nil {
-				return entry, true
-			}
+	if n := len(file) - 4; err == nil && n >= 0 && crc32.ChecksumIEEE(file[:n]) == tensor.NewReader(file[n:]).U32() {
+		if entry, err := decodeEntry(file[:n]); err == nil {
+			return entry, true
 		}
 	}
 	s.dropCorrupt(id)

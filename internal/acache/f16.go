@@ -30,9 +30,9 @@ func NewF16Store() *F16Store {
 	return &F16Store{entries: map[int]f16Entry{}}
 }
 
-// Float32ToF16 converts with round-to-nearest-even, clamping overflow
+// float32ToF16 converts with round-to-nearest-even, clamping overflow
 // to ±Inf.
-func Float32ToF16(f float32) uint16 {
+func float32ToF16(f float32) uint16 {
 	bits := math.Float32bits(f)
 	sign := uint16(bits>>16) & 0x8000
 	exp := int32(bits>>23&0xff) - 127 + 15
@@ -64,8 +64,8 @@ func Float32ToF16(f float32) uint16 {
 	}
 }
 
-// F16ToFloat32 converts half-precision back to float32.
-func F16ToFloat32(h uint16) float32 {
+// f16ToFloat32 converts half-precision back to float32.
+func f16ToFloat32(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h >> 10 & 0x1f)
 	mant := uint32(h & 0x3ff)
@@ -97,7 +97,7 @@ func (s *F16Store) Put(id int, taps Entry) error {
 		e.shapes[i] = append([]int(nil), t.Shape()...)
 		d := make([]uint16, t.Numel())
 		for j, v := range t.Data {
-			d[j] = Float32ToF16(v)
+			d[j] = float32ToF16(v)
 		}
 		e.data[i] = d
 		bytes += int64(len(d)) * 2
@@ -138,7 +138,7 @@ func (s *F16Store) Get(id int) (Entry, bool) {
 	for i, d := range e.data {
 		vals := make([]float32, len(d))
 		for j, h := range d {
-			vals[j] = F16ToFloat32(h)
+			vals[j] = f16ToFloat32(h)
 		}
 		out[i] = tensor.FromSlice(vals, e.shapes[i]...)
 	}

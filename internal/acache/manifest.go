@@ -25,11 +25,11 @@ func NewManifest(taps int) *Manifest {
 	return &Manifest{taps: taps, sums: map[int]uint32{}}
 }
 
-// EntrySum is the checksum recorded per entry: CRC-32 (IEEE) of the
+// entrySum is the checksum recorded per entry: CRC-32 (IEEE) of the
 // entry's canonical encoding — the same bytes the disk store persists,
 // so one sum serves every store kind.
-func EntrySum(e Entry) uint32 {
-	return crc32.ChecksumIEEE(EncodeEntry(e))
+func entrySum(e Entry) uint32 {
+	return crc32.ChecksumIEEE(encodeEntry(e))
 }
 
 // Taps returns the per-entry tap count the manifest describes.
@@ -37,14 +37,14 @@ func (m *Manifest) Taps() int { return m.taps }
 
 // Observe records (or refreshes) the checksum for one committed entry.
 func (m *Manifest) Observe(id int, e Entry) {
-	sum := EntrySum(e)
+	sum := entrySum(e)
 	m.mu.Lock()
 	m.sums[id] = sum
 	m.mu.Unlock()
 }
 
-// Sum returns the recorded checksum for a sample id.
-func (m *Manifest) Sum(id int) (uint32, bool) {
+// lookup returns the recorded checksum for a sample id.
+func (m *Manifest) lookup(id int) (uint32, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sum, ok := m.sums[id]
@@ -108,7 +108,7 @@ func Salvage(s Store, want []int, m *Manifest, recompute func(id int) (Entry, er
 		if ok {
 			intact := true
 			if m != nil {
-				if sum, recorded := m.Sum(id); recorded && EntrySum(e) != sum {
+				if sum, recorded := m.lookup(id); recorded && entrySum(e) != sum {
 					intact = false
 				}
 			}

@@ -41,11 +41,11 @@ func TestManifestSumsRoundTrip(t *testing.T) {
 	if len(m.Sums()) != 5 || m.Taps() != 2 {
 		t.Fatalf("len %d taps %d", len(m.Sums()), m.Taps())
 	}
-	sum3, ok := m.Sum(3)
-	if !ok || sum3 != EntrySum(testEntry(3)) {
+	sum3, ok := m.lookup(3)
+	if !ok || sum3 != entrySum(testEntry(3)) {
 		t.Fatal("recorded sum mismatch")
 	}
-	if _, ok := m.Sum(99); ok {
+	if _, ok := m.lookup(99); ok {
 		t.Fatal("phantom sum")
 	}
 
@@ -54,8 +54,8 @@ func TestManifestSumsRoundTrip(t *testing.T) {
 		t.Fatalf("clone len %d", len(clone.Sums()))
 	}
 	for i := 0; i < 5; i++ {
-		a, _ := m.Sum(i)
-		b, _ := clone.Sum(i)
+		a, _ := m.lookup(i)
+		b, _ := clone.lookup(i)
 		if a != b {
 			t.Fatalf("sum %d diverged", i)
 		}
@@ -99,7 +99,7 @@ func TestSalvageRecomputesOnlyDamage(t *testing.T) {
 		if !ok {
 			t.Fatalf("sample %d missing after salvage", id)
 		}
-		if want, _ := m.Sum(id); EntrySum(e) != want {
+		if want, _ := m.lookup(id); entrySum(e) != want {
 			t.Fatalf("sample %d sum wrong after salvage", id)
 		}
 	}
@@ -130,7 +130,7 @@ func TestSalvageNilRecomputeDropsOnly(t *testing.T) {
 func TestDiskStoreLegacyEntry(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "7.pac")
-	if err := os.WriteFile(p, EncodeEntry(testEntry(7)), 0o644); err != nil {
+	if err := os.WriteFile(p, encodeEntry(testEntry(7)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewDiskStore(dir)
@@ -149,7 +149,7 @@ func TestDiskStoreLegacyEntry(t *testing.T) {
 	if err := s.Put(7, testEntry(7)); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := s.Get(7); !ok || EntrySum(e) != EntrySum(testEntry(7)) {
+	if e, ok := s.Get(7); !ok || entrySum(e) != entrySum(testEntry(7)) {
 		t.Fatal("re-put entry lost")
 	}
 }
@@ -191,7 +191,7 @@ func TestDiskStoreTornWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Entry 3: a valid encoding with no CRC footer.
-	if err := os.WriteFile(filepath.Join(dir, "3.pac"), EncodeEntry(testEntry(3)), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "3.pac"), encodeEntry(testEntry(3)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Entry 4: a correct CRC over a shape whose element count overflows.
@@ -212,7 +212,7 @@ func TestDiskStoreTornWrite(t *testing.T) {
 			t.Fatalf("damaged entry %d served", id)
 		}
 	}
-	if e, ok := s.Get(2); !ok || EntrySum(e) != EntrySum(testEntry(2)) {
+	if e, ok := s.Get(2); !ok || entrySum(e) != entrySum(testEntry(2)) {
 		t.Fatal("intact entry lost")
 	}
 	st := s.Stats()
@@ -241,7 +241,7 @@ func TestDiskStoreTornWrite(t *testing.T) {
 		t.Fatalf("report %+v", rep)
 	}
 	for _, id := range all {
-		if e, ok := s.Get(id); !ok || EntrySum(e) != EntrySum(testEntry(id)) {
+		if e, ok := s.Get(id); !ok || entrySum(e) != entrySum(testEntry(id)) {
 			t.Fatalf("sample %d wrong after salvage", id)
 		}
 	}

@@ -7,21 +7,19 @@
 //	magic "PACK", format version (u32), flags (u32; bit0 = int8)
 //	metadata: kind (u32), model-config fingerprint (u64),
 //	          step counter (u64), name (length-prefixed UTF-8)
-//	payload: parameter count (u32), then per parameter
-//	         ndims (u32), dims (u32…), then float32 data — or, when
-//	         quantized, a float32 scale followed by int8 data
+//	payload: parameter count (u32), then per parameter one tensor
+//	         record (ndims, dims, float32 data) — or, when quantized,
+//	         ndims, dims, a float32 scale and int8 data
 //	footer: CRC-32 (IEEE) of everything before it
 //
 // Everything little-endian.
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -133,7 +131,7 @@ func SaveQuantized(path, name string, tech peft.Technique, cfg model.Config, ste
 }
 
 func save(path, name string, tech peft.Technique, cfg model.Config, step uint64, quantized bool) error {
-	blob := Encode(&Checkpoint{
+	blob := encode(&Checkpoint{
 		Kind:        tech.Kind(),
 		Fingerprint: Fingerprint(cfg),
 		Step:        step,
@@ -155,7 +153,7 @@ func Load(path string, tech peft.Technique, cfg model.Config) (*Checkpoint, erro
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: read: %w", err)
 	}
-	ck, err := Decode(blob)
+	ck, err := decode(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -188,169 +186,114 @@ func values(vars []*autograd.Variable) []*tensor.Tensor {
 	return out
 }
 
-// Encode serializes a checkpoint.
-func Encode(ck *Checkpoint) []byte {
-	var buf bytes.Buffer
-	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w32(magic)
-	w32(version)
+// encode serializes a checkpoint. An fp32 tensor is one tensor record;
+// an int8 tensor is the record's rank and dims, a float32 scale and
+// one byte per value.
+func encode(ck *Checkpoint) []byte {
+	le := binary.LittleEndian
 	var flags uint32
 	if ck.Quantized {
 		flags |= flagQuantized
 	}
-	w32(flags)
-	w32(uint32(ck.Kind))
-	w64(ck.Fingerprint)
-	w64(ck.Step)
-	w32(uint32(len(ck.Name)))
-	buf.WriteString(ck.Name)
-	w32(uint32(len(ck.Params)))
+	b := le.AppendUint32(nil, magic)
+	b = le.AppendUint32(b, version)
+	b = le.AppendUint32(b, flags)
+	b = le.AppendUint32(b, uint32(ck.Kind))
+	b = le.AppendUint64(b, ck.Fingerprint)
+	b = le.AppendUint64(b, ck.Step)
+	b = le.AppendUint32(b, uint32(len(ck.Name)))
+	b = append(b, ck.Name...)
+	b = le.AppendUint32(b, uint32(len(ck.Params)))
 	for _, t := range ck.Params {
-		shape := t.Shape()
-		w32(uint32(len(shape)))
-		for _, d := range shape {
-			w32(uint32(d))
+		if !ck.Quantized {
+			b = tensor.AppendRecord(b, t)
+			continue
 		}
-		if ck.Quantized {
-			scale := tensor.MaxAbs(t) / 127
-			w32(math.Float32bits(scale))
-			for _, v := range t.Data {
-				q := int8(0)
-				if scale > 0 {
-					r := v / scale
-					if r > 127 {
-						r = 127
-					} else if r < -127 {
-						r = -127
-					}
-					if r >= 0 {
-						q = int8(r + 0.5)
-					} else {
-						q = int8(r - 0.5)
-					}
+		b = le.AppendUint32(b, uint32(t.Dims()))
+		for _, d := range t.Shape() {
+			b = le.AppendUint32(b, uint32(d))
+		}
+		// The quantize loop divides by the scale; tensor's int8 kernels
+		// multiply by its inverse, which can round differently.
+		scale := tensor.MaxAbs(t) / 127
+		b = le.AppendUint32(b, math.Float32bits(scale))
+		for _, v := range t.Data {
+			q := int8(0)
+			if scale > 0 {
+				r := min(max(v/scale, -127), 127)
+				if r >= 0 {
+					q = int8(r + 0.5)
+				} else {
+					q = int8(r - 0.5)
 				}
-				buf.WriteByte(byte(q))
 			}
-		} else {
-			for _, v := range t.Data {
-				w32(math.Float32bits(v))
-			}
+			b = append(b, byte(q))
 		}
 	}
-	sum := crc32.ChecksumIEEE(buf.Bytes())
-	w32(sum)
-	return buf.Bytes()
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// Decode parses a checkpoint, verifying magic, version, and CRC.
-func Decode(blob []byte) (*Checkpoint, error) {
+// decode parses a checkpoint, verifying magic, version, and CRC. Every
+// failure except an unsupported version wraps ErrCorrupt.
+func decode(blob []byte) (*Checkpoint, error) {
 	if len(blob) < 4 {
 		return nil, fmt.Errorf("checkpoint: truncated: %w", ErrCorrupt)
 	}
-	body, footer := blob[:len(blob)-4], blob[len(blob)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(footer) {
+	body := blob[:len(blob)-4]
+	if crc32.ChecksumIEEE(body) != tensor.NewReader(blob[len(body):]).U32() {
 		return nil, fmt.Errorf("checkpoint: CRC mismatch: %w", ErrCorrupt)
 	}
-	r := bytes.NewReader(body)
-	r32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
-	}
-	r64 := func() (uint64, error) {
-		var v uint64
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
-	}
-	if m, err := r32(); err != nil || m != magic {
+	r := tensor.NewReader(body)
+	if r.U32() != magic {
 		return nil, fmt.Errorf("checkpoint: bad magic: %w", ErrCorrupt)
 	}
-	if v, err := r32(); err != nil {
+	if v := r.U32(); len(body) < 8 {
 		return nil, fmt.Errorf("checkpoint: truncated header: %w", ErrCorrupt)
 	} else if v != version {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", v)
 	}
-	ck := &Checkpoint{}
-	flags, err := r32()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: truncated header: %w", ErrCorrupt)
+	flags := r.U32()
+	if flags&^flagQuantized != 0 {
+		return nil, fmt.Errorf("checkpoint: unknown flags %#x: %w", flags, ErrCorrupt)
 	}
-	ck.Quantized = flags&flagQuantized != 0
-	kind, err := r32()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: truncated metadata: %w", ErrCorrupt)
+	ck := &Checkpoint{
+		Quantized:   flags&flagQuantized != 0,
+		Kind:        peft.Kind(r.U32()),
+		Fingerprint: r.U64(),
+		Step:        r.U64(),
 	}
-	ck.Kind = peft.Kind(kind)
-	if ck.Fingerprint, err = r64(); err != nil {
-		return nil, fmt.Errorf("checkpoint: truncated metadata: %w", ErrCorrupt)
-	}
-	if ck.Step, err = r64(); err != nil {
-		return nil, fmt.Errorf("checkpoint: truncated metadata: %w", ErrCorrupt)
-	}
-	nameLen, err := r32()
-	if err != nil || nameLen > 1<<16 {
+	nameLen := r.U32()
+	if nameLen > 1<<16 {
 		return nil, fmt.Errorf("checkpoint: bad name length: %w", ErrCorrupt)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return nil, fmt.Errorf("checkpoint: truncated name: %w", ErrCorrupt)
-	}
-	ck.Name = string(name)
-	count, err := r32()
-	if err != nil || count > 1<<20 {
+	ck.Name = string(r.Bytes(int(nameLen)))
+	count := r.U32()
+	if count > 1<<20 {
 		return nil, fmt.Errorf("checkpoint: bad tensor count: %w", ErrCorrupt)
 	}
 	for i := uint32(0); i < count; i++ {
-		nd, err := r32()
-		if err != nil || nd > 8 {
-			return nil, fmt.Errorf("checkpoint: tensor %d bad rank: %w", i, ErrCorrupt)
-		}
-		shape := make([]int, nd)
-		numel := 1
-		for j := range shape {
-			d, err := r32()
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint: tensor %d truncated shape: %w", i, ErrCorrupt)
-			}
-			shape[j] = int(d)
-			numel *= int(d)
-		}
-		vals := make([]float32, numel)
+		var t *tensor.Tensor
 		if ck.Quantized {
-			if int64(numel)+4 > int64(r.Len()) {
-				return nil, fmt.Errorf("checkpoint: tensor %d truncated: %w", i, ErrCorrupt)
-			}
-			bits, err := r32()
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint: tensor %d truncated: %w", i, ErrCorrupt)
-			}
-			scale := math.Float32frombits(bits)
-			raw := make([]byte, numel)
-			if _, err := io.ReadFull(r, raw); err != nil {
-				return nil, fmt.Errorf("checkpoint: tensor %d truncated: %w", i, ErrCorrupt)
-			}
-			for j, q := range raw {
-				vals[j] = float32(int8(q)) * scale
+			dims, numel := r.Shape(1)
+			scale := math.Float32frombits(r.U32())
+			raw := r.Bytes(numel)
+			if raw != nil {
+				vals := make([]float32, numel)
+				for j, q := range raw {
+					vals[j] = float32(int8(q)) * scale
+				}
+				t = tensor.FromSlice(vals, dims...)
 			}
 		} else {
-			// One read per tensor, not one per value: decoding is most of
-			// what a serving hot-swap costs.
-			if int64(numel)*4 > int64(r.Len()) {
-				return nil, fmt.Errorf("checkpoint: tensor %d truncated: %w", i, ErrCorrupt)
-			}
-			raw := make([]byte, numel*4)
-			if _, err := io.ReadFull(r, raw); err != nil {
-				return nil, fmt.Errorf("checkpoint: tensor %d truncated: %w", i, ErrCorrupt)
-			}
-			for j := range vals {
-				vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
-			}
+			t = r.Record()
 		}
-		ck.Params = append(ck.Params, tensor.FromSlice(vals, shape...))
+		if t == nil {
+			break
+		}
+		ck.Params = append(ck.Params, t)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes: %w", r.Len(), ErrCorrupt)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w: %w", err, ErrCorrupt)
 	}
 	return ck, nil
 }

@@ -1,13 +1,19 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pac/internal/data"
 	"pac/internal/model"
 	"pac/internal/peft"
+	"pac/internal/tensor"
 	"pac/internal/train"
 )
 
@@ -94,16 +100,39 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	// Flip one payload byte: CRC must catch it.
 	blob[len(blob)/2] ^= 0xff
-	if _, err := Decode(blob); err == nil {
+	if _, err := decode(blob); err == nil {
 		t.Fatal("corruption undetected")
 	}
 	// Truncation.
-	if _, err := Decode(blob[:10]); err == nil {
+	if _, err := decode(blob[:10]); err == nil {
 		t.Fatal("truncation undetected")
 	}
-	if _, err := Decode(nil); err == nil {
+	if _, err := decode(nil); err == nil {
 		t.Fatal("empty blob accepted")
 	}
+	// A valid CRC around a shape whose element count overflows.
+	if _, err := decode(overflowPACK()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("overflowing shape: %v, want ErrCorrupt", err)
+	}
+}
+
+// overflowPACK is a 56-byte checkpoint with a valid header and CRC
+// around one fp32 tensor of shape [0xFFFFFFFF, 0xFFFFFFFF] and no
+// values, whose element count overflows int.
+func overflowPACK() []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, magic)
+	b = le.AppendUint32(b, version)
+	b = le.AppendUint32(b, 0) // flags: fp32
+	b = le.AppendUint32(b, uint32(peft.Adapters))
+	b = le.AppendUint64(b, 0) // fingerprint
+	b = le.AppendUint64(b, 0) // step
+	b = le.AppendUint32(b, 0) // name length
+	b = le.AppendUint32(b, 1) // tensor count
+	b = le.AppendUint32(b, 2) // rank
+	b = le.AppendUint32(b, 0xFFFFFFFF)
+	b = le.AppendUint32(b, 0xFFFFFFFF)
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
@@ -207,9 +236,9 @@ func TestQuantizedRoundTripClose(t *testing.T) {
 
 func TestQuantizedParamErrorBounded(t *testing.T) {
 	tech, cfg := trainedTechnique(t, peft.LoRA)
-	blob := Encode(&Checkpoint{Kind: peft.LoRA, Fingerprint: Fingerprint(cfg),
+	blob := encode(&Checkpoint{Kind: peft.LoRA, Fingerprint: Fingerprint(cfg),
 		Params: values(tech.Trainable()), Quantized: true})
-	ck, err := Decode(blob)
+	ck, err := decode(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,4 +263,35 @@ func TestQuantizedParamErrorBounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecodeCheckpoint: decoding never panics, every error but an
+// unsupported version wraps ErrCorrupt, and a decoded fp32 checkpoint
+// re-encodes to its input bytes. Each input is also decoded with a
+// fresh CRC footer appended, so mutations get past the CRC check.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	g := tensor.NewRNG(3)
+	params := []*tensor.Tensor{g.Randn(1, 4, 3), g.Randn(1, 5)}
+	for _, quantized := range []bool{false, true} {
+		f.Add(encode(&Checkpoint{Kind: peft.ParallelAdapters, Fingerprint: Fingerprint(model.Tiny()),
+			Step: 7, Name: "seed", Params: params, Quantized: quantized}))
+	}
+	f.Add(overflowPACK())
+	f.Add(overflowPACS())
+	f.Add(encodeSnapshot(sampleSnapshot()))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		signed := binary.LittleEndian.AppendUint32(in[:len(in):len(in)], crc32.ChecksumIEEE(in))
+		for _, b := range [][]byte{in, signed} {
+			ck, err := decode(b)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "unsupported version") {
+					t.Fatalf("error %v neither wraps ErrCorrupt nor names the version", err)
+				}
+				continue
+			}
+			if got := encode(ck); !ck.Quantized && !bytes.Equal(got, b) {
+				t.Fatalf("decode/encode of %d bytes gave %d different bytes", len(b), len(got))
+			}
+		}
+	})
 }

@@ -17,11 +17,9 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -75,305 +73,180 @@ type Snapshot struct {
 	CacheSums map[int]uint32
 }
 
-func writeTensors(buf *bytes.Buffer, ts []*tensor.Tensor) {
-	w32 := func(v uint32) { _ = binary.Write(buf, binary.LittleEndian, v) }
-	w32(uint32(len(ts)))
+// appendTensors frames a tensor list: a u32 count, then one tensor
+// record each.
+func appendTensors(b []byte, ts []*tensor.Tensor) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
 	for _, t := range ts {
-		shape := t.Shape()
-		w32(uint32(len(shape)))
-		for _, d := range shape {
-			w32(uint32(d))
-		}
-		for _, v := range t.Data {
-			w32(math.Float32bits(v))
-		}
+		b = tensor.AppendRecord(b, t)
 	}
+	return b
 }
 
-func readTensors(r *bytes.Reader) ([]*tensor.Tensor, error) {
-	r32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
+// encodeSnapshot serializes a snapshot into the sectioned format.
+func encodeSnapshot(s *Snapshot) []byte {
+	le := binary.LittleEndian
+	meta := le.AppendUint64(nil, s.Fingerprint)
+	meta = le.AppendUint64(meta, uint64(s.Seed))
+	for _, v := range []int{s.Epoch, s.Step, s.Stages, s.Lanes, len(s.Task)} {
+		meta = le.AppendUint32(meta, uint32(v))
 	}
-	count, err := r32()
-	if err != nil || count > 1<<20 {
-		return nil, fmt.Errorf("snapshot: bad tensor count: %w", ErrCorrupt)
-	}
-	out := make([]*tensor.Tensor, 0, count)
-	for i := uint32(0); i < count; i++ {
-		nd, err := r32()
-		if err != nil || nd > 8 {
-			return nil, fmt.Errorf("snapshot: tensor %d bad rank: %w", i, ErrCorrupt)
-		}
-		shape := make([]int, nd)
-		numel := 1
-		for j := range shape {
-			d, err := r32()
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: tensor %d truncated shape: %w", i, ErrCorrupt)
-			}
-			shape[j] = int(d)
-			numel *= int(d)
-		}
-		if int64(numel)*4 > int64(r.Len()) {
-			return nil, fmt.Errorf("snapshot: tensor %d truncated: %w", i, ErrCorrupt)
-		}
-		vals := make([]float32, numel)
-		for j := range vals {
-			bits, err := r32()
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: tensor %d truncated: %w", i, ErrCorrupt)
-			}
-			vals[j] = math.Float32frombits(bits)
-		}
-		out = append(out, tensor.FromSlice(vals, shape...))
-	}
-	return out, nil
-}
+	meta = append(meta, s.Task...)
 
-// EncodeSnapshot serializes a snapshot into the sectioned format.
-func EncodeSnapshot(s *Snapshot) []byte {
-	section := func(buf *bytes.Buffer, kind uint32, payload []byte) {
-		w32 := func(v uint32) { _ = binary.Write(buf, binary.LittleEndian, v) }
-		w32(kind)
-		w32(uint32(len(payload)))
-		w32(crc32.ChecksumIEEE(payload))
-		buf.Write(payload)
-	}
-
-	var meta bytes.Buffer
-	mw32 := func(v uint32) { _ = binary.Write(&meta, binary.LittleEndian, v) }
-	mw64 := func(v uint64) { _ = binary.Write(&meta, binary.LittleEndian, v) }
-	mw64(s.Fingerprint)
-	mw64(uint64(s.Seed))
-	mw32(uint32(s.Epoch))
-	mw32(uint32(s.Step))
-	mw32(uint32(s.Stages))
-	mw32(uint32(s.Lanes))
-	mw32(uint32(len(s.Task)))
-	meta.WriteString(s.Task)
-
-	var adapters bytes.Buffer
-	writeTensors(&adapters, s.Adapters)
-
-	var optim bytes.Buffer
-	ow32 := func(v uint32) { _ = binary.Write(&optim, binary.LittleEndian, v) }
-	ow32(uint32(len(s.OptGroups)))
+	optim := le.AppendUint32(nil, uint32(len(s.OptGroups)))
 	for _, g := range s.OptGroups {
-		ow32(uint32(g.Step))
-		writeTensors(&optim, g.Tensors)
+		optim = appendTensors(le.AppendUint32(optim, uint32(g.Step)), g.Tensors)
 	}
 
-	var cache bytes.Buffer
-	cw32 := func(v uint32) { _ = binary.Write(&cache, binary.LittleEndian, v) }
-	cw32(uint32(s.CacheTaps))
-	ids := make([]int, 0, len(s.CacheSums))
-	for id := range s.CacheSums {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	cw32(uint32(len(ids)))
-	for _, id := range ids {
-		cw32(uint32(id))
-		cw32(s.CacheSums[id])
+	sections := [][]byte{meta, appendTensors(nil, s.Adapters), optim}
+	// A nil CacheSums means no cache manifest (RestoreSnapshot keeps
+	// its own), so it writes no cache section and decodes back to nil.
+	if s.CacheSums != nil {
+		ids := make([]int, 0, len(s.CacheSums))
+		for id := range s.CacheSums {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		cache := le.AppendUint32(nil, uint32(s.CacheTaps))
+		cache = le.AppendUint32(cache, uint32(len(ids)))
+		for _, id := range ids {
+			cache = le.AppendUint32(le.AppendUint32(cache, uint32(id)), s.CacheSums[id])
+		}
+		sections = append(sections, cache)
 	}
 
-	var buf bytes.Buffer
-	hw32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	hw32(snapMagic)
-	hw32(snapVersion)
-	hw32(4)
-	section(&buf, secMeta, meta.Bytes())
-	section(&buf, secAdapters, adapters.Bytes())
-	section(&buf, secOptim, optim.Bytes())
-	section(&buf, secCache, cache.Bytes())
-	return buf.Bytes()
+	b := le.AppendUint32(nil, snapMagic)
+	b = le.AppendUint32(b, snapVersion)
+	b = le.AppendUint32(b, uint32(len(sections)))
+	for kind, payload := range sections {
+		b = le.AppendUint32(b, uint32(secMeta+kind))
+		b = le.AppendUint32(b, uint32(len(payload)))
+		b = le.AppendUint32(b, crc32.ChecksumIEEE(payload))
+		b = append(b, payload...)
+	}
+	return b
 }
 
-// DecodeSnapshot parses a snapshot, verifying the per-section CRCs.
+// decodeSnapshot parses a snapshot, verifying the per-section CRCs.
 // Damage of any kind — truncation, bit flips, a torn tail — yields an
-// error wrapping ErrCorrupt, never a silently wrong snapshot.
-func DecodeSnapshot(blob []byte) (*Snapshot, error) {
-	r := bytes.NewReader(blob)
-	r32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
-	}
-	if m, err := r32(); err != nil || m != snapMagic {
+// error wrapping ErrCorrupt, never a silently wrong snapshot; only an
+// unsupported version is a plain error.
+func decodeSnapshot(blob []byte) (*Snapshot, error) {
+	r := tensor.NewReader(blob)
+	if r.U32() != snapMagic {
 		return nil, fmt.Errorf("snapshot: bad magic: %w", ErrCorrupt)
 	}
-	if v, err := r32(); err != nil {
+	if v := r.U32(); len(blob) < 8 {
 		return nil, fmt.Errorf("snapshot: truncated header: %w", ErrCorrupt)
 	} else if v != snapVersion {
 		return nil, fmt.Errorf("snapshot: unsupported version %d", v)
 	}
-	nsec, err := r32()
-	if err != nil || nsec > 64 {
+	nsec := r.U32()
+	if nsec > 64 {
 		return nil, fmt.Errorf("snapshot: bad section count: %w", ErrCorrupt)
 	}
-	sections := map[uint32][]byte{}
+	var sec [secCache + 1]*tensor.Reader // payload readers by kind
 	for i := uint32(0); i < nsec; i++ {
-		kind, err := r32()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: truncated section header: %w", ErrCorrupt)
-		}
+		kind, length, sum := r.U32(), r.U32(), r.U32()
+		switch payload := r.Bytes(int(length)); {
+		case payload == nil: // truncated; End reports it
 		// A damaged kind field would pass the payload CRC yet make the
-		// section silently vanish from the map — reject it here instead.
-		if kind < secMeta || kind > secCache {
+		// section silently vanish — reject it here instead.
+		case kind < secMeta || kind > secCache:
 			return nil, fmt.Errorf("snapshot: unknown section kind %d: %w", kind, ErrCorrupt)
-		}
-		if _, dup := sections[kind]; dup {
+		case sec[kind] != nil:
 			return nil, fmt.Errorf("snapshot: duplicate section kind %d: %w", kind, ErrCorrupt)
-		}
-		length, err := r32()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: truncated section header: %w", ErrCorrupt)
-		}
-		sum, err := r32()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: truncated section header: %w", ErrCorrupt)
-		}
-		if int64(length) > int64(r.Len()) {
-			return nil, fmt.Errorf("snapshot: section %d truncated: %w", kind, ErrCorrupt)
-		}
-		payload := make([]byte, length)
-		if _, err := r.Read(payload); err != nil {
-			return nil, fmt.Errorf("snapshot: section %d truncated: %w", kind, ErrCorrupt)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
+		case crc32.ChecksumIEEE(payload) != sum:
 			return nil, fmt.Errorf("snapshot: section %d CRC mismatch: %w", kind, ErrCorrupt)
+		default:
+			sec[kind] = tensor.NewReader(payload)
 		}
-		sections[kind] = payload
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes: %w", r.Len(), ErrCorrupt)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("snapshot: %w: %w", err, ErrCorrupt)
 	}
-
-	s := &Snapshot{}
-
-	meta, ok := sections[secMeta]
-	if !ok {
+	m := sec[secMeta]
+	if m == nil {
 		return nil, fmt.Errorf("snapshot: missing meta section: %w", ErrCorrupt)
 	}
-	mr := bytes.NewReader(meta)
-	mr32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(mr, binary.LittleEndian, &v)
-		return v, err
-	}
-	mr64 := func() (uint64, error) {
-		var v uint64
-		err := binary.Read(mr, binary.LittleEndian, &v)
-		return v, err
-	}
-	bad := func() error { return fmt.Errorf("snapshot: truncated meta: %w", ErrCorrupt) }
-	if s.Fingerprint, err = mr64(); err != nil {
-		return nil, bad()
-	}
-	seed, err := mr64()
-	if err != nil {
-		return nil, bad()
-	}
-	s.Seed = int64(seed)
-	fields := []*int{&s.Epoch, &s.Step, &s.Stages, &s.Lanes}
-	for _, f := range fields {
-		v, err := mr32()
-		if err != nil {
-			return nil, bad()
-		}
-		*f = int(v)
-	}
-	nameLen, err := mr32()
-	if err != nil || int64(nameLen) > int64(mr.Len()) {
-		return nil, bad()
-	}
-	name := make([]byte, nameLen)
-	if _, err := mr.Read(name); err != nil && nameLen > 0 {
-		return nil, bad()
-	}
-	s.Task = string(name)
 
-	if payload, ok := sections[secAdapters]; ok {
-		ar := bytes.NewReader(payload)
-		if s.Adapters, err = readTensors(ar); err != nil {
-			return nil, err
-		}
+	s := &Snapshot{Fingerprint: m.U64(), Seed: int64(m.U64())}
+	for _, f := range []*int{&s.Epoch, &s.Step, &s.Stages, &s.Lanes} {
+		*f = int(m.U32())
 	}
+	s.Task = string(m.Bytes(int(m.U32())))
 
-	if payload, ok := sections[secOptim]; ok {
-		or := bytes.NewReader(payload)
-		or32 := func() (uint32, error) {
-			var v uint32
-			err := binary.Read(or, binary.LittleEndian, &v)
-			return v, err
+	var bad error // a tensor count over its bound
+	tensors := func(r *tensor.Reader) (ts []*tensor.Tensor) {
+		n := r.U32()
+		if n > 1<<20 {
+			bad = fmt.Errorf("snapshot: bad tensor count %d: %w", n, ErrCorrupt)
+			return nil
 		}
-		ngroups, err := or32()
-		if err != nil || ngroups > 1<<12 {
+		for ; n > 0; n-- {
+			t := r.Record()
+			if t == nil {
+				break
+			}
+			ts = append(ts, t)
+		}
+		return ts
+	}
+	if a := sec[secAdapters]; a != nil {
+		s.Adapters = tensors(a)
+	}
+	if o := sec[secOptim]; o != nil {
+		n := o.U32()
+		if n > 1<<12 {
 			return nil, fmt.Errorf("snapshot: bad optimizer group count: %w", ErrCorrupt)
 		}
-		for i := uint32(0); i < ngroups; i++ {
-			step, err := or32()
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: truncated optimizer group: %w", ErrCorrupt)
-			}
-			ts, err := readTensors(or)
-			if err != nil {
-				return nil, err
-			}
-			s.OptGroups = append(s.OptGroups, OptGroup{Step: int(step), Tensors: ts})
+		for ; n > 0 && bad == nil; n-- {
+			step := int(o.U32())
+			s.OptGroups = append(s.OptGroups, OptGroup{Step: step, Tensors: tensors(o)})
 		}
 	}
-
-	if payload, ok := sections[secCache]; ok {
-		cr := bytes.NewReader(payload)
-		cr32 := func() (uint32, error) {
-			var v uint32
-			err := binary.Read(cr, binary.LittleEndian, &v)
-			return v, err
-		}
-		taps, err := cr32()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: truncated cache manifest: %w", ErrCorrupt)
-		}
-		s.CacheTaps = int(taps)
-		count, err := cr32()
-		if err != nil || count > 1<<24 {
+	if c := sec[secCache]; c != nil {
+		s.CacheTaps = int(c.U32())
+		n := c.U32()
+		if n > 1<<24 {
 			return nil, fmt.Errorf("snapshot: bad cache manifest count: %w", ErrCorrupt)
 		}
-		s.CacheSums = make(map[int]uint32, count)
-		for i := uint32(0); i < count; i++ {
-			id, err := cr32()
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: truncated cache manifest: %w", ErrCorrupt)
-			}
-			sum, err := cr32()
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: truncated cache manifest: %w", ErrCorrupt)
-			}
-			s.CacheSums[int(id)] = sum
+		pairs := c.Bytes(8 * int(n))
+		s.CacheSums = make(map[int]uint32, len(pairs)/8)
+		for i := 0; i < len(pairs); i += 8 {
+			s.CacheSums[int(binary.LittleEndian.Uint32(pairs[i:]))] = binary.LittleEndian.Uint32(pairs[i+4:])
+		}
+	}
+	if bad != nil {
+		return nil, bad
+	}
+	for kind, r := range sec {
+		if r == nil {
+			continue
+		}
+		if err := r.End(); err != nil {
+			return nil, fmt.Errorf("snapshot: section %d: %w: %w", kind, err, ErrCorrupt)
 		}
 	}
 	return s, nil
 }
 
-// SaveSnapshot writes a snapshot atomically (temp file + fsync +
+// saveSnapshot writes a snapshot atomically (temp file + fsync +
 // rename): a crash mid-save leaves the previous snapshot intact.
-func SaveSnapshot(path string, s *Snapshot) error {
-	if err := atomicWrite(path, EncodeSnapshot(s)); err != nil {
+func saveSnapshot(path string, s *Snapshot) error {
+	if err := atomicWrite(path, encodeSnapshot(s)); err != nil {
 		return fmt.Errorf("snapshot: write: %w", err)
 	}
 	return nil
 }
 
-// LoadSnapshot reads and verifies one snapshot file.
-func LoadSnapshot(path string) (*Snapshot, error) {
+// loadSnapshot reads and verifies one snapshot file.
+func loadSnapshot(path string) (*Snapshot, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read: %w", err)
 	}
-	return DecodeSnapshot(blob)
+	return decodeSnapshot(blob)
 }
 
 const snapPattern = "snap-%08d.pacs"
@@ -390,7 +263,7 @@ func Latest(dir string) (*Snapshot, string, error) {
 	var firstErr error
 	for i := len(seqs) - 1; i >= 0; i-- {
 		path := filepath.Join(dir, fmt.Sprintf(snapPattern, seqs[i]))
-		s, err := LoadSnapshot(path)
+		s, err := loadSnapshot(path)
 		if err == nil {
 			return s, path, nil
 		}
@@ -493,7 +366,7 @@ func (w *Snapshotter) loop() {
 		w.mu.Unlock()
 		path := filepath.Join(w.dir, fmt.Sprintf(snapPattern, seq))
 		t0 := time.Now()
-		err := SaveSnapshot(path, s)
+		err := saveSnapshot(path, s)
 		w.mu.Lock()
 		if err != nil && w.err == nil {
 			w.err = err

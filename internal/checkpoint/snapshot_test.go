@@ -1,10 +1,14 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -37,7 +41,7 @@ func sampleSnapshot() *Snapshot {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	want := sampleSnapshot()
-	got, err := DecodeSnapshot(EncodeSnapshot(want))
+	got, err := decodeSnapshot(encodeSnapshot(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +77,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // snapshot file cut off at ANY 64-byte boundary must be rejected with
 // ErrCorrupt — a partial write can never be loaded as training state.
 func TestSnapshotTruncationNeverSilent(t *testing.T) {
-	blob := EncodeSnapshot(sampleSnapshot())
+	blob := encodeSnapshot(sampleSnapshot())
 	for cut := 0; cut < len(blob); cut += 64 {
-		_, err := DecodeSnapshot(blob[:cut])
+		_, err := decodeSnapshot(blob[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(blob))
 		}
@@ -97,11 +101,11 @@ func TestCheckpointTruncationNeverSilent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(blob); err != nil {
+	if _, err := decode(blob); err != nil {
 		t.Fatalf("untruncated file rejected: %v", err)
 	}
 	for cut := 0; cut < len(blob); cut += 64 {
-		_, err := Decode(blob[:cut])
+		_, err := decode(blob[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(blob))
 		}
@@ -112,11 +116,11 @@ func TestCheckpointTruncationNeverSilent(t *testing.T) {
 }
 
 func TestSnapshotBitFlipDetected(t *testing.T) {
-	blob := EncodeSnapshot(sampleSnapshot())
+	blob := encodeSnapshot(sampleSnapshot())
 	for pos := 0; pos < len(blob); pos += 17 {
 		mut := append([]byte(nil), blob...)
 		mut[pos] ^= 0x40
-		if _, err := DecodeSnapshot(mut); err == nil {
+		if _, err := decodeSnapshot(mut); err == nil {
 			t.Fatalf("bit flip at byte %d undetected", pos)
 		}
 	}
@@ -125,10 +129,10 @@ func TestSnapshotBitFlipDetected(t *testing.T) {
 func TestSaveLoadSnapshotAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap-00000000.pacs")
-	if err := SaveSnapshot(path, sampleSnapshot()); err != nil {
+	if err := saveSnapshot(path, sampleSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSnapshot(path)
+	got, err := loadSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,37 +148,67 @@ func TestSaveLoadSnapshotAtomic(t *testing.T) {
 	}
 }
 
+// overflowPACS is a snapshot whose sections all pass their CRCs: a
+// valid meta section and an adapters section holding one rank-3 tensor
+// of shape [2^30, 2^30, 4] and no values. Its element count times four
+// wraps to 0, which once let a decoder allocate 2^62 floats and panic.
+func overflowPACS() []byte {
+	le := binary.LittleEndian
+	meta := le.AppendUint64(nil, 1)           // fingerprint
+	meta = le.AppendUint64(meta, 2)           // seed
+	meta = append(meta, make([]byte, 5*4)...) // epoch, step, stages, lanes, task length
+	adapters := le.AppendUint32(nil, 1)       // tensor count
+	for _, v := range []uint32{3, 1 << 30, 1 << 30, 4} {
+		adapters = le.AppendUint32(adapters, v) // rank, then dims
+	}
+	b := le.AppendUint32(nil, snapMagic)
+	b = le.AppendUint32(b, snapVersion)
+	b = le.AppendUint32(b, 2)
+	for kind, payload := range [][]byte{meta, adapters} {
+		b = le.AppendUint32(b, uint32(secMeta+kind))
+		b = le.AppendUint32(b, uint32(len(payload)))
+		b = le.AppendUint32(b, crc32.ChecksumIEEE(payload))
+		b = append(b, payload...)
+	}
+	return b
+}
+
 // TestLatestFallsBackPastCorrupt is the supervisor's safety net: when
-// the newest snapshot is a torn write, Latest must return the previous
-// generation, never the damaged one.
+// the newest snapshot is damaged — a torn write, or sections that pass
+// their CRCs around an impossible shape — Latest must return the
+// previous generation, never the damaged one, and count the skip.
 func TestLatestFallsBackPastCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	old := sampleSnapshot()
-	old.Step = 3
 	newer := sampleSnapshot()
 	newer.Step = 8
-	if err := SaveSnapshot(filepath.Join(dir, fmt.Sprintf(snapPattern, 0)), old); err != nil {
-		t.Fatal(err)
-	}
-	newest := filepath.Join(dir, fmt.Sprintf(snapPattern, 1))
-	if err := SaveSnapshot(newest, newer); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the newest mid-file.
-	blob, _ := os.ReadFile(newest)
-	if err := os.WriteFile(newest, blob[:len(blob)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	whole := encodeSnapshot(newer)
+	for name, bad := range map[string][]byte{
+		"torn mid-file":       whole[:len(whole)/2],
+		"overflowing adapter": overflowPACS(),
+	} {
+		dir := t.TempDir()
+		old := sampleSnapshot()
+		old.Step = 3
+		if err := saveSnapshot(filepath.Join(dir, fmt.Sprintf(snapPattern, 0)), old); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(snapPattern, 1)), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	s, path, err := Latest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Step != 3 {
-		t.Fatalf("Latest returned step %d, want fallback step 3", s.Step)
-	}
-	if !strings.HasSuffix(path, fmt.Sprintf(snapPattern, 0)) {
-		t.Fatalf("Latest path %s is not the fallback", path)
+		skipped := mSnapCorrupt.Value()
+		s, path, err := Latest(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.Step != 3 {
+			t.Fatalf("%s: Latest returned step %d, want fallback step 3", name, s.Step)
+		}
+		if !strings.HasSuffix(path, fmt.Sprintf(snapPattern, 0)) {
+			t.Fatalf("%s: Latest path %s is not the fallback", name, path)
+		}
+		if got := mSnapCorrupt.Value() - skipped; got != 1 {
+			t.Fatalf("%s: %d corrupt snapshots counted, want 1", name, got)
+		}
 	}
 }
 
@@ -248,4 +282,68 @@ func TestSnapshotterRetainsAndResumes(t *testing.T) {
 	if s.Step != 9 {
 		t.Fatalf("latest after restart: step %d, want 9", s.Step)
 	}
+}
+
+// FuzzDecodeSnapshot: decoding never panics, every error but an
+// unsupported version wraps ErrCorrupt, and a decoded snapshot
+// re-encodes to bytes that decode to the same snapshot. Each input is
+// also decoded with its section CRCs recomputed, so mutations reach
+// the section decoders.
+func FuzzDecodeSnapshot(f *testing.F) {
+	whole := encodeSnapshot(sampleSnapshot())
+	for _, seed := range [][]byte{whole, whole[:len(whole)/2], overflowPACS(), overflowPACK(), nil} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, b := range [][]byte{in, resum(in)} {
+			s, err := decodeSnapshot(b)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "unsupported version") {
+					t.Fatalf("error %v neither wraps ErrCorrupt nor names the version", err)
+				}
+				continue
+			}
+			again := encodeSnapshot(s)
+			s2, err := decodeSnapshot(again)
+			if err != nil {
+				t.Fatalf("re-encoded snapshot does not decode: %v", err)
+			}
+			// NaN != NaN, so a snapshot holding one is never DeepEqual to
+			// itself; its bytes must still be a fixed point.
+			if !bytes.Equal(encodeSnapshot(s2), again) || !hasNaN(s) && !reflect.DeepEqual(s, s2) {
+				t.Fatalf("decode/encode/decode changed the snapshot:\n%+v\n%+v", s, s2)
+			}
+		}
+	})
+}
+
+// resum returns a copy of b with every section CRC it can reach
+// rewritten to match its payload.
+func resum(b []byte) []byte {
+	b = append([]byte(nil), b...)
+	le := binary.LittleEndian
+	for off := 12; off+12 <= len(b); {
+		n := int(le.Uint32(b[off+4:]))
+		if n > len(b)-off-12 {
+			break
+		}
+		le.PutUint32(b[off+8:], crc32.ChecksumIEEE(b[off+12:off+12+n]))
+		off += 12 + n
+	}
+	return b
+}
+
+func hasNaN(s *Snapshot) bool {
+	ts := append([]*tensor.Tensor(nil), s.Adapters...)
+	for _, g := range s.OptGroups {
+		ts = append(ts, g.Tensors...)
+	}
+	for _, t := range ts {
+		for _, v := range t.Data {
+			if v != v {
+				return true
+			}
+		}
+	}
+	return false
 }

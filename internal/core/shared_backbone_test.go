@@ -74,7 +74,7 @@ func backboneOf(tech peft.Technique) uintptr {
 // -race) — leaves its weights and int8 forms bit for bit as they were.
 func TestOneFrozenBackbone(t *testing.T) {
 	ds := smallDataset(16)
-	for _, backend := range tensor.Backends() {
+	for _, backend := range []string{"generic", "int8"} {
 		t.Run(backend, func(t *testing.T) {
 			prev := tensor.ActiveBackend().Name()
 			if err := tensor.SetBackend(backend); err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pac/internal/health"
+	"pac/internal/tensor"
 )
 
 // RetryPolicy bounds how collectives and engines retry transient
@@ -96,6 +97,22 @@ func RingAllReduceCtx(ctx context.Context, t Transport, data []float32, pol Retr
 		bounds[c] = c * len(data) / n
 	}
 	chunk := func(c int) []float32 { return data[bounds[c%n]:bounds[c%n+1]] }
+	// exchange sends one chunk to next and reads want values from prev.
+	exchange := func(tag string, send []float32, want int) ([]float32, error) {
+		if err := sendRetry(ctx, t, next, tag, tensor.AppendF32s(nil, send), pol); err != nil {
+			return nil, err
+		}
+		raw, err := recvPeer(ctx, t, prev, tag)
+		if err != nil {
+			return nil, err
+		}
+		r := tensor.NewReader(raw)
+		incoming := r.F32s(want)
+		if err := r.End(); err != nil {
+			return nil, fmt.Errorf("parallel: allreduce chunk %q: %w", tag, err)
+		}
+		return incoming, nil
+	}
 
 	// Reduce-scatter: after step s, rank r holds the partial sum of chunk
 	// (r - s + n) % n.
@@ -103,17 +120,10 @@ func RingAllReduceCtx(ctx context.Context, t Transport, data []float32, pol Retr
 		sendC := (rank - s + n) % n
 		recvC := (rank - s - 1 + n) % n
 		tag := fmt.Sprintf("rs%d", s)
-		if err := sendRetry(ctx, t, next, tag, encodeF32(chunk(sendC)), pol); err != nil {
-			return err
-		}
-		raw, err := recvPeer(ctx, t, prev, tag)
+		dst := chunk(recvC)
+		incoming, err := exchange(tag, chunk(sendC), len(dst))
 		if err != nil {
 			return err
-		}
-		incoming := decodeF32(raw)
-		dst := chunk(recvC)
-		if len(incoming) != len(dst) {
-			return fmt.Errorf("parallel: allreduce chunk mismatch: got %d want %d", len(incoming), len(dst))
 		}
 		for i := range dst {
 			dst[i] += incoming[i]
@@ -124,14 +134,12 @@ func RingAllReduceCtx(ctx context.Context, t Transport, data []float32, pol Retr
 		sendC := (rank + 1 - s + n) % n
 		recvC := (rank - s + n) % n
 		tag := fmt.Sprintf("ag%d", s)
-		if err := sendRetry(ctx, t, next, tag, encodeF32(chunk(sendC)), pol); err != nil {
-			return err
-		}
-		raw, err := recvPeer(ctx, t, prev, tag)
+		dst := chunk(recvC)
+		incoming, err := exchange(tag, chunk(sendC), len(dst))
 		if err != nil {
 			return err
 		}
-		copy(chunk(recvC), decodeF32(raw))
+		copy(dst, incoming)
 	}
 	return nil
 }

@@ -31,12 +31,12 @@ func TestChanTransportBasics(t *testing.T) {
 		t.Fatal("endpoint identity wrong")
 	}
 	ctx := context.Background()
-	go a.SendCtx(ctx, 1, "x", encodeF32([]float32{1, 2, 3}))
+	go a.SendCtx(ctx, 1, "x", tensor.AppendF32s(nil, []float32{1, 2, 3}))
 	raw, err := b.RecvCtx(ctx, 0, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decodeF32(raw); len(got) != 3 || got[2] != 3 {
+	if got := tensor.NewReader(raw).F32s(3); len(got) != 3 || got[2] != 3 {
 		t.Fatalf("recv %v", got)
 	}
 }
@@ -46,7 +46,7 @@ func TestChanTransportBasics(t *testing.T) {
 func TestChanTagMismatch(t *testing.T) {
 	net := NewChanNetwork(2)
 	a, b := net.Endpoint(0), net.Endpoint(1)
-	if err := a.SendCtx(context.Background(), 1, "right", encodeF32([]float32{1})); err != nil {
+	if err := a.SendCtx(context.Background(), 1, "right", tensor.AppendF32s(nil, []float32{1})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.RecvCtx(context.Background(), 0, "wrong"); !errors.Is(err, ErrTagMismatch) {
@@ -133,7 +133,10 @@ func TestBundleCodecRoundTrip(t *testing.T) {
 		{Side: g.Randn(1, 3, 5, 2)},
 	}
 	for i, c := range cases {
-		got := decodeBundle(appendBundle(nil, c))
+		got, err := decodeBundle(appendBundle(nil, c))
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
 		check := func(a, b *tensor.Tensor, name string) {
 			if (a == nil) != (b == nil) {
 				t.Fatalf("case %d %s: nil mismatch", i, name)
@@ -153,5 +156,17 @@ func TestBundleCodecRoundTrip(t *testing.T) {
 		check(c.Enc, got.Enc, "enc")
 		check(c.Dec, got.Dec, "dec")
 		check(c.Side, got.Side, "side")
+	}
+
+	// Every truncation of a three-tensor frame is an error, never a
+	// panic or a short bundle.
+	frame := appendBundle(nil, cases[3])
+	for n := 0; n < len(frame); n++ {
+		if _, err := decodeBundle(frame[:n]); err == nil {
+			t.Fatalf("frame cut to %d of %d bytes decoded", n, len(frame))
+		}
+	}
+	if _, err := decodeBundle(append(frame, 0)); err == nil {
+		t.Fatal("frame with a trailing byte decoded")
 	}
 }

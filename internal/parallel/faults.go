@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pac/internal/health"
+	"pac/internal/tensor"
 )
 
 // FaultConfig describes a deterministic, seeded fault schedule injected
@@ -172,29 +173,19 @@ func (e *faultyEndpoint) Size() int { return e.fab.inner[e.rank].Size() }
 
 // wrapFrame prepends the per-pair sequence number and the real tag.
 func wrapFrame(seq uint64, tag string, payload []byte) []byte {
-	out := make([]byte, 0, 12+len(tag)+len(payload))
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], seq)
-	out = append(out, b8[:]...)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(tag)))
-	out = append(out, b4[:]...)
-	out = append(out, tag...)
-	out = append(out, payload...)
-	return out
+	out := binary.LittleEndian.AppendUint64(make([]byte, 0, 12+len(tag)+len(payload)), seq)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(tag)))
+	return append(append(out, tag...), payload...)
 }
 
 func unwrapFrame(raw []byte) (seq uint64, tag string, payload []byte, err error) {
-	if len(raw) < 12 {
-		return 0, "", nil, fmt.Errorf("parallel: fault frame truncated (%d bytes)", len(raw))
+	r := tensor.NewReader(raw)
+	seq = r.U64()
+	tag = string(r.Bytes(int(r.U32())))
+	payload = r.Bytes(len(raw) - 12 - len(tag))
+	if err := r.End(); err != nil {
+		return 0, "", nil, fmt.Errorf("parallel: fault frame: %w", err)
 	}
-	seq = binary.LittleEndian.Uint64(raw)
-	tagLen := int(binary.LittleEndian.Uint32(raw[8:]))
-	if len(raw) < 12+tagLen {
-		return 0, "", nil, fmt.Errorf("parallel: fault frame tag truncated")
-	}
-	tag = string(raw[12 : 12+tagLen])
-	payload = raw[12+tagLen:]
 	return seq, tag, payload, nil
 }
 

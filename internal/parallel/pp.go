@@ -25,50 +25,32 @@ type bundle struct {
 }
 
 // appendBundle encodes b onto out — stages pass a trace-envelope
-// prefix so the frame is built in one buffer.
+// prefix so the frame is built in one buffer. Each of Enc, Dec and
+// Side is a presence byte, then (when present) one tensor record.
 func appendBundle(out []byte, b bundle) []byte {
-	appendTensor := func(t *tensor.Tensor) {
+	for _, t := range []*tensor.Tensor{b.Enc, b.Dec, b.Side} {
 		if t == nil {
 			out = append(out, 0)
-			return
+			continue
 		}
-		shape := t.Shape()
-		out = append(out, byte(len(shape)))
-		for _, d := range shape {
-			out = append(out, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-		}
-		out = append(out, encodeF32(t.Data)...)
+		out = tensor.AppendRecord(append(out, 1), t)
 	}
-	appendTensor(b.Enc)
-	appendTensor(b.Dec)
-	appendTensor(b.Side)
 	return out
 }
 
-func decodeBundle(data []byte) bundle {
-	var b bundle
-	pos := 0
-	readTensor := func() *tensor.Tensor {
-		nd := int(data[pos])
-		pos++
-		if nd == 0 {
-			return nil
+func decodeBundle(data []byte) (bundle, error) {
+	r := tensor.NewReader(data)
+	read := func() *tensor.Tensor {
+		if present := r.Bytes(1); present != nil && present[0] != 0 {
+			return r.Record()
 		}
-		shape := make([]int, nd)
-		numel := 1
-		for i := range shape {
-			shape[i] = int(uint32(data[pos]) | uint32(data[pos+1])<<8 | uint32(data[pos+2])<<16 | uint32(data[pos+3])<<24)
-			pos += 4
-			numel *= shape[i]
-		}
-		vals := decodeF32(data[pos : pos+numel*4])
-		pos += numel * 4
-		return tensor.FromSlice(vals, shape...)
+		return nil
 	}
-	b.Enc = readTensor()
-	b.Dec = readTensor()
-	b.Side = readTensor()
-	return b
+	b := bundle{Enc: read(), Dec: read(), Side: read()}
+	if err := r.End(); err != nil {
+		return bundle{}, fmt.Errorf("parallel: bundle: %w", err)
+	}
+	return b, nil
 }
 
 // PipelineEngine executes 1F1B pipeline-parallel fine-tuning over one
@@ -403,7 +385,10 @@ func (e *PipelineEngine) stageForward(ctx context.Context, s, m int, mb *data.Ba
 		var payload []byte
 		parent, payload = telemetry.UnwrapEnvelope(raw)
 		ftc = childTC(parent)
-		in := decodeBundle(payload)
+		in, err := decodeBundle(payload)
+		if err != nil {
+			return nil, err
+		}
 		if in.Enc != nil {
 			mc.encIn = autograd.NewVar(in.Enc)
 			mc.encIn.SetRequiresGrad(needBackboneGrads)
@@ -510,7 +495,10 @@ func (e *PipelineEngine) stageBackward(ctx context.Context, s, m int, mc *microC
 		var payload []byte
 		parent, payload = telemetry.UnwrapEnvelope(raw)
 		btc = childTC(parent)
-		in := decodeBundle(payload)
+		in, err := decodeBundle(payload)
+		if err != nil {
+			return 0, err
+		}
 		var outs []*autograd.Variable
 		var seeds []*tensor.Tensor
 		if in.Enc != nil && mc.encOut != nil {

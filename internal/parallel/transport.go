@@ -11,9 +11,7 @@ package parallel
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"pac/internal/memledger"
 )
@@ -116,20 +114,4 @@ func (e *chanEndpoint) RecvCtx(ctx context.Context, from int, tag string) ([]byt
 	case <-ctx.Done():
 		return nil, fmt.Errorf("parallel: recv %d←%d %q: %w", e.rank, from, tag, ctx.Err())
 	}
-}
-
-func encodeF32(v []float32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(f))
-	}
-	return out
-}
-
-func decodeF32(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
 }

@@ -309,7 +309,7 @@ func backboneSum(m *model.Model) uint64 {
 // the one frozen backbone — weights, frozen flags, int8 forms — bit for
 // bit as it was.
 func TestServingLeavesTheBackboneAlone(t *testing.T) {
-	for _, backend := range tensor.Backends() {
+	for _, backend := range []string{"generic", "int8"} {
 		t.Run(backend, func(t *testing.T) {
 			prev := tensor.ActiveBackend().Name()
 			if err := tensor.SetBackend(backend); err != nil {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -120,8 +121,8 @@ func AppendEnvelope(dst []byte, tc TraceContext) []byte {
 	}
 	var hdr [envLen]byte
 	hdr[0], hdr[1], hdr[2] = envMagic0, envMagic1, envVersion
-	putU64(hdr[3:], tc.TraceID)
-	putU64(hdr[11:], tc.SpanID)
+	binary.BigEndian.PutUint64(hdr[3:], tc.TraceID)
+	binary.BigEndian.PutUint64(hdr[11:], tc.SpanID)
 	if tc.Sampled {
 		hdr[19] = 1
 	}
@@ -135,21 +136,13 @@ func UnwrapEnvelope(frame []byte) (TraceContext, []byte) {
 	if len(frame) < envLen || frame[0] != envMagic0 || frame[1] != envMagic1 || frame[2] != envVersion {
 		return TraceContext{}, frame
 	}
-	tc := TraceContext{TraceID: getU64(frame[3:]), SpanID: getU64(frame[11:]), Sampled: frame[19]&1 == 1}
+	tc := TraceContext{
+		TraceID: binary.BigEndian.Uint64(frame[3:]),
+		SpanID:  binary.BigEndian.Uint64(frame[11:]),
+		Sampled: frame[19]&1 == 1,
+	}
 	if !tc.Valid() {
 		return TraceContext{}, frame
 	}
 	return tc, frame[envLen:]
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32)
-	b[4], b[5], b[6], b[7] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }

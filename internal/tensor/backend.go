@@ -75,8 +75,8 @@ func init() {
 	})
 }
 
-// Backends returns the available backend names, sorted.
-func Backends() []string {
+// backends returns the available backend names, sorted.
+func backends() []string {
 	names := make([]string, 0, len(backendRegistry))
 	for name := range backendRegistry {
 		names = append(names, name)
@@ -91,7 +91,7 @@ func Backends() []string {
 func SetBackend(name string) error {
 	b, ok := backendRegistry[name]
 	if !ok {
-		return fmt.Errorf("tensor: unknown backend %q (have %s)", name, strings.Join(Backends(), ", "))
+		return fmt.Errorf("tensor: unknown backend %q (have %s)", name, strings.Join(backends(), ", "))
 	}
 	activeBackendPtr.Store(&b)
 	return nil

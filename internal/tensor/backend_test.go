@@ -28,15 +28,17 @@ func withBackend(t *testing.T, name string, fn func()) {
 // never go through MatMul.
 var fp32Backends = []string{"generic", "int8"}
 
+// TestBackendsRegistry pins the backend set; tests elsewhere loop over
+// the same two names.
 func TestBackendsRegistry(t *testing.T) {
-	got := Backends()
+	got := backends()
 	want := []string{"generic", "int8"}
 	if len(got) != len(want) {
-		t.Fatalf("Backends() = %v want %v", got, want)
+		t.Fatalf("backends() = %v want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Backends() = %v want %v", got, want)
+			t.Fatalf("backends() = %v want %v", got, want)
 		}
 	}
 }
@@ -46,7 +48,7 @@ func TestSetBackendUnknown(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for unknown backend")
 	}
-	for _, name := range Backends() {
+	for _, name := range backends() {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not name valid backend %q", err, name)
 		}
@@ -246,7 +248,7 @@ func TestSetBackendMidFlightKernels(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		names := Backends()
+		names := backends()
 		for i := 0; i < 200; i++ {
 			if err := SetBackend(names[i%len(names)]); err != nil {
 				panic(err)
