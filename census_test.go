@@ -20,12 +20,12 @@ import (
 // methods declared in non-test files under internal/. TestExportCensus
 // fails when the tree disagrees with it in either direction: above, the
 // surface grew; below, lower the constant so the ground gained is kept.
-const censusCeiling = 850
+const censusCeiling = 832
 
 // Where an exported identifier is named, widest first. An identifier
 // named from a non-test file of another package (internal/, cmd/,
-// examples/, pac.go) is in use and on no list; otherwise it lands on
-// the list of the widest place that does name it.
+// pac.go) is in use and on no list; otherwise it lands on the list of
+// the widest place that does name it.
 const (
 	usedAbroad    = 1 << iota // non-test file of another package
 	usedBenchmark             // any file of benchmark/

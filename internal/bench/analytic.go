@@ -49,7 +49,7 @@ func Table1() *Table {
 		mem := costmodel.StageMemory(c.Blocks(), paperBatch, 1)
 		trainable := peft.TrainableParamCount(kind, cfg, peft.Options{})
 		frac := float64(trainable) / float64(cfg.ParamCount()) * 100
-		t.AddRow(name,
+		t.addRow(name,
 			fmt.Sprintf("%dM (%.2f%%)", trainable/1e6, frac),
 			gib(mem.Weights), gib(mem.PaperActivations()), gib(mem.Gradients), gib(mem.Total()))
 	}
@@ -58,7 +58,7 @@ func Table1() *Table {
 	row("LoRA", peft.LoRA)
 	row("ParallelAdapters", peft.ParallelAdapters)
 	inf := costmodel.InferenceMemory(paperCosts(cfg, peft.Full).Blocks(), paperBatch)
-	t.AddRow("Inference", "/", gib(inf.Weights), gib(inf.Activations), "/", gib(inf.Total()))
+	t.addRow("Inference", "/", gib(inf.Weights), gib(inf.Activations), "/", gib(inf.Total()))
 	t.Notes = append(t.Notes,
 		"paper: Full 2.75/5.33/2.75/10.83, Adapters 2.80/4.04/0.05/6.89, LoRA 2.78/4.31/0.04/7.13, Inference 2.75")
 	return t
@@ -76,7 +76,7 @@ func Figure3() *Table {
 		fwd, bwd := costmodel.FLOPsBreakdown(paperCosts(cfg, kind).Blocks())
 		fwd *= paperBatch
 		bwd *= paperBatch
-		t.AddRow(kind.String(),
+		t.addRow(kind.String(),
 			fmt.Sprintf("%.2f", fwd/1e12), fmt.Sprintf("%.2f", bwd/1e12),
 			fmt.Sprintf("%.0f%%", fwd/(fwd+bwd)*100))
 	}
@@ -85,15 +85,15 @@ func Figure3() *Table {
 	fwd, bwd := costmodel.FLOPsBreakdown(c.Blocks())
 	fwd *= paperBatch
 	bwd *= paperBatch
-	t.AddRow("ParallelAdapters+cache",
+	t.addRow("ParallelAdapters+cache",
 		fmt.Sprintf("%.4f", fwd/1e12), fmt.Sprintf("%.4f", bwd/1e12),
 		fmt.Sprintf("%.0f%%", fwd/(fwd+bwd)*100))
 	t.Notes = append(t.Notes, "paper: forward ≈54% of total under Adapters/LoRA, ≈33% under Full")
 	return t
 }
 
-// Table2Cell is one simulated training-duration cell.
-type Table2Cell struct {
+// table2Cell is one simulated training-duration cell.
+type table2Cell struct {
 	Technique peft.Kind
 	EngineN   core.Engine
 	Model     string
@@ -102,9 +102,9 @@ type Table2Cell struct {
 	OOM       bool
 }
 
-// Table2Data computes every cell of the paper's Table 2.
-func Table2Data() []Table2Cell {
-	var out []Table2Cell
+// table2Data computes every cell of the paper's Table 2.
+func table2Data() []table2Cell {
+	var out []table2Cell
 	type method struct {
 		kind peft.Kind
 		eng  core.Engine
@@ -119,7 +119,7 @@ func Table2Data() []Table2Cell {
 		for _, m := range methods {
 			for _, task := range data.AllTasks() {
 				res := core.SimulateTask(paperSpec(cfg, m.kind, m.eng, paperNanos), task)
-				out = append(out, Table2Cell{
+				out = append(out, table2Cell{
 					Technique: m.kind, EngineN: m.eng, Model: cfg.Name, Task: task,
 					Hours: res.Hours, OOM: res.OOM,
 				})
@@ -138,8 +138,8 @@ func Table2() *Table {
 			"BART:MRPC", "BART:STS-B", "BART:SST-2", "BART:QNLI",
 			"T5L:MRPC", "T5L:STS-B", "T5L:SST-2", "T5L:QNLI"},
 	}
-	cells := Table2Data()
-	idx := map[string]Table2Cell{}
+	cells := table2Data()
+	idx := map[string]table2Cell{}
 	for _, c := range cells {
 		idx[fmt.Sprintf("%d|%d|%s|%d", c.Technique, c.EngineN, c.Model, c.Task)] = c
 	}
@@ -160,36 +160,36 @@ func Table2() *Table {
 				cellsRow = append(cellsRow, fmtHours(c.Hours, c.OOM))
 			}
 		}
-		t.AddRow(cellsRow...)
+		t.addRow(cellsRow...)
 	}
 	t.Notes = append(t.Notes,
 		"paper row PAC: 0.14 0.22 1.34 2.12 | 0.29 0.45 2.69 4.25 | 0.69 1.09 8.88 14.02")
 	return t
 }
 
-// Figure8Row is one technique's per-sample time and memory on the
+// figure8Row is one technique's per-sample time and memory on the
 // 8-device cluster.
-type Figure8Row struct {
+type figure8Row struct {
 	Name         string
 	PerSampleSec float64
 	Memory       costmodel.Memory
 	OOM          bool
 }
 
-// Figure8Data computes the per-technique comparison behind Figures 8a
+// figure8Data computes the per-technique comparison behind Figures 8a
 // and 8b: hybrid parallelism for in-backbone techniques, data
 // parallelism with activation cache for Parallel Adapters. The paper
 // does not state the model; T5-Base (the only one every technique can
 // host) is used.
-func Figure8Data() []Figure8Row {
+func figure8Data() []figure8Row {
 	cfg := model.T5Base()
-	var out []Figure8Row
+	var out []figure8Row
 	for _, kind := range []peft.Kind{peft.Full, peft.Adapters, peft.LoRA} {
 		s := paperSpec(cfg, kind, core.PAC, paperNanos)
 		s.UseCache = false
 		s.Samples, s.Epochs = 1000, 1
 		res := core.Simulate(s)
-		out = append(out, Figure8Row{
+		out = append(out, figure8Row{
 			Name:         kind.String(),
 			PerSampleSec: core.PerSampleTrainSec(res, s),
 			Memory:       res.PeakMemory,
@@ -212,13 +212,13 @@ func Figure8Data() []Figure8Row {
 					peak = m
 				}
 			}
-			out = append(out, Figure8Row{Name: "P.A.",
+			out = append(out, figure8Row{Name: "P.A.",
 				PerSampleSec: ev.StepSec / float64(paperBatch), Memory: peak})
 		} else {
-			out = append(out, Figure8Row{Name: "P.A.", OOM: true})
+			out = append(out, figure8Row{Name: "P.A.", OOM: true})
 		}
 	} else {
-		out = append(out, Figure8Row{Name: "P.A.", OOM: true})
+		out = append(out, figure8Row{Name: "P.A.", OOM: true})
 	}
 
 	sC := paperSpec(cfg, peft.ParallelAdapters, core.PAC, paperNanos)
@@ -228,7 +228,7 @@ func Figure8Data() []Figure8Row {
 	cachedCosts.Cached = true
 	perDev := int(math.Ceil(float64(paperBatch) / float64(paperNanos)))
 	cachedMem := costmodel.StageMemory(cachedCosts.Blocks(), perDev, 1)
-	out = append(out, Figure8Row{Name: "P.A.+cache", PerSampleSec: core.PerSampleTrainSec(resC, sC),
+	out = append(out, figure8Row{Name: "P.A.+cache", PerSampleSec: core.PerSampleTrainSec(resC, sC),
 		Memory: cachedMem, OOM: resC.OOM})
 	return out
 }
@@ -241,7 +241,7 @@ func Figure8() *Table {
 		Header: []string{"Technique", "per-sample sec", "vs Full",
 			"weights GiB", "act+opt GiB", "grads GiB", "total GiB", "mem vs Adapters"},
 	}
-	rows := Figure8Data()
+	rows := figure8Data()
 	var fullSec float64
 	var adaptersMem int64
 	for _, r := range rows {
@@ -254,7 +254,7 @@ func Figure8() *Table {
 	}
 	for _, r := range rows {
 		if r.OOM {
-			t.AddRow(r.Name, "OOM", "-", "-", "-", "-", "-", "-")
+			t.addRow(r.Name, "OOM", "-", "-", "-", "-", "-", "-")
 			continue
 		}
 		timeDelta := "-"
@@ -265,7 +265,7 @@ func Figure8() *Table {
 		if adaptersMem > 0 {
 			memDelta = fmt.Sprintf("%+.1f%%", (float64(r.Memory.Total())/float64(adaptersMem)-1)*100)
 		}
-		t.AddRow(r.Name,
+		t.addRow(r.Name,
 			fmt.Sprintf("%.4f", r.PerSampleSec), timeDelta,
 			gib(r.Memory.Weights), gib(r.Memory.PaperActivations()), gib(r.Memory.Gradients),
 			gib(r.Memory.Total()), memDelta)
@@ -275,8 +275,8 @@ func Figure8() *Table {
 	return t
 }
 
-// Figure9Row is one (engine, model, devices) scaling point.
-type Figure9Row struct {
+// figure9Row is one (engine, model, devices) scaling point.
+type figure9Row struct {
 	EngineN    core.Engine
 	Model      string
 	Devices    int
@@ -285,10 +285,10 @@ type Figure9Row struct {
 	OOM        bool
 }
 
-// Figure9Data sweeps 2–8 devices for PAC, Eco-FL and EDDL on Parallel
+// figure9Data sweeps 2–8 devices for PAC, Eco-FL and EDDL on Parallel
 // Adapters (no cache), as in the paper's scalability study.
-func Figure9Data() []Figure9Row {
-	var out []Figure9Row
+func figure9Data() []figure9Row {
+	var out []figure9Row
 	for _, cfg := range model.PaperConfigs() {
 		for _, eng := range []core.Engine{core.PAC, core.EcoFL, core.EDDL} {
 			for n := 2; n <= 8; n++ {
@@ -300,7 +300,7 @@ func Figure9Data() []Figure9Row {
 				// single-sample micro-batching at small N and keeps the
 				// throughput series comparable across device counts.
 				res := core.Simulate(s)
-				out = append(out, Figure9Row{
+				out = append(out, figure9Row{
 					EngineN: eng, Model: cfg.Name, Devices: n,
 					Throughput: res.Throughput,
 					WeightGiB:  float64(res.WeightMemory) / (1 << 30),
@@ -318,8 +318,8 @@ func Figure9() *Table {
 		Title:  "Figure 9 — scalability, 2–8 Jetson Nanos, Parallel Adapters, batch 16",
 		Header: []string{"Model", "Engine", "N=2", "N=3", "N=4", "N=5", "N=6", "N=7", "N=8", "weights@8 GiB"},
 	}
-	rows := Figure9Data()
-	series := map[string][]Figure9Row{}
+	rows := figure9Data()
+	series := map[string][]figure9Row{}
 	for _, r := range rows {
 		key := r.Model + "|" + r.EngineN.String()
 		series[key] = append(series[key], r)
@@ -340,7 +340,7 @@ func Figure9() *Table {
 				}
 			}
 			cells = append(cells, w8)
-			t.AddRow(cells...)
+			t.addRow(cells...)
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -375,24 +375,24 @@ func Figure10() *Table {
 			}
 			cells = append(cells, s)
 		}
-		t.AddRow(cells...)
+		t.addRow(cells...)
 	}
 	t.Notes = append(t.Notes, "paper example: BART-Large at N=8 → 4+4 (two stages, four-way data parallel)")
 	return t
 }
 
-// Figure11Row is one device-count point of the cache-benefit study.
-type Figure11Row struct {
+// figure11Row is one device-count point of the cache-benefit study.
+type figure11Row struct {
 	Devices      int
 	NoCacheHours float64
 	CacheHours   float64
 	SavedPct     float64
 }
 
-// Figure11Data computes MRPC fine-tuning time with and without the
+// figure11Data computes MRPC fine-tuning time with and without the
 // activation cache across 2–8 devices (paper Figure 11).
-func Figure11Data() []Figure11Row {
-	var out []Figure11Row
+func figure11Data() []figure11Row {
+	var out []figure11Row
 	for n := 2; n <= 8; n++ {
 		s := paperSpec(model.T5Base(), peft.ParallelAdapters, core.PAC, n)
 		withCache := core.SimulateTask(s, data.MRPC)
@@ -401,7 +401,7 @@ func Figure11Data() []Figure11Row {
 		if withCache.OOM || noCache.OOM {
 			continue
 		}
-		out = append(out, Figure11Row{
+		out = append(out, figure11Row{
 			Devices:      n,
 			NoCacheHours: noCache.Hours,
 			CacheHours:   withCache.Hours,
@@ -417,8 +417,8 @@ func Figure11() *Table {
 		Title:  "Figure 11 — MRPC fine-tuning time with/without activation cache (T5-Base, 3 epochs)",
 		Header: []string{"Devices", "no-cache hours", "cache hours", "saved"},
 	}
-	for _, r := range Figure11Data() {
-		t.AddRow(fmt.Sprintf("%d", r.Devices),
+	for _, r := range figure11Data() {
+		t.addRow(fmt.Sprintf("%d", r.Devices),
 			fmt.Sprintf("%.3f", r.NoCacheHours), fmt.Sprintf("%.3f", r.CacheHours),
 			fmt.Sprintf("%.1f%%", r.SavedPct))
 	}
@@ -441,7 +441,7 @@ func EpochSweep() *Table {
 		s.UseCache = false
 		without := core.Simulate(s)
 		saved := (1 - with.Hours/without.Hours) * 100
-		t.AddRow(fmt.Sprintf("%d", epochs),
+		t.addRow(fmt.Sprintf("%d", epochs),
 			fmt.Sprintf("%.3f", without.Hours), fmt.Sprintf("%.3f", with.Hours),
 			fmt.Sprintf("%.1f%%", saved))
 	}
@@ -458,10 +458,10 @@ func RedistributionAblation() *Table {
 	for _, cfg := range model.PaperConfigs() {
 		res := core.SimulateTask(paperSpec(cfg, peft.ParallelAdapters, core.PAC, paperNanos), data.MRPC)
 		if res.OOM {
-			t.AddRow(cfg.Name, "OOM", "-", "-")
+			t.addRow(cfg.Name, "OOM", "-", "-")
 			continue
 		}
-		t.AddRow(cfg.Name,
+		t.addRow(cfg.Name,
 			fmt.Sprintf("%.1f", res.RedistributionSec),
 			fmt.Sprintf("%.3f", res.Hours),
 			fmt.Sprintf("%.1f%%", res.RedistributionSec/(res.Hours*3600)*100))
@@ -489,7 +489,7 @@ func ScheduleAblation() *Table {
 			name = "GPipe"
 		}
 		if !ok {
-			t.AddRow(name, "OOM", "-")
+			t.addRow(name, "OOM", "-")
 			continue
 		}
 		var peak int64
@@ -498,7 +498,7 @@ func ScheduleAblation() *Table {
 				peak = m.Activations
 			}
 		}
-		t.AddRow(name, fmt.Sprintf("%.3f", ev.StepSec), gib(peak))
+		t.addRow(name, fmt.Sprintf("%.3f", ev.StepSec), gib(peak))
 	}
 	t.Notes = append(t.Notes, "1F1B bounds in-flight activations to S−s; GPipe holds all micro-batches")
 	return t
@@ -521,7 +521,7 @@ func ReductionSweep() *Table {
 		if !res.OOM {
 			cell = fmt.Sprintf("%.3f", res.CachedStepSec)
 		}
-		t.AddRow(fmt.Sprintf("%d", k),
+		t.addRow(fmt.Sprintf("%d", k),
 			fmt.Sprintf("%.1f", float64(trainable)/1e6),
 			fmt.Sprintf("%.1f", float64(trainable)*4/1e6),
 			cell)
@@ -546,10 +546,10 @@ func CacheCompressionAblation() *Table {
 			name = "fp16"
 		}
 		if res.OOM {
-			t.AddRow(name, "OOM", "-", "-")
+			t.addRow(name, "OOM", "-", "-")
 			continue
 		}
-		t.AddRow(name,
+		t.addRow(name,
 			fmt.Sprintf("%.1f", float64(res.CacheBytes)/1e9),
 			fmt.Sprintf("%.1f", res.RedistributionSec),
 			fmt.Sprintf("%.3f", res.Hours))
@@ -577,23 +577,23 @@ func StragglerAblation() *Table {
 
 	orig, err := planner.New(inHealthy)
 	if err != nil {
-		t.AddRow("healthy plan", "OOM", "-")
+		t.addRow("healthy plan", "OOM", "-")
 		return t
 	}
-	t.AddRow("healthy pool, original plan",
+	t.addRow("healthy pool, original plan",
 		fmt.Sprintf("%.3f", orig.StepSec), fmt.Sprintf("%.2f", orig.Throughput()))
 
 	if ev, ok := planner.Evaluate(orig, inDegraded); ok {
-		t.AddRow("straggler, original plan",
+		t.addRow("straggler, original plan",
 			fmt.Sprintf("%.3f", ev.StepSec), fmt.Sprintf("%.2f", float64(paperBatch)/ev.StepSec))
 	} else {
-		t.AddRow("straggler, original plan", "OOM", "-")
+		t.addRow("straggler, original plan", "OOM", "-")
 	}
 	if replanned, err := planner.New(inDegraded); err == nil {
-		t.AddRow("straggler, replanned",
+		t.addRow("straggler, replanned",
 			fmt.Sprintf("%.3f", replanned.StepSec), fmt.Sprintf("%.2f", replanned.Throughput()))
 	} else {
-		t.AddRow("straggler, replanned", "OOM", "-")
+		t.addRow("straggler, replanned", "OOM", "-")
 	}
 	t.Notes = append(t.Notes,
 		"proportional intra-group sharding already absorbs mild stragglers inside a group; replanning matters when the straggler anchors a single-device stage")

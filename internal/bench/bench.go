@@ -22,8 +22,8 @@ type Table struct {
 	Notes   []string
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) {
+// addRow appends a formatted row.
+func (t *Table) addRow(cells ...string) {
 	t.RowsStr = append(t.RowsStr, cells)
 }
 

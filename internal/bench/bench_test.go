@@ -11,7 +11,7 @@ import (
 
 func TestTableRender(t *testing.T) {
 	tb := &Table{Title: "t", Header: []string{"a", "bb"}}
-	tb.AddRow("1", "2")
+	tb.addRow("1", "2")
 	tb.Notes = append(tb.Notes, "n")
 	out := tb.Render()
 	for _, want := range []string{"== t ==", "a", "bb", "1", "2", "note: n"} {
@@ -44,18 +44,18 @@ func TestFigure3ForwardShares(t *testing.T) {
 }
 
 func TestTable2HeadlineShape(t *testing.T) {
-	cells := Table2Data()
+	cells := table2Data()
 	if len(cells) != 10*3*4 {
 		t.Fatalf("Table 2 has %d cells, want 120", len(cells))
 	}
-	get := func(kind peft.Kind, eng string, mdl string, task data.Task) Table2Cell {
+	get := func(kind peft.Kind, eng string, mdl string, task data.Task) table2Cell {
 		for _, c := range cells {
 			if c.Technique == kind && c.EngineN.String() == eng && c.Model == mdl && c.Task == task {
 				return c
 			}
 		}
 		t.Fatalf("missing cell %v %s %s %v", kind, eng, mdl, task)
-		return Table2Cell{}
+		return table2Cell{}
 	}
 	// PAC never OOMs and is the fastest feasible method per column.
 	for _, mdl := range []string{"T5-Base", "BART-Large", "T5-Large"} {
@@ -111,8 +111,8 @@ func TestTable2HeadlineShape(t *testing.T) {
 }
 
 func TestFigure8Deltas(t *testing.T) {
-	rows := Figure8Data()
-	byName := map[string]Figure8Row{}
+	rows := figure8Data()
+	byName := map[string]figure8Row{}
 	for _, r := range rows {
 		byName[r.Name] = r
 	}
@@ -147,7 +147,7 @@ func TestFigure8Deltas(t *testing.T) {
 }
 
 func TestFigure9SeriesShape(t *testing.T) {
-	rows := Figure9Data()
+	rows := figure9Data()
 	// EDDL OOMs on BART-Large and T5-Large at every device count.
 	for _, r := range rows {
 		if r.EngineN.String() == "EDDL" && r.Model != "T5-Base" && !r.OOM {
@@ -184,7 +184,7 @@ func TestFigure10GroupingsCoverDevices(t *testing.T) {
 }
 
 func TestFigure11CacheAlwaysSaves(t *testing.T) {
-	rows := Figure11Data()
+	rows := figure11Data()
 	if len(rows) < 5 {
 		t.Fatalf("only %d device counts feasible", len(rows))
 	}
@@ -202,7 +202,7 @@ func TestTable3ParityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real training sweep")
 	}
-	cells := Table3Data(QualityConfig{Samples: 192, Epochs: 5})
+	cells := table3Data(QualityConfig{Samples: 192, Epochs: 5})
 	byTech := map[peft.Kind]map[data.Task]float64{}
 	for _, c := range cells {
 		if byTech[c.Technique] == nil {

@@ -36,8 +36,8 @@ func (c QualityConfig) withDefaults() QualityConfig {
 	return c
 }
 
-// QualityCell is one (technique, task) final-quality measurement.
-type QualityCell struct {
+// qualityCell is one (technique, task) final-quality measurement.
+type qualityCell struct {
 	Technique peft.Kind
 	Task      data.Task
 	Metric    float64 // paper-style percentage
@@ -74,15 +74,15 @@ func copyBackbone(dst, src *model.Model) {
 	}
 }
 
-// Table3Data trains every technique on every task and reports the final
+// table3Data trains every technique on every task and reports the final
 // metric (mean of F1/accuracy for MRPC, Pearson-Spearman for STS-B,
 // accuracy otherwise) — the real-training counterpart of paper Table 3.
-func Table3Data(qc QualityConfig) []QualityCell {
+func table3Data(qc QualityConfig) []qualityCell {
 	qc = qc.withDefaults()
 	baseCfg := model.Tiny()
 	baseCfg.MaxSeq = qc.SeqLen * 2
 	pretrained := pretrainBackbone(baseCfg, qc.SeqLen, qc.Seed)
-	var out []QualityCell
+	var out []qualityCell
 	for _, task := range data.AllTasks() {
 		spec := data.SpecFor(task)
 		ds := data.Generate(data.GenConfig{
@@ -106,7 +106,7 @@ func Table3Data(qc QualityConfig) []QualityCell {
 				tr.TrainEpoch(loader, ep)
 			}
 			res := train.Evaluate(tech, evalDS, 16)
-			out = append(out, QualityCell{Technique: kind, Task: task, Metric: res.Metric(task)})
+			out = append(out, qualityCell{Technique: kind, Task: task, Metric: res.Metric(task)})
 		}
 	}
 	return out
@@ -120,7 +120,7 @@ func Table3(qc QualityConfig) *Table {
 		Title:  "Table 3 — final quality by technique (real training, Tiny model, synthetic tasks)",
 		Header: []string{"Technique", "MRPC", "STS-B", "SST-2", "QNLI"},
 	}
-	cells := Table3Data(qc)
+	cells := table3Data(qc)
 	byTech := map[peft.Kind]map[data.Task]float64{}
 	for _, c := range cells {
 		if byTech[c.Technique] == nil {
@@ -133,7 +133,7 @@ func Table3(qc QualityConfig) *Table {
 		for _, task := range data.AllTasks() {
 			row = append(row, fmt.Sprintf("%.2f", byTech[kind][task]))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	meanRow := []string{"Mean(Full,Adapters,LoRA)"}
 	diffRow := []string{"P.A. − Mean"}
@@ -142,8 +142,8 @@ func Table3(qc QualityConfig) *Table {
 		meanRow = append(meanRow, fmt.Sprintf("%.2f", mean))
 		diffRow = append(diffRow, fmt.Sprintf("%+.2f", byTech[peft.ParallelAdapters][task]-mean))
 	}
-	t.AddRow(meanRow...)
-	t.AddRow(diffRow...)
+	t.addRow(meanRow...)
+	t.addRow(diffRow...)
 	t.Notes = append(t.Notes,
 		"paper: Parallel Adapters within ±0.37 of the baseline mean on every dataset")
 	return t

@@ -91,12 +91,3 @@ func Nanos(n int) Cluster { return Homogeneous(JetsonNano(), n) }
 
 // Size returns the device count.
 func (c Cluster) Size() int { return len(c.Devices) }
-
-// TotalGFLOPS returns the pool's aggregate compute.
-func (c Cluster) TotalGFLOPS() float64 {
-	var s float64
-	for _, d := range c.Devices {
-		s += d.GFLOPS
-	}
-	return s
-}

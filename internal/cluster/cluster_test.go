@@ -56,7 +56,12 @@ func TestPropClusterAggregates(t *testing.T) {
 		if c.Size() != n {
 			return false
 		}
-		return c.TotalGFLOPS() == float64(n)*JetsonNano().GFLOPS
+		for _, d := range c.Devices {
+			if d.GFLOPS != JetsonNano().GFLOPS {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

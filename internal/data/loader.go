@@ -11,9 +11,9 @@ import (
 type Batch struct {
 	IDs     []int
 	Enc     [][]int
-	Dec     [][]int // decoder inputs: a single BOS token per row
+	Dec     [][]int // decoder inputs: BOS alone, or BOS + the target prefix for a language model
 	Lens    []int
-	Labels  []int
+	Labels  []int // one per row; a language-model batch has one per decoder position, row-major
 	Targets []float32
 }
 
@@ -22,12 +22,16 @@ func (b *Batch) Size() int { return len(b.Enc) }
 
 // Slice returns samples [start, end) as a new batch sharing row slices.
 func (b *Batch) Slice(start, end int) *Batch {
+	per := 1
+	if b.Size() > 0 {
+		per = len(b.Labels) / b.Size()
+	}
 	return &Batch{
 		IDs:     b.IDs[start:end],
 		Enc:     b.Enc[start:end],
 		Dec:     b.Dec[start:end],
 		Lens:    b.Lens[start:end],
-		Labels:  b.Labels[start:end],
+		Labels:  b.Labels[start*per : end*per],
 		Targets: b.Targets[start:end],
 	}
 }

@@ -231,6 +231,72 @@ func TestHybridMatchesSingleDevice(t *testing.T) {
 	}
 }
 
+// lmBatch is a teacher-forced language-model batch whose decoder length
+// equals its encoder length: the shape on which the taps' sequence
+// lengths cannot tell the encoder from the decoder.
+func lmBatch(size, seq, vocab int) *data.Batch {
+	rng := tensor.NewRNG(17)
+	tok := func() int { return 2 + rng.Intn(vocab-2) }
+	b := &data.Batch{}
+	for i := 0; i < size; i++ {
+		enc, dec := make([]int, seq), make([]int, seq)
+		for p := range enc {
+			enc[p], dec[p] = tok(), tok()
+			b.Labels = append(b.Labels, tok())
+		}
+		dec[0] = 0 // BOS
+		b.IDs = append(b.IDs, i)
+		b.Enc = append(b.Enc, enc)
+		b.Dec = append(b.Dec, dec)
+		b.Lens = append(b.Lens, seq)
+		b.Targets = append(b.Targets, 0)
+	}
+	return b
+}
+
+// TestLMStepCrossesAtFirstDecoderTap: a pipeline or hybrid Parallel
+// Adapters step re-seeds the side state at the first decoder tap even
+// when decoder and encoder have the same length, so it trains exactly
+// what one device trains.
+func TestLMStepCrossesAtFirstDecoderTap(t *testing.T) {
+	cfg := model.Tiny()
+	cfg.Vocab, cfg.NumClasses, cfg.LM = 24, 24, true
+	// Every replica gets the same side network. Its trainables are
+	// perturbed alike: the mixing weights start at zero, and a zero mix
+	// hides the side state the crossing produces from the forward.
+	newPA := func() (*model.Model, peft.Technique) {
+		m := model.New(cfg)
+		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
+		rng := tensor.NewRNG(5)
+		for _, p := range tech.Trainable() {
+			for i := range p.Value.Data {
+				p.Value.Data[i] += rng.Float32() - 0.5
+			}
+		}
+		return m, tech
+	}
+	b := lmBatch(8, 6, cfg.Vocab)
+	_, ref := newPA()
+	tr := &train.Trainer{Tech: ref, Opt: train.NewSGD(ref.Trainable(), lr, 0, 0)}
+	wantLoss := tr.TrainBatch(b)
+	want := nn.FlattenParams(ref.Trainable())
+
+	check := func(name string, e stepper, tech peft.Technique) {
+		t.Helper()
+		if loss := mustStep(t, e, b); math.Abs(loss-wantLoss) > 1e-4 {
+			t.Fatalf("%s: loss %v vs single %v", name, loss, wantLoss)
+		}
+		paramsClose(t, nn.FlattenParams(tech.Trainable()), want, 2e-4, name)
+	}
+	m, tech := newPA()
+	check("pipeline LM", NewPipeline(m, tech, 2, nil, 1, lr), tech)
+	h := NewHybrid(2, 2, 2, lr, func(lane int) *PipelineEngine {
+		m, tech := newPA()
+		return NewPipeline(m, tech, 2, nil, 2, lr)
+	})
+	check("hybrid LM", h, h.Lanes[0].Tech)
+}
+
 func TestHybridEpochConverges(t *testing.T) {
 	ds := data.Generate(data.GenConfig{Task: data.SST2, Size: 64, SeqLen: 8, Vocab: 64, Seed: 13})
 	h := NewHybrid(2, 2, 2, 0, func(lane int) *PipelineEngine {

@@ -422,9 +422,9 @@ func (e *PipelineEngine) stageForward(ctx context.Context, s, m int, mb *data.Ba
 			if e.OnTap != nil {
 				e.OnTap(mb.IDs, ti, tap)
 			}
-			// Crossing from encoder taps to decoder taps: re-seed the side
-			// state from the pooled encoder-side state.
-			if sideState.Value.Dim(1) != tap.Dim(1) {
+			// The first decoder tap crosses from encoder to decoder:
+			// re-seed the side state from the pooled encoder-side state.
+			if ti == e.Model.Cfg.Layers {
 				sideState = pa.CrossOver(sideState, tap.Dim(1))
 			}
 			sideState = pa.SideStep(ti, tap, sideState)

@@ -231,8 +231,4 @@ func TestClusterPresets(t *testing.T) {
 	if c.Devices[0].Name == c.Devices[1].Name {
 		t.Fatal("device names not unique")
 	}
-	het := cluster.Cluster{Devices: []cluster.DeviceSpec{cluster.JetsonNano(), cluster.JetsonTX2()}}
-	if het.TotalGFLOPS() != cluster.JetsonNano().GFLOPS+cluster.JetsonTX2().GFLOPS {
-		t.Fatal("TotalGFLOPS wrong")
-	}
 }

@@ -13,8 +13,8 @@
 //     presets, synthetic GLUE-shaped datasets, and the four fine-tuning
 //     techniques.
 //
-// See examples/ for runnable end-to-end programs and DESIGN.md for the
-// system inventory.
+// The Example functions (ExampleNew, ExampleDecode, Example_smartHome)
+// are runnable end-to-end programs; DESIGN.md is the system inventory.
 package pac
 
 import (
@@ -25,7 +25,6 @@ import (
 	"pac/internal/cluster"
 	"pac/internal/core"
 	"pac/internal/data"
-	"pac/internal/federated"
 	"pac/internal/generate"
 	"pac/internal/model"
 	"pac/internal/peft"
@@ -275,21 +274,6 @@ func HTTPHandler(s *Server) http.Handler { return serve.HandlerFor(s) }
 // quantization (~4× smaller, ≲1% relative error).
 func SaveAdaptersQuantized(path, name string, tech Technique, cfg ModelConfig, step uint64) error {
 	return checkpoint.SaveQuantized(path, name, tech, cfg, step)
-}
-
-// Federation.
-
-// FederatedHome is one federated participant (a PAC framework + its
-// private data).
-type FederatedHome = federated.Home
-
-// FederatedCoalition averages adapters across homes each round while
-// data and caches stay local.
-type FederatedCoalition = federated.Coalition
-
-// NewFederatedCoalition validates and assembles a coalition.
-func NewFederatedCoalition(homes []*FederatedHome) (*FederatedCoalition, error) {
-	return federated.NewCoalition(homes)
 }
 
 // DecodeIncremental generates with per-layer KV caching — O(1) work per

@@ -9,29 +9,6 @@ import (
 // The facade tests exercise the library strictly through its public
 // surface, the way a downstream user would.
 
-func TestPublicEndToEndFineTune(t *testing.T) {
-	ds := GenerateDataset(DataGenConfig{Task: SST2, Size: 48, SeqLen: 12, Vocab: 64, Seed: 1})
-	train, eval := ds.Split(0.25)
-	corpus := GenerateDataset(DataGenConfig{Task: SST2, Size: 128, SeqLen: 12, Vocab: 64, Seed: 9})
-	backbone := PretrainBackbone(TinyModel(), corpus, 3, 3e-3, 1)
-
-	f := New(Config{
-		Model: TinyModel(), Opts: TechniqueOptions{Reduction: 2},
-		Stages: 2, Lanes: 2, LR: 0.005, Adam: true, Backbone: backbone,
-	})
-	before := f.Evaluate(eval, 12)
-	if _, err := f.FineTune(train, 12, 4, 1); err != nil {
-		t.Fatal(err)
-	}
-	after := f.Evaluate(eval, 12)
-	if after.Loss >= before.Loss {
-		t.Fatalf("no improvement: %.4f → %.4f", before.Loss, after.Loss)
-	}
-	if f.Cache().Len() != train.Len() {
-		t.Fatalf("cache %d/%d", f.Cache().Len(), train.Len())
-	}
-}
-
 func TestPublicSimulateMatchesPaperHeadline(t *testing.T) {
 	res := Simulate(SimSpec{
 		Model: T5Base(), Kind: ParallelAdapters, Engine: PAC,
