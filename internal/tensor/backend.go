@@ -20,6 +20,13 @@ import (
 // own row range (clear per row) instead of relying on a pre-zeroed dst,
 // which is what lets MatMulInto skip a single-threaded memset.
 //
+// Every product, fp32 and int8, runs one body per kind whatever the
+// backend: accumRows for fp32 (A·Bᵀ through a transposed panel) and
+// shardQuantMatMul for int8. On amd64 with AVX2 both run on the
+// register tiles in tile_amd64.s, which give the scalar bodies' bits:
+// the fp32 tiles round each product and then add it (no FMA), in index
+// order, and the int8 tile's int32 sums are exact in any order.
+//
 // Contract per backend:
 //
 //   - generic: every output is the fp32 reference. Each element of a
@@ -33,7 +40,7 @@ import (
 //     gradient — is bitwise generic's, because the kernels are the same
 //     code. Quantized() reports true, so frozen-weight projections take
 //     the int8 path instead, which is a tolerance (not bitwise) contract
-//     — see QuantizeWeight.
+//     against fp32 — see QuantizeWeight.
 type Backend interface {
 	Name() string
 	// Quantized reports whether frozen-weight projections should take

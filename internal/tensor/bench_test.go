@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -41,13 +42,16 @@ func BenchmarkMatMulWorkers(b *testing.B) {
 }
 
 func BenchmarkBatchMatMulAttentionShape(b *testing.B) {
-	// The attention hot shape: [batch·heads, seq, dh] · [batch·heads, dh, seq].
+	// The attention-score product: Q·Kᵀ/√dh for Q and K both
+	// [batch·heads, seq, dh] = [32, 64, 32], the A·Bᵀ path through a
+	// transposed panel.
 	g := NewRNG(3)
 	q := g.Randn(1, 32, 64, 32)
 	k := g.Randn(1, 32, 64, 32)
+	alpha := float32(1 / math.Sqrt(32))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BatchMatMulT(q, k)
+		BatchMatMulTScaled(q, k, alpha)
 	}
 }
 

@@ -57,27 +57,63 @@ func shardMatMul(kr *kern, start, end int) {
 
 // accumRows computes rows [start,end) of out = A·B for b [k,n], where
 // A's element (i, p) sits at a[i*sa+p*sp]: (sa, sp) = (k, 1) reads a
-// [m,k] A, and (1, m) reads a [k,m] one as its transpose, so one loop
-// serves A·B and Aᵀ·B without a transposed copy. It zeroes the rows it
-// owns first.
+// [m,k] A, and (1, m) reads a [k,m] one as its transpose, so one body
+// serves A·B and Aᵀ·B without a transposed copy; A·Bᵀ transposes B
+// into a pooled panel and runs here too (MatMulT). It owns the rows it
+// writes: nothing needs to be zeroed first.
 //
-// Each pass over an output row consumes four k steps, so the row is
-// loaded and stored once per four rows of b instead of once per row.
-// The four products still join the element one at a time, in index
-// order, so every output is the single in-order chain a naive dot
-// product builds.
+// With AVX2 the first n&^15 columns run on the register tiles in
+// tile_amd64.s — 4 rows × 16 columns at a time, then one row at a time
+// for the rows left over — and the remaining columns on the scalar
+// body. Both build every output element as the single in-order chain a
+// naive dot product builds (each product rounded, then added), so the
+// split changes no bit.
 func accumRows(out, a, b []float32, start, end, k, n, sa, sp int) {
+	j0 := 0
+	if hasAVX2 && k > 0 && n >= 16 && start < end {
+		j0 = n &^ 15
+		// Every index the tiles touch is below these, so a bad shape
+		// panics here instead of reading past a slice.
+		_ = a[(end-1)*sa+(k-1)*sp]
+		_ = b[(k-1)*n+j0-1]
+		_ = out[(end-1)*n+j0-1]
+		// Columns outermost: every 4-row tile of the shard reuses one
+		// 16-column strip of b while it is still cached.
+		r4 := start + (end-start)&^3
+		for j := 0; j < j0; j += 16 {
+			for i := start; i < r4; i += 4 {
+				tileF32x4(&out[i*n+j], &a[i*sa], &b[j], k, n, sa, sp)
+			}
+		}
+		for i := r4; i < end; i++ {
+			clear(out[i*n : i*n+j0])
+			rowF32(&out[i*n], &a[i*sa], &b[0], k, n, sp, j0)
+		}
+		if j0 == n {
+			return
+		}
+	}
+	accumRowsScalar(out, a, b, start, end, k, n, sa, sp, j0)
+}
+
+// accumRowsScalar is accumRows' scalar body over columns [j0, n): the
+// whole product where AVX2 is missing, the column tail beside the
+// tiles, and the oracle the tiles are tested against. Each pass over
+// an output row consumes four k steps, so the row is loaded and stored
+// once per four rows of b; the four products still join the element
+// one at a time, in index order.
+func accumRowsScalar(out, a, b []float32, start, end, k, n, sa, sp, j0 int) {
 	for i := start; i < end; i++ {
-		orow := out[i*n : (i+1)*n]
+		orow := out[i*n+j0 : (i+1)*n]
 		clear(orow)
 		ai := i * sa
 		p := 0
 		for ; p+4 <= k; p += 4 {
 			a0, a1, a2, a3 := a[ai+p*sp], a[ai+(p+1)*sp], a[ai+(p+2)*sp], a[ai+(p+3)*sp]
-			b0 := b[p*n:][:len(orow)]
-			b1 := b[(p+1)*n:][:len(orow)]
-			b2 := b[(p+2)*n:][:len(orow)]
-			b3 := b[(p+3)*n:][:len(orow)]
+			b0 := b[p*n+j0:][:len(orow)]
+			b1 := b[(p+1)*n+j0:][:len(orow)]
+			b2 := b[(p+2)*n+j0:][:len(orow)]
+			b3 := b[(p+3)*n+j0:][:len(orow)]
 			for j := range orow {
 				o := orow[j]
 				o += a0 * b0[j]
@@ -89,7 +125,7 @@ func accumRows(out, a, b []float32, start, end, k, n, sa, sp int) {
 		}
 		for ; p < k; p++ {
 			av := a[ai+p*sp]
-			brow := b[p*n:][:len(orow)]
+			brow := b[p*n+j0:][:len(orow)]
 			for j := range orow {
 				orow[j] += av * brow[j]
 			}
@@ -97,60 +133,20 @@ func accumRows(out, a, b []float32, start, end, k, n, sa, sp int) {
 	}
 }
 
-// matmulTRows computes rows [i0,i1) of A·Bᵀ·alpha into o. The kernel is
-// register-blocked: four output columns share one streaming pass over
-// the A row, and the dot products unroll the reduction four-wide. Each
-// output element still accumulates its products in index order through a
-// single chain, so results are bit-identical to the naive dot product.
-func matmulTRows(o, a, b []float32, i0, i1, k, n int, alpha float32) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := o[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k]
-			b2 := b[(j+2)*k : (j+3)*k]
-			b3 := b[(j+3)*k : (j+4)*k]
-			var s0, s1, s2, s3 float32
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-				s0 = s0 + a0*b0[p] + a1*b0[p+1] + a2*b0[p+2] + a3*b0[p+3]
-				s1 = s1 + a0*b1[p] + a1*b1[p+1] + a2*b1[p+2] + a3*b1[p+3]
-				s2 = s2 + a0*b2[p] + a1*b2[p+1] + a2*b2[p+2] + a3*b2[p+3]
-				s3 = s3 + a0*b3[p] + a1*b3[p+1] + a2*b3[p+2] + a3*b3[p+3]
-			}
-			for ; p < k; p++ {
-				av := arow[p]
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			orow[j] = s0 * alpha
-			orow[j+1] = s1 * alpha
-			orow[j+2] = s2 * alpha
-			orow[j+3] = s3 * alpha
-		}
-		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s float32
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				s = s + arow[p]*brow[p] + arow[p+1]*brow[p+1] + arow[p+2]*brow[p+2] + arow[p+3]*brow[p+3]
-			}
-			for ; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			orow[j] = s * alpha
+// transposeRows writes rows [start,end) of src [rows,cols] into dst
+// [cols,rows] as its columns.
+func transposeRows(dst, src []float32, rows, cols, start, end int) {
+	for i := start; i < end; i++ {
+		for j, v := range src[i*cols : (i+1)*cols] {
+			dst[j*rows+i] = v
 		}
 	}
 }
 
 // MatMulT computes C = A·Bᵀ for A [m,k] and B [n,k]. This is the natural
 // layout for computing attention scores (Q·Kᵀ) and for weight-gradient
-// style products without materializing a transpose.
+// style products without materializing a transpose: B is transposed
+// into a pooled panel, and the product is A·B over it.
 func MatMulT(a, b *Tensor) *Tensor {
 	m, k := matShape(a)
 	n, k2 := matShape(b)
@@ -158,17 +154,15 @@ func MatMulT(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulT inner dims %v × %v", a.shape, b.shape))
 	}
 	out := New(m, n)
+	panel := Get(k * n)
 	kr := getKern()
-	kr.fn = shardMatMulT
-	kr.dst, kr.a, kr.b = out.Data, a.Data, b.Data
-	kr.i0, kr.i1 = k, n
-	kr.f0 = 1
-	runKern(kr, m)
+	kr.fn = shardTranspose2D
+	kr.dst, kr.a = panel, b.Data
+	kr.i0, kr.i1 = n, k
+	runKern(kr, n)
+	matmulInto(out.Data, a.Data, panel, m, k, n)
+	Put(panel)
 	return out
-}
-
-func shardMatMulT(kr *kern, start, end int) {
-	matmulTRows(kr.dst, kr.a, kr.b, start, end, kr.i0, kr.i1, kr.f0)
 }
 
 // TMatMul computes C = Aᵀ·B for A [k,m] and B [k,n], i.e. the weight
@@ -257,12 +251,20 @@ func batchMatMulTScaled(out, a, b *Tensor, alpha float32) {
 
 func shardBatchMatMulT(kr *kern, start, end int) {
 	m, k, n := kr.i0, kr.i1, kr.i2
+	panel := Get(k * n)
 	for bi := start; bi < end; bi++ {
-		ab := kr.a[bi*m*k : (bi+1)*m*k]
-		bb := kr.b[bi*n*k : (bi+1)*n*k]
+		transposeRows(panel, kr.b[bi*n*k:(bi+1)*n*k], n, k, 0, n)
 		ob := kr.dst[bi*m*n : (bi+1)*m*n]
-		matmulTRows(ob, ab, bb, 0, m, k, n, kr.f0)
+		accumRows(ob, kr.a[bi*m*k:(bi+1)*m*k], panel, 0, m, k, n, k, 1)
+		// The alpha epilogue: one rounding per element after its
+		// chain, as s*alpha. Multiplying by 1 changes no bit.
+		if alpha := kr.f0; alpha != 1 {
+			for j := range ob {
+				ob[j] *= alpha
+			}
+		}
 	}
+	Put(panel)
 }
 
 // BatchTMatMul computes, for each batch index, C[b] = A[b]ᵀ·B[b] where

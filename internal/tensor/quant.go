@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -140,80 +141,116 @@ func quantMatMulInto(dst, a []float32, q *QuantizedWeight, rows int) {
 	quantScratchPool.Put(sc)
 }
 
-// shardQuantMatMul owns rows [start,end) of the output: it quantizes its
-// own activation rows (dynamic symmetric absmax) into the shared scratch
-// — disjoint per shard — then runs the int8 dot products with fp32
-// dequantization fused into the epilogue. On amd64 with AVX2 the dot
-// products run 16 lanes at a time through dot2Int8AVX2; everywhere else
-// the scalar loop below is the kernel. int32 accumulation cannot
-// overflow below k = 2^31/127² ≈ 133k, far above any model dimension
-// here.
+// shardQuantMatMul owns rows [start,end) of the output, two at a time
+// (an odd last row pairs with itself). It quantizes its own activation
+// rows (dynamic symmetric absmax) into the shared scratch — disjoint
+// per shard — runs the pair against every channel through int8Dots,
+// then adds the k%16 tail and dequantizes in the epilogue,
+// (float32(acc)·rscale)·colScale[j]. The int32 sums are exact, so the
+// order the tile adds them in changes no bit.
 func shardQuantMatMul(kr *kern, start, end int) {
 	k, n := kr.i0, kr.i1
-	qa, qw := kr.i8a, kr.i8b
-	colScale := kr.d
-	for i := start; i < end; i++ {
-		arow := kr.a[i*k : (i+1)*k]
-		qrow := qa[i*k : (i+1)*k]
-		var amax float32
-		for _, v := range arow {
-			if v < 0 {
-				v = -v
-			}
-			if v > amax {
-				amax = v
-			}
+	k16 := k &^ 15
+	for i := start; i < end; i += 2 {
+		i1 := min(i+1, end-1)
+		q0, q1 := kr.i8a[i*k:(i+1)*k], kr.i8a[i1*k:(i1+1)*k]
+		o0, o1 := kr.dst[i*n:(i+1)*n], kr.dst[i1*n:(i1+1)*n]
+		rs0, ok0 := quantizeRow(q0, kr.a[i*k:(i+1)*k])
+		rs1, ok1 := rs0, ok0
+		if i1 != i {
+			rs1, ok1 = quantizeRow(q1, kr.a[i1*k:(i1+1)*k])
 		}
-		orow := kr.dst[i*n : (i+1)*n]
-		if amax == 0 {
-			clear(orow)
-			continue
+		int8Dots(o0, o1, q0, q1, kr.i8b, k, k16)
+		dequantRow(o0, q0, kr.i8b, k, k16, rs0, ok0, kr.d)
+		if i1 != i {
+			dequantRow(o1, q1, kr.i8b, k, k16, rs1, ok1, kr.d)
 		}
-		rscale := amax / 127
-		inv := 1 / rscale
-		for p, v := range arow {
-			qrow[p] = quantClamp(v * inv)
+	}
+}
+
+// quantizeRow quantizes one activation row into q and returns its
+// scale. ok is false for an all-zero row, which leaves q alone: its
+// output row is zero. With AVX2 the first len&^15 elements take the
+// vector loops, which give the scalar bits.
+func quantizeRow(q []int8, a []float32) (rscale float32, ok bool) {
+	v := 0
+	var amax float32
+	if hasAVX2 && len(a) >= 16 {
+		v = len(a) &^ 15
+		amax = absMaxF32(&a[0], v)
+	}
+	for _, x := range a[v:] {
+		if x < 0 {
+			x = -x
 		}
-		j := 0
-		if hasAVX2 {
-			for ; j+2 <= n; j += 2 {
-				acc0, acc1 := dot2Int8AVX2(qrow, qw[j*k:(j+1)*k], qw[(j+1)*k:(j+2)*k])
-				orow[j] = float32(acc0) * rscale * colScale[j]
-				orow[j+1] = float32(acc1) * rscale * colScale[j+1]
-			}
-			if j < n {
-				wrow := qw[j*k : (j+1)*k]
-				acc, _ := dot2Int8AVX2(qrow, wrow, wrow)
-				orow[j] = float32(acc) * rscale * colScale[j]
-				j = n
-			}
-			continue
+		if x > amax {
+			amax = x
 		}
-		for ; j+2 <= n; j += 2 {
-			w0 := qw[j*k : (j+1)*k]
-			w1 := qw[(j+1)*k : (j+2)*k]
-			var acc0, acc1 int32
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				q0, q1, q2, q3 := int32(qrow[p]), int32(qrow[p+1]), int32(qrow[p+2]), int32(qrow[p+3])
-				acc0 += q0*int32(w0[p]) + q1*int32(w0[p+1]) + q2*int32(w0[p+2]) + q3*int32(w0[p+3])
-				acc1 += q0*int32(w1[p]) + q1*int32(w1[p+1]) + q2*int32(w1[p+2]) + q3*int32(w1[p+3])
-			}
-			for ; p < k; p++ {
-				qv := int32(qrow[p])
-				acc0 += qv * int32(w0[p])
-				acc1 += qv * int32(w1[p])
-			}
-			orow[j] = float32(acc0) * rscale * colScale[j]
-			orow[j+1] = float32(acc1) * rscale * colScale[j+1]
+	}
+	if amax == 0 {
+		return 0, false
+	}
+	rscale = amax / 127
+	inv := 1 / rscale
+	if v > 0 {
+		_ = q[v-1]
+		quantizeF32(&q[0], &a[0], v, inv)
+	}
+	for p, x := range a[v:] {
+		q[v+p] = quantClamp(x * inv)
+	}
+	return rscale, true
+}
+
+// int8Dots leaves, in the bits of o0[j] and o1[j], the int32 sums
+// a0·w[j] and a1·w[j] over p < k16 for every channel j of w
+// [len(o0)][k]: the AVX2 tile where there is one, else the scalar loop
+// below. int32 accumulation cannot overflow below k = 2^31/127² ≈ 133k,
+// far above any model dimension here.
+func int8Dots(o0, o1 []float32, a0, a1, w []int8, k, k16 int) {
+	n := len(o0)
+	if hasAVX2 && k16 > 0 && n > 0 {
+		_, _, _ = o1[n-1], a0[k16-1], a1[k16-1]
+		_ = w[(n-1)*k+k16-1]
+		tileInt8x2(&o0[0], &o1[0], &a0[0], &a1[0], &w[0], k, k16, n)
+		return
+	}
+	for j := range o0 {
+		var s0, s1 int32
+		for p, wv := range w[j*k:][:k16] {
+			s0 += int32(a0[p]) * int32(wv)
+			s1 += int32(a1[p]) * int32(wv)
 		}
-		for ; j < n; j++ {
-			wrow := qw[j*k : (j+1)*k]
-			var acc int32
-			for p, qv := range qrow {
-				acc += int32(qv) * int32(wrow[p])
+		o0[j] = math.Float32frombits(uint32(s0))
+		o1[j] = math.Float32frombits(uint32(s1))
+	}
+}
+
+// dequantRow finishes an output row int8Dots left int32 sums in: it
+// adds the products over p ≥ k16 and scales each sum back to fp32,
+// (float32(acc)·rscale)·colScale[j].
+func dequantRow(o []float32, q, w []int8, k, k16 int, rscale float32, ok bool, colScale []float32) {
+	if !ok {
+		clear(o)
+		return
+	}
+	if k16 < k {
+		for j := range o {
+			acc := int32(math.Float32bits(o[j]))
+			wrow := w[j*k : (j+1)*k]
+			for p := k16; p < k; p++ {
+				acc += int32(q[p]) * int32(wrow[p])
 			}
-			orow[j] = float32(acc) * rscale * colScale[j]
+			o[j] = math.Float32frombits(uint32(acc))
 		}
+	}
+	v := 0
+	if hasAVX2 && len(o) >= 8 {
+		v = len(o) &^ 7
+		_ = colScale[v-1]
+		dequantF32(&o[0], &colScale[0], v, rscale)
+	}
+	for j := v; j < len(o); j++ {
+		o[j] = float32(int32(math.Float32bits(o[j]))) * rscale * colScale[j]
 	}
 }

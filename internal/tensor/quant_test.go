@@ -75,6 +75,66 @@ func exactMatMul64(a, w *Tensor) []float64 {
 	return out
 }
 
+// quantMatMulOracle is the scalar int8 product QuantMatMul ran on
+// before the AVX2 tile: per row, quantize the activations, then dot
+// each pair of channels four steps at a time. The tile must match it
+// bit for bit, as int32 sums are exact in any order.
+func quantMatMulOracle(a *Tensor, q *QuantizedWeight) []float32 {
+	rows, k := matShape(a)
+	n, qw, colScale := q.Out, q.Q, q.Scale
+	out := make([]float32, rows*n)
+	qrow := make([]int8, k)
+	for i := 0; i < rows; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		var amax float32
+		for _, v := range arow {
+			if v < 0 {
+				v = -v
+			}
+			if v > amax {
+				amax = v
+			}
+		}
+		orow := out[i*n : (i+1)*n]
+		if amax == 0 {
+			continue
+		}
+		rscale := amax / 127
+		inv := 1 / rscale
+		for p, v := range arow {
+			qrow[p] = quantClamp(v * inv)
+		}
+		j := 0
+		for ; j+2 <= n; j += 2 {
+			w0 := qw[j*k : (j+1)*k]
+			w1 := qw[(j+1)*k : (j+2)*k]
+			var acc0, acc1 int32
+			p := 0
+			for ; p+4 <= k; p += 4 {
+				q0, q1, q2, q3 := int32(qrow[p]), int32(qrow[p+1]), int32(qrow[p+2]), int32(qrow[p+3])
+				acc0 += q0*int32(w0[p]) + q1*int32(w0[p+1]) + q2*int32(w0[p+2]) + q3*int32(w0[p+3])
+				acc1 += q0*int32(w1[p]) + q1*int32(w1[p+1]) + q2*int32(w1[p+2]) + q3*int32(w1[p+3])
+			}
+			for ; p < k; p++ {
+				qv := int32(qrow[p])
+				acc0 += qv * int32(w0[p])
+				acc1 += qv * int32(w1[p])
+			}
+			orow[j] = float32(acc0) * rscale * colScale[j]
+			orow[j+1] = float32(acc1) * rscale * colScale[j+1]
+		}
+		for ; j < n; j++ {
+			wrow := qw[j*k : (j+1)*k]
+			var acc int32
+			for p, qv := range qrow {
+				acc += int32(qv) * int32(wrow[p])
+			}
+			orow[j] = float32(acc) * rscale * colScale[j]
+		}
+	}
+	return out
+}
+
 // TestQuantMatMulWithinAnalyticBound asserts the documented error
 // contract: |out - exact| ≤ k·(wmax·sa/2 + amax·sw/2 + sa·sw/4) per
 // element, with per-row activation scale sa and per-column weight

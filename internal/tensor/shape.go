@@ -15,12 +15,7 @@ func Transpose2D(a *Tensor) *Tensor {
 }
 
 func shardTranspose2D(kr *kern, start, end int) {
-	m, n := kr.i0, kr.i1
-	for i := start; i < end; i++ {
-		for j := 0; j < n; j++ {
-			kr.dst[j*m+i] = kr.a[i*n+j]
-		}
-	}
+	transposeRows(kr.dst, kr.a, kr.i0, kr.i1, start, end)
 }
 
 // SplitHeads reshapes [batch, seq, heads*dh] into [batch*heads, seq, dh],
