@@ -111,3 +111,31 @@ func TestSoftmaxInPlaceMatchesSoftmaxBitwise(t *testing.T) {
 	Backward(Sum(composed))
 	bitwiseEqual(t, "dx", x1.Grad, x2.Grad)
 }
+
+// TestLayerNormFrozenInputSkipsDx: a LayerNorm over an input that takes
+// no gradient (the side network's backbone tap) gives the dγ/dβ of the
+// path that computes dx, bit for bit, and its backward checks out one
+// pooled buffer fewer: the dx it no longer computes.
+func TestLayerNormFrozenInputSkipsDx(t *testing.T) {
+	rng := tensor.NewRNG(17)
+	xv, wv := rng.Randn(1, 6, 40), rng.Randn(1, 6, 40)
+	gv, bv := rng.Randn(1, 40), rng.Randn(1, 40)
+	backward := func(x *Variable) (dGamma, dBeta *tensor.Tensor, gets int64) {
+		gamma, beta := NewParam(gv.Clone()), NewParam(bv.Clone())
+		// The weights make the upstream gradient differ per element.
+		loss := Sum(Mul(LayerNorm(x, gamma, beta, 1e-5), NewVar(wv)))
+		before := tensor.ReadPoolStats()
+		Backward(loss)
+		after := tensor.ReadPoolStats()
+		return gamma.Grad, beta.Grad, after.Hits + after.Misses - before.Hits - before.Misses
+	}
+	x := NewParam(xv.Clone())
+	backward(x) // allocates x's own gradient, so the count below is dx alone
+	dGamma, dBeta, withDx := backward(x)
+	frozenDGamma, frozenDBeta, frozen := backward(NewVar(xv.Clone()))
+	bitwiseEqual(t, "dGamma", frozenDGamma, dGamma)
+	bitwiseEqual(t, "dBeta", frozenDBeta, dBeta)
+	if withDx-frozen != 1 {
+		t.Fatalf("backward with dx took %d pooled buffers, without dx %d: want exactly one fewer", withDx, frozen)
+	}
+}

@@ -430,14 +430,17 @@ func backLayerNorm(out *Variable) {
 	a, gamma, beta := out.parents[0], out.parents[1], out.parents[2]
 	stats := tensor.LayerNormStats{Mean: out.auxMean, InvStd: out.auxInv}
 	cols := a.Value.Dim(a.Value.Dims() - 1)
-	dx := tensor.New(a.Value.Shape()...)
+	// A frozen input (the side network's backbone tap) takes no
+	// gradient, so no dx is computed for it.
+	var dx *tensor.Tensor
+	if a.requiresGrad {
+		dx = tensor.New(a.Value.Shape()...)
+	}
 	dGamma := tensor.New(cols)
 	dBeta := tensor.New(cols)
 	tensor.LayerNormBackwardInto(dx, dGamma, dBeta, a.Value, gamma.Value, out.Grad, &stats)
-	if a.requiresGrad {
+	if dx != nil {
 		a.accPut(dx)
-	} else {
-		tensor.PutTensor(dx)
 	}
 	if gamma.requiresGrad {
 		gamma.accPut(dGamma)

@@ -10,6 +10,16 @@ import (
 // element), so swapping a composed chain for its fused kernel does not
 // change a single bit of the result — only the number of passes and
 // intermediate buffers.
+//
+// GELU, GELU′ and LayerNorm's passes (here and in ops.go) also have
+// vector kernels in tile_amd64.s: GELU and GELU′ four float64 lanes at a
+// time where hasAVX2 && hasFMA (their tanh replays math.tanh and
+// math.Exp's fused branch), LayerNorm's row statistics one row per
+// lane and its elementwise passes across columns where hasAVX2. Each
+// kernel performs its scalar body's operations in the same order, so it
+// gives the same bits; gelu_layernorm_test.go holds them to it. The
+// scalar bodies stay: they are the oracle, the shard tails and the path
+// on every other host.
 
 // AddFlat accumulates src into dst elementwise, requiring only matching
 // element counts (not shapes) — the gradient-accumulation primitive,
@@ -69,6 +79,10 @@ func GELUInto(dst, a *Tensor) {
 }
 
 func shardGELU(kr *kern, start, end int) {
+	if n := (end - start) &^ 3; n > 0 && hasAVX2 && hasFMA {
+		geluF32(&kr.dst[start], &kr.a[start], n)
+		start += n
+	}
 	for i := start; i < end; i++ {
 		kr.dst[i] = geluScalar(kr.a[i])
 	}
@@ -86,6 +100,10 @@ func GELUGradInto(dst, pre, g *Tensor) {
 }
 
 func shardGELUGrad(kr *kern, start, end int) {
+	if n := (end - start) &^ 3; n > 0 && hasAVX2 && hasFMA {
+		geluGradF32(&kr.dst[start], &kr.a[start], &kr.b[start], n)
+		start += n
+	}
 	for i := start; i < end; i++ {
 		kr.dst[i] = kr.b[i] * geluGradScalar(kr.a[i])
 	}
@@ -136,22 +154,17 @@ func softmaxRows(dst, a []float32, start, end, cols int) {
 // LayerNormBackwardInto computes the gradients of LayerNormForward
 // given the upstream gradient dOut, writing dX, dGamma and dBeta into
 // caller-owned (zeroed) buffers, so the gradients can come from the pool.
+// dx may be nil: an input that takes no gradient (a frozen backbone
+// tap) skips the dx passes altogether.
 func LayerNormBackwardInto(dx, dGamma, dBeta, a, gamma, dOut *Tensor, stats *LayerNormStats) {
 	cols := a.shape[len(a.shape)-1]
 	rows := a.Numel() / cols
-	if dx.Numel() != a.Numel() || dGamma.Numel() != cols || dBeta.Numel() != cols {
+	if (dx != nil && dx.Numel() != a.Numel()) || dGamma.Numel() != cols || dBeta.Numel() != cols {
 		panic("tensor: LayerNormBackwardInto size mismatch")
 	}
-	// dGamma/dBeta accumulate across rows; keep that serial (cols is small)
-	// and parallelize dx by rows.
-	for r := 0; r < rows; r++ {
-		base := r * cols
-		mean, invStd := stats.Mean[r], stats.InvStd[r]
-		for c := 0; c < cols; c++ {
-			xn := (a.Data[base+c] - mean) * invStd
-			dBeta.Data[c] += dOut.Data[base+c]
-			dGamma.Data[c] += dOut.Data[base+c] * xn
-		}
+	layerNormGradGB(dGamma.Data, dBeta.Data, a.Data, dOut.Data, stats.Mean, stats.InvStd, cols)
+	if dx == nil {
+		return
 	}
 	kr := getKern()
 	kr.fn = shardLayerNormDx
@@ -161,23 +174,81 @@ func LayerNormBackwardInto(dx, dGamma, dBeta, a, gamma, dOut *Tensor, stats *Lay
 	runKern(kr, rows)
 }
 
-func shardLayerNormDx(kr *kern, start, end int) {
-	cols := kr.i0
-	for r := start; r < end; r++ {
+// layerNormGradGB accumulates dGamma and dBeta: each column sums its
+// rows in row order. The pass runs on the calling goroutine: it streams
+// a and dOut once, row by row, and is bound by memory, where a split of
+// the columns between workers made each worker's stream sparser and read
+// slower than one stream. On AVX2, lnGradGB covers the columns up to the
+// last multiple of 8; the rest take the scalar body.
+func layerNormGradGB(dGamma, dBeta, a, dOut, means, invStds []float32, cols int) {
+	rows := len(means)
+	c0 := 0
+	if n := cols &^ 7; n > 0 && rows > 0 && hasAVX2 {
+		lnGradGB(&dGamma[0], &dBeta[0], &a[0], &dOut[0], &means[0], &invStds[0], rows, cols, n)
+		c0 = n
+	}
+	for r := 0; r < rows; r++ {
 		base := r * cols
-		mean, invStd := kr.d[r], kr.e[r]
-		var sumDy, sumDyXn float64
-		for c := 0; c < cols; c++ {
-			dy := float64(kr.c[base+c] * kr.b[c])
-			xn := float64((kr.a[base+c] - mean) * invStd)
-			sumDy += dy
-			sumDyXn += dy * xn
+		mean, invStd := means[r], invStds[r]
+		for c := c0; c < cols; c++ {
+			xn := (a[base+c] - mean) * invStd
+			dBeta[c] += dOut[base+c]
+			dGamma[c] += dOut[base+c] * xn
 		}
-		n := float64(cols)
-		for c := 0; c < cols; c++ {
-			dy := float64(kr.c[base+c] * kr.b[c])
-			xn := float64((kr.a[base+c] - mean) * invStd)
-			kr.dst[base+c] = float32(float64(invStd) * (dy - sumDy/n - xn*sumDyXn/n))
+	}
+}
+
+// shardLayerNormDx writes dx over rows [start, end): two float64 sums
+// per row, then one pass over the row. On AVX2 the sums run four rows at
+// a time (lnDxSums4, one lane per row) and the pass four columns at a
+// time (lnDxF32); shard tails and other hosts take the scalar body.
+func shardLayerNormDx(kr *kern, start, end int) {
+	for r := start; r < end; {
+		var sums [8]float64 // Σ dy for up to four rows, then Σ dy·xn
+		n := 1
+		if hasAVX2 && r+4 <= end {
+			base := r * kr.i0
+			lnDxSums4(&kr.a[base], &kr.c[base], &kr.b[0], &kr.d[r], &kr.e[r], kr.i0, &sums)
+			n = 4
+		} else {
+			sums[0], sums[4] = layerNormDxSums(kr, r)
 		}
+		for q := 0; q < n; q++ {
+			layerNormDxRow(kr, r+q, sums[q], sums[4+q])
+		}
+		r += n
+	}
+}
+
+// layerNormDxSums is row r's Σ dy and Σ dy·xn, dy = dOut·gamma and
+// xn = (a-mean)·invStd, in column order.
+func layerNormDxSums(kr *kern, r int) (sumDy, sumDyXn float64) {
+	cols := kr.i0
+	base := r * cols
+	mean, invStd := kr.d[r], kr.e[r]
+	for c := 0; c < cols; c++ {
+		dy := float64(kr.c[base+c] * kr.b[c])
+		xn := float64((kr.a[base+c] - mean) * invStd)
+		sumDy += dy
+		sumDyXn += dy * xn
+	}
+	return sumDy, sumDyXn
+}
+
+// layerNormDxRow writes row r of dx from its two sums.
+func layerNormDxRow(kr *kern, r int, sumDy, sumDyXn float64) {
+	cols := kr.i0
+	base := r * cols
+	mean, invStd := kr.d[r], kr.e[r]
+	n := float64(cols)
+	c := 0
+	if m := cols &^ 3; m > 0 && hasAVX2 {
+		lnDxF32(&kr.dst[base], &kr.a[base], &kr.b[0], &kr.c[base], m, mean, invStd, sumDy/n, sumDyXn, n)
+		c = m
+	}
+	for ; c < cols; c++ {
+		dy := float64(kr.c[base+c] * kr.b[c])
+		xn := float64((kr.a[base+c] - mean) * invStd)
+		kr.dst[base+c] = float32(float64(invStd) * (dy - sumDy/n - xn*sumDyXn/n))
 	}
 }

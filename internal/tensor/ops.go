@@ -245,27 +245,54 @@ func LayerNormForwardStats(a, gamma, beta *Tensor, eps float32, stats *LayerNorm
 	return out
 }
 
+// shardLayerNorm normalizes rows [start, end). On AVX2 the row
+// statistics run four rows at a time (lnStats4: one float64 lane per
+// row, each in its row's order) and the normalize pass eight columns at
+// a time (lnNormF32); shard tails and every other host take the scalar
+// body, layerNormStats and the float32 loop in layerNormRow.
 func shardLayerNorm(kr *kern, start, end int) {
 	cols := kr.i0
-	for r := start; r < end; r++ {
-		base := r * cols
-		var mean float64
-		for c := 0; c < cols; c++ {
-			mean += float64(kr.a[base+c])
+	for r := start; r < end; {
+		n := 1
+		if hasAVX2 && r+4 <= end {
+			lnStats4(&kr.a[r*cols], cols, kr.f0, &kr.d[r], &kr.e[r])
+			n = 4
+		} else {
+			kr.d[r], kr.e[r] = layerNormStats(kr.a[r*cols:(r+1)*cols], kr.f0)
 		}
-		mean /= float64(cols)
-		var variance float64
-		for c := 0; c < cols; c++ {
-			d := float64(kr.a[base+c]) - mean
-			variance += d * d
+		for q := r; q < r+n; q++ {
+			base := q * cols
+			layerNormRow(kr.dst[base:base+cols], kr.a[base:base+cols], kr.b, kr.c, kr.d[q], kr.e[q])
 		}
-		variance /= float64(cols)
-		invStd := 1 / math.Sqrt(variance+float64(kr.f0))
-		kr.d[r] = float32(mean)
-		kr.e[r] = float32(invStd)
-		for c := 0; c < cols; c++ {
-			norm := (kr.a[base+c] - float32(mean)) * float32(invStd)
-			kr.dst[base+c] = norm*kr.b[c] + kr.c[c]
-		}
+		r += n
+	}
+}
+
+// layerNormStats is one row's mean and 1/sqrt(variance+eps): float64
+// sums in column order, rounded to float32 once.
+func layerNormStats(row []float32, eps float32) (mean, invStd float32) {
+	var m float64
+	for _, v := range row {
+		m += float64(v)
+	}
+	m /= float64(len(row))
+	var variance float64
+	for _, v := range row {
+		d := float64(v) - m
+		variance += d * d
+	}
+	variance /= float64(len(row))
+	return float32(m), float32(1 / math.Sqrt(variance+float64(eps)))
+}
+
+// layerNormRow writes ((a-mean)·invStd)·gamma + beta over one row.
+func layerNormRow(dst, a, gamma, beta []float32, mean, invStd float32) {
+	c := 0
+	if n := len(a) &^ 7; n > 0 && hasAVX2 {
+		lnNormF32(&dst[0], &a[0], &gamma[0], &beta[0], n, mean, invStd)
+		c = n
+	}
+	for ; c < len(a); c++ {
+		dst[c] = (a[c]-mean)*invStd*gamma[c] + beta[c]
 	}
 }
