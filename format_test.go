@@ -38,7 +38,6 @@ type pinnedTech struct{ params []*autograd.Variable }
 
 func (p pinnedTech) Kind() peft.Kind                                    { return peft.ParallelAdapters }
 func (p pinnedTech) Trainable() []*autograd.Variable                    { return p.params }
-func (p pinnedTech) BackboneBackward() bool                             { return false }
 func (p pinnedTech) Forward(_, _ [][]int, _ []int, _ bool) *peft.Result { return nil }
 
 // TestFileFormatsPinned: the PACK (fp32 and int8), PACS and PACC bytes

@@ -217,7 +217,7 @@ func goldenSteps(t *testing.T, add func(string, []float32)) {
 	opts := peft.Options{Reduction: 4}
 	step := func(scenario string, e interface {
 		StepCtx(context.Context, *data.Batch) (float64, error)
-	}, tech peft.Technique) {
+	}, tech *peft.Parallel) {
 		loss, err := e.StepCtx(context.Background(), b)
 		if err != nil {
 			t.Fatal(err)
@@ -233,7 +233,7 @@ func goldenSteps(t *testing.T, add func(string, []float32)) {
 	step("step/pipeline", pp, pp.Tech)
 	h := parallel.NewHybrid(2, 2, 2, lr, pipeline)
 	step("step/hybrid", h, h.Lanes[0].Tech)
-	dp := parallel.NewDPGroup(2, func(int) (peft.Technique, train.Optimizer) {
+	dp := parallel.NewDPGroup(2, func(int) (*peft.Parallel, train.Optimizer) {
 		tech := peft.NewParallel(m, opts)
 		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
 	})

@@ -320,10 +320,10 @@ func GraphSize(v *Variable) int {
 }
 
 // BackwardMulti runs one reverse pass from several output roots at once,
-// seeding each with the matching gradient. Pipeline stages use it: a
-// stage's boundary outputs (encoder state, decoder state, side state)
-// each receive an upstream gradient from the next stage, and the stage's
-// interior must be traversed exactly once.
+// seeding each with the matching gradient, so an interior they share is
+// traversed exactly once. A root that tracks no gradient is skipped:
+// pipeline stages seed their side output with it, and a tap-free first
+// stage's side output is its constant zero state.
 func BackwardMulti(outs []*Variable, seeds []*tensor.Tensor) {
 	if len(outs) != len(seeds) {
 		panic("autograd: BackwardMulti length mismatch")

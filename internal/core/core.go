@@ -365,7 +365,7 @@ func (f *Framework) cachedEpochsFrom(ctx context.Context, loader *data.Loader, s
 		g.OnStep = func(epoch, step int) { f.maybeSnapshot(epoch, step, g) }
 	}
 	g.Forward = func(rank int, mb *data.Batch, _ bool) *peft.Result {
-		return f.cachedForward(g.Techs[rank].(*peft.Parallel), mb)
+		return f.cachedForward(g.Techs[rank], mb)
 	}
 	var loss float64
 	for e := 0; e < n; e++ {
@@ -398,7 +398,7 @@ func (f *Framework) cachedEpochsFrom(ctx context.Context, loader *data.Loader, s
 // optimizer state a restored snapshot left pending.
 func (f *Framework) dpGroup() (*parallel.DPGroup, error) {
 	flat := nn.FlattenParams(f.reference.Trainable())
-	g := parallel.NewDPGroup(f.cfg.Stages*f.cfg.Lanes, func(rank int) (peft.Technique, train.Optimizer) {
+	g := parallel.NewDPGroup(f.cfg.Stages*f.cfg.Lanes, func(rank int) (*peft.Parallel, train.Optimizer) {
 		tech := peft.NewParallel(f.backbone, f.cfg.Opts)
 		nn.UnflattenParams(tech.Trainable(), flat)
 		if f.cfg.Adam {

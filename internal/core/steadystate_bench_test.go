@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"pac/internal/data"
@@ -62,5 +63,30 @@ func TestSteadyStepReturnsItsBuffers(t *testing.T) {
 	}
 	if f.Recomputed() != 0 {
 		t.Fatal("the steps missed the cache")
+	}
+}
+
+// TestHybridStepReturnsItsBuffers: a phase-1 hybrid step (2 lanes × 2
+// stages) over samples already in the cache hands back every pooled
+// buffer it checks out — each stage's frozen forward, taps, side graph
+// and boundary gradients — so a loop of them leaves the pool's
+// outstanding bytes exactly where they were.
+func TestHybridStepReturnsItsBuffers(t *testing.T) {
+	ds := data.Generate(data.GenConfig{Task: data.SST2, Size: 8, SeqLen: 16, Vocab: 64, Seed: 33})
+	f := New(Config{Model: model.Tiny(), Opts: peft.Options{Reduction: 4},
+		Stages: 2, Lanes: 2, LR: 0.01})
+	mb := data.NewLoader(ds, 8, 1).Epoch(0)[0]
+	step := func() {
+		if _, err := f.hybrid.StepCtx(context.Background(), mb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // fills the cache; the gradients are allocated once
+	before := tensor.ReadPoolStats().BytesOutstanding
+	for i := 0; i < 5; i++ {
+		step()
+	}
+	if grew := tensor.ReadPoolStats().BytesOutstanding - before; grew != 0 {
+		t.Fatalf("5 hybrid steps left %d pooled bytes checked out", grew)
 	}
 }

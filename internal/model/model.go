@@ -80,7 +80,7 @@ func (m *Model) Forward(encIDs, decIDs [][]int, encLens []int, train bool) *Stat
 }
 
 // ForwardRange runs blocks [start, end) over an existing state; the
-// pipeline engine uses it to execute one stage.
+// profiler times one block with it, the cached decoder the encoder.
 func (m *Model) ForwardRange(s *State, start, end int) {
 	if start < 0 || end > len(m.Blocks) || start > end {
 		panic(fmt.Sprintf("model: ForwardRange [%d,%d) of %d blocks", start, end, len(m.Blocks)))
@@ -137,16 +137,6 @@ func (m *Model) QuantizeBackbone() int {
 		}
 	}
 	return n
-}
-
-// BlockParams returns the parameters of blocks [start, end); the
-// pipeline engine uses it to scope optimizer state per stage.
-func (m *Model) BlockParams(start, end int) []*autograd.Variable {
-	var out []*autograd.Variable
-	for _, b := range m.Blocks[start:end] {
-		out = append(out, b.Params()...)
-	}
-	return out
 }
 
 // TapIndex returns the tap number produced by block bi (encoder layer j

@@ -15,18 +15,18 @@ import (
 	"pac/internal/train"
 )
 
-// DPGroup trains identical technique replicas with synchronous data
-// parallelism: each device runs forward/backward on its batch shard,
-// gradients are summed with a ring AllReduce (weighted so the result
-// equals the single-device gradient of the full batch), and every
+// DPGroup trains identical Parallel Adapters replicas with synchronous
+// data parallelism: each device runs forward/backward on its batch
+// shard, gradients are summed with a ring AllReduce (weighted so the
+// result equals the single-device gradient of the full batch), and every
 // replica applies the same optimizer step, keeping weights in lockstep
 // without ever shipping them.
 //
 // With PAC this is the engine of cache-enabled epochs (paper §5.2):
-// replicas are Parallel Adapters fed from local cache shards, so a step
-// touches no backbone weights at all.
+// replicas are fed from local cache shards, so a step touches no
+// backbone weights at all.
 type DPGroup struct {
-	Techs      []peft.Technique
+	Techs      []*peft.Parallel
 	Opts       []train.Optimizer
 	Endpoints  []Transport
 	Regression bool
@@ -66,7 +66,7 @@ type DPGroup struct {
 // NewDPGroup builds a group over n fresh replicas created by factory
 // (called once per rank; must produce identically initialized
 // replicas) and a chan-based fabric.
-func NewDPGroup(n int, factory func(rank int) (peft.Technique, train.Optimizer)) *DPGroup {
+func NewDPGroup(n int, factory func(rank int) (*peft.Parallel, train.Optimizer)) *DPGroup {
 	g := &DPGroup{Endpoints: NewChanNetwork(n).Endpoints()}
 	for r := 0; r < n; r++ {
 		tech, opt := factory(r)

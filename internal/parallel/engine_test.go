@@ -11,6 +11,7 @@ import (
 	"pac/internal/model"
 	"pac/internal/nn"
 	"pac/internal/peft"
+	"pac/internal/telemetry"
 	"pac/internal/tensor"
 	"pac/internal/train"
 )
@@ -49,13 +50,25 @@ func makeBatch(size int) *data.Batch {
 	return data.BatchOf(ds.Examples)
 }
 
+// newPA attaches a fresh Parallel Adapters side network to a fresh
+// Tiny backbone; every call builds the same replica.
+func newPA() (*model.Model, *peft.Parallel) {
+	m := model.New(model.Tiny())
+	return m, peft.NewParallel(m, peft.Options{Reduction: 4})
+}
+
+// sgdReplica is a DPGroup factory: a fresh replica with plain SGD.
+func sgdReplica(int) (*peft.Parallel, train.Optimizer) {
+	_, tech := newPA()
+	return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
+}
+
 // singleDeviceStep trains one batch on a fresh replica and returns its
 // flattened trainable parameters afterwards.
-func singleDeviceStep(t *testing.T, kind peft.Kind, b *data.Batch) ([]float32, float64) {
+func singleDeviceStep(t *testing.T, b *data.Batch) ([]float32, float64) {
 	t.Helper()
-	m := model.New(model.Tiny())
-	tech := peft.New(kind, m, peft.Options{Reduction: 4, LoRARank: 4})
-	tr := &train.Trainer{Tech: tech, Opt: train.NewSGD(tech.Trainable(), lr, 0, 0)}
+	tech, opt := sgdReplica(0)
+	tr := &train.Trainer{Tech: tech, Opt: opt}
 	loss := tr.TrainBatch(b)
 	return nn.FlattenParams(tech.Trainable()), loss
 }
@@ -74,41 +87,30 @@ func paramsClose(t *testing.T, got, want []float32, tol float64, msg string) {
 
 func TestDataParallelMatchesSingleDevice(t *testing.T) {
 	b := makeBatch(8)
-	for _, kind := range peft.AllKinds() {
-		want, wantLoss := singleDeviceStep(t, kind, b)
-		g := NewDPGroup(2, func(rank int) (peft.Technique, train.Optimizer) {
-			m := model.New(model.Tiny())
-			tech := peft.New(kind, m, peft.Options{Reduction: 4, LoRARank: 4})
-			return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-		})
-		loss := mustStep(t, g, b)
-		if math.Abs(loss-wantLoss) > 1e-4 {
-			t.Fatalf("%s: DP loss %v vs single %v", kind, loss, wantLoss)
-		}
-		paramsClose(t, nn.FlattenParams(g.Techs[0].Trainable()), want, 1e-4, kind.String())
-		if !g.InSync() {
-			t.Fatalf("%s: replicas diverged", kind)
-		}
+	want, wantLoss := singleDeviceStep(t, b)
+	g := NewDPGroup(2, sgdReplica)
+	loss := mustStep(t, g, b)
+	if math.Abs(loss-wantLoss) > 1e-4 {
+		t.Fatalf("DP loss %v vs single %v", loss, wantLoss)
+	}
+	paramsClose(t, nn.FlattenParams(g.Techs[0].Trainable()), want, 1e-4, "DP")
+	if !g.InSync() {
+		t.Fatal("replicas diverged")
 	}
 }
 
 func TestDataParallelFourWorkersUnevenBatch(t *testing.T) {
 	b := makeBatch(10) // shards of 3,3,2,2
-	want, _ := singleDeviceStep(t, peft.ParallelAdapters, b)
-	g := NewDPGroup(4, func(rank int) (peft.Technique, train.Optimizer) {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-	})
+	want, _ := singleDeviceStep(t, b)
+	g := NewDPGroup(4, sgdReplica)
 	mustStep(t, g, b)
 	paramsClose(t, nn.FlattenParams(g.Techs[0].Trainable()), want, 1e-4, "uneven DP")
 }
 
 func TestDataParallelEpochConverges(t *testing.T) {
 	ds := data.Generate(data.GenConfig{Task: data.SST2, Size: 128, SeqLen: 8, Vocab: 64, Seed: 12})
-	g := NewDPGroup(2, func(rank int) (peft.Technique, train.Optimizer) {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.Full, m, peft.Options{})
+	g := NewDPGroup(2, func(rank int) (*peft.Parallel, train.Optimizer) {
+		_, tech := newPA()
 		return tech, train.NewAdam(tech.Trainable(), 3e-3)
 	})
 	loader := data.NewLoader(ds, 16, 1)
@@ -122,67 +124,61 @@ func TestDataParallelEpochConverges(t *testing.T) {
 	}
 }
 
-func pipelineFor(kind peft.Kind, stages, micro int) *PipelineEngine {
-	m := model.New(model.Tiny())
-	tech := peft.New(kind, m, peft.Options{Reduction: 4, LoRARank: 4})
+func pipelineFor(stages, micro int) *PipelineEngine {
+	m, tech := newPA()
 	return NewPipeline(m, tech, stages, nil, micro, lr)
 }
 
 func TestPipelineMatchesSingleDevice(t *testing.T) {
 	b := makeBatch(8)
-	for _, kind := range peft.AllKinds() {
-		want, wantLoss := singleDeviceStep(t, kind, b)
-		for _, stages := range []int{2, 3} {
-			e := pipelineFor(kind, stages, 4)
-			loss := mustStep(t, e, b)
-			if math.Abs(loss-wantLoss) > 1e-4 {
-				t.Fatalf("%s/%d stages: loss %v vs %v", kind, stages, loss, wantLoss)
-			}
-			paramsClose(t, nn.FlattenParams(e.Tech.Trainable()), want, 2e-4,
-				kind.String()+" pipeline")
+	want, wantLoss := singleDeviceStep(t, b)
+	for _, stages := range []int{2, 3} {
+		e := pipelineFor(stages, 4)
+		loss := mustStep(t, e, b)
+		if math.Abs(loss-wantLoss) > 1e-4 {
+			t.Fatalf("%d stages: loss %v vs %v", stages, loss, wantLoss)
 		}
+		paramsClose(t, nn.FlattenParams(e.Tech.Trainable()), want, 2e-4, "pipeline")
 	}
 }
 
 func TestPipelineSingleMicroBatch(t *testing.T) {
 	b := makeBatch(4)
-	want, _ := singleDeviceStep(t, peft.Full, b)
-	e := pipelineFor(peft.Full, 2, 1)
+	want, _ := singleDeviceStep(t, b)
+	e := pipelineFor(2, 1)
 	mustStep(t, e, b)
 	paramsClose(t, nn.FlattenParams(e.Tech.Trainable()), want, 2e-4, "M=1 pipeline")
 }
 
 func TestPipelineManyMicroBatches(t *testing.T) {
 	b := makeBatch(8)
-	want, _ := singleDeviceStep(t, peft.Adapters, b)
-	e := pipelineFor(peft.Adapters, 3, 8) // one sample per micro-batch
+	want, _ := singleDeviceStep(t, b)
+	e := pipelineFor(3, 8) // one sample per micro-batch
 	mustStep(t, e, b)
 	paramsClose(t, nn.FlattenParams(e.Tech.Trainable()), want, 2e-4, "M=8 pipeline")
 }
 
 func TestPipelineStageParamsPartitionTrainables(t *testing.T) {
-	for _, kind := range peft.AllKinds() {
-		e := pipelineFor(kind, 3, 2)
-		seen := map[interface{}]bool{}
-		total := 0
-		for s := 0; s < e.Stages(); s++ {
-			for _, p := range e.StageParams(s) {
-				if seen[p] {
-					t.Fatalf("%s: param owned by two stages", kind)
-				}
-				seen[p] = true
-				total++
+	e := pipelineFor(3, 2)
+	seen := map[interface{}]bool{}
+	total := 0
+	for s := 0; s < e.Stages(); s++ {
+		for _, p := range e.StageParams(s) {
+			if seen[p] {
+				t.Fatal("param owned by two stages")
 			}
+			seen[p] = true
+			total++
 		}
-		if total != len(e.Tech.Trainable()) {
-			t.Fatalf("%s: stages own %d params, technique has %d", kind, total, len(e.Tech.Trainable()))
-		}
+	}
+	if total != len(e.Tech.Trainable()) {
+		t.Fatalf("stages own %d params, technique has %d", total, len(e.Tech.Trainable()))
 	}
 }
 
 func TestPipelineCollectsTaps(t *testing.T) {
 	b := makeBatch(4)
-	e := pipelineFor(peft.ParallelAdapters, 2, 2)
+	e := pipelineFor(2, 2)
 	var mu sync.Mutex
 	perSample := map[int]map[int]bool{} // sample id → set of tap indices
 	e.OnTap = func(ids []int, tapIdx int, tap *tensor.Tensor) {
@@ -212,23 +208,16 @@ func TestPipelineCollectsTaps(t *testing.T) {
 
 func TestHybridMatchesSingleDevice(t *testing.T) {
 	b := makeBatch(8)
-	for _, kind := range []peft.Kind{peft.Full, peft.ParallelAdapters} {
-		want, wantLoss := singleDeviceStep(t, kind, b)
-		h := NewHybrid(2, 2, 2, lr, func(lane int) *PipelineEngine {
-			m := model.New(model.Tiny())
-			tech := peft.New(kind, m, peft.Options{Reduction: 4, LoRARank: 4})
-			return NewPipeline(m, tech, 2, nil, 2, lr)
-		})
-		loss := mustStep(t, h, b)
-		if math.Abs(loss-wantLoss) > 1e-4 {
-			t.Fatalf("%s: hybrid loss %v vs %v", kind, loss, wantLoss)
-		}
-		if !h.InSync() {
-			t.Fatalf("%s: lanes diverged", kind)
-		}
-		paramsClose(t, nn.FlattenParams(h.Lanes[0].Tech.Trainable()), want, 2e-4,
-			kind.String()+" hybrid")
+	want, wantLoss := singleDeviceStep(t, b)
+	h := NewHybrid(2, 2, 2, lr, func(lane int) *PipelineEngine { return pipelineFor(2, 2) })
+	loss := mustStep(t, h, b)
+	if math.Abs(loss-wantLoss) > 1e-4 {
+		t.Fatalf("hybrid loss %v vs %v", loss, wantLoss)
 	}
+	if !h.InSync() {
+		t.Fatal("lanes diverged")
+	}
+	paramsClose(t, nn.FlattenParams(h.Lanes[0].Tech.Trainable()), want, 2e-4, "hybrid")
 }
 
 // lmBatch is a teacher-forced language-model batch whose decoder length
@@ -264,9 +253,9 @@ func TestLMStepCrossesAtFirstDecoderTap(t *testing.T) {
 	// Every replica gets the same side network. Its trainables are
 	// perturbed alike: the mixing weights start at zero, and a zero mix
 	// hides the side state the crossing produces from the forward.
-	newPA := func() (*model.Model, peft.Technique) {
+	newLM := func() (*model.Model, *peft.Parallel) {
 		m := model.New(cfg)
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
+		tech := peft.NewParallel(m, peft.Options{Reduction: 4})
 		rng := tensor.NewRNG(5)
 		for _, p := range tech.Trainable() {
 			for i := range p.Value.Data {
@@ -276,22 +265,22 @@ func TestLMStepCrossesAtFirstDecoderTap(t *testing.T) {
 		return m, tech
 	}
 	b := lmBatch(8, 6, cfg.Vocab)
-	_, ref := newPA()
+	_, ref := newLM()
 	tr := &train.Trainer{Tech: ref, Opt: train.NewSGD(ref.Trainable(), lr, 0, 0)}
 	wantLoss := tr.TrainBatch(b)
 	want := nn.FlattenParams(ref.Trainable())
 
-	check := func(name string, e stepper, tech peft.Technique) {
+	check := func(name string, e stepper, tech *peft.Parallel) {
 		t.Helper()
 		if loss := mustStep(t, e, b); math.Abs(loss-wantLoss) > 1e-4 {
 			t.Fatalf("%s: loss %v vs single %v", name, loss, wantLoss)
 		}
 		paramsClose(t, nn.FlattenParams(tech.Trainable()), want, 2e-4, name)
 	}
-	m, tech := newPA()
+	m, tech := newLM()
 	check("pipeline LM", NewPipeline(m, tech, 2, nil, 1, lr), tech)
 	h := NewHybrid(2, 2, 2, lr, func(lane int) *PipelineEngine {
-		m, tech := newPA()
+		m, tech := newLM()
 		return NewPipeline(m, tech, 2, nil, 2, lr)
 	})
 	check("hybrid LM", h, h.Lanes[0].Tech)
@@ -300,8 +289,7 @@ func TestLMStepCrossesAtFirstDecoderTap(t *testing.T) {
 func TestHybridEpochConverges(t *testing.T) {
 	ds := data.Generate(data.GenConfig{Task: data.SST2, Size: 64, SeqLen: 8, Vocab: 64, Seed: 13})
 	h := NewHybrid(2, 2, 2, 0, func(lane int) *PipelineEngine {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
+		m, tech := newPA()
 		e := NewPipeline(m, tech, 2, nil, 2, 0)
 		// Adam per stage for faster convergence.
 		e.Opts = nil
@@ -327,13 +315,7 @@ func TestCacheFedDPGroupMatchesDirectForward(t *testing.T) {
 	b := makeBatch(6)
 	store := acache.NewMemoryStore()
 
-	build := func() *DPGroup {
-		return NewDPGroup(2, func(rank int) (peft.Technique, train.Optimizer) {
-			m := model.New(model.Tiny())
-			tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-			return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-		})
-	}
+	build := func() *DPGroup { return NewDPGroup(2, sgdReplica) }
 
 	// Reference: direct forward.
 	ref := build()
@@ -350,7 +332,7 @@ func TestCacheFedDPGroupMatchesDirectForward(t *testing.T) {
 		}
 	}
 	g.Forward = func(rank int, mb *data.Batch, trainMode bool) *peft.Result {
-		pa := g.Techs[rank].(*peft.Parallel)
+		pa := g.Techs[rank]
 		// Assemble batch taps from per-sample cache entries.
 		taps := make([]*tensor.Tensor, pa.NumTaps())
 		for _, id := range mb.IDs {
@@ -377,5 +359,22 @@ func TestCacheFedDPGroupMatchesDirectForward(t *testing.T) {
 		nn.FlattenParams(ref.Techs[0].Trainable()), 1e-4, "cache-fed DP")
 	if st := store.Stats(); st.Hits == 0 {
 		t.Fatal("cache never hit")
+	}
+}
+
+// TestPipelineRejectsFrameWithoutSideState: a forward frame is input
+// from a peer, and one that carries backbone state but no side state is
+// an error for the receiving stage, not a panic in its side step.
+func TestPipelineRejectsFrameWithoutSideState(t *testing.T) {
+	e := pipelineFor(2, 1)
+	mb := makeBatch(2)
+	enc := tensor.New(2, len(mb.Enc[0]), model.Tiny().Hidden)
+	frame := appendBundle(telemetry.AppendEnvelope(nil, telemetry.TraceContext{}), bundle{Enc: enc})
+	ctx := context.Background()
+	if err := e.Endpoints[0].SendCtx(ctx, 1, "f0", frame); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.stageForward(ctx, 1, 0, mb, &stageStats{}); err == nil {
+		t.Fatal("stage 1 accepted a forward frame without side state")
 	}
 }

@@ -7,10 +7,7 @@ import (
 	"time"
 
 	"pac/internal/data"
-	"pac/internal/model"
 	"pac/internal/nn"
-	"pac/internal/peft"
-	"pac/internal/train"
 )
 
 // assertNoGoroutineLeak waits for the goroutine count to settle back to
@@ -50,11 +47,7 @@ func trainUntilFailure(t *testing.T, budget time.Duration, epoch func(ep int) er
 func TestDPRankCrashMidEpoch(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ds := data.Generate(data.GenConfig{Task: data.SST2, Size: 16, SeqLen: 8, Vocab: 64, Seed: 21})
-	g := NewDPGroup(2, func(rank int) (peft.Technique, train.Optimizer) {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-	})
+	g := NewDPGroup(2, sgdReplica)
 	g.StepTimeout = time.Second
 	g.Endpoints = WrapFaulty(g.Endpoints, FaultConfig{Seed: 3, Crash: map[int]int{1: 6}})
 
@@ -76,7 +69,7 @@ func TestDPRankCrashMidEpoch(t *testing.T) {
 func TestPipelineRankCrashMidEpoch(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ds := data.Generate(data.GenConfig{Task: data.SST2, Size: 16, SeqLen: 8, Vocab: 64, Seed: 22})
-	e := pipelineFor(peft.Full, 2, 2)
+	e := pipelineFor(2, 2)
 	e.StepTimeout = time.Second
 	e.Endpoints = WrapFaulty(e.Endpoints, FaultConfig{Seed: 3, Crash: map[int]int{1: 6}})
 
@@ -99,9 +92,7 @@ func TestHybridRankCrashMidEpoch(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ds := data.Generate(data.GenConfig{Task: data.SST2, Size: 16, SeqLen: 8, Vocab: 64, Seed: 23})
 	h := NewHybrid(2, 2, 2, lr, func(lane int) *PipelineEngine {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		return NewPipeline(m, tech, 2, nil, 2, lr)
+		return pipelineFor(2, 2)
 	})
 	h.StepTimeout = time.Second
 	// Crash stage 0 of lane 1 only — device index 1·2+0 = 2.
@@ -135,12 +126,8 @@ var delayOnly = FaultConfig{Seed: 5, Delay: 0.5, MaxDelay: 2 * time.Millisecond}
 
 func TestDataParallelEquivalenceUnderDelayChan(t *testing.T) {
 	b := makeBatch(8)
-	want, _ := singleDeviceStep(t, peft.ParallelAdapters, b)
-	g := NewDPGroup(2, func(rank int) (peft.Technique, train.Optimizer) {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-	})
+	want, _ := singleDeviceStep(t, b)
+	g := NewDPGroup(2, sgdReplica)
 	g.Endpoints = WrapFaulty(g.Endpoints, delayOnly)
 	if _, err := g.StepCtx(context.Background(), b); err != nil {
 		t.Fatal(err)
@@ -150,8 +137,8 @@ func TestDataParallelEquivalenceUnderDelayChan(t *testing.T) {
 
 func TestPipelineEquivalenceUnderDelayChan(t *testing.T) {
 	b := makeBatch(4)
-	want, _ := singleDeviceStep(t, peft.Full, b)
-	e := pipelineFor(peft.Full, 2, 2)
+	want, _ := singleDeviceStep(t, b)
+	e := pipelineFor(2, 2)
 	e.Endpoints = WrapFaulty(e.Endpoints, delayOnly)
 	if _, err := e.StepCtx(context.Background(), b); err != nil {
 		t.Fatal(err)
@@ -165,11 +152,9 @@ func TestPipelineEquivalenceUnderDelayChan(t *testing.T) {
 // device.
 func TestHybridEquivalenceUnderDelayChan(t *testing.T) {
 	b := makeBatch(8)
-	want, _ := singleDeviceStep(t, peft.ParallelAdapters, b)
+	want, _ := singleDeviceStep(t, b)
 	h := NewHybrid(2, 2, 2, lr, func(lane int) *PipelineEngine {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		return NewPipeline(m, tech, 2, nil, 2, lr)
+		return pipelineFor(2, 2)
 	})
 	h.WrapTransports(func(_ FabricID, eps []Transport) []Transport {
 		return WrapFaulty(eps, delayOnly)

@@ -51,7 +51,7 @@ type HybridEngine struct {
 }
 
 // NewHybrid assembles a hybrid engine. factory must build identically
-// initialized (model, technique) replicas per lane; per-stage SGD
+// initialized (model, side network) replicas per lane; per-stage SGD
 // optimizers with the given lr are attached. stages × lanes is the
 // device count the engine emulates.
 func NewHybrid(lanes, stages, micro int, lr float32, factory func(lane int) *PipelineEngine) *HybridEngine {

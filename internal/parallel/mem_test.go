@@ -5,8 +5,7 @@ import (
 	"testing"
 
 	"pac/internal/memledger"
-	"pac/internal/model"
-	"pac/internal/peft"
+	"pac/internal/tensor"
 )
 
 // TestPipelinePerStageLedgerPeaks drives an unbalanced stage plan through
@@ -17,8 +16,7 @@ import (
 // matching backward (zero balance after the step).
 func TestPipelinePerStageLedgerPeaks(t *testing.T) {
 	b := makeBatch(8)
-	m := model.New(model.Tiny())
-	tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
+	m, tech := newPA()
 	n := len(m.Blocks)
 	// Unbalanced on purpose: stage 0 gets one block, stage 1 two, stage 2
 	// the rest. Combined with the 1F1B warmup depth (stage s holds up to
@@ -63,11 +61,18 @@ func TestPipelinePerStageLedgerPeaks(t *testing.T) {
 		t.Errorf("stage 0 peak %d not above last stage peak %d despite deeper warmup", peaks[0], peaks[len(peaks)-1])
 	}
 
-	// A second step from the same engine must not leave a residue either.
+	// A second step from the same engine must not leave a residue either:
+	// not in the ledgers, and not in the pool (the first step allocated
+	// the gradients). Stages 0 and 1 end on an embedding, whose output
+	// is no tap.
+	before := tensor.ReadPoolStats().BytesOutstanding
 	mustStep(t, e, b)
 	for s, l := range ledgers {
 		if got := l.Account("pipeline.activations").Bytes(); got != 0 {
 			t.Errorf("stage %d: %d bytes leaked after second step", s, got)
 		}
+	}
+	if grew := tensor.ReadPoolStats().BytesOutstanding - before; grew != 0 {
+		t.Errorf("second step left %d pooled bytes checked out", grew)
 	}
 }

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"pac/internal/autograd"
@@ -16,10 +17,10 @@ import (
 	"pac/internal/train"
 )
 
-// bundle is the activation (or gradient) payload crossing a stage
-// boundary: encoder state, decoder state (once the decoder region has
-// started), and the Parallel Adapters side state. Absent tensors are
-// nil.
+// bundle is the payload crossing a stage boundary. A forward frame
+// carries the frozen backbone's encoder state, its decoder state (once
+// the decoder region has started) and the side state; a backward frame
+// carries only the side state's gradient. Absent tensors are nil.
 type bundle struct {
 	Enc, Dec, Side *tensor.Tensor
 }
@@ -53,19 +54,18 @@ func decodeBundle(data []byte) (bundle, error) {
 	return b, nil
 }
 
-// PipelineEngine executes 1F1B pipeline-parallel fine-tuning over one
-// model partitioned into stages (paper §5.1 / Eco-FL baseline). Each
-// stage runs in its own goroutine and exchanges boundary bundles over a
-// Transport.
+// PipelineEngine executes 1F1B pipeline-parallel Parallel Adapters
+// fine-tuning over one frozen model partitioned into stages (paper
+// §5.1). Each stage runs its blocks and the side adapters of its taps in
+// its own goroutine and exchanges boundary bundles over a Transport.
 //
-// With an in-backbone technique (Full/Adapters/LoRA), boundary
-// activations carry gradients back through every stage. With Parallel
-// Adapters only the r-wide side state carries gradients — the
-// paper's gradient highway — and backbone boundary traffic is
-// forward-only.
+// Forward frames carry the backbone's boundary activations and the side
+// state; backward frames carry only the r-wide side gradient — the
+// paper's gradient highway — because no gradient ever enters the
+// backbone.
 type PipelineEngine struct {
 	Model      *model.Model
-	Tech       peft.Technique
+	Tech       *peft.Parallel
 	Boundaries []int // stage block ranges: stage s = [Boundaries[s], Boundaries[s+1])
 	Endpoints  []Transport
 	Opts       []train.Optimizer // per-stage optimizers over stage-local params
@@ -108,38 +108,23 @@ type PipelineEngine struct {
 	HealthLane int
 
 	// Mem, when non-nil, maps a stage index to its simulated device's
-	// memory-ledger account. Each in-flight micro-batch reserves its
-	// retained boundary activations (the 1F1B warmup depth is what makes
-	// early stages hold more) between forward and backward, so per-device
-	// ledgers reproduce the paper's per-device memory table live.
+	// memory-ledger account. Each in-flight micro-batch reserves what it
+	// pins between forward and backward — its taps, side input and
+	// output, and logits (the 1F1B warmup depth is what makes early
+	// stages hold more) — so per-device ledgers reproduce the paper's
+	// per-device memory table live.
 	Mem func(stage int) *memledger.Account
 }
 
 // Stages returns the stage count.
 func (e *PipelineEngine) Stages() int { return len(e.Boundaries) - 1 }
 
-// parallelTech returns the technique as *peft.Parallel when applicable.
-func (e *PipelineEngine) parallelTech() *peft.Parallel {
-	p, _ := e.Tech.(*peft.Parallel)
-	return p
-}
-
 // StageParams returns the trainable parameters owned by stage s: the
-// requires-grad parameters of its blocks plus, under Parallel Adapters,
-// the side modules of its taps (and the side head on the last stage).
+// side adapters of its taps, and the side head on the last stage.
 func (e *PipelineEngine) StageParams(s int) []*autograd.Variable {
-	var out []*autograd.Variable
-	for _, p := range e.Model.BlockParams(e.Boundaries[s], e.Boundaries[s+1]) {
-		if p.RequiresGrad() {
-			out = append(out, p)
-		}
-	}
-	if pa := e.parallelTech(); pa != nil {
-		lo, hi := e.stageTapRange(s)
-		out = append(out, pa.SideParams(lo, hi)...)
-		if s == e.Stages()-1 {
-			out = append(out, pa.HeadParams()...)
-		}
+	out := e.Tech.SideParams(e.stageTapRange(s))
+	if s == e.Stages()-1 {
+		out = append(out, e.Tech.HeadParams()...)
 	}
 	return out
 }
@@ -164,11 +149,12 @@ func (e *PipelineEngine) stageTapRange(s int) (int, int) {
 }
 
 // microCtx is the retained forward context of one micro-batch on one
-// stage, consumed by its backward.
+// stage, consumed by its backward: the stage's taps (the side graph's
+// inputs; the frozen forward that made them is already released), its
+// side state in and out, and on the last stage the logits.
 type microCtx struct {
-	encIn, decIn, sideIn    *autograd.Variable
-	encOut, decOut, sideOut *autograd.Variable
-	logits                  *autograd.Variable
+	taps                    []*tensor.Tensor
+	sideIn, sideOut, logits *autograd.Variable
 	mb                      *data.Batch
 	// fwdTC is the trace context of this micro-batch's forward span on
 	// this stage; the last stage parents its backward span here (the
@@ -183,30 +169,20 @@ type microCtx struct {
 // between forward and backward, deduplicating aliased buffers (sideOut
 // can alias sideIn on tap-free stages).
 func (mc *microCtx) retainedBytes() int64 {
-	vars := [...]*autograd.Variable{
-		mc.encIn, mc.decIn, mc.sideIn, mc.encOut, mc.decOut, mc.sideOut, mc.logits,
+	ts := slices.Clone(mc.taps)
+	for _, v := range [...]*autograd.Variable{mc.sideIn, mc.sideOut, mc.logits} {
+		if v != nil {
+			ts = append(ts, v.Value)
+		}
 	}
-	var seen [len(vars)]*float32
-	n := 0
+	var seen []*float32
 	var total int64
-	for _, v := range vars {
-		if v == nil || v.Value == nil || len(v.Value.Data) == 0 {
+	for _, t := range ts {
+		if t == nil || len(t.Data) == 0 || slices.Contains(seen, &t.Data[0]) {
 			continue
 		}
-		p := &v.Value.Data[0]
-		dup := false
-		for i := 0; i < n; i++ {
-			if seen[i] == p {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[n] = p
-		n++
-		total += int64(v.Value.Numel()) * 4
+		seen = append(seen, &t.Data[0])
+		total += int64(t.Numel()) * 4
 	}
 	return total
 }
@@ -356,19 +332,20 @@ type stageStats struct {
 	bytes          int64
 }
 
-// stageForward runs stage s's blocks for micro-batch m.
+// stageForward runs stage s's blocks and the side adapters of their taps
+// for micro-batch m. The frozen forward's graph is released block by
+// block: the side graph reads only the taps, and the next stage reads
+// only the frame.
 func (e *PipelineEngine) stageForward(ctx context.Context, s, m int, mb *data.Batch, st1 *stageStats) (*microCtx, error) {
 	begin := e.spanEnter()
 	var parent, ftc telemetry.TraceContext
 	defer func() { e.spanExit(begin, parent, ftc, fmt.Sprintf("F%d", m), s) }()
-	S := e.Stages()
-	pa := e.parallelTech()
-	needBackboneGrads := e.Tech.BackboneBackward()
+	pa := e.Tech
 
 	mc := &microCtx{mb: mb}
 	st := &model.State{EncIDs: mb.Enc, DecIDs: mb.Dec, EncLens: mb.Lens}
 
-	var sideState *autograd.Variable
+	var side *autograd.Variable
 	if s == 0 {
 		// The step root (hybrid/core/DP orchestration) travels in ctx;
 		// every downstream stage inherits it via frame envelopes.
@@ -376,8 +353,8 @@ func (e *PipelineEngine) stageForward(ctx context.Context, s, m int, mb *data.Ba
 			parent = tc
 		}
 		ftc = childTC(parent)
-	}
-	if s > 0 {
+		side = pa.SideInit(len(mb.Enc), len(mb.Enc[0]))
+	} else {
 		raw, err := recvPeer(ctx, e.Endpoints[s], s-1, fmt.Sprintf("f%d", m))
 		if err != nil {
 			return nil, err
@@ -389,104 +366,109 @@ func (e *PipelineEngine) stageForward(ctx context.Context, s, m int, mb *data.Ba
 		if err != nil {
 			return nil, err
 		}
+		if in.Side == nil {
+			return nil, fmt.Errorf("parallel: stage %d: forward frame f%d carries no side state", s, m)
+		}
+		// The backbone inputs are frozen leaves; only the side state
+		// carries a gradient back.
 		if in.Enc != nil {
-			mc.encIn = autograd.NewVar(in.Enc)
-			mc.encIn.SetRequiresGrad(needBackboneGrads)
-			st.Enc = mc.encIn
+			st.Enc = autograd.NewVar(in.Enc)
 		}
 		if in.Dec != nil {
-			mc.decIn = autograd.NewVar(in.Dec)
-			mc.decIn.SetRequiresGrad(needBackboneGrads)
-			st.Dec = mc.decIn
+			st.Dec = autograd.NewVar(in.Dec)
 		}
-		if in.Side != nil {
-			mc.sideIn = autograd.NewParam(in.Side) // side state always carries grads
-			sideState = mc.sideIn
-		}
-	} else if pa != nil {
-		sideState = pa.SideInit(len(mb.Enc), len(mb.Enc[0]))
+		mc.sideIn = autograd.NewParam(in.Side)
+		side = mc.sideIn
 	}
 
-	e.Model.ForwardRange(st, e.Boundaries[s], e.Boundaries[s+1])
-
-	// Parallel Adapters: consume this stage's taps through the side chain.
-	if pa != nil {
-		tapPos := 0
-		for bi := e.Boundaries[s]; bi < e.Boundaries[s+1]; bi++ {
-			ti := e.Model.TapIndex(bi)
-			if ti < 0 {
-				continue
-			}
-			tap := st.Taps[tapPos].Value
-			tapPos++
+	for bi := e.Boundaries[s]; bi < e.Boundaries[s+1]; bi++ {
+		b := e.Model.Blocks[bi]
+		if b.Kind() == model.KindHead {
+			continue // the side head replaces the backbone's: nothing reads its logits
+		}
+		enc, dec := st.Enc, st.Dec
+		b.Forward(st)
+		if ti := e.Model.TapIndex(bi); ti >= 0 {
+			tap := st.Taps[len(st.Taps)-1].Value
+			mc.taps = append(mc.taps, tap)
 			if e.OnTap != nil {
 				e.OnTap(mb.IDs, ti, tap)
 			}
 			// The first decoder tap crosses from encoder to decoder:
 			// re-seed the side state from the pooled encoder-side state.
 			if ti == e.Model.Cfg.Layers {
-				sideState = pa.CrossOver(sideState, tap.Dim(1))
+				side = pa.CrossOver(side, tap.Dim(1))
 			}
-			sideState = pa.SideStep(ti, tap, sideState)
+			side = pa.SideStep(ti, tap, side)
 		}
-		mc.sideOut = sideState
+		// Nothing reads the frozen block's graph past its outputs: return
+		// it now, so that a stage holds one block's intermediates at a
+		// time, not its whole forward's.
+		autograd.ReleaseExcept(mc.taps, st.Enc, st.Dec)
+		if enc != st.Enc {
+			putStates(mc.taps, enc)
+		}
+		if dec != st.Dec {
+			putStates(mc.taps, dec)
+		}
 	}
-
+	mc.sideOut = side
 	mc.fwdTC = ftc
-	last := s == S-1
-	if last {
-		if pa != nil {
-			mc.logits = pa.Head(sideState)
-		} else {
-			mc.logits = st.Logits
-		}
-		return mc, nil
-	}
 
-	out := bundle{}
-	if st.Enc != nil {
-		mc.encOut = st.Enc
-		out.Enc = st.Enc.Value
+	var frame []byte
+	if s == e.Stages()-1 {
+		mc.logits = pa.Head(side)
+	} else {
+		out := bundle{Side: side.Value}
+		if st.Enc != nil {
+			out.Enc = st.Enc.Value
+		}
+		if st.Dec != nil {
+			out.Dec = st.Dec.Value
+		}
+		// The F span's context rides the frame: the next stage's F span
+		// becomes its child, chaining the microbatch across devices.
+		frame = appendBundle(telemetry.AppendEnvelope(nil, ftc), out)
 	}
-	if st.Dec != nil {
-		mc.decOut = st.Dec
-		out.Dec = st.Dec.Value
-	}
-	if pa != nil && sideState != nil {
-		out.Side = sideState.Value
-	}
-	// The F span's context rides the frame: the next stage's F span
-	// becomes its child, chaining the microbatch across devices.
-	frame := appendBundle(telemetry.AppendEnvelope(nil, ftc), out)
-	st1.bytes += int64(len(frame))
-	if err := sendRetry(ctx, e.Endpoints[s], s+1, fmt.Sprintf("f%d", m), frame, e.Retry); err != nil {
-		return nil, err
+	putStates(mc.taps, st.Enc, st.Dec)
+	if frame != nil {
+		st1.bytes += int64(len(frame))
+		if err := sendRetry(ctx, e.Endpoints[s], s+1, fmt.Sprintf("f%d", m), frame, e.Retry); err != nil {
+			return nil, err
+		}
 	}
 	return mc, nil
 }
 
-// stageBackward runs stage s's backward for micro-batch m and returns
-// the micro-batch's weighted loss (last stage only).
+// putStates returns the values of frozen states a stage no longer reads.
+// A state that is a tap stays: the side graph reads it until its
+// backward, which puts it back.
+func putStates(taps []*tensor.Tensor, states ...*autograd.Variable) {
+	for _, v := range states {
+		if v != nil && !slices.Contains(taps, v.Value) {
+			tensor.PutTensor(v.Value)
+		}
+	}
+}
+
+// stageBackward runs stage s's side backward for micro-batch m and
+// returns the micro-batch's weighted loss (last stage only).
 func (e *PipelineEngine) stageBackward(ctx context.Context, s, m int, mc *microCtx, denom int, st1 *stageStats) (float64, error) {
 	begin := e.spanEnter()
 	var parent, btc telemetry.TraceContext
 	defer func() { e.spanExit(begin, parent, btc, fmt.Sprintf("B%d", m), s) }()
-	S := e.Stages()
-	pa := e.parallelTech()
-	needBackboneGrads := e.Tech.BackboneBackward()
 	var lossVal float64
-	var roots []*autograd.Variable
+	var root *autograd.Variable
 
-	if s == S-1 {
+	if s == e.Stages()-1 {
 		// The turnaround: the last stage's backward is caused by its own
 		// forward, so the chain folds back through the pipeline.
 		parent = mc.fwdTC
 		btc = childTC(parent)
-		loss := train.Loss(mc.logits, mc.mb, e.Regression)
+		root = train.Loss(mc.logits, mc.mb, e.Regression)
 		w := float32(mc.mb.Size()) / float32(denom)
-		autograd.BackwardWithSeed(loss, tensor.FromSlice([]float32{w}, 1))
-		lossVal = float64(loss.Value.Data[0]) * float64(w)
-		roots = append(roots, loss)
+		autograd.BackwardWithSeed(root, tensor.FromSlice([]float32{w}, 1))
+		lossVal = float64(root.Value.Data[0]) * float64(w)
 	} else {
 		raw, err := recvPeer(ctx, e.Endpoints[s], s+1, fmt.Sprintf("b%d", m))
 		if err != nil {
@@ -499,51 +481,31 @@ func (e *PipelineEngine) stageBackward(ctx context.Context, s, m int, mc *microC
 		if err != nil {
 			return 0, err
 		}
-		var outs []*autograd.Variable
-		var seeds []*tensor.Tensor
-		if in.Enc != nil && mc.encOut != nil {
-			outs = append(outs, mc.encOut)
-			seeds = append(seeds, in.Enc)
-		}
-		if in.Dec != nil && mc.decOut != nil {
-			outs = append(outs, mc.decOut)
-			seeds = append(seeds, in.Dec)
-		}
-		if in.Side != nil && mc.sideOut != nil {
-			outs = append(outs, mc.sideOut)
-			seeds = append(seeds, in.Side)
-		}
-		autograd.BackwardMulti(outs, seeds)
-		roots = outs
+		root = mc.sideOut
+		autograd.BackwardMulti([]*autograd.Variable{root}, []*tensor.Tensor{in.Side})
 	}
 
 	if s > 0 {
-		out := bundle{}
-		if needBackboneGrads {
-			if mc.encIn != nil {
-				out.Enc = gradOrZero(mc.encIn)
-			}
-			if mc.decIn != nil {
-				out.Dec = gradOrZero(mc.decIn)
-			}
-		}
-		if pa != nil && mc.sideIn != nil {
-			out.Side = gradOrZero(mc.sideIn)
-		}
-		frame := appendBundle(telemetry.AppendEnvelope(nil, btc), out)
+		g := gradOrZero(mc.sideIn)
+		frame := appendBundle(telemetry.AppendEnvelope(nil, btc), bundle{Side: g})
+		// The gradient is in the frame: detached from its leaf, so the
+		// sweep below does not read a recycled header, it goes back.
+		mc.sideIn.Grad = nil
+		tensor.PutTensor(g)
 		st1.bytes += int64(len(frame))
 		if err := sendRetry(ctx, e.Endpoints[s], s-1, fmt.Sprintf("b%d", m), frame, e.Retry); err != nil {
 			return 0, err
 		}
 	}
-	// The micro-batch is fully consumed (loss read, boundary gradient
-	// frames encoded): tear its graph down so the stage's intermediates
-	// go back to the pool before the next micro-batch allocates. The
-	// sweep leaves the roots' values to their caller, and that is this
-	// function: the loss and the boundary outputs were read above.
-	autograd.Release(roots...)
-	for _, r := range roots {
-		tensor.PutTensor(r.Value)
+	// The micro-batch is fully consumed (loss read, gradient frame
+	// encoded): tear its side graph down so the stage's intermediates go
+	// back to the pool before the next micro-batch allocates. The sweep
+	// leaves the root's value and the taps (leaves of the side graph) to
+	// their owner, and that is this function.
+	autograd.Release(root)
+	tensor.PutTensor(root.Value)
+	for _, t := range mc.taps {
+		tensor.PutTensor(t)
 	}
 	return lossVal, nil
 }
@@ -558,7 +520,7 @@ func gradOrZero(v *autograd.Variable) *tensor.Tensor {
 // NewPipeline builds a pipeline engine with per-stage SGD optimizers
 // (lr) over a chan fabric, partitioning blocks evenly when boundaries is
 // nil.
-func NewPipeline(m *model.Model, tech peft.Technique, stages int, boundaries []int, micro int, lr float32) *PipelineEngine {
+func NewPipeline(m *model.Model, tech *peft.Parallel, stages int, boundaries []int, micro int, lr float32) *PipelineEngine {
 	if boundaries == nil {
 		boundaries = EvenBoundaries(len(m.Blocks), stages)
 	}

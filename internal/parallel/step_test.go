@@ -8,11 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"pac/internal/model"
 	"pac/internal/nn"
-	"pac/internal/peft"
 	"pac/internal/telemetry"
-	"pac/internal/train"
 )
 
 // scaffoldEngine is one row of TestStepScaffold: an engine plus the
@@ -30,10 +27,7 @@ type scaffoldEngine struct {
 func newScaffoldEngine(name string, tr *telemetry.Tracer) scaffoldEngine {
 	switch name {
 	case "dp":
-		g := NewDPGroup(2, func(int) (peft.Technique, train.Optimizer) {
-			tech := peft.New(peft.ParallelAdapters, model.New(model.Tiny()), peft.Options{Reduction: 4})
-			return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-		})
+		g := NewDPGroup(2, sgdReplica)
 		g.Trace, g.TracePID = tr, telemetry.PidDP
 		return scaffoldEngine{g, func(d time.Duration) { g.StepTimeout = d },
 			func(w func(bool, []Transport) []Transport) { g.Endpoints = w(true, g.Endpoints) },
@@ -58,7 +52,7 @@ func newScaffoldEngine(name string, tr *telemetry.Tracer) scaffoldEngine {
 				return out
 			}}
 	default:
-		e := pipelineFor(peft.ParallelAdapters, 2, 2)
+		e := pipelineFor(2, 2)
 		e.Trace = tr
 		return scaffoldEngine{e, func(d time.Duration) { e.StepTimeout = d },
 			func(w func(bool, []Transport) []Transport) { e.Endpoints = w(true, e.Endpoints) },
@@ -162,7 +156,7 @@ func TestStepScaffold(t *testing.T) {
 func TestHybridLaneWithoutShard(t *testing.T) {
 	build := func(lanes int) *HybridEngine {
 		return NewHybrid(lanes, 2, 2, lr, func(int) *PipelineEngine {
-			return pipelineFor(peft.ParallelAdapters, 2, 2)
+			return pipelineFor(2, 2)
 		})
 	}
 	b := makeBatch(1)

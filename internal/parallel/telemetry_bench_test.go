@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"pac/internal/health"
-	"pac/internal/model"
-	"pac/internal/peft"
 	"pac/internal/telemetry"
 )
 
@@ -17,9 +15,7 @@ import (
 func benchHybridStep(b *testing.B, tr *telemetry.Tracer, mon *health.Monitor) {
 	batch := makeBatch(8)
 	h := NewHybrid(2, 2, 2, lr, func(lane int) *PipelineEngine {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		e := NewPipeline(m, tech, 2, nil, 2, lr)
+		e := pipelineFor(2, 2)
 		e.Trace = tr
 		e.TracePID = lane
 		if mon != nil {

@@ -5,10 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"pac/internal/model"
-	"pac/internal/peft"
 	"pac/internal/telemetry"
-	"pac/internal/train"
 )
 
 // spanTree indexes a trace dump for structural assertions.
@@ -63,7 +60,7 @@ func (st *spanTree) checkIntegrity(t *testing.T) {
 
 func tracedHybrid(tr *telemetry.Tracer, lanes, stages, micro int) *HybridEngine {
 	h := NewHybrid(lanes, stages, micro, lr, func(lane int) *PipelineEngine {
-		e := pipelineFor(peft.ParallelAdapters, stages, micro)
+		e := pipelineFor(stages, micro)
 		e.Trace = tr
 		e.TracePID = lane
 		return e
@@ -209,11 +206,7 @@ func TestUnsampledTraceRecordsNothing(t *testing.T) {
 // with one compute child per rank.
 func TestDPStepTraceTree(t *testing.T) {
 	tr := telemetry.NewTracer()
-	g := NewDPGroup(2, func(rank int) (peft.Technique, train.Optimizer) {
-		m := model.New(model.Tiny())
-		tech := peft.New(peft.ParallelAdapters, m, peft.Options{Reduction: 4})
-		return tech, train.NewSGD(tech.Trainable(), lr, 0, 0)
-	})
+	g := NewDPGroup(2, sgdReplica)
 	g.Trace = tr
 	g.TracePID = telemetry.PidDP
 	if _, err := g.StepCtx(context.Background(), makeBatch(8)); err != nil {

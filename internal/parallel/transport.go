@@ -1,10 +1,11 @@
 // Package parallel implements the executable distributed-training
-// engines PAC and its baselines run on: a message transport (in-process
-// channels, optionally wrapped with fault injection), the ring
-// all-reduce, data-parallel training (EDDL), 1F1B pipeline-parallel
-// training (Eco-FL), and PAC's hybrid of both. Engines operate on real
-// models from the model/peft packages and are validated for gradient
-// equivalence against the single-device trainer. Every fabric lives in
+// engines PAC runs on: a message transport (in-process channels,
+// optionally wrapped with fault injection), the ring all-reduce,
+// data-parallel training (the cached epochs), 1F1B pipeline-parallel
+// training (one hybrid lane), and PAC's hybrid of both. Engines train
+// Parallel Adapters side networks over real frozen models and are
+// validated for gradient equivalence against the single-device trainer;
+// the Eco-FL, EDDL and Standalone baselines are simulated (core.Engine). Every fabric lives in
 // one process; running one process per device would need a Transport
 // that dials peer addresses.
 package parallel

@@ -121,10 +121,6 @@ func (p *Parallel) QuantizeBackbone() int { return p.m.QuantizeBackbone() }
 // Kind implements Technique.
 func (p *Parallel) Kind() Kind { return ParallelAdapters }
 
-// BackboneBackward implements Technique: the side network's gradient
-// "highway" never enters the backbone.
-func (p *Parallel) BackboneBackward() bool { return false }
-
 // Trainable implements Technique.
 func (p *Parallel) Trainable() []*autograd.Variable {
 	var out []*autograd.Variable

@@ -74,10 +74,6 @@ type Technique interface {
 	Trainable() []*autograd.Variable
 	// Forward computes logits for a batch.
 	Forward(enc, dec [][]int, lens []int, train bool) *Result
-	// BackboneBackward reports whether computing gradients requires a
-	// backward pass through the LLM backbone (true for Full/Adapters/
-	// LoRA, false for ParallelAdapters — the paper's key property).
-	BackboneBackward() bool
 }
 
 // Options configures technique construction.
@@ -131,8 +127,7 @@ type fullTechnique struct{ m *model.Model }
 
 func newFull(m *model.Model) Technique { return &fullTechnique{m: m} }
 
-func (t *fullTechnique) Kind() Kind             { return Full }
-func (t *fullTechnique) BackboneBackward() bool { return true }
+func (t *fullTechnique) Kind() Kind { return Full }
 
 func (t *fullTechnique) Trainable() []*autograd.Variable { return nn.TrainableParams(t.m) }
 
@@ -169,8 +164,7 @@ func newAdapters(m *model.Model, opts Options) Technique {
 	return t
 }
 
-func (t *adaptersTechnique) Kind() Kind             { return Adapters }
-func (t *adaptersTechnique) BackboneBackward() bool { return true }
+func (t *adaptersTechnique) Kind() Kind { return Adapters }
 
 func (t *adaptersTechnique) Trainable() []*autograd.Variable {
 	var out []*autograd.Variable
@@ -217,8 +211,7 @@ func newLoRA(m *model.Model, opts Options) Technique {
 	return t
 }
 
-func (t *loraTechnique) Kind() Kind             { return LoRA }
-func (t *loraTechnique) BackboneBackward() bool { return true }
+func (t *loraTechnique) Kind() Kind { return LoRA }
 
 func (t *loraTechnique) Trainable() []*autograd.Variable { return t.params }
 

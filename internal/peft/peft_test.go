@@ -206,19 +206,6 @@ func TestAdaptersInitialForwardUnchanged(t *testing.T) {
 	}
 }
 
-func TestBackboneBackwardFlags(t *testing.T) {
-	m := model.New(model.Tiny())
-	if New(ParallelAdapters, m, Options{Reduction: 4}).BackboneBackward() {
-		t.Fatal("parallel adapters must not need backbone backward")
-	}
-	for _, kind := range []Kind{Full, Adapters, LoRA} {
-		m := model.New(model.Tiny())
-		if !New(kind, m, Options{Reduction: 4, LoRARank: 4}).BackboneBackward() {
-			t.Fatalf("%s should need backbone backward", kind)
-		}
-	}
-}
-
 func TestParallelHiddenWidth(t *testing.T) {
 	m := model.New(model.Small()) // hidden 32
 	p := NewParallel(m, Options{Reduction: 8})
