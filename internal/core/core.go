@@ -484,17 +484,18 @@ func (f *Framework) cachedForward(pa *peft.Parallel, mb *data.Batch) *peft.Resul
 
 // SteadyStep runs one steady-state cached-activation training step on
 // a replica: batched tap gathering from the cache, side-network
-// forward, loss, backward, gradient clip, optimizer update, then the
-// teardown that returns the graph, the loss value and the batched taps
-// to the pool. It is the per-worker inner loop of CachedEpochsCtx,
-// exported so the allocation benchmark and benchmark/'s
-// core.steady_step_ms probe measure exactly the code the epoch ≥ 2
-// path runs.
+// forward, loss, backward, optimizer update, then the teardown that
+// returns the graph, the loss value and the batched taps to the pool.
+// It is the per-worker inner loop of CachedEpochsCtx without the two
+// parts a data-parallel rank adds around it: the weighted backward seed
+// (the shard's share of the batch; here the seed is 1) and the
+// gradient all-reduce before the update. It is exported so the
+// allocation benchmark and benchmark/'s core.steady_step_ms probe time
+// the compute the epoch ≥ 2 path runs.
 func (f *Framework) SteadyStep(pa *peft.Parallel, opt train.Optimizer, mb *data.Batch) float64 {
 	res := f.cachedForward(pa, mb)
 	loss := train.Loss(res.Logits, mb, false)
 	autograd.Backward(loss)
-	train.ClipGradNorm(opt.Params(), 1)
 	opt.Step()
 	v := float64(loss.Value.Data[0])
 	res.Release(loss)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"pac/internal/autograd"
 	"pac/internal/memledger"
 	"pac/internal/model"
 	"pac/internal/nn"
@@ -119,16 +118,10 @@ func newDecoder(m *model.Model, side *peft.Parallel, encIDs [][]int, lens []int)
 		return nil, fmt.Errorf("generate: model lacks an LM head")
 	}
 
-	// The encoder region runs once, on the tape, and its graph goes back
-	// to the pool at once, as BackboneTaps releases its own: only the taps
-	// stay, and the last of them is the encoder output.
+	// The encoder region runs once, through the frozen backbone's walk:
+	// only the taps stay, and the last of them is the encoder output.
 	s := &model.State{EncIDs: encIDs, EncLens: lens}
-	m.ForwardRange(s, 0, m.Cfg.Layers+1)
-	encTaps := make([]*tensor.Tensor, len(s.Taps))
-	for i, t := range s.Taps {
-		encTaps[i] = t.Value
-	}
-	autograd.ReleaseExcept(encTaps, s.Enc)
+	encTaps := m.FrozenForward(s, 0, m.Cfg.Layers+1, nil)
 	enc := s.Enc.Value
 	for _, st := range d.layers {
 		st.crossK = d.splitHeads(st.layer.CrossAttn.K, enc)

@@ -33,8 +33,8 @@ type State struct {
 // Block is one pipeline-partitionable unit of the model.
 type Block interface {
 	nn.Module
-	// Forward advances the state through this block.
-	Forward(s *State)
+	// forward advances the state through this block.
+	forward(s *State)
 	// Kind identifies the block for planners and debuggers.
 	Kind() BlockKind
 }
@@ -74,8 +74,8 @@ type EncEmbed struct {
 	cfg Config
 }
 
-// Forward implements Block.
-func (b *EncEmbed) Forward(s *State) {
+// forward implements Block.
+func (b *EncEmbed) forward(s *State) {
 	seq := len(s.EncIDs[0])
 	posIDs := make([][]int, len(s.EncIDs))
 	for i := range posIDs {
@@ -108,8 +108,8 @@ type EncLayer struct {
 	cfg      Config
 }
 
-// Forward implements Block.
-func (b *EncLayer) Forward(s *State) {
+// forward implements Block.
+func (b *EncLayer) forward(s *State) {
 	x := s.Enc
 	var mask *tensor.Tensor
 	if s.EncLens != nil {
@@ -152,8 +152,8 @@ type DecEmbed struct {
 	cfg Config
 }
 
-// Forward implements Block.
-func (b *DecEmbed) Forward(s *State) {
+// forward implements Block.
+func (b *DecEmbed) forward(s *State) {
 	seq := len(s.DecIDs[0])
 	posIDs := make([][]int, len(s.DecIDs))
 	for i := range posIDs {
@@ -186,8 +186,8 @@ type DecLayer struct {
 	cfg           Config
 }
 
-// Forward implements Block.
-func (b *DecLayer) Forward(s *State) {
+// forward implements Block.
+func (b *DecLayer) forward(s *State) {
 	x := s.Dec
 	batch, decSeq := x.Value.Dim(0), x.Value.Dim(1)
 	causal := nn.CausalMask(batch, b.cfg.Heads, decSeq)
@@ -237,8 +237,8 @@ type LMHead struct {
 	Proj *nn.Linear // hidden → vocab
 }
 
-// Forward implements Block.
-func (b *LMHead) Forward(s *State) {
+// forward implements Block.
+func (b *LMHead) forward(s *State) {
 	x := b.LN.Forward(s.Dec)
 	batch, seq, hidden := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2)
 	flat := autograd.Reshape(x, batch*seq, hidden)
@@ -260,8 +260,8 @@ type Head struct {
 	Proj *nn.Linear
 }
 
-// Forward implements Block.
-func (b *Head) Forward(s *State) {
+// forward implements Block.
+func (b *Head) forward(s *State) {
 	x := b.LN.Forward(s.Dec)
 	// Take decoder position 0 for every batch element: [batch, hidden].
 	batch, _, hidden := x.Value.Dim(0), x.Value.Dim(1), x.Value.Dim(2)

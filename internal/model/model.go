@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"pac/internal/autograd"
 	"pac/internal/nn"
@@ -74,20 +75,54 @@ func (m *Model) Params() []*autograd.Variable {
 func (m *Model) Forward(encIDs, decIDs [][]int, encLens []int, train bool) *State {
 	s := &State{EncIDs: encIDs, DecIDs: decIDs, EncLens: encLens, Train: train, RNG: m.dropRNG}
 	for _, b := range m.Blocks {
-		b.Forward(s)
+		b.forward(s)
 	}
 	return s
 }
 
-// ForwardRange runs blocks [start, end) over an existing state; the
-// profiler times one block with it, the cached decoder the encoder.
+// ForwardRange runs blocks [start, end) over an existing state, keeping
+// the whole graph; the profiler times one block with it.
 func (m *Model) ForwardRange(s *State, start, end int) {
 	if start < 0 || end > len(m.Blocks) || start > end {
 		panic(fmt.Sprintf("model: ForwardRange [%d,%d) of %d blocks", start, end, len(m.Blocks)))
 	}
 	for _, b := range m.Blocks[start:end] {
-		b.Forward(s)
+		b.forward(s)
 	}
+}
+
+// FrozenForward is the frozen backbone's one walk: it runs blocks
+// [start, end) over s, skipping the head (the side head replaces it),
+// and returns their taps in pooled buffers the caller owns. visit, if
+// non-nil, gets each tap as it is made. After each block its graph goes
+// back to the pool, keeping the taps and s.Enc/s.Dec, and so does a
+// state it supersedes that is not a tap (leaves decoded from a frame
+// included); the final states are the caller's. s.Taps is left nil.
+func (m *Model) FrozenForward(s *State, start, end int, visit func(ti int, tap *tensor.Tensor)) []*tensor.Tensor {
+	var taps []*tensor.Tensor
+	for bi := start; bi < end; bi++ {
+		b := m.Blocks[bi]
+		if b.Kind() == KindHead {
+			continue
+		}
+		enc, dec := s.Enc, s.Dec
+		b.forward(s)
+		if ti := m.TapIndex(bi); ti >= 0 {
+			tap := s.Taps[len(s.Taps)-1].Value
+			taps = append(taps, tap)
+			if visit != nil {
+				visit(ti, tap)
+			}
+		}
+		autograd.ReleaseExcept(taps, s.Enc, s.Dec)
+		for _, old := range [2]*autograd.Variable{enc, dec} {
+			if old != nil && old != s.Enc && old != s.Dec && !slices.Contains(taps, old.Value) {
+				tensor.PutTensor(old.Value)
+			}
+		}
+	}
+	s.Taps = nil
+	return taps
 }
 
 // LayerBlocks returns the indices of blocks that are transformer layers

@@ -6,6 +6,7 @@ import (
 
 	"pac/internal/autograd"
 	"pac/internal/nn"
+	"pac/internal/tensor"
 )
 
 func tinyBatch() ([][]int, [][]int, []int) {
@@ -175,5 +176,82 @@ func TestPaddingChangesMaskedPositionsOnly(t *testing.T) {
 		if math.Abs(float64(a.Logits.Value.Data[i]-b.Logits.Value.Data[i])) > 1e-5 {
 			t.Fatal("padded positions leaked into logits")
 		}
+	}
+}
+
+// TestFrozenForwardHoldsOneBlock walks a padded batch through the frozen
+// backbone and reads the pool inside visit: what is checked out beyond
+// the taps is one block's graph and states, the same at every layer of a
+// half, so it does not grow with depth; once the taps are put back the
+// pool is where it started. The taps are Forward's bit for bit, on the
+// fp32 backbone and on the quantized one.
+func TestFrozenForwardHoldsOneBlock(t *testing.T) {
+	m := New(Small())
+	m.Freeze()
+	m.QuantizeBackbone()
+	enc := [][]int{{5, 6, 7, 8, 9, 10, 11, 12}, {13, 14, 15, 16, 17, 0, 0, 0}, {18, 19, 20, 0, 0, 0, 0, 0}}
+	dec := [][]int{{0}, {0}, {0}}
+	lens := []int{8, 5, 3}
+	// pooledBytes is what a pooled tensor of t's shape holds checked out.
+	pooledBytes := func(t *tensor.Tensor) int64 {
+		before := tensor.ReadPoolStats().BytesOutstanding
+		u := tensor.GetTensor(t.Shape()...)
+		n := tensor.ReadPoolStats().BytesOutstanding - before
+		tensor.PutTensor(u)
+		return n
+	}
+
+	prev := tensor.ActiveBackend().Name()
+	defer func() {
+		if err := tensor.SetBackend(prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, backend := range []string{"generic", "int8"} {
+		if err := tensor.SetBackend(backend); err != nil {
+			t.Fatal(err)
+		}
+		ref := m.Forward(enc, dec, lens, false)
+		want := make([][]float32, len(ref.Taps))
+		for i, tp := range ref.Taps {
+			want[i] = append([]float32(nil), tp.Value.Data...)
+		}
+		autograd.Release(ref.Logits)
+		tensor.PutTensor(ref.Logits.Value)
+
+		start := tensor.ReadPoolStats().BytesOutstanding
+		var tapBytes int64
+		held := make([]int64, m.NumTaps())
+		s := &State{EncIDs: enc, DecIDs: dec, EncLens: lens}
+		taps := m.FrozenForward(s, 0, len(m.Blocks), func(ti int, tap *tensor.Tensor) {
+			tapBytes += pooledBytes(tap)
+			held[ti] = tensor.ReadPoolStats().BytesOutstanding - start - tapBytes
+		})
+		// The first layer of each half also holds its embedding's output,
+		// which the walk puts back once that layer's graph is gone.
+		for _, half := range [][]int64{held[:m.Cfg.Layers], held[m.Cfg.Layers:]} {
+			for j := 2; j < len(half); j++ {
+				if half[j] != half[1] || half[j] > half[0] {
+					t.Fatalf("%s: pooled bytes held beyond the taps per layer %v: they grow with depth", backend, held)
+				}
+			}
+		}
+		if len(taps) != len(want) {
+			t.Fatalf("%s: %d taps, Forward made %d", backend, len(taps), len(want))
+		}
+		for i, tp := range taps {
+			for j, v := range tp.Data {
+				if math.Float32bits(v) != math.Float32bits(want[i][j]) {
+					t.Fatalf("%s: tap %d element %d is %v, Forward's is %v", backend, i, j, v, want[i][j])
+				}
+			}
+		}
+		for _, tp := range taps {
+			tensor.PutTensor(tp)
+		}
+		if left := tensor.ReadPoolStats().BytesOutstanding - start; left != 0 {
+			t.Fatalf("%s: %d pooled bytes still checked out after the taps went back", backend, left)
+		}
+		t.Logf("%s: held beyond the taps per layer %v", backend, held)
 	}
 }

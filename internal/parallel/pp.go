@@ -332,10 +332,10 @@ type stageStats struct {
 	bytes          int64
 }
 
-// stageForward runs stage s's blocks and the side adapters of their taps
-// for micro-batch m. The frozen forward's graph is released block by
-// block: the side graph reads only the taps, and the next stage reads
-// only the frame.
+// stageForward runs stage s's blocks through the frozen backbone's walk
+// (model.FrozenForward) and the side adapters of their taps for
+// micro-batch m: the side graph reads only the taps, and the next stage
+// reads only the frame.
 func (e *PipelineEngine) stageForward(ctx context.Context, s, m int, mb *data.Batch, st1 *stageStats) (*microCtx, error) {
 	begin := e.spanEnter()
 	var parent, ftc telemetry.TraceContext
@@ -381,37 +381,17 @@ func (e *PipelineEngine) stageForward(ctx context.Context, s, m int, mb *data.Ba
 		side = mc.sideIn
 	}
 
-	for bi := e.Boundaries[s]; bi < e.Boundaries[s+1]; bi++ {
-		b := e.Model.Blocks[bi]
-		if b.Kind() == model.KindHead {
-			continue // the side head replaces the backbone's: nothing reads its logits
+	mc.taps = e.Model.FrozenForward(st, e.Boundaries[s], e.Boundaries[s+1], func(ti int, tap *tensor.Tensor) {
+		if e.OnTap != nil {
+			e.OnTap(mb.IDs, ti, tap)
 		}
-		enc, dec := st.Enc, st.Dec
-		b.Forward(st)
-		if ti := e.Model.TapIndex(bi); ti >= 0 {
-			tap := st.Taps[len(st.Taps)-1].Value
-			mc.taps = append(mc.taps, tap)
-			if e.OnTap != nil {
-				e.OnTap(mb.IDs, ti, tap)
-			}
-			// The first decoder tap crosses from encoder to decoder:
-			// re-seed the side state from the pooled encoder-side state.
-			if ti == e.Model.Cfg.Layers {
-				side = pa.CrossOver(side, tap.Dim(1))
-			}
-			side = pa.SideStep(ti, tap, side)
+		// The first decoder tap crosses from encoder to decoder:
+		// re-seed the side state from the pooled encoder-side state.
+		if ti == e.Model.Cfg.Layers {
+			side = pa.CrossOver(side, tap.Dim(1))
 		}
-		// Nothing reads the frozen block's graph past its outputs: return
-		// it now, so that a stage holds one block's intermediates at a
-		// time, not its whole forward's.
-		autograd.ReleaseExcept(mc.taps, st.Enc, st.Dec)
-		if enc != st.Enc {
-			putStates(mc.taps, enc)
-		}
-		if dec != st.Dec {
-			putStates(mc.taps, dec)
-		}
-	}
+		side = pa.SideStep(ti, tap, side)
+	})
 	mc.sideOut = side
 	mc.fwdTC = ftc
 
@@ -430,7 +410,13 @@ func (e *PipelineEngine) stageForward(ctx context.Context, s, m int, mb *data.Ba
 		// becomes its child, chaining the microbatch across devices.
 		frame = appendBundle(telemetry.AppendEnvelope(nil, ftc), out)
 	}
-	putStates(mc.taps, st.Enc, st.Dec)
+	// A final state that is a tap stays: the side graph reads it until
+	// its backward, which puts it back.
+	for _, v := range []*autograd.Variable{st.Enc, st.Dec} {
+		if v != nil && !slices.Contains(mc.taps, v.Value) {
+			tensor.PutTensor(v.Value)
+		}
+	}
 	if frame != nil {
 		st1.bytes += int64(len(frame))
 		if err := sendRetry(ctx, e.Endpoints[s], s+1, fmt.Sprintf("f%d", m), frame, e.Retry); err != nil {
@@ -438,17 +424,6 @@ func (e *PipelineEngine) stageForward(ctx context.Context, s, m int, mb *data.Ba
 		}
 	}
 	return mc, nil
-}
-
-// putStates returns the values of frozen states a stage no longer reads.
-// A state that is a tap stays: the side graph reads it until its
-// backward, which puts it back.
-func putStates(taps []*tensor.Tensor, states ...*autograd.Variable) {
-	for _, v := range states {
-		if v != nil && !slices.Contains(taps, v.Value) {
-			tensor.PutTensor(v.Value)
-		}
-	}
 }
 
 // stageBackward runs stage s's side backward for micro-batch m and

@@ -131,34 +131,24 @@ func (p *Parallel) Trainable() []*autograd.Variable {
 	return append(out, p.head.Params()...)
 }
 
-// Forward implements Technique: it runs the frozen backbone forward
-// (tape-free) to obtain taps, then the side network over them. The
-// returned Result carries the tap values for the activation cache.
+// Forward implements Technique: it runs the frozen backbone's walk to
+// obtain taps (BackboneTaps), then the side network over them on the
+// tape. The returned Result carries the tap values for the activation
+// cache.
 func (p *Parallel) Forward(enc, dec [][]int, lens []int, train bool) *Result {
 	taps := p.BackboneTaps(enc, dec, lens)
 	return &Result{Logits: p.ForwardFromTaps(taps), Taps: taps}
 }
 
-// BackboneTaps runs only the frozen backbone over a batch and returns
-// its tap activations — the first half of Forward, and all that a cache
-// miss or a cache salvage needs: the side network is never built. The
-// taps sit in pooled buffers the caller owns: hand them to a cache that
-// keeps them, or tensor.PutTensor them.
+// BackboneTaps runs only the frozen backbone over a batch, in eval mode
+// (taps must be input-invariant), and returns its tap activations — the
+// first half of Forward, and all that a cache miss or a cache salvage
+// needs. It is model.FrozenForward over every block. The taps sit in
+// pooled buffers the caller owns: hand them to a cache that keeps them,
+// or tensor.PutTensor them.
 func (p *Parallel) BackboneTaps(enc, dec [][]int, lens []int) []*tensor.Tensor {
-	s := p.m.Forward(enc, dec, lens, false) // backbone always eval-mode: taps must be input-invariant
-	taps := make([]*tensor.Tensor, len(s.Taps))
-	for i, t := range s.Taps {
-		taps[i] = t.Value
-	}
-	// The backbone's evaluation graph is dead weight once the taps are
-	// extracted: gradients never traverse it (the side network reads tap
-	// values through fresh leaves). Tear it down now, keeping only the
-	// tap tensors, so every backbone intermediate goes back to the pool.
-	autograd.ReleaseExcept(taps, s.Logits, s.Enc, s.Dec)
-	// A root's value outlives the sweep for the caller to read, and the
-	// backbone's own logits have no reader.
-	tensor.PutTensor(s.Logits.Value)
-	return taps
+	s := &model.State{EncIDs: enc, DecIDs: dec, EncLens: lens}
+	return p.m.FrozenForward(s, 0, len(p.m.Blocks), nil)
 }
 
 // NumTaps returns the number of side adapters (2 × layers).

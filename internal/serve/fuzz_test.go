@@ -21,6 +21,10 @@ var hostileBodies = []string{
 	`{"tokens":[[1,2,3]],"lens":[50]}`, // length past the row
 }
 
+// A /generate body whose max_len asks for more decoder positions than
+// the model has; /classify ignores max_len, so it is not in hostileBodies.
+const longGenerateBody = `{"tokens":[[1,2,3]],"max_len":1000}`
+
 const validBody = `{"tokens":[[1,2,3]],"max_len":4}`
 
 // postDirect calls the handler on the test's own goroutine, so a panic
@@ -41,6 +45,9 @@ func TestAdmitRejectsTokensTheModelCannotTake(t *testing.T) {
 				t.Errorf("POST %s %s: status %d, want 400", path, body, code)
 			}
 		}
+	}
+	if code := postDirect(h, "/generate", longGenerateBody); code != http.StatusBadRequest {
+		t.Errorf("POST /generate %s: status %d, want 400", longGenerateBody, code)
 	}
 	if s.Served() != 0 || s.Canceled() != 0 || memInflight.Bytes() != 0 {
 		t.Fatalf("rejected requests left a mark: served %d, canceled %d, in-flight %d B",
@@ -74,7 +81,7 @@ func TestAdmitRejectsTokensTheModelCannotTake(t *testing.T) {
 // documented statuses, never panics, and counts a request as served
 // only when it answered 200.
 func FuzzHandler(f *testing.F) {
-	for _, body := range append(hostileBodies, validBody) {
+	for _, body := range append(hostileBodies, longGenerateBody, validBody) {
 		f.Add(body)
 	}
 	_, s, _ := httpServer(f, true)

@@ -254,6 +254,14 @@ func (s *Server) GenerateFor(ctx context.Context, user int, enc [][]int, lens []
 	if !s.cfg.LM {
 		return nil, fmt.Errorf("serve: model is not LM-configured")
 	}
+	// Every generated token takes a decoder position, so the length is
+	// bounded by the position table, after the decoders' default of 16.
+	if opts.MaxLen <= 0 {
+		opts.MaxLen = 16
+	}
+	if opts.MaxLen > s.cfg.MaxSeq {
+		return nil, fmt.Errorf("%w: max_len %d, the model has %d decoder positions", errInvalidRequest, opts.MaxLen, s.cfg.MaxSeq)
+	}
 	t0 := time.Now()
 	side, rtc, done, err := s.admit(ctx, "generate", enc, lens)
 	if err != nil {
