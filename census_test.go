@@ -20,7 +20,7 @@ import (
 // methods declared in non-test files under internal/. TestExportCensus
 // fails when the tree disagrees with it in either direction: above, the
 // surface grew; below, lower the constant so the ground gained is kept.
-const censusCeiling = 822
+const censusCeiling = 821
 
 // Where an exported identifier is named, widest first. An identifier
 // named from a non-test file of another package (internal/, cmd/,

@@ -10,12 +10,14 @@
 //	         [-compare [-stages N]]
 //
 // -compare validates the analytic cost model against this machine: it
-// instantiates the model, profiles a calibration batch for real, and
-// prints analytic vs measured per-stage seconds with the percent error
-// — the same comparison the online health monitor makes continuously
-// during training, so the printed worst-case error suggests a floor for
-// pac-train's drift threshold. Use -model tiny unless you have the
-// memory (and patience) to instantiate the full model on this host.
+// instantiates the model under Parallel Adapters (the one technique the
+// engines run; -compare with another -technique is an error), profiles
+// a calibration batch for real, and prints analytic vs measured
+// per-stage seconds with the percent error — the same comparison the
+// online health monitor makes continuously during training, so the
+// printed worst-case error suggests a floor for pac-train's drift
+// threshold. Use -model tiny unless you have the memory (and patience)
+// to instantiate the full model on this host.
 package main
 
 import (
@@ -55,31 +57,20 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var cfg model.Config
-	switch *modelName {
-	case "tiny":
-		cfg = model.Tiny()
-	case "t5-base":
-		cfg = model.T5Base()
-	case "bart-large":
-		cfg = model.BARTLarge()
-	case "t5-large":
-		cfg = model.T5Large()
-	default:
+	cfg, ok := map[string]model.Config{
+		"tiny": model.Tiny(), "t5-base": model.T5Base(), "bart-large": model.BARTLarge(), "t5-large": model.T5Large(),
+	}[*modelName]
+	if !ok {
 		return fmt.Errorf("unknown model %q", *modelName)
 	}
-	var kind peft.Kind
-	switch *techName {
-	case "full":
-		kind = peft.Full
-	case "adapters":
-		kind = peft.Adapters
-	case "lora":
-		kind = peft.LoRA
-	case "parallel":
-		kind = peft.ParallelAdapters
-	default:
+	kind, ok := map[string]peft.Kind{
+		"full": peft.Full, "adapters": peft.Adapters, "lora": peft.LoRA, "parallel": peft.ParallelAdapters,
+	}[*techName]
+	if !ok {
 		return fmt.Errorf("unknown technique %q", *techName)
+	}
+	if *compare && kind != peft.ParallelAdapters {
+		return fmt.Errorf("-compare profiles Parallel Adapters, the technique the engines run, not %s", kind)
 	}
 
 	costs := costmodel.Costs{Cfg: cfg, Kind: kind, EncSeq: *seq, DecSeq: 2}
@@ -120,7 +111,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *compare {
-		return runCompare(out, cfg, kind, *compareStages, *batch, *seq)
+		return runCompare(out, cfg, *compareStages, *batch, *seq)
 	}
 	return nil
 }
@@ -132,7 +123,7 @@ func run(args []string, out io.Writer) error {
 // model's FLOP distribution vs where the time was actually spent — the
 // same comparison pac-train's health monitor makes online, which makes
 // the printed worst-case error a floor for its drift threshold.
-func runCompare(out io.Writer, cfg model.Config, kind peft.Kind, stages, batch, seq int) error {
+func runCompare(out io.Writer, cfg model.Config, stages, batch, seq int) error {
 	if stages < 1 {
 		return fmt.Errorf("compare needs at least 1 stage, got %d", stages)
 	}
@@ -146,12 +137,10 @@ func runCompare(out io.Writer, cfg model.Config, kind peft.Kind, stages, batch, 
 	ds := data.Generate(data.GenConfig{Task: data.SST2, Size: batch, SeqLen: seq, Vocab: vocab, Seed: 7})
 	b := data.BatchOf(ds.Examples[:min(batch, len(ds.Examples))])
 
-	m := model.New(cfg)
-	tech := peft.New(kind, m, peft.Options{Reduction: 2})
-	prof := profiler.Measure(m, tech, b, 2)
+	opts := peft.Options{Reduction: 2}
+	prof := profiler.Measure(peft.NewParallel(model.New(cfg), opts), b, 2)
 
-	costs := costmodel.Costs{Cfg: cfg, Kind: kind, EncSeq: len(b.Enc[0]), DecSeq: len(b.Dec[0])}
-	analytic := costs.Blocks()
+	analytic := costmodel.Costs{Cfg: cfg, Kind: peft.ParallelAdapters, Opts: opts, EncSeq: len(b.Enc[0]), DecSeq: len(b.Dec[0])}.Blocks()
 	nano := cluster.JetsonNano()
 	dev := prof.CalibrateDevice("this-host", nano.MemoryBytes, nano.LinkMbps)
 	measuredBlocks, err := prof.ToBlockCosts(analytic, dev)

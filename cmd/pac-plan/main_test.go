@@ -59,3 +59,16 @@ func TestRunCompareRejectsBadStages(t *testing.T) {
 		t.Fatal("expected error for zero stages")
 	}
 }
+
+// TestRunCompareParallelAdaptersOnly: the profile runs the engines'
+// one technique, so a comparison under another has nothing measured.
+func TestRunCompareParallelAdaptersOnly(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-model", "tiny", "-technique", "full", "-compare"}, &sb); err == nil ||
+		!strings.Contains(err.Error(), "Parallel Adapters") {
+		t.Fatalf("-compare -technique full: %v", err)
+	}
+	if err := run([]string{"-model", "tiny", "-technique", "full"}, &sb); err != nil {
+		t.Fatalf("-technique full without -compare: %v", err)
+	}
+}

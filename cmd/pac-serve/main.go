@@ -36,6 +36,9 @@
 // -backend int8 serves the frozen backbone through its int8 weight
 // forms (built once at startup); adapters and every swap stay fp32.
 //
+// SIGINT or SIGTERM drains the server: it stops accepting connections,
+// lets every in-flight request answer (for up to 30 s) and exits 0.
+//
 // pac-loadgen replays seeded multi-user traces against this API and
 // gates latency/throughput SLOs.
 //
@@ -47,12 +50,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"pac/internal/checkpoint"
 	"pac/internal/model"
@@ -94,8 +101,9 @@ func newFlags() (*flag.FlagSet, *options) {
 
 // run is the whole command behind a testable seam: flags in, log lines
 // on out, error instead of os.Exit, process globals left as found. It
-// serves until the listener fails or is closed; ready, when non-nil, is
-// handed the bound API listener just before serving starts.
+// serves until the listener fails or is closed, or drains on SIGINT or
+// SIGTERM; ready, when non-nil, is handed the bound API listener just
+// before serving starts.
 func run(args []string, out io.Writer, ready func(net.Listener)) error {
 	fs, o := newFlags()
 	if err := fs.Parse(args); err != nil {
@@ -150,9 +158,26 @@ func run(args []string, out io.Writer, ready func(net.Listener)) error {
 		return err
 	}
 	defer ln.Close()
+	quit, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	hs := &http.Server{Handler: serve.HandlerFor(srv), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 	fmt.Fprintf(out, "serving %s (lm=%v, vocab=%d, backend=%s) on %s\n", cfg.Name, o.lm, o.vocab, tensor.ActiveBackend().Name(), ln.Addr())
 	if ready != nil {
 		ready(ln)
 	}
-	return http.Serve(ln, serve.HandlerFor(srv))
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-quit.Done():
+	}
+	// Shutdown closes the listener (Serve returns at once) and waits up
+	// to 30 s for every in-flight request to answer.
+	fmt.Fprintln(out, "shutting down: draining in-flight requests")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err = hs.Shutdown(ctx)
+	<-served // http.ErrServerClosed, since Shutdown closed the listener
+	return err
 }

@@ -1,16 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"pac/internal/checkpoint"
 	"pac/internal/memledger"
@@ -110,6 +114,62 @@ func TestRunServes(t *testing.T) {
 	}
 	if got := tensor.ActiveBackend().Name(); got != backend {
 		t.Errorf("run left backend %q active, want %q", got, backend)
+	}
+}
+
+// TestShutdownDrainsInFlight: on SIGTERM pac-serve stops accepting, and
+// a request already in its handler still answers 200 before run returns.
+func TestShutdownDrainsInFlight(t *testing.T) {
+	base, log, stop := serving(t)
+	addr := strings.TrimPrefix(base, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"tokens":[[17,33,21,54]]}`
+	fmt.Fprintf(conn, "POST /classify HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n"+
+		"Content-Length: %d\r\nExpect: 100-continue\r\n\r\n", addr, len(body))
+	// The server sends 100 Continue when the handler first reads the
+	// body: from here the request is in flight.
+	br := bufio.NewReader(conn)
+	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "HTTP/1.1 100") {
+		t.Fatalf("no 100 Continue: %q, %v", line, err)
+	}
+	if _, err := br.ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+
+	self, _ := os.FindProcess(os.Getpid())
+	if err := self.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	// Shutdown has begun once the listener refuses new connections.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("still accepting connections 5 s after SIGTERM")
+		}
+	}
+
+	io.WriteString(conn, body)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("in-flight request dropped at shutdown: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("in-flight request answered %s, want 200", resp.Status)
+	}
+	if err := stop(); err != nil {
+		t.Errorf("run after SIGTERM: %v", err)
+	}
+	if !strings.Contains(log.String(), "shutting down: draining in-flight requests") {
+		t.Errorf("log missing the drain line:\n%s", log)
 	}
 }
 

@@ -117,7 +117,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs.DurationVar(&o.sup.Core.StepTimeout, "step-timeout", 5*time.Second, "per-step liveness deadline for failure detection")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's Chrome/Perfetto JSON trace to this file (sampled at -trace-sample)")
 	fs.Float64Var(&o.sup.FaultDrop, "fault-drop", 0, "per-send probability of an injected transient drop (0 disables)")
-	fs.BoolVar(&o.sup.ReplanOnDrift, "replan-on-drift", false, "let health-monitor straggler/drift alerts trigger a re-plan (quarantine + profile feedback)")
+	fs.BoolVar(&o.sup.ReplanOnDrift, "replan-on-drift", false, "let health-monitor straggler/drift alerts quarantine the lane and re-plan: a plan from measured costs is printed, the run continues on one lane fewer whatever it says (ROADMAP item 17 decides)")
 	fs.IntVar(&o.sup.Drain.Device, "drain-device", -1, "drain this device index mid-run: quarantine it and re-plan on the rest (-1 disables)")
 	fs.DurationVar(&o.sup.Drain.Delay, "drain-delay", 50*time.Millisecond, "delay before the -drain-device fleet drain starts (after the first snapshot when -snapshot-every > 0)")
 	fs.Float64Var(&o.sup.StragglerFactor, "straggler-factor", 3, "flag a lane/rank as a straggler when slower than the healthy median by this factor")

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"fmt"
 	"slices"
 
 	"pac/internal/autograd"
@@ -78,17 +77,6 @@ func (m *Model) Forward(encIDs, decIDs [][]int, encLens []int, train bool) *Stat
 		b.forward(s)
 	}
 	return s
-}
-
-// ForwardRange runs blocks [start, end) over an existing state, keeping
-// the whole graph; the profiler times one block with it.
-func (m *Model) ForwardRange(s *State, start, end int) {
-	if start < 0 || end > len(m.Blocks) || start > end {
-		panic(fmt.Sprintf("model: ForwardRange [%d,%d) of %d blocks", start, end, len(m.Blocks)))
-	}
-	for _, b := range m.Blocks[start:end] {
-		b.forward(s)
-	}
 }
 
 // FrozenForward is the frozen backbone's one walk: it runs blocks

@@ -1,7 +1,8 @@
 // Package profiler implements PAC's runtime profiling step (paper
-// Figure 4, Step 1): it fine-tunes the target model on a calibration
-// batch while timing every block's forward pass and the full backward
-// pass, then derives the effective device throughput that links the
+// Figure 4, Step 1): it runs one training step of a Parallel Adapters
+// side network over its frozen backbone on a calibration batch, the way
+// a pipeline stage runs it, timing every block's forward and the side
+// backward, then derives the effective device throughput that links the
 // analytic cost model to the machine actually running the code.
 //
 // The planner normally consumes analytic block costs; ToBlockCosts
@@ -11,6 +12,8 @@ package profiler
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"pac/internal/autograd"
@@ -19,18 +22,15 @@ import (
 	"pac/internal/data"
 	"pac/internal/model"
 	"pac/internal/peft"
+	"pac/internal/tensor"
 	"pac/internal/train"
 )
 
 // Profile holds measured per-block runtimes for one model on this host.
 type Profile struct {
-	Cfg model.Config
-	// BlockFwdSec is the measured forward time per block for the
-	// calibration batch (seconds, whole batch).
-	BlockFwdSec []float64
-	// FwdSec and BwdSec are the full forward and backward times for the
-	// calibration batch under the profiled technique.
-	FwdSec, BwdSec float64
+	// BlockFwdSec and BlockBwdSec are the forward and backward seconds
+	// of each block for the calibration batch (whole batch).
+	BlockFwdSec, BlockBwdSec []float64
 	// Batch is the calibration batch size.
 	Batch int
 	// EffectiveGFLOPS is the throughput implied by the analytic forward
@@ -38,73 +38,75 @@ type Profile struct {
 	EffectiveGFLOPS float64
 }
 
-// Measure profiles a model with a technique attached. The calibration
-// batch plays the paper's calibration dataset; iters > 1 averages out
-// scheduler noise (the minimum across iterations is kept, the standard
-// micro-benchmark practice).
-func Measure(m *model.Model, tech peft.Technique, b *data.Batch, iters int) *Profile {
-	if iters < 1 {
-		iters = 1
-	}
-	p := &Profile{Cfg: m.Cfg, Batch: b.Size(), BlockFwdSec: make([]float64, len(m.Blocks))}
-	for i := range p.BlockFwdSec {
-		p.BlockFwdSec[i] = -1
-	}
-	p.FwdSec, p.BwdSec = -1, -1
-
-	for it := 0; it < iters; it++ {
-		// Per-block forward timing.
+// Measure profiles p on a calibration batch (the paper's calibration
+// dataset) by running it as a pipeline stage does: one
+// model.FrozenForward walk whose visit runs each tap's side step, then
+// the side head, the loss and one backward. A layer's forward is the
+// gap that ends at its tap, its side step included (an embedding's
+// lands in the first layer of its region, the side head's in the head
+// block); the backward is spread over blocks by analytic FLOPs. The
+// minimum over iters runs is kept. Every buffer a run checks out goes
+// back to the pool, gradients included: p is left with none.
+func Measure(p *peft.Parallel, b *data.Batch, iters int) *Profile {
+	m := p.Backbone()
+	r := p.HeadParams()[0].Value.Dim(0) // the side head's weight is [r, classes]
+	analytic := costmodel.Costs{Cfg: m.Cfg, Kind: peft.ParallelAdapters, Opts: peft.Options{Reduction: m.Cfg.Hidden / r},
+		EncSeq: len(b.Enc[0]), DecSeq: len(b.Dec[0])}.Blocks()
+	layers := m.LayerBlocks()
+	prof := &Profile{Batch: b.Size(), BlockFwdSec: make([]float64, len(m.Blocks)), BlockBwdSec: make([]float64, len(m.Blocks))}
+	bwd := math.Inf(1)
+	for it := 0; it < max(iters, 1); it++ {
+		sec := make([]float64, len(m.Blocks))
+		last := time.Now()
+		stamp := func(bi int) {
+			now := time.Now()
+			sec[bi], last = now.Sub(last).Seconds(), now
+		}
 		s := &model.State{EncIDs: b.Enc, DecIDs: b.Dec, EncLens: b.Lens}
-		var fwdTotal float64
-		for bi := range m.Blocks {
-			start := time.Now()
-			m.ForwardRange(s, bi, bi+1)
-			d := time.Since(start).Seconds()
-			fwdTotal += d
-			if p.BlockFwdSec[bi] < 0 || d < p.BlockFwdSec[bi] {
-				p.BlockFwdSec[bi] = d
+		side := p.SideInit(len(b.Enc), len(b.Enc[0]))
+		taps := m.FrozenForward(s, 0, len(m.Blocks), func(ti int, tap *tensor.Tensor) {
+			if ti == m.Cfg.Layers {
+				side = p.CrossOver(side, tap.Dim(1))
+			}
+			side = p.SideStep(ti, tap, side)
+			stamp(layers[ti])
+		})
+		loss := train.Loss(p.Head(side), b, false)
+		stamp(len(m.Blocks) - 1)
+		autograd.Backward(loss)
+		bwd = min(bwd, time.Since(last).Seconds())
+
+		// The walk's final states are its last encoder and decoder taps.
+		autograd.Release(loss)
+		tensor.PutTensor(loss.Value)
+		for _, t := range taps {
+			tensor.PutTensor(t)
+		}
+		for _, v := range p.Trainable() {
+			tensor.PutTensor(v.Grad)
+			v.Grad = nil
+		}
+		for i, d := range sec {
+			if it == 0 || d < prof.BlockFwdSec[i] {
+				prof.BlockFwdSec[i] = d
 			}
 		}
-		if p.FwdSec < 0 || fwdTotal < p.FwdSec {
-			p.FwdSec = fwdTotal
-		}
-		// Full forward+backward under the technique (the gradient path
-		// depends on the technique, not just the backbone).
-		start := time.Now()
-		res := tech.Forward(b.Enc, b.Dec, b.Lens, true)
-		loss := train.Loss(res.Logits, b, false)
-		mid := time.Since(start).Seconds()
-		autograd.Backward(loss)
-		bwd := time.Since(start).Seconds() - mid
-		for _, pr := range tech.Trainable() {
-			pr.ZeroGrad()
-		}
-		if p.BwdSec < 0 || bwd < p.BwdSec {
-			p.BwdSec = bwd
-		}
 	}
-
-	// Effective throughput from the analytic FLOP count of the backbone
-	// forward.
-	costs := costmodel.Costs{Cfg: m.Cfg, Kind: peft.Full,
-		EncSeq: len(b.Enc[0]), DecSeq: len(b.Dec[0])}
-	t := costmodel.Totals(costs.Blocks())
-	if p.FwdSec > 0 {
-		p.EffectiveGFLOPS = t.FwdFLOPs * float64(b.Size()) / p.FwdSec / 1e9
-	}
-	return p
+	spread(prof.BlockBwdSec, analytic, bwd, bwdFLOPs)
+	prof.calibrate(analytic)
+	return prof
 }
 
 // FromStageSeconds folds measured per-stage forward/backward times —
 // as the health monitor accumulates them during a live run — into a
-// Profile, distributing each stage's time across its blocks
-// proportionally to the analytic per-block forward FLOPs. This is the
-// profile-feedback path: a drift-triggered re-plan reuses the exact
+// Profile, spreading each stage's times over its blocks by their
+// analytic forward and backward FLOPs. This is the profile-feedback
+// path: a drift-triggered re-plan reuses the exact
 // ToBlockCosts/CalibrateDevice machinery startup profiling uses, but
 // fed by live measurements instead of a calibration batch. boundaries
 // has stages+1 entries covering all of analytic; stageFwd/stageBwd are
 // the measured seconds per stage for one batch-sized mini-batch.
-func FromStageSeconds(cfg model.Config, analytic []costmodel.BlockCost, boundaries []int, stageFwd, stageBwd []float64, batch int) (*Profile, error) {
+func FromStageSeconds(analytic []costmodel.BlockCost, boundaries []int, stageFwd, stageBwd []float64, batch int) (*Profile, error) {
 	S := len(boundaries) - 1
 	if S < 1 || len(stageFwd) != S || len(stageBwd) != S {
 		return nil, fmt.Errorf("profiler: %d boundaries vs %d fwd / %d bwd stage times",
@@ -113,30 +115,45 @@ func FromStageSeconds(cfg model.Config, analytic []costmodel.BlockCost, boundari
 	if boundaries[0] != 0 || boundaries[S] != len(analytic) {
 		return nil, fmt.Errorf("profiler: boundaries %v do not cover %d blocks", boundaries, len(analytic))
 	}
-	if batch < 1 {
-		batch = 1
-	}
-	p := &Profile{Cfg: cfg, Batch: batch, BlockFwdSec: make([]float64, len(analytic))}
+	p := &Profile{Batch: max(batch, 1), BlockFwdSec: make([]float64, len(analytic)), BlockBwdSec: make([]float64, len(analytic))}
 	for s := 0; s < S; s++ {
-		blocks := analytic[boundaries[s]:boundaries[s+1]]
-		var stageFLOPs float64
-		for _, b := range blocks {
-			stageFLOPs += b.FwdFLOPs
-		}
-		for bi := boundaries[s]; bi < boundaries[s+1]; bi++ {
-			w := 1.0 / float64(len(blocks))
-			if stageFLOPs > 0 {
-				w = analytic[bi].FwdFLOPs / stageFLOPs
-			}
-			p.BlockFwdSec[bi] = stageFwd[s] * w
-		}
-		p.FwdSec += stageFwd[s]
-		p.BwdSec += stageBwd[s]
+		lo, hi := boundaries[s], boundaries[s+1]
+		spread(p.BlockFwdSec[lo:hi], analytic[lo:hi], stageFwd[s], fwdFLOPs)
+		spread(p.BlockBwdSec[lo:hi], analytic[lo:hi], stageBwd[s], bwdFLOPs)
 	}
-	if p.FwdSec > 0 {
-		p.EffectiveGFLOPS = sumFwd(analytic) * float64(batch) / p.FwdSec / 1e9
-	}
+	p.calibrate(analytic)
 	return p, nil
+}
+
+// spread divides total seconds over dst in proportion to each block's
+// analytic weight, evenly when the weights sum to zero.
+func spread(dst []float64, blocks []costmodel.BlockCost, total float64, weight func(costmodel.BlockCost) float64) {
+	var sum float64
+	for _, b := range blocks {
+		sum += weight(b)
+	}
+	for i, b := range blocks {
+		if sum > 0 {
+			dst[i] = total * weight(b) / sum
+		} else {
+			dst[i] = total / float64(len(blocks))
+		}
+	}
+}
+
+func fwdFLOPs(b costmodel.BlockCost) float64 { return b.FwdFLOPs }
+func bwdFLOPs(b costmodel.BlockCost) float64 { return b.BwdTraverseFLOPs + b.BwdTrainFLOPs }
+
+// calibrate sets EffectiveGFLOPS: analytic forward FLOPs over the
+// measured forward seconds.
+func (p *Profile) calibrate(analytic []costmodel.BlockCost) {
+	var sec float64
+	for _, s := range p.BlockFwdSec {
+		sec += s
+	}
+	if sec > 0 {
+		p.EffectiveGFLOPS = costmodel.Totals(analytic).FwdFLOPs * float64(p.Batch) / sec / 1e9
+	}
 }
 
 // CalibrateDevice returns a DeviceSpec describing this host, suitable
@@ -152,46 +169,26 @@ func (p *Profile) CalibrateDevice(name string, memoryBytes int64, linkMbps float
 	}
 }
 
-// ToBlockCosts overlays measured forward times onto analytic block
-// costs: each block's FLOPs are rescaled so that FLOPs/deviceGFLOPS
-// equals the measured time, preserving the analytic memory and traffic
-// fields. The result feeds the planner directly.
+// ToBlockCosts overlays measured times onto analytic block costs: each
+// block's forward and backward FLOPs are rescaled so that
+// FLOPs/deviceGFLOPS equals its measured seconds per sample, the
+// backward split between traversal and weight gradients as the analytic
+// costs split it, and the memory and traffic fields are kept. The
+// result feeds the planner directly.
 func (p *Profile) ToBlockCosts(analytic []costmodel.BlockCost, dev cluster.DeviceSpec) ([]costmodel.BlockCost, error) {
 	if len(analytic) != len(p.BlockFwdSec) {
 		return nil, fmt.Errorf("profiler: %d measured blocks vs %d analytic", len(p.BlockFwdSec), len(analytic))
 	}
-	out := make([]costmodel.BlockCost, len(analytic))
-	var bwdScale float64 = 1
-	if p.FwdSec > 0 {
-		// Distribute the measured backward over blocks proportionally to
-		// their analytic backward share.
-		var aBwd float64
-		for _, b := range analytic {
-			aBwd += b.BwdTraverseFLOPs + b.BwdTrainFLOPs
-		}
-		if aBwd > 0 {
-			bwdScale = (p.BwdSec / p.FwdSec) * sumFwd(analytic) / aBwd
-		}
-	}
+	perSec := dev.FLOPSPerSec() / float64(p.Batch) // whole-batch seconds → per-sample FLOPs
+	out := slices.Clone(analytic)
 	for i, b := range analytic {
-		out[i] = b
-		measured := p.BlockFwdSec[i] / float64(p.Batch) // per sample
-		out[i].FwdFLOPs = measured * dev.FLOPSPerSec()
-		total := b.BwdTraverseFLOPs + b.BwdTrainFLOPs
-		if total > 0 {
-			scaled := total * bwdScale
-			frac := b.BwdTrainFLOPs / total
-			out[i].BwdTrainFLOPs = scaled * frac
-			out[i].BwdTraverseFLOPs = scaled * (1 - frac)
+		out[i].FwdFLOPs = p.BlockFwdSec[i] * perSec
+		bwd, frac := p.BlockBwdSec[i]*perSec, 0.0
+		if a := bwdFLOPs(b); a > 0 {
+			frac = b.BwdTrainFLOPs / a
 		}
+		out[i].BwdTrainFLOPs = bwd * frac
+		out[i].BwdTraverseFLOPs = bwd * (1 - frac)
 	}
 	return out, nil
-}
-
-func sumFwd(blocks []costmodel.BlockCost) float64 {
-	var s float64
-	for _, b := range blocks {
-		s += b.FwdFLOPs
-	}
-	return s
 }

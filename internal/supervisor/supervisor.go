@@ -37,7 +37,10 @@
 //
 // After any of them the plan is printed, the lane count shrinks by one
 // to fit the smaller pool, injected faults are cleared (they have
-// fired), and the next attempt is built from the latest snapshot.
+// fired), and the next attempt is built from the latest snapshot. The
+// printed plan is advisory: the next attempt runs on one lane fewer
+// whatever it says, a drift re-plan's plan from measured costs included.
+// ROADMAP item 17 decides whether the plan should run instead.
 //
 // The devices are goroutines of this process: nothing can heartbeat on
 // their behalf and the step deadline is the failure detector, so the
@@ -379,7 +382,7 @@ func (s *Supervisor) measuredProfile(survivors cluster.Cluster) ([]costmodel.Blo
 		return analytic, survivors
 	}
 	bounds := parallel.EvenBoundaries(len(analytic), s.core.Stages)
-	prof, err := profiler.FromStageSeconds(s.core.Model, analytic, bounds, fwd, bwd, s.perLaneBatch())
+	prof, err := profiler.FromStageSeconds(analytic, bounds, fwd, bwd, s.perLaneBatch())
 	if err != nil {
 		return analytic, survivors
 	}

@@ -197,19 +197,13 @@ func LoadAdapters(path string, tech Technique, cfg ModelConfig) error {
 // RuntimeProfile holds measured per-block runtimes for this host.
 type RuntimeProfile = profiler.Profile
 
-// Profile measures a model's per-block forward times and the
-// technique's backward time on a calibration batch (the paper's Step 1,
-// run for real on this machine).
-func Profile(m *model.Model, tech Technique, ds *Dataset, batch, iters int) *RuntimeProfile {
+// Profile measures a Parallel Adapters side network (what
+// Attach(ParallelAdapters, …) builds) over its frozen backbone on a
+// calibration batch: per-block forward and backward seconds, run as a
+// pipeline stage runs them on this machine (the paper's Step 1).
+func Profile(side *peft.Parallel, ds *Dataset, batch, iters int) *RuntimeProfile {
 	b := data.BatchOf(ds.Examples[:min(batch, len(ds.Examples))])
-	return profiler.Measure(m, tech, b, iters)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return profiler.Measure(side, b, iters)
 }
 
 // Capacity-bounded and compressed caches.

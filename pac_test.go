@@ -4,6 +4,8 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"pac/internal/peft"
 )
 
 // The facade tests exercise the library strictly through its public
@@ -38,11 +40,10 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestPublicProfile(t *testing.T) {
-	m := NewModel(TinyModel())
-	tech := Attach(ParallelAdapters, m, TechniqueOptions{Reduction: 4})
+	side := Attach(ParallelAdapters, NewModel(TinyModel()), TechniqueOptions{Reduction: 4}).(*peft.Parallel)
 	ds := GenerateDataset(DataGenConfig{Task: MRPC, Size: 8, SeqLen: 8, Vocab: 64, Seed: 1})
-	p := Profile(m, tech, ds, 4, 1)
-	if p.EffectiveGFLOPS <= 0 || p.FwdSec <= 0 {
+	p := Profile(side, ds, 4, 1)
+	if p.EffectiveGFLOPS <= 0 || len(p.BlockFwdSec) != len(side.Backbone().Blocks) {
 		t.Fatalf("profile %+v", p)
 	}
 }
