@@ -13,10 +13,9 @@
 // instantiates the model under Parallel Adapters (the one technique the
 // engines run; -compare with another -technique is an error), profiles
 // a calibration batch for real, and prints analytic vs measured
-// per-stage seconds with the percent error — the same comparison the
-// online health monitor makes continuously during training, so the
-// printed worst-case error suggests a floor for pac-train's drift
-// threshold. Use -model tiny unless you have the memory (and patience)
+// per-stage seconds with the percent error, then the worst per-stage
+// error: how far the cost model the planner prices plans with is from
+// this host. Use -model tiny unless you have the memory (and patience)
 // to instantiate the full model on this host.
 package main
 
@@ -120,9 +119,8 @@ func run(args []string, out io.Writer) error {
 // batch on this host, and prints analytic vs measured per-stage seconds
 // side by side. Both columns use the host's calibrated throughput as
 // the device baseline, so the residual error is purely the analytic
-// model's FLOP distribution vs where the time was actually spent — the
-// same comparison pac-train's health monitor makes online, which makes
-// the printed worst-case error a floor for its drift threshold.
+// model's FLOP distribution vs where the time was actually spent; the
+// last line is the worst per-stage error.
 func runCompare(out io.Writer, cfg model.Config, stages, batch, seq int) error {
 	if stages < 1 {
 		return fmt.Errorf("compare needs at least 1 stage, got %d", stages)
@@ -165,7 +163,6 @@ func runCompare(out io.Writer, cfg model.Config, stages, batch, seq int) error {
 		}
 		fmt.Fprintf(out, "%8d %14.4f %14.4f %9.1f%%\n", s, pred[s], meas[s], errPct)
 	}
-	fmt.Fprintf(out, "worst per-stage error %.1f%%: drift thresholds below %.2f× would false-alarm on model error alone\n",
-		worst, 1+worst/100)
+	fmt.Fprintf(out, "worst per-stage error %.1f%%\n", worst)
 	return nil
 }

@@ -28,7 +28,7 @@ func TestRunRejectsUnknownModel(t *testing.T) {
 
 // TestRunCompare exercises the analytic-vs-measured mode on the tiny
 // model: it must profile for real, print one row per stage, and report
-// the worst-case error the drift threshold has to tolerate.
+// the worst per-stage error.
 func TestRunCompare(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{"-model", "tiny", "-devices", "4", "-batch", "8",

@@ -15,7 +15,7 @@
 //	          [-crash-device N] [-crash-after OPS] [-crash-phase hybrid|cached]
 //	          [-max-recoveries N] [-step-timeout D] [-fault-drop P]
 //	          [-slow-lane N] [-slow-delay D]
-//	          [-replan-on-drift] [-straggler-factor F]
+//	          [-replan-on-drift]
 //	          [-drain-device N] [-drain-delay D]
 //	          [-flight-size N] [-flight-out FILE]
 //	          [-telemetry-addr HOST:PORT] [-trace-out FILE] [-trace-sample P]
@@ -117,10 +117,9 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs.DurationVar(&o.sup.Core.StepTimeout, "step-timeout", 5*time.Second, "per-step liveness deadline for failure detection")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's Chrome/Perfetto JSON trace to this file (sampled at -trace-sample)")
 	fs.Float64Var(&o.sup.FaultDrop, "fault-drop", 0, "per-send probability of an injected transient drop (0 disables)")
-	fs.BoolVar(&o.sup.ReplanOnDrift, "replan-on-drift", false, "let health-monitor straggler/drift alerts quarantine the lane and re-plan: a plan from measured costs is printed, the run continues on one lane fewer whatever it says (ROADMAP item 17 decides)")
+	fs.BoolVar(&o.sup.ReplanOnDrift, "replan-on-drift", false, "let a health alert that names a lane (straggler or self-drift) quarantine that lane: the run continues from the latest snapshot on one lane fewer")
 	fs.IntVar(&o.sup.Drain.Device, "drain-device", -1, "drain this device index mid-run: quarantine it and re-plan on the rest (-1 disables)")
 	fs.DurationVar(&o.sup.Drain.Delay, "drain-delay", 50*time.Millisecond, "delay before the -drain-device fleet drain starts (after the first snapshot when -snapshot-every > 0)")
-	fs.Float64Var(&o.sup.StragglerFactor, "straggler-factor", 3, "flag a lane/rank as a straggler when slower than the healthy median by this factor")
 	fs.StringVar(&o.flightOut, "flight-out", "", "write the flight-recorder dump to this file at exit")
 	fs.IntVar(&o.sup.Slow.Lane, "slow-lane", -1, "inject a persistent per-send delay into every stage of this lane's pipeline fabric (-1 disables)")
 	fs.DurationVar(&o.sup.Slow.Delay, "slow-delay", 25*time.Millisecond, "injected per-send delay for -slow-lane")

@@ -240,7 +240,7 @@ func ewmaBeforeAfter(t *testing.T, out string) (before, after float64) {
 // persistent per-send delay injected into lane 1 makes it a straggler,
 // the monitor's lane comparison fires an Alert, the alert wins the
 // re-plan guard, the supervisor quarantines the slow lane (not dead —
-// sidelined), re-plans on the measured profile, resumes from the latest
+// sidelined), re-plans to one lane fewer, resumes from the latest
 // snapshot without the slow lane, and the post-re-plan step time
 // improves.
 func TestRunStragglerDriftReplan(t *testing.T) {
@@ -250,7 +250,7 @@ func TestRunStragglerDriftReplan(t *testing.T) {
 		"-pretrain", "0", "-stages", "2", "-lanes", "2", "-batch", "8",
 		"-snapshot-every", "1", "-step-timeout", "10s",
 		"-slow-lane", "1", "-slow-delay", "30ms",
-		"-replan-on-drift", "-straggler-factor", "3",
+		"-replan-on-drift",
 	}, &sb)
 	out := sb.String()
 	if err != nil {
@@ -262,7 +262,7 @@ func TestRunStragglerDriftReplan(t *testing.T) {
 		"straggler",
 		"re-planning on drift:",
 		"quarantined lane 1",
-		"re-plan (drift):",
+		"re-plan (drift): 2 stages × 1 lanes",
 		"after:",
 	} {
 		if !strings.Contains(out, want) {
@@ -273,6 +273,24 @@ func TestRunStragglerDriftReplan(t *testing.T) {
 	if after >= before {
 		t.Errorf("step EWMA did not improve after the drift re-plan: %.4fs -> %.4fs\n%s",
 			before, after, out)
+	}
+}
+
+// TestRunHealthyRaisesNoAlert: a 2 × 2 run with nothing injected is
+// healthy, so the monitor has nothing to say. It is sized as CI's
+// telemetry smoke is, long enough for every series to settle.
+func TestRunHealthyRaisesNoAlert(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{
+		"-task", "sst-2", "-samples", "96", "-epochs", "4",
+		"-pretrain", "0", "-stages", "2", "-lanes", "2", "-batch", "8",
+	}, &sb)
+	out := sb.String()
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	if strings.Contains(out, "ALERT:") || !strings.Contains(out, ", 0 alerts,") {
+		t.Errorf("a healthy run raised alerts:\n%s", out)
 	}
 }
 
@@ -290,7 +308,7 @@ func TestRunFleetDrainReplan(t *testing.T) {
 	}
 	for _, want := range []string{
 		"re-planning on fleet drain:",
-		"re-plan (fleet):",
+		"re-plan (fleet): 2 stages × 1 lanes",
 		"fleet drain of jetson-nano-3 complete",
 		"fleet: 1 drain re-plan(s)",
 		"after:",
@@ -368,7 +386,7 @@ func TestFlagSurface(t *testing.T) {
 		"flight-out", "flight-size", "lanes", "load", "lr", "max-recoveries",
 		"mem-budget", "mem-report", "pool-stats", "pretrain", "replan-on-drift",
 		"resume", "samples", "save", "slow-delay", "slow-lane", "snapshot-dir",
-		"snapshot-every", "stages", "step-timeout", "straggler-factor", "task",
+		"snapshot-every", "stages", "step-timeout", "task",
 		"telemetry-addr", "trace-out", "trace-sample", "workers",
 	}
 	fs, _ := newFlags()
@@ -377,7 +395,7 @@ func TestFlagSurface(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flag surface changed:\n got %v\nwant %v", got, want)
 	}
-	for _, retired := range []string{"-trace-cap", "-mem-warn-frac", "-mem-crit-frac", "-fleet-journal"} {
+	for _, retired := range []string{"-trace-cap", "-mem-warn-frac", "-mem-crit-frac", "-fleet-journal", "-straggler-factor"} {
 		err := run(tinyArgs(retired, "1"), &strings.Builder{})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+retired) {
 			t.Errorf("%s: got %v, want a flag-parse error", retired, err)

@@ -21,9 +21,12 @@ type StepStats struct {
 	Lane   int
 	Stage  int
 	Rank   int
-	// FwdSec and BwdSec are the compute seconds of the step's forward
-	// and backward work (excluding collective waits when the engine can
-	// separate them).
+	// FwdSec and BwdSec are the seconds of the step's forward and
+	// backward work as the reporter times them. A DP rank reports its
+	// compute before the AllReduce in FwdSec. A pipeline stage times each
+	// micro-batch wall to wall, boundary receive waits included, so every
+	// stage of a pipelined step reads about the whole step: the numbers
+	// compare lanes, not stages.
 	FwdSec, BwdSec float64
 	// StepSec is the wall time of the whole step as this reporter saw
 	// it, including communication.
@@ -43,12 +46,12 @@ type AlertKind string
 
 const (
 	// Straggler: one lane (hybrid phase) or rank (cached phase) is
-	// persistently slower than the group median by the configured
-	// factor.
+	// persistently slower than the group's lower median by
+	// stragglerFactor.
 	Straggler AlertKind = "straggler"
-	// Drift: a stage's measured time share diverged from the planner's
-	// prediction, or a series drifted from its own early baseline,
-	// beyond the configured factor — the plan's profile is stale.
+	// Drift: one lane-stage series grew past its own early baseline by
+	// driftFactor — a device that was fine early in the run and slowed
+	// down later.
 	Drift AlertKind = "drift"
 )
 
@@ -62,8 +65,8 @@ type Alert struct {
 	Stage  int
 	Rank   int
 	// Measured is the offending rolling value in seconds; Baseline is
-	// what it was compared against (group median, predicted share, or
-	// the series' own early baseline).
+	// what it was compared against (the group's lower median or the
+	// series' own early baseline).
 	Measured, Baseline, Ratio float64
 	At                        time.Time
 }
@@ -77,8 +80,6 @@ func (a Alert) String() string {
 		who = fmt.Sprintf("lane %d", a.Lane)
 	case a.Rank >= 0:
 		who = fmt.Sprintf("rank %d", a.Rank)
-	case a.Stage >= 0:
-		who = fmt.Sprintf("stage %d", a.Stage)
 	default:
 		who = "group"
 	}
@@ -86,33 +87,29 @@ func (a Alert) String() string {
 		a.Kind, a.Engine, who, a.Measured, a.Baseline, a.Ratio)
 }
 
-// Config tunes a Monitor. The zero value is usable: defaults are
-// applied by NewMonitor.
+// The monitor's thresholds.
+const (
+	stragglerFactor = 3.0 // a lane/rank this many times its group's lower median is a straggler
+	driftFactor     = 2.5 // a series this many times its own early baseline has drifted
+	alpha           = 0.4 // weight of the newest whole step in the step EWMA
+	minSamples      = 3   // reports a series needs before it takes part in comparisons
+	window          = 5   // a series' value is the lower median of its last window reports
+	cooldown        = 16  // reports during which a repeat alert for the same subject is dropped
+	memEvery        = 64  // sample runtime.ReadMemStats into the health gauges every N reports
+	// noiseSec is the least excess, in seconds per report, worth an
+	// alert. Healthy 2 × 2 Tiny runs on 2 cores show lanes, ranks and
+	// a stage against its own baseline up to ≈ 4 ms and 5× apart; a
+	// 30 ms per-send delay puts a lane ≈ 300 ms behind.
+	noiseSec = 0.010
+)
+
+// slower reports whether v is past base by factor and by more than
+// noiseSec.
+func slower(v, base, factor float64) bool { return v > base*factor && v-base > noiseSec }
+
+// Config wires a Monitor to the rest of the run; the zero value is a
+// monitor nobody listens to.
 type Config struct {
-	// StragglerFactor flags a lane/rank whose rolling compute time
-	// exceeds the group median by this factor (default 3).
-	StragglerFactor float64
-	// DriftFactor flags a stage whose measured time share exceeds the
-	// predicted share — or a series exceeding its own early baseline —
-	// by this factor (default 2.5).
-	DriftFactor float64
-	// Alpha is the EWMA weight of the newest sample (default 0.4).
-	Alpha float64
-	// MinSamples is how many reports a series needs before it takes
-	// part in comparisons (default 3).
-	MinSamples int
-	// Cooldown suppresses repeat alerts for the same subject for this
-	// many subsequent reports (default 16).
-	Cooldown int
-	// ExpectedStageSec is the planner's predicted per-stage busy time
-	// for one mini-batch (planner.Eval.StageSec). Only the *shares*
-	// are compared — measured wall-clock on this host and the device
-	// model's absolute scale need not agree. Empty disables the
-	// plan-drift check.
-	ExpectedStageSec []float64
-	// MemEvery samples runtime.ReadMemStats into the health gauges
-	// every N reports (default 64; negative disables).
-	MemEvery int
 	// OnAlert observes every raised alert. It is called synchronously
 	// with the monitor's lock held — it must be quick and must not call
 	// back into the Monitor.
@@ -121,49 +118,25 @@ type Config struct {
 	Flight *Recorder
 }
 
-func (c Config) withDefaults() Config {
-	if c.StragglerFactor <= 0 {
-		c.StragglerFactor = 3
-	}
-	if c.DriftFactor <= 0 {
-		c.DriftFactor = 2.5
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.4
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 16
-	}
-	if c.MemEvery == 0 {
-		c.MemEvery = 64
-	}
-	return c
-}
-
 // series is one rolling measurement stream (per lane×stage or per
-// rank): EWMAs of forward and backward seconds plus an early baseline
+// rank): the seconds of its last window reports plus an early baseline
 // for self-drift detection.
 type series struct {
 	n        int
-	fwd, bwd float64
+	recent   [window]float64 // report i is at i % window
 	baseline float64
-	bytes    int64
 }
 
-func (s *series) observe(alpha, fwd, bwd float64) {
-	if s.n == 0 {
-		s.fwd, s.bwd = fwd, bwd
-	} else {
-		s.fwd += alpha * (fwd - s.fwd)
-		s.bwd += alpha * (bwd - s.bwd)
-	}
+func (s *series) observe(sec float64) {
+	s.recent[s.n%window] = sec
 	s.n++
 }
 
-func (s *series) total() float64 { return s.fwd + s.bwd }
+// total is the lower median of the recent reports: one descheduled step
+// does not move it, a lane that stays slow does.
+func (s *series) total() float64 {
+	return lowerMedian(append([]float64(nil), s.recent[:min(s.n, window)]...))
+}
 
 type laneStage struct{ lane, stage int }
 
@@ -180,13 +153,12 @@ type Monitor struct {
 	reports   int
 	lastAlert map[string]int
 	alerts    []Alert
-	numStages int
 }
 
-// NewMonitor builds a monitor; see Config for the knobs.
+// NewMonitor builds a monitor that reports to cfg's listeners.
 func NewMonitor(cfg Config) *Monitor {
 	return &Monitor{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		lanes:     map[laneStage]*series{},
 		ranks:     map[int]*series{},
 		lastAlert: map[string]int{},
@@ -213,14 +185,9 @@ func (m *Monitor) ReportStep(s StepStats) {
 			sr = &series{}
 			m.lanes[key] = sr
 		}
-		sr.observe(m.cfg.Alpha, s.FwdSec, s.BwdSec)
-		sr.bytes += s.Bytes
-		if s.Stage+1 > m.numStages {
-			m.numStages = s.Stage + 1
-		}
+		sr.observe(s.FwdSec + s.BwdSec)
 		m.checkSelfDrift(s.Engine, s.Lane, s.Stage, sr)
 		m.checkLaneStraggler(s.Engine)
-		m.checkPlanDrift(s.Engine)
 	case s.Rank >= 0:
 		sr := m.ranks[s.Rank]
 		if sr == nil {
@@ -231,19 +198,18 @@ func (m *Monitor) ReportStep(s StepStats) {
 		if compute == 0 {
 			compute = s.StepSec
 		}
-		sr.observe(m.cfg.Alpha, compute, 0)
-		sr.bytes += s.Bytes
+		sr.observe(compute)
 		m.checkRankStraggler(s.Engine)
 	default:
 		if m.stepN == 0 {
 			m.stepE = s.StepSec
 		} else {
-			m.stepE += m.cfg.Alpha * (s.StepSec - m.stepE)
+			m.stepE += alpha * (s.StepSec - m.stepE)
 		}
 		m.stepN++
 	}
 
-	if m.cfg.MemEvery > 0 && m.reports%m.cfg.MemEvery == 1 {
+	if m.reports%memEvery == 1 {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		mHeapBytes.Set(float64(ms.HeapAlloc))
@@ -251,8 +217,8 @@ func (m *Monitor) ReportStep(s StepStats) {
 	}
 }
 
-// laneTotals returns per-lane summed stage EWMAs, only for lanes whose
-// every observed stage has MinSamples reports.
+// laneTotals returns per-lane summed stage values, only for lanes whose
+// every observed stage has minSamples reports.
 func (m *Monitor) laneTotals() map[int]float64 {
 	totals := map[int]float64{}
 	ready := map[int]bool{}
@@ -260,7 +226,7 @@ func (m *Monitor) laneTotals() map[int]float64 {
 		if _, seen := ready[k.lane]; !seen {
 			ready[k.lane] = true
 		}
-		if sr.n < m.cfg.MinSamples {
+		if sr.n < minSamples {
 			ready[k.lane] = false
 		}
 		totals[k.lane] += sr.total()
@@ -295,7 +261,7 @@ func (m *Monitor) checkLaneStraggler(engine string) {
 		return
 	}
 	for lane, v := range totals {
-		if v > med*m.cfg.StragglerFactor {
+		if slower(v, med, stragglerFactor) {
 			m.fire(Alert{Kind: Straggler, Engine: engine, Lane: lane, Stage: -1, Rank: -1,
 				Measured: v, Baseline: med, Ratio: v / med, At: time.Now()})
 		}
@@ -305,7 +271,7 @@ func (m *Monitor) checkLaneStraggler(engine string) {
 func (m *Monitor) checkRankStraggler(engine string) {
 	vals := make([]float64, 0, len(m.ranks))
 	for _, sr := range m.ranks {
-		if sr.n < m.cfg.MinSamples {
+		if sr.n < minSamples {
 			return // compare only once every rank has settled
 		}
 		vals = append(vals, sr.total())
@@ -318,84 +284,22 @@ func (m *Monitor) checkRankStraggler(engine string) {
 		return
 	}
 	for rank, sr := range m.ranks {
-		if v := sr.total(); v > med*m.cfg.StragglerFactor {
+		if v := sr.total(); slower(v, med, stragglerFactor) {
 			m.fire(Alert{Kind: Straggler, Engine: engine, Lane: -1, Stage: -1, Rank: rank,
 				Measured: v, Baseline: med, Ratio: v / med, At: time.Now()})
 		}
 	}
 }
 
-// stageMedians returns the per-stage lower-median across lanes of the
-// (fwd, bwd) EWMAs — the healthy-lane view of each stage's cost. ok is
-// false until every stage of some lane has MinSamples reports.
-func (m *Monitor) stageMedians() (fwd, bwd []float64, ok bool) {
-	if m.numStages == 0 {
-		return nil, nil, false
-	}
-	fwd = make([]float64, m.numStages)
-	bwd = make([]float64, m.numStages)
-	for s := 0; s < m.numStages; s++ {
-		var fs, bs []float64
-		for k, sr := range m.lanes {
-			if k.stage == s && sr.n >= m.cfg.MinSamples {
-				fs = append(fs, sr.fwd)
-				bs = append(bs, sr.bwd)
-			}
-		}
-		if len(fs) == 0 {
-			return nil, nil, false
-		}
-		fwd[s] = lowerMedian(fs)
-		bwd[s] = lowerMedian(bs)
-	}
-	return fwd, bwd, true
-}
-
-// checkPlanDrift compares per-stage measured/predicted time ratios
-// against their own lower median. Scale-free: goroutine wall time on
-// the host and the planner's device model disagree on absolute scale,
-// so a uniformly slow (or fast) host shifts every ratio together and
-// stays quiet — only a stage diverging from the plan's *proportions*
-// sticks out.
-func (m *Monitor) checkPlanDrift(engine string) {
-	exp := m.cfg.ExpectedStageSec
-	if len(exp) == 0 || m.numStages != len(exp) {
-		return
-	}
-	fwd, bwd, ok := m.stageMedians()
-	if !ok {
-		return
-	}
-	ratios := make([]float64, len(exp))
-	meas := make([]float64, len(exp))
-	for s := range exp {
-		if exp[s] <= 0 {
-			return
-		}
-		meas[s] = fwd[s] + bwd[s]
-		ratios[s] = meas[s] / exp[s]
-	}
-	base := lowerMedian(append([]float64(nil), ratios...))
-	if base <= 0 {
-		return
-	}
-	for s := range exp {
-		if ratios[s] > base*m.cfg.DriftFactor {
-			m.fire(Alert{Kind: Drift, Engine: engine, Lane: -1, Stage: s, Rank: -1,
-				Measured: meas[s], Baseline: exp[s] * base, Ratio: ratios[s] / base, At: time.Now()})
-		}
-	}
-}
-
 // checkSelfDrift compares a series against its own baseline captured
-// after MinSamples reports — the thermal-throttling signal: a stage
+// after minSamples reports — the thermal-throttling signal: a stage
 // that was fine early in the run and slowed down later.
 func (m *Monitor) checkSelfDrift(engine string, lane, stage int, sr *series) {
-	if sr.n == m.cfg.MinSamples {
+	if sr.n == minSamples {
 		sr.baseline = sr.total()
 		return
 	}
-	if sr.n > m.cfg.MinSamples && sr.baseline > 0 && sr.total() > sr.baseline*m.cfg.DriftFactor {
+	if sr.n > minSamples && sr.baseline > 0 && slower(sr.total(), sr.baseline, driftFactor) {
 		m.fire(Alert{Kind: Drift, Engine: engine, Lane: lane, Stage: stage, Rank: -1,
 			Measured: sr.total(), Baseline: sr.baseline, Ratio: sr.total() / sr.baseline, At: time.Now()})
 	}
@@ -405,7 +309,7 @@ func (m *Monitor) checkSelfDrift(engine string, lane, stage int, sr *series) {
 // m.mu held.
 func (m *Monitor) fire(a Alert) {
 	key := fmt.Sprintf("%s|%s|%d|%d|%d", a.Kind, a.Engine, a.Lane, a.Stage, a.Rank)
-	if last, ok := m.lastAlert[key]; ok && m.reports-last < m.cfg.Cooldown {
+	if last, ok := m.lastAlert[key]; ok && m.reports-last < cooldown {
 		return
 	}
 	m.lastAlert[key] = m.reports
@@ -457,17 +361,4 @@ func (m *Monitor) StepEWMASec() float64 {
 		return 0
 	}
 	return m.stepE
-}
-
-// StageFwdBwdSeconds returns the measured per-stage forward and
-// backward seconds (healthy-lane medians), or ok=false before every
-// stage has settled — the input to profiler.FromStageSeconds for
-// profile-guided re-planning. Nil-safe.
-func (m *Monitor) StageFwdBwdSeconds() (fwd, bwd []float64, ok bool) {
-	if m == nil {
-		return nil, nil, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stageMedians()
 }

@@ -92,56 +92,27 @@ func Measure(p *peft.Parallel, b *data.Batch, iters int) *Profile {
 			}
 		}
 	}
-	spread(prof.BlockBwdSec, analytic, bwd, bwdFLOPs)
+	spreadBackward(prof.BlockBwdSec, analytic, bwd)
 	prof.calibrate(analytic)
 	return prof
 }
 
-// FromStageSeconds folds measured per-stage forward/backward times —
-// as the health monitor accumulates them during a live run — into a
-// Profile, spreading each stage's times over its blocks by their
-// analytic forward and backward FLOPs. This is the profile-feedback
-// path: a drift-triggered re-plan reuses the exact
-// ToBlockCosts/CalibrateDevice machinery startup profiling uses, but
-// fed by live measurements instead of a calibration batch. boundaries
-// has stages+1 entries covering all of analytic; stageFwd/stageBwd are
-// the measured seconds per stage for one batch-sized mini-batch.
-func FromStageSeconds(analytic []costmodel.BlockCost, boundaries []int, stageFwd, stageBwd []float64, batch int) (*Profile, error) {
-	S := len(boundaries) - 1
-	if S < 1 || len(stageFwd) != S || len(stageBwd) != S {
-		return nil, fmt.Errorf("profiler: %d boundaries vs %d fwd / %d bwd stage times",
-			len(boundaries), len(stageFwd), len(stageBwd))
-	}
-	if boundaries[0] != 0 || boundaries[S] != len(analytic) {
-		return nil, fmt.Errorf("profiler: boundaries %v do not cover %d blocks", boundaries, len(analytic))
-	}
-	p := &Profile{Batch: max(batch, 1), BlockFwdSec: make([]float64, len(analytic)), BlockBwdSec: make([]float64, len(analytic))}
-	for s := 0; s < S; s++ {
-		lo, hi := boundaries[s], boundaries[s+1]
-		spread(p.BlockFwdSec[lo:hi], analytic[lo:hi], stageFwd[s], fwdFLOPs)
-		spread(p.BlockBwdSec[lo:hi], analytic[lo:hi], stageBwd[s], bwdFLOPs)
-	}
-	p.calibrate(analytic)
-	return p, nil
-}
-
-// spread divides total seconds over dst in proportion to each block's
-// analytic weight, evenly when the weights sum to zero.
-func spread(dst []float64, blocks []costmodel.BlockCost, total float64, weight func(costmodel.BlockCost) float64) {
+// spreadBackward divides total seconds over dst in proportion to each
+// block's analytic backward FLOPs, evenly when they sum to zero.
+func spreadBackward(dst []float64, blocks []costmodel.BlockCost, total float64) {
 	var sum float64
 	for _, b := range blocks {
-		sum += weight(b)
+		sum += bwdFLOPs(b)
 	}
 	for i, b := range blocks {
 		if sum > 0 {
-			dst[i] = total * weight(b) / sum
+			dst[i] = total * bwdFLOPs(b) / sum
 		} else {
 			dst[i] = total / float64(len(blocks))
 		}
 	}
 }
 
-func fwdFLOPs(b costmodel.BlockCost) float64 { return b.FwdFLOPs }
 func bwdFLOPs(b costmodel.BlockCost) float64 { return b.BwdTraverseFLOPs + b.BwdTrainFLOPs }
 
 // calibrate sets EffectiveGFLOPS: analytic forward FLOPs over the

@@ -1,7 +1,6 @@
 package profiler
 
 import (
-	"math"
 	"testing"
 
 	"pac/internal/cluster"
@@ -84,30 +83,6 @@ func TestMeasureReturnsItsBuffers(t *testing.T) {
 				t.Fatalf("%s: profile left a side gradient behind", cfg.Name)
 			}
 		}
-	}
-}
-
-func TestFromStageSecondsKeepsStageTotals(t *testing.T) {
-	cfg := model.Tiny()
-	analytic := costmodel.Costs{Cfg: cfg, Kind: peft.ParallelAdapters, EncSeq: 16, DecSeq: 1}.Blocks()
-	bounds := []int{0, 3, len(analytic)}
-	fwd, bwd := []float64{0.3, 0.1}, []float64{0.02, 0.04}
-	prof, err := FromStageSeconds(analytic, bounds, fwd, bwd, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range fwd {
-		var f, b float64
-		for bi := bounds[s]; bi < bounds[s+1]; bi++ {
-			f += prof.BlockFwdSec[bi]
-			b += prof.BlockBwdSec[bi]
-		}
-		if math.Abs(f-fwd[s]) > 1e-12 || math.Abs(b-bwd[s]) > 1e-12 {
-			t.Errorf("stage %d: blocks sum to fwd %v bwd %v, measured %v / %v", s, f, b, fwd[s], bwd[s])
-		}
-	}
-	if _, err := FromStageSeconds(analytic, []int{0, 3}, fwd, bwd, 8); err == nil {
-		t.Error("boundaries that miss blocks accepted")
 	}
 }
 

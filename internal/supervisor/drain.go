@@ -49,14 +49,14 @@ func (s *Supervisor) drain(ctx context.Context) string {
 		return fmt.Sprintf("fleet drain of %s skipped: training finished first", name)
 	case waitSnap && s.latestSnapshot() == nil:
 		return fmt.Sprintf("fleet drain of %s: no training snapshot before drain", name)
-	case !s.live.Alive(name):
+	case s.sidelined.out(name):
 		return fmt.Sprintf("fleet drain of %s: already out of service, nothing to re-plan", name)
 	}
 
 	// The one safety rule: every stage keeps a device in service.
 	stage, left := d.Device%stages, 0
 	for i := stage; i < pool.Size(); i += stages {
-		if i != d.Device && s.live.Alive(pool.Devices[i].Name) {
+		if i != d.Device && !s.sidelined.out(pool.Devices[i].Name) {
 			left++
 		}
 	}
@@ -65,7 +65,7 @@ func (s *Supervisor) drain(ctx context.Context) string {
 	}
 
 	s.draining.Store(true)
-	s.live.Quarantine(name)
+	s.sidelined.add(name, "quarantine")
 	s.guard.request("fleet", health.Alert{Lane: d.Device / stages, Stage: stage, Rank: -1})
 	return fmt.Sprintf("fleet drain of %s complete: snapshot taken, device quarantined, training re-planned around it", name)
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -54,29 +56,23 @@ func (sc *script) build(c core.Config, snap *checkpoint.Snapshot) (Trainer, core
 	return scripted(func(ctx context.Context) error { return sc.steps[i](ctx, c, sc.sup) }), cur, nil
 }
 
-// dead lists the pool's devices the tracker has given up on: neither
-// alive nor merely quarantined.
-func (sc *script) dead() []string {
-	quarantined := sc.sup.live.Quarantined()
-	var out []string
-	for _, d := range sc.sup.cfg.Pool.Devices {
-		if !sc.sup.live.Alive(d.Name) && !slices.Contains(quarantined, d.Name) {
-			out = append(out, d.Name)
-		}
-	}
-	return out
-}
+// dead and quarantined list the pool's devices sidelined for each reason.
+func (sc *script) dead() []string        { return sc.sup.sidelined.names("dead") }
+func (sc *script) quarantined() []string { return sc.sup.sidelined.names("quarantine") }
 
-// supervise runs steps under a supervisor on the usual 2 stages × 2
-// lanes of four nanos; ready, when non-nil, gets the built supervisor
-// before Run.
+// supervise runs steps under a supervisor on 2 stages × cfg.Core.Lanes
+// lanes of nanos, 2 lanes when cfg leaves it 0; ready, when non-nil,
+// gets the built supervisor before Run.
 func supervise(t *testing.T, cfg Config, ready func(*Supervisor), steps ...attempt) (*script, Result, string, error) {
 	t.Helper()
 	var out strings.Builder
 	sc := &script{steps: steps}
 	cfg.Core.Model = model.Tiny()
-	cfg.Core.Stages, cfg.Core.Lanes = 2, 2
-	cfg.Pool = cluster.Nanos(4)
+	if cfg.Core.Lanes == 0 {
+		cfg.Core.Lanes = 2
+	}
+	cfg.Core.Stages = 2
+	cfg.Pool = cluster.Nanos(2 * cfg.Core.Lanes)
 	cfg.Batch, cfg.Epochs, cfg.Task = 8, 2, "SST-2"
 	cfg.Build, cfg.Out = sc.build, &out
 	sup, err := New(cfg)
@@ -138,7 +134,7 @@ func TestFailureReplan(t *testing.T) {
 	wantOutput(t, out,
 		"FAILURE: device jetson-nano-3 detected dead",
 		"re-planning on 3 surviving device(s): [jetson-nano-0 jetson-nano-1 jetson-nano-2]",
-		"re-plan: ",
+		"re-plan: 2 stages × 1 lanes, 3 surviving device(s)",
 		"recovering from snapshot: epoch 1, step 7 (2 stages × 1 lanes)",
 		"health: 0 step reports, 0 alerts, 0 drift re-plan(s) across 2 attempt(s)")
 	if got := sc.dead(); len(got) != 1 || got[0] != "jetson-nano-3" {
@@ -166,24 +162,123 @@ func lanesOf(cs []core.Config) []int {
 	return out
 }
 
-// TestReplanAfterHeartbeatTTL is the regression test for re-plans later
-// than a minute into a run: the devices are heartbeated once, so under
-// a one-minute TTL every one of them had expired by then and the
-// planner was handed an empty pool.
-func TestReplanAfterHeartbeatTTL(t *testing.T) {
-	late := func(s *Supervisor) {
-		s.live.SetClock(func() time.Time { return time.Now().Add(2 * time.Minute) })
+// TestReplanPrintsTheShapeItRuns: each re-plan line states the stages ×
+// lanes the next attempt is built with and the devices left in service.
+func TestReplanPrintsTheShapeItRuns(t *testing.T) {
+	shape := regexp.MustCompile(`re-plan(?: \((\w+)\))?: (\d+) stages × (\d+) lanes, (\d+) surviving device\(s\)`)
+	slowLane := func(lane int) attempt {
+		return func(ctx context.Context, c core.Config, s *Supervisor) error {
+			s.onAlert(health.Alert{Kind: health.Straggler, Engine: "hybrid", Lane: lane, Stage: -1, Rank: -1, Ratio: 4})
+			return untilCanceled(ctx, c, s)
+		}
 	}
-	sc, _, out, err := supervise(t, Config{MaxRecoveries: 1}, late, lane1Stage1Dies, finish)
-	if err != nil {
-		t.Fatalf("Run: %v\n%s", err, out)
+	drain := Config{Drain: &Drain{Device: 3}}
+	drain.Core.SnapshotEvery = 1
+	threeLanes := Config{ReplanOnDrift: true}
+	threeLanes.Core.Lanes = 3
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		steps     []attempt
+		triggers  []string // "" for a failure
+		survivors []int
+	}{
+		{"failure", Config{MaxRecoveries: 1}, []attempt{lane1Stage1Dies, finish}, []string{""}, []int{3}},
+		{"drift twice on 3 lanes", threeLanes, []attempt{slowLane(1), slowLane(0), finish}, []string{"drift", "drift"}, []int{4, 2}},
+		{"fleet", drain, []attempt{snapshotThen(0, 2, untilCanceled), finish}, []string{"fleet"}, []int{3}},
+	} {
+		sc, _, out, err := supervise(t, tc.cfg, nil, tc.steps...)
+		if err != nil {
+			t.Fatalf("%s: Run: %v\n%s", tc.name, err, out)
+		}
+		lines := shape.FindAllStringSubmatch(out, -1)
+		if len(lines) != len(tc.triggers) || len(sc.built) != len(lines)+1 {
+			t.Fatalf("%s: %d re-plan lines, %d attempts: want %d and %d\n%s",
+				tc.name, len(lines), len(sc.built), len(tc.triggers), len(tc.triggers)+1, out)
+		}
+		for i, m := range lines {
+			next := sc.built[i+1]
+			stages, _ := strconv.Atoi(m[2])
+			lanes, _ := strconv.Atoi(m[3])
+			left, _ := strconv.Atoi(m[4])
+			if m[1] != tc.triggers[i] || stages != next.Stages || lanes != next.Lanes || left != tc.survivors[i] {
+				t.Errorf("%s: %q, but attempt %d runs %d stages × %d lanes (want trigger %q, %d survivors)",
+					tc.name, m[0], i+1, next.Stages, next.Lanes, tc.triggers[i], tc.survivors[i])
+			}
+		}
 	}
-	wantOutput(t, out, "re-planning on 3 surviving device(s)", "no snapshot captured yet")
-	if strings.Contains(out, "no feasible configuration") {
-		t.Errorf("planner found nothing on three live devices:\n%s", out)
+}
+
+// TestSurvivorsKeepPoolOrder: the survivors are the pool minus its
+// sidelined devices, in pool order; devices sharing a name share a fate.
+func TestSurvivorsKeepPoolOrder(t *testing.T) {
+	var s sidelined
+	pool := cluster.Nanos(4)
+	if got := deviceNames(s.survivors(pool)); !slices.Equal(got, deviceNames(pool)) {
+		t.Fatalf("nothing sidelined, survivors %v", got)
 	}
-	if len(sc.built) != 2 || sc.built[1].Lanes != 1 {
-		t.Errorf("attempts built with lanes %v, want 2 then 1", lanesOf(sc.built))
+	s.add("jetson-nano-1", "dead")
+	want := []string{"jetson-nano-0", "jetson-nano-2", "jetson-nano-3"}
+	if got := deviceNames(s.survivors(pool)); !slices.Equal(got, want) {
+		t.Errorf("survivors %v, want %v", got, want)
+	}
+	if pool.Size() != 4 {
+		t.Error("survivors changed the pool")
+	}
+	dup := cluster.Cluster{Devices: []cluster.DeviceSpec{{Name: "x"}, {Name: "y"}, {Name: "x"}}}
+	s.add("x", "quarantine")
+	if got := deviceNames(s.survivors(dup)); !slices.Equal(got, []string{"y"}) {
+		t.Errorf("duplicate names: survivors %v, want [y]", got)
+	}
+}
+
+// TestQuarantineExcludesDevice: a quarantined device leaves the
+// survivors for good, a dead one outranks its quarantine, and the flight
+// ring records each transition once.
+func TestQuarantineExcludesDevice(t *testing.T) {
+	rec := health.Enable(64)
+	defer health.Disable()
+	var s sidelined
+	pool := cluster.Nanos(3)
+	s.add("jetson-nano-2", "quarantine")
+	s.add("jetson-nano-2", "quarantine")
+	if !s.out("jetson-nano-2") || s.survivors(pool).Size() != 2 {
+		t.Fatalf("a quarantined device is in service: %v", deviceNames(s.survivors(pool)))
+	}
+	s.add("jetson-nano-2", "dead")
+	s.add("jetson-nano-2", "quarantine")
+	if d, q := s.names("dead"), s.names("quarantine"); !slices.Equal(d, []string{"jetson-nano-2"}) || len(q) != 0 {
+		t.Errorf("dead %v, quarantined %v: want the device dead and nothing quarantined", d, q)
+	}
+	var kinds []string
+	for _, ev := range rec.Events() {
+		kinds = append(kinds, ev.Kind+" "+ev.Detail)
+	}
+	if want := []string{"quarantine jetson-nano-2", "dead jetson-nano-2"}; !slices.Equal(kinds, want) {
+		t.Errorf("flight events %v, want %v", kinds, want)
+	}
+}
+
+// TestSidelinedConcurrentWriters: the drain goroutine and replan write
+// the set while survivors are read (run it under -race).
+func TestSidelinedConcurrentWriters(t *testing.T) {
+	var s sidelined
+	pool := cluster.Nanos(8)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < pool.Size(); i += 4 {
+				s.add(pool.Devices[i].Name, []string{"dead", "quarantine"}[w%2])
+				s.survivors(pool)
+				s.names("quarantine")
+			}
+		}(w)
+	}
+	wg.Wait()
+	if left := s.survivors(pool); left.Size() != 0 {
+		t.Errorf("survivors %v after every device was sidelined", deviceNames(left))
 	}
 }
 
@@ -242,7 +337,7 @@ func TestDriftReplan(t *testing.T) {
 		"ALERT: straggler [hybrid] lane 1",
 		"re-planning on drift: straggler [hybrid] lane 1",
 		"quarantined lane 1: [jetson-nano-2 jetson-nano-3]",
-		"re-plan (drift): ")
+		"re-plan (drift): 2 stages × 1 lanes, 2 surviving device(s)")
 	if strings.Count(out, "ALERT:") != 2 || strings.Count(out, "re-planning on drift:") != 1 {
 		t.Errorf("want two alerts and one drift re-plan:\n%s", out)
 	}
@@ -273,7 +368,7 @@ func TestFailureSupersedesDrift(t *testing.T) {
 		t.Fatalf("Run: %v\n%s", err, out)
 	}
 	wantOutput(t, out, "FAILURE: device jetson-nano-3", "re-planning on 3 surviving device(s)")
-	if strings.Contains(out, "re-planning on drift") || len(sc.sup.live.Quarantined()) != 0 {
+	if strings.Contains(out, "re-planning on drift") || len(sc.quarantined()) != 0 {
 		t.Errorf("the drift request was acted on beside the failure:\n%s", out)
 	}
 	if res.Recoveries != 1 || res.DriftReplans != 0 {
@@ -292,7 +387,7 @@ func TestLateRequestIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v\n%s", err, out)
 	}
-	if len(sc.built) != 1 || res.DriftReplans != 0 || res.Loss != 0.25 || len(sc.sup.live.Quarantined()) != 0 {
+	if len(sc.built) != 1 || res.DriftReplans != 0 || res.Loss != 0.25 || len(sc.quarantined()) != 0 {
 		t.Errorf("a request after the finish was acted on: %+v\n%s", res, out)
 	}
 }
@@ -315,14 +410,14 @@ func TestFleetDrainReplan(t *testing.T) {
 	}
 	wantOutput(t, out,
 		"re-planning on fleet drain: 3 surviving device(s): [jetson-nano-0 jetson-nano-1 jetson-nano-2]",
-		"re-plan (fleet): ",
+		"re-plan (fleet): 2 stages × 1 lanes, 3 surviving device(s)",
 		"recovering from snapshot: epoch 0, step 2",
 		"fleet drain of jetson-nano-3 complete",
 		"fleet: 1 drain re-plan(s)")
 	if res.FleetReplans != 1 || res.Recoveries != 0 || sc.built[1].Lanes != 1 {
 		t.Errorf("result %+v, lanes %v", res, lanesOf(sc.built))
 	}
-	if q := sc.sup.live.Quarantined(); len(q) != 1 || q[0] != "jetson-nano-3" {
+	if q := sc.quarantined(); len(q) != 1 || q[0] != "jetson-nano-3" {
 		t.Errorf("quarantined %v, want [jetson-nano-3]", q)
 	}
 }
@@ -344,8 +439,8 @@ func TestDrainOutlivedByTraining(t *testing.T) {
 			t.Errorf("%s: Run took %v after training had finished", name, took)
 		}
 		wantOutput(t, out, "fleet drain of jetson-nano-3 skipped: training finished first", "fleet: 0 drain re-plan(s)")
-		if res.FleetReplans != 0 || len(sc.sup.live.Quarantined()) != 0 {
-			t.Errorf("%s: a skipped drain sidelined a device: %+v %v", name, res, sc.sup.live.Quarantined())
+		if res.FleetReplans != 0 || len(sc.quarantined()) != 0 {
+			t.Errorf("%s: a skipped drain sidelined a device: %+v %v", name, res, sc.quarantined())
 		}
 	}
 }
@@ -373,7 +468,7 @@ func drainLeavesPoolAlone(t *testing.T, sc *script, res Result, out string, err 
 	if strings.Contains(out, "re-planning on fleet drain") || res.FleetReplans != 0 || len(sc.built) != 2 || res.Loss != 0.25 {
 		t.Errorf("result %+v, %d attempts: want training finished after one re-plan, no fleet re-plan\n%s", res, len(sc.built), out)
 	}
-	if q := sc.sup.live.Quarantined(); !slices.Equal(q, quarantined) {
+	if q := sc.quarantined(); !slices.Equal(q, quarantined) {
 		t.Errorf("quarantined %v, want %v", q, quarantined)
 	}
 }
