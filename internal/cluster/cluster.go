@@ -91,3 +91,17 @@ func Nanos(n int) Cluster { return Homogeneous(JetsonNano(), n) }
 
 // Size returns the device count.
 func (c Cluster) Size() int { return len(c.Devices) }
+
+// Survivors filters c down to the devices not out of service, preserving
+// order — the device set handed back to the planner after a re-plan.
+// out is asked by name, so devices sharing a name share a fate. c is not
+// modified.
+func (c Cluster) Survivors(out func(name string) bool) Cluster {
+	left := Cluster{Devices: make([]DeviceSpec, 0, len(c.Devices))}
+	for _, d := range c.Devices {
+		if !out(d.Name) {
+			left.Devices = append(left.Devices, d)
+		}
+	}
+	return left
+}

@@ -67,3 +67,44 @@ func TestPropClusterAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestLivenessSurvivorsPreservesOrder(t *testing.T) {
+	pool := Nanos(4)
+	dead := pool.Devices[1].Name
+	s := pool.Survivors(func(name string) bool { return name == dead })
+	if s.Size() != 3 {
+		t.Fatalf("survivors: %d, want 3", s.Size())
+	}
+	want := []string{pool.Devices[0].Name, pool.Devices[2].Name, pool.Devices[3].Name}
+	for i, d := range s.Devices {
+		if d.Name != want[i] {
+			t.Fatalf("survivor %d = %s, want %s (order not preserved)", i, d.Name, want[i])
+		}
+	}
+}
+
+func TestSurvivorsEdgeCases(t *testing.T) {
+	// Nothing out of service: every device survives.
+	pool := Nanos(3)
+	if s := pool.Survivors(func(string) bool { return false }); s.Size() != 3 {
+		t.Fatalf("in-service devices dropped: %d survive, want 3", s.Size())
+	}
+
+	// Emptying: all out ⇒ empty survivors, original intact.
+	if s := pool.Survivors(func(string) bool { return true }); s.Size() != 0 {
+		t.Fatalf("out-of-service devices survived: %d", s.Size())
+	}
+	if pool.Size() != 3 {
+		t.Fatal("Survivors mutated the input cluster")
+	}
+
+	// Duplicate names share a fate: both copies survive or neither.
+	dup := Cluster{Devices: []DeviceSpec{{Name: "x"}, {Name: "x"}, {Name: "y"}}}
+	if s := dup.Survivors(func(name string) bool { return name == "z" }); s.Size() != 3 {
+		t.Fatalf("duplicate-name survivors: %d, want 3", s.Size())
+	}
+	s := dup.Survivors(func(name string) bool { return name == "x" })
+	if s.Size() != 1 || s.Devices[0].Name != "y" {
+		t.Fatalf("duplicate-name removal: %v", s.Devices)
+	}
+}

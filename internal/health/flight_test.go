@@ -158,16 +158,16 @@ func TestRecorderDetailBounded(t *testing.T) {
 	if len(evs) != 1 {
 		t.Fatalf("events: %d", len(evs))
 	}
-	if got := len(evs[0].Detail); got > MaxDetailLen {
-		t.Fatalf("detail not bounded: %d bytes > %d", got, MaxDetailLen)
+	if got := len(evs[0].Detail); got > maxDetailLen {
+		t.Fatalf("detail not bounded: %d bytes > %d", got, maxDetailLen)
 	}
-	if evs[0].Detail[:MaxDetailLen-3] != string(long[:MaxDetailLen-3]) {
+	if evs[0].Detail[:maxDetailLen-3] != string(long[:maxDetailLen-3]) {
 		t.Fatal("truncation lost the detail prefix")
 	}
 	// A detail exactly at the bound is kept verbatim.
-	r.Record("fleet", -1, -1, string(long[:MaxDetailLen]), 1)
+	r.Record("fleet", -1, -1, string(long[:maxDetailLen]), 1)
 	evs = r.Events()
-	if got := evs[len(evs)-1].Detail; len(got) != MaxDetailLen || got != string(long[:MaxDetailLen]) {
+	if got := evs[len(evs)-1].Detail; len(got) != maxDetailLen || got != string(long[:maxDetailLen]) {
 		t.Fatalf("at-bound detail modified: %d bytes", len(got))
 	}
 }
@@ -180,10 +180,10 @@ func TestRecorderDetailTruncationRuneSafe(t *testing.T) {
 	for shift := 0; shift < 3; shift++ {
 		// The ASCII prefix slides the byte-offset cut across every
 		// possible position inside a 3-byte rune.
-		r.Record("fleet", -1, -1, strings.Repeat("x", shift)+strings.Repeat("チ", MaxDetailLen), 1)
+		r.Record("fleet", -1, -1, strings.Repeat("x", shift)+strings.Repeat("チ", maxDetailLen), 1)
 	}
 	for _, ev := range r.Events() {
-		if len(ev.Detail) > MaxDetailLen {
+		if len(ev.Detail) > maxDetailLen {
 			t.Fatalf("detail not bounded: %d bytes", len(ev.Detail))
 		}
 		if !utf8.ValidString(ev.Detail) {
