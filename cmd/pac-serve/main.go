@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pac-serve [-addr :8080] [-lm] [-vocab N] [-adapters FILE]
-//	          [-telemetry-addr HOST:PORT] [-flight-size N] [-trace-sample P]
+//	          [-telemetry-addr HOST:PORT] [-trace-sample P]
 //	          [-mem-budget BYTES] [-backend generic|int8] [-workers N]
 //
 // Endpoints: POST /classify, POST /generate, POST /swap, GET /stats,
@@ -95,7 +95,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs.BoolVar(&o.lm, "lm", false, "serve a language model (enables /generate)")
 	fs.IntVar(&o.vocab, "vocab", 64, "vocabulary size")
 	fs.StringVar(&o.adapters, "adapters", "", "checkpoint to load at startup")
-	o.rt.RegisterFlags(fs, runtimecfg.Config{Backend: "generic", FlightSize: 128})
+	o.rt.RegisterFlags(fs, runtimecfg.Config{Backend: "generic"})
 	return fs, o
 }
 

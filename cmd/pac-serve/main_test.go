@@ -193,7 +193,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // removing a flag is a reviewed change to this list.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"adapters", "addr", "backend", "flight-size", "lm", "mem-budget",
+		"adapters", "addr", "backend", "lm", "mem-budget",
 		"telemetry-addr", "trace-sample", "vocab", "workers",
 	}
 	fs, _ := newFlags()
@@ -202,7 +202,7 @@ func TestFlagSurface(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flag surface changed:\n got %v\nwant %v", got, want)
 	}
-	for _, retired := range []string{"-trace-cap", "-mem-warn-frac", "-mem-crit-frac", "-replicas", "-min-replicas", "-fleet-journal"} {
+	for _, retired := range []string{"-trace-cap", "-mem-warn-frac", "-mem-crit-frac", "-replicas", "-min-replicas", "-fleet-journal", "-flight-size"} {
 		err := run([]string{retired, "1"}, io.Discard, nil)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+retired) {
 			t.Errorf("%s: got %v, want a flag-parse error", retired, err)

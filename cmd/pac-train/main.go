@@ -17,7 +17,7 @@
 //	          [-slow-lane N] [-slow-delay D]
 //	          [-replan-on-drift]
 //	          [-drain-device N] [-drain-delay D]
-//	          [-flight-size N] [-flight-out FILE]
+//	          [-flight-out FILE]
 //	          [-telemetry-addr HOST:PORT] [-trace-out FILE] [-trace-sample P]
 //	          [-mem-budget BYTES] [-mem-report FILE]
 //
@@ -40,8 +40,8 @@
 // Each training step roots a causal trace that the micro-batch spans
 // parent into across devices; -trace-sample records a fraction of
 // steps (pac-trace analyzes the dump offline: critical path, per-device
-// busy time, pipeline bubbles). The flight recorder keeps the last
-// -flight-size structured events (steps, retries, faults, alerts,
+// busy time, pipeline bubbles). The flight recorder keeps the last 256
+// structured events (steps, retries, faults, alerts,
 // snapshots, re-plans) and dumps them on panic, on unrecoverable
 // failure, to -flight-out, and live over /debug/flight.
 package main
@@ -125,7 +125,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs.DurationVar(&o.sup.Slow.Delay, "slow-delay", 25*time.Millisecond, "injected per-send delay for -slow-lane")
 	fs.BoolVar(&o.poolStats, "pool-stats", false, "print tensor pool statistics when the run finishes")
 	fs.StringVar(&o.memReport, "mem-report", "", "write per-account peak bytes (the BENCH_mem.json shape) to this file at exit")
-	o.rt.RegisterFlags(fs, runtimecfg.Config{Backend: "generic", FlightSize: 256, TraceSample: 1})
+	o.rt.RegisterFlags(fs, runtimecfg.Config{Backend: "generic", TraceSample: 1})
 	return fs, o
 }
 

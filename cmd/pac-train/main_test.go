@@ -383,7 +383,7 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"backend", "batch", "cache-dir", "crash-after", "crash-device", "crash-phase",
 		"drain-delay", "drain-device", "epochs", "fault-drop",
-		"flight-out", "flight-size", "lanes", "load", "lr", "max-recoveries",
+		"flight-out", "lanes", "load", "lr", "max-recoveries",
 		"mem-budget", "mem-report", "pool-stats", "pretrain", "replan-on-drift",
 		"resume", "samples", "save", "slow-delay", "slow-lane", "snapshot-dir",
 		"snapshot-every", "stages", "step-timeout", "task",
@@ -395,7 +395,7 @@ func TestFlagSurface(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flag surface changed:\n got %v\nwant %v", got, want)
 	}
-	for _, retired := range []string{"-trace-cap", "-mem-warn-frac", "-mem-crit-frac", "-fleet-journal", "-straggler-factor"} {
+	for _, retired := range []string{"-trace-cap", "-mem-warn-frac", "-mem-crit-frac", "-fleet-journal", "-straggler-factor", "-flight-size"} {
 		err := run(tinyArgs(retired, "1"), &strings.Builder{})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+retired) {
 			t.Errorf("%s: got %v, want a flag-parse error", retired, err)

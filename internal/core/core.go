@@ -66,15 +66,12 @@ type Config struct {
 	// parallel.RankFailedError instead of hanging. Zero disables the
 	// deadline (reliable-LAN assumption).
 	StepTimeout time.Duration
-	// Faults, when non-nil, wraps every engine fabric in a seeded
-	// fault-injection decorator (parallel.WrapFaulty) — the chaos-run
-	// switch used to exercise the failure-handling paths end to end.
-	Faults *parallel.FaultConfig
-	// WrapTransport, when non-nil, rewires each fabric through this hook
-	// instead of the uniform Faults wrapping, letting a caller target
-	// one fabric — e.g. crash a single stage of a single lane. Besides
-	// the hybrid fabrics it also sees the cached-epoch data-parallel
-	// fabric as FabricID{Kind: "dp", Index: 0} (ranks are workers).
+	// WrapTransport, when non-nil, rewires each fabric through this hook:
+	// the one fault-injection door (the supervisor wraps fabrics in
+	// parallel.WrapFaulty through it), able to target one fabric — e.g.
+	// crash a single stage of a single lane. Besides the hybrid fabrics
+	// it also sees the cached-epoch data-parallel fabric as
+	// FabricID{Kind: "dp", Index: 0} (ranks are workers).
 	WrapTransport func(parallel.FabricID, []parallel.Transport) []parallel.Transport
 	// SnapshotEvery enables elastic-resume captures: after every K-th
 	// completed training step the framework assembles a consistent
@@ -218,10 +215,6 @@ func New(cfg Config) *Framework {
 	}
 	if cfg.WrapTransport != nil {
 		f.hybrid.WrapTransports(cfg.WrapTransport)
-	} else if cfg.Faults != nil {
-		f.hybrid.WrapTransports(func(_ parallel.FabricID, eps []parallel.Transport) []parallel.Transport {
-			return parallel.WrapFaulty(eps, *cfg.Faults)
-		})
 	}
 
 	f.reference = peft.NewParallel(m, cfg.Opts)
@@ -414,8 +407,6 @@ func (f *Framework) dpGroup() (*parallel.DPGroup, error) {
 	f.cfg.Trace.SetProcessName(telemetry.PidDP, "dp group (cached epochs)")
 	if f.cfg.WrapTransport != nil {
 		g.Endpoints = f.cfg.WrapTransport(parallel.FabricID{Kind: "dp", Index: 0}, g.Endpoints)
-	} else if f.cfg.Faults != nil {
-		g.Endpoints = parallel.WrapFaulty(g.Endpoints, *f.cfg.Faults)
 	}
 	if f.pendingOpt != nil {
 		if len(f.pendingOpt) != 1 {

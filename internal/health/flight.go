@@ -1,9 +1,8 @@
 // Package health is the online health monitor: it consumes per-step
 // reports from the training engines (per-lane-stage and per-rank
-// seconds, whole-step wall time) plus periodic runtime memory samples,
-// and derives straggler Alerts (a lane or rank slower than its peers),
-// drift Alerts (a lane-stage slower than its own early baseline) and a
-// whole-step EWMA the supervisor judges its re-plans by. Beside it is a
+// seconds, whole-step wall time) and derives straggler Alerts (a lane
+// or rank slower than its peers), drift Alerts (a lane-stage slower
+// than its own early baseline) and a whole-step EWMA the supervisor judges its re-plans by. Beside it is a
 // crash flight recorder every subsystem appends to for free. An Alert
 // that names a lane is what pac-train's -replan-on-drift acts on.
 //

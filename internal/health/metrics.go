@@ -8,7 +8,5 @@ var (
 	mReports        = telemetry.Default().Counter("pac_health_reports_total")
 	mAlertStraggler = telemetry.Default().Counter("pac_health_alerts_total", "kind", "straggler")
 	mAlertDrift     = telemetry.Default().Counter("pac_health_alerts_total", "kind", "drift")
-	mHeapBytes      = telemetry.Default().Gauge("pac_health_heap_bytes")
-	mGoroutines     = telemetry.Default().Gauge("pac_health_goroutines")
 	mFlightEvents   = telemetry.Default().Counter("pac_flight_events_total")
 )

@@ -2,7 +2,6 @@ package health
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -31,7 +30,10 @@ type StepStats struct {
 	// StepSec is the wall time of the whole step as this reporter saw
 	// it, including communication.
 	StepSec float64
-	// Bytes is the boundary/collective traffic this reporter sent.
+	// Bytes is the boundary/collective traffic this reporter sent. The
+	// monitor does not read it; the benchmark's step clock
+	// (benchmark/finetune.go) sums it into parallel.pp_bytes and
+	// parallel.dp_bytes, so it stays.
 	Bytes int64
 }
 
@@ -95,7 +97,6 @@ const (
 	minSamples      = 3   // reports a series needs before it takes part in comparisons
 	window          = 5   // a series' value is the lower median of its last window reports
 	cooldown        = 16  // reports during which a repeat alert for the same subject is dropped
-	memEvery        = 64  // sample runtime.ReadMemStats into the health gauges every N reports
 	// noiseSec is the least excess, in seconds per report, worth an
 	// alert. Healthy 2 × 2 Tiny runs on 2 cores show lanes, ranks and
 	// a stage against its own baseline up to ≈ 4 ms and 5× apart; a
@@ -207,13 +208,6 @@ func (m *Monitor) ReportStep(s StepStats) {
 			m.stepE += alpha * (s.StepSec - m.stepE)
 		}
 		m.stepN++
-	}
-
-	if m.reports%memEvery == 1 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		mHeapBytes.Set(float64(ms.HeapAlloc))
-		mGoroutines.Set(float64(runtime.NumGoroutine()))
 	}
 }
 

@@ -41,10 +41,7 @@ func faultTranscript(t *testing.T, cfg FaultConfig) []byte {
 }
 
 func TestFaultScheduleReproducible(t *testing.T) {
-	cfg := FaultConfig{
-		Seed: 42, Drop: 0.3, MaxConsecutiveDrops: 2,
-		Delay: 0.4, MaxDelay: time.Microsecond, Duplicate: 0.3,
-	}
+	cfg := FaultConfig{Seed: 42, Drop: 0.3, SlowRank: map[int]time.Duration{0: time.Microsecond}}
 	first := faultTranscript(t, cfg)
 	for run := 0; run < 3; run++ {
 		if again := faultTranscript(t, cfg); !bytes.Equal(again, first) {
@@ -59,9 +56,7 @@ func TestFaultScheduleReproducible(t *testing.T) {
 
 func TestFaultDropsAreRetriedByCollectives(t *testing.T) {
 	const n, vec = 4, 32
-	eps := WrapFaulty(NewChanNetwork(n).Endpoints(), FaultConfig{
-		Seed: 7, Drop: 0.4, MaxConsecutiveDrops: 3,
-	})
+	eps := WrapFaulty(NewChanNetwork(n).Endpoints(), FaultConfig{Seed: 7, Drop: 0.4})
 	inputs := make([][]float32, n)
 	want := make([]float32, vec)
 	for r := 0; r < n; r++ {
@@ -84,43 +79,6 @@ func TestFaultDropsAreRetriedByCollectives(t *testing.T) {
 			if diff := inputs[r][i] - want[i]; diff > 1e-4 || diff < -1e-4 {
 				t.Fatalf("rank %d elem %d: %v want %v", r, i, inputs[r][i], want[i])
 			}
-		}
-	}
-}
-
-func TestFaultDuplicatesFiltered(t *testing.T) {
-	eps := WrapFaulty(NewChanNetwork(2).Endpoints(), FaultConfig{Seed: 1, Duplicate: 1.0})
-	for i := 0; i < 5; i++ {
-		if err := eps[0].SendCtx(context.Background(), 1, "d", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		got, err := eps[1].RecvCtx(context.Background(), 0, "d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || got[0] != byte(i) {
-			t.Fatalf("recv %d: got %v — duplicate leaked or order broken", i, got)
-		}
-	}
-}
-
-func TestFaultPartitionTimesOutAsRankFailure(t *testing.T) {
-	const n = 4
-	eps := WrapFaulty(NewChanNetwork(n).Endpoints(), FaultConfig{
-		Seed: 1, Partition: [][]int{{0, 1}, {2, 3}},
-	})
-	errs := make([]error, n)
-	runRanks(n, eps, func(tr Transport) {
-		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		defer cancel()
-		data := []float32{float32(tr.Rank())}
-		errs[tr.Rank()] = RingAllReduceCtx(ctx, tr, data, DefaultRetry)
-	})
-	for r, err := range errs {
-		if _, ok := AsRankFailed(err); !ok {
-			t.Fatalf("rank %d: want RankFailedError across the partition, got %v", r, err)
 		}
 	}
 }
@@ -166,9 +124,18 @@ func TestFaultCrashKillsOwnOpsAndPeersTimeOut(t *testing.T) {
 }
 
 func TestFaultTransparentWrapperPreservesSemantics(t *testing.T) {
-	// A zero-probability config must behave exactly like the raw fabric,
-	// including tag verification through the seq framing.
+	// A zero-probability config must behave exactly like the raw fabric:
+	// the payload arrives as sent, with no bytes added, and the inner
+	// endpoint verifies the tag.
 	eps := WrapFaulty(NewChanNetwork(2).Endpoints(), FaultConfig{Seed: 9})
+	sent := []byte{7, 8, 9}
+	if err := eps[0].SendCtx(context.Background(), 1, "m", sent); err != nil {
+		t.Fatal(err)
+	}
+	got, err := eps[1].RecvCtx(context.Background(), 0, "m")
+	if err != nil || len(got) != len(sent) || &got[0] != &sent[0] {
+		t.Fatalf("recv %v (%v): want the sent slice itself, %d bytes", got, err, len(sent))
+	}
 	if err := eps[0].SendCtx(context.Background(), 1, "right", []byte{1}); err != nil {
 		t.Fatal(err)
 	}

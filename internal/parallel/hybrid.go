@@ -86,7 +86,7 @@ type FabricID struct {
 
 // WrapTransports rewires every fabric of the engine — each lane's
 // pipeline endpoints and each stage's cross-lane endpoints — through
-// wrap. Used to interpose FaultyTransport decorators for fault-injection
+// wrap. Used to interpose WrapFaulty decorators for fault-injection
 // runs; each fabric gets its own wrap call (and thus its own fault
 // schedule state), identified by id so a caller can target one fabric.
 func (h *HybridEngine) WrapTransports(wrap func(id FabricID, eps []Transport) []Transport) {

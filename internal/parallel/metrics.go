@@ -19,11 +19,9 @@ var (
 
 	mRankFailures = telemetry.Default().Counter("pac_comm_rank_failures_total")
 
-	mFaultDrops      = telemetry.Default().Counter("pac_fault_injected_total", "kind", "drop")
-	mFaultDelays     = telemetry.Default().Counter("pac_fault_injected_total", "kind", "delay")
-	mFaultDuplicates = telemetry.Default().Counter("pac_fault_injected_total", "kind", "duplicate")
-	mFaultCrashes    = telemetry.Default().Counter("pac_fault_injected_total", "kind", "crash")
-	mFaultSlow       = telemetry.Default().Counter("pac_fault_injected_total", "kind", "slow")
+	mFaultDrops   = telemetry.Default().Counter("pac_fault_injected_total", "kind", "drop")
+	mFaultCrashes = telemetry.Default().Counter("pac_fault_injected_total", "kind", "crash")
+	mFaultSlow    = telemetry.Default().Counter("pac_fault_injected_total", "kind", "slow")
 
 	mTokens       = telemetry.Default().Counter("pac_train_tokens_total")
 	mTokensPerSec = telemetry.Default().Gauge("pac_train_tokens_per_second")

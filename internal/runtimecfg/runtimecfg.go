@@ -1,8 +1,8 @@
 // Package runtimecfg is the process set-up pac-train and pac-serve
-// share: the six flags that choose the tensor runtime (-workers,
-// -backend), the flight recorder (-flight-size), the debug listener
-// (-telemetry-addr), span sampling (-trace-sample) and the memory
-// budget (-mem-budget), and the one sequence that applies them.
+// share: the five flags that choose the tensor runtime (-workers,
+// -backend), the debug listener (-telemetry-addr), span sampling
+// (-trace-sample) and the memory budget (-mem-budget), and the one
+// sequence that applies them, which also turns on the flight recorder.
 //
 // Everything Start touches is a process global (the active tensor
 // backend, the kernel worker bound, the flight recorder, the process
@@ -26,20 +26,17 @@ import (
 type Config struct {
 	Workers       int
 	Backend       string
-	FlightSize    int
 	TelemetryAddr string
 	TraceSample   float64
 	MemBudget     string
 }
 
 // RegisterFlags defines the shared flags on fs, storing into c.
-// defaults carries the per-command defaults (the flight ring is 256
-// events for a training run and 128 for a server; a training trace
-// records every step, a server samples nothing until asked).
+// defaults carries the per-command defaults (a training trace records
+// every step, a server samples nothing until asked).
 func (c *Config) RegisterFlags(fs *flag.FlagSet, defaults Config) {
 	fs.IntVar(&c.Workers, "workers", defaults.Workers, "kernel worker goroutines for tensor ops (0 = GOMAXPROCS default)")
 	fs.StringVar(&c.Backend, "backend", defaults.Backend, "tensor compute backend: generic | int8 (int8 quantizes the frozen backbone)")
-	fs.IntVar(&c.FlightSize, "flight-size", defaults.FlightSize, "flight-recorder ring capacity in events (0 disables)")
 	fs.StringVar(&c.TelemetryAddr, "telemetry-addr", defaults.TelemetryAddr, "serve the debug mux (/metrics, /debug/vars, /debug/pprof, /debug/flight, /debug/mem, /debug/trace) on this address (empty disables)")
 	fs.Float64Var(&c.TraceSample, "trace-sample", defaults.TraceSample, "fraction of root operations (training steps, requests without an X-Pac-Trace header) recorded as causal span trees")
 	fs.StringVar(&c.MemBudget, "mem-budget", defaults.MemBudget, "arm the process memory ledger with this byte budget (e.g. 256MiB): watermark crossings record flight events and count in pac_mem_pressure_total (empty disables)")
@@ -56,6 +53,9 @@ type Runtime struct {
 	addr string
 	undo []func() // run in reverse by Close
 }
+
+// flightSize is the flight recorder's ring capacity in events.
+const flightSize = 256
 
 // Start validates c, then applies it: worker bound, backend, flight
 // recorder, tracer (when trace is set; sampled at -trace-sample),
@@ -80,12 +80,9 @@ func (c Config) Start(out io.Writer, trace bool) (*Runtime, error) {
 		rt.undo = append(rt.undo, func() { tensor.SetMaxWorkers(prev) })
 	}
 	// The flight recorder runs for the whole process: a fixed-size ring
-	// every subsystem appends structured events to. Size 0 leaves it off
-	// and every Record a no-op.
-	if c.FlightSize > 0 {
-		health.Enable(c.FlightSize)
-		rt.undo = append(rt.undo, health.Disable)
-	}
+	// every subsystem appends structured events to.
+	health.Enable(flightSize)
+	rt.undo = append(rt.undo, health.Disable)
 	if trace {
 		rt.Tracer = telemetry.NewTracerCap(telemetry.DefaultTraceCap)
 		rt.Tracer.SetSampleRate(c.TraceSample)

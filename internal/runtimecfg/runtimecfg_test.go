@@ -18,10 +18,10 @@ import (
 func TestRegisterFlags(t *testing.T) {
 	var c Config
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	c.RegisterFlags(fs, Config{Backend: "generic", FlightSize: 128})
+	c.RegisterFlags(fs, Config{Backend: "generic"})
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := []string{"backend", "flight-size", "mem-budget", "telemetry-addr", "trace-sample", "workers"}
+	want := []string{"backend", "mem-budget", "telemetry-addr", "trace-sample", "workers"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("flags %v, want %v", names, want)
 	}
@@ -31,7 +31,7 @@ func TestRegisterFlags(t *testing.T) {
 	if err := fs.Parse([]string{"-workers", "2", "-mem-budget", "8MiB"}); err != nil {
 		t.Fatal(err)
 	}
-	if want := (Config{Workers: 2, Backend: "generic", FlightSize: 128, MemBudget: "8MiB"}); c != want {
+	if want := (Config{Workers: 2, Backend: "generic", MemBudget: "8MiB"}); c != want {
 		t.Errorf("parsed %+v, want %+v", c, want)
 	}
 }
@@ -58,7 +58,7 @@ func TestStartCloseRestores(t *testing.T) {
 	}
 
 	var out strings.Builder
-	cfg := Config{Workers: workers + 1, Backend: "int8", FlightSize: 8, TraceSample: 0.5,
+	cfg := Config{Workers: workers + 1, Backend: "int8", TraceSample: 0.5,
 		MemBudget: "1GiB", TelemetryAddr: "127.0.0.1:0"}
 	rt, err := cfg.Start(&out, true)
 	if err != nil {
@@ -99,8 +99,8 @@ func TestStartCloseRestores(t *testing.T) {
 	rt.Close() // a second Close has nothing left to undo
 
 	for _, bad := range []Config{
-		{Backend: "nope", FlightSize: 8, MemBudget: "1GiB"},
-		{Backend: "int8", FlightSize: 8, MemBudget: "garbage"},
+		{Backend: "nope", MemBudget: "1GiB"},
+		{Backend: "int8", MemBudget: "garbage"},
 	} {
 		if _, err := bad.Start(io.Discard, false); err == nil {
 			t.Errorf("Start accepted %+v", bad)

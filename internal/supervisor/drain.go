@@ -18,16 +18,16 @@ type Drain struct {
 }
 
 // drain takes the device out of the pool: it waits for the first
-// snapshot (bounded) and then Delay, refuses when the device's stage
-// would be left with no device in service, and otherwise quarantines
+// snapshot (bounded) and then Delay, refuses when fewer than Stages
+// devices would be left in service, and otherwise quarantines
 // the device and requests a "fleet" re-plan through the guard. A device
 // that is already dead or quarantined has been planned around: nothing
 // is requested. Canceling ctx (training is over) abandons a drain that
 // is still waiting; Run does not cancel one that has quarantined its
 // device. Returns a one-line outcome for Run to print.
 func (s *Supervisor) drain(ctx context.Context) string {
-	d, pool, stages := s.cfg.Drain, s.cfg.Pool, s.cfg.Core.Stages
-	name := pool.Devices[d.Device].Name
+	d, stages := s.cfg.Drain, s.cfg.Core.Stages
+	name := s.cfg.Pool.Devices[d.Device].Name
 	waitSnap := s.cfg.Core.SnapshotEvery > 0
 
 	// Pace the drain by training progress, not wall clock (bounded, so a
@@ -53,19 +53,21 @@ func (s *Supervisor) drain(ctx context.Context) string {
 		return fmt.Sprintf("fleet drain of %s: already out of service, nothing to re-plan", name)
 	}
 
-	// The one safety rule: every stage keeps a device in service.
-	stage, left := d.Device%stages, 0
-	for i := stage; i < pool.Size(); i += stages {
-		if i != d.Device && !s.sidelined.out(pool.Devices[i].Name) {
+	// The one safety rule: enough devices stay in service to fill every
+	// stage. The device is one of the attempt's, since it is in service.
+	devices := s.attemptDevices()
+	at, left := place(devices, name), 0
+	for _, dev := range devices.Devices {
+		if dev.Name != name && !s.sidelined.out(dev.Name) {
 			left++
 		}
 	}
-	if left == 0 {
-		return fmt.Sprintf("fleet drain of %s refused: stage %d would have no device in service", name, stage)
+	if left < stages {
+		return fmt.Sprintf("fleet drain of %s refused: stage %d would have no device in service", name, at%stages)
 	}
 
 	s.draining.Store(true)
 	s.sidelined.add(name, "quarantine")
-	s.guard.request("fleet", health.Alert{Lane: d.Device / stages, Stage: stage, Rank: -1})
+	s.guard.request("fleet", health.Alert{Lane: at / stages, Stage: at % stages, Rank: -1})
 	return fmt.Sprintf("fleet drain of %s complete: snapshot taken, device quarantined, training re-planned around it", name)
 }

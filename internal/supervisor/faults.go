@@ -22,37 +22,40 @@ type Slow struct {
 	Delay time.Duration
 }
 
+// shaper sets one injected fault on one fabric's fault config.
+type shaper func(id parallel.FabricID, fc *parallel.FaultConfig)
+
 // shapeFaults turns FaultDrop, Crash and Slow into the first attempt's
-// transport faults and announces each. Crash and straggler shapers
-// compose into one transport wrapper, so a run can combine, say, a slow
-// lane with background drops.
+// transport fault hook and announces each. The crash and straggler
+// shapers compose with the background drops into one wrapper, so a run
+// can combine, say, a slow lane with drops.
 func (s *Supervisor) shapeFaults() error {
 	pool, stages := s.cfg.Pool, s.core.Stages
 	drop := s.cfg.FaultDrop
 	if drop > 0 {
-		s.core.Faults = &parallel.FaultConfig{Seed: 1, Drop: drop}
 		fmt.Fprintf(s.out, "fault injection: %.0f%% transient send drops\n", drop*100)
 	}
-	var shapers []func(id parallel.FabricID, fc *parallel.FaultConfig)
+	var shapers []shaper
 	if c := s.cfg.Crash; c != nil && c.Device >= 0 {
 		if c.Device >= pool.Size() {
 			return fmt.Errorf("crash-device %d out of range (pool has %d devices)", c.Device, pool.Size())
 		}
+		// The crash fires in the first attempt, which runs on the whole
+		// pool: the device's place there is its pool index.
 		name := pool.Devices[c.Device].Name
 		switch c.Phase {
 		case "hybrid":
-			lane, stage := c.Device/stages, c.Device%stages
 			shapers = append(shapers, func(id parallel.FabricID, fc *parallel.FaultConfig) {
-				if id.Kind == "pipe" && id.Index == lane {
-					fc.Crash = map[int]int{stage: c.After}
+				if at := place(s.attemptDevices(), name); id.Kind == "pipe" && at >= 0 && id.Index == at/stages {
+					fc.Crash = map[int]int{at % stages: c.After}
 				}
 			})
 			fmt.Fprintf(s.out, "fault injection: device %d (%s, lane %d stage %d) crashes after %d transport ops in the hybrid phase\n",
-				c.Device, name, lane, stage, c.After)
+				c.Device, name, c.Device/stages, c.Device%stages, c.After)
 		case "cached":
 			shapers = append(shapers, func(id parallel.FabricID, fc *parallel.FaultConfig) {
-				if id.Kind == "dp" {
-					fc.Crash = map[int]int{c.Device: c.After}
+				if at := place(s.attemptDevices(), name); id.Kind == "dp" && at >= 0 {
+					fc.Crash = map[int]int{at: c.After}
 				}
 			})
 			fmt.Fprintf(s.out, "fault injection: device %d (%s, DP rank %d) crashes after %d transport ops in the cached phase\n",
@@ -75,14 +78,22 @@ func (s *Supervisor) shapeFaults() error {
 		})
 		fmt.Fprintf(s.out, "fault injection: lane %d delayed %v per send (persistent straggler)\n", sl.Lane, sl.Delay)
 	}
-	if len(shapers) > 0 {
-		s.core.WrapTransport = func(id parallel.FabricID, eps []parallel.Transport) []parallel.Transport {
-			fc := parallel.FaultConfig{Seed: 1, Drop: drop}
-			for _, shape := range shapers {
-				shape(id, &fc)
-			}
-			return parallel.WrapFaulty(eps, fc)
-		}
-	}
+	s.core.WrapTransport = faultWrapper(drop, shapers)
 	return nil
+}
+
+// faultWrapper is the transport fault hook of an attempt: every fabric
+// drops sends with probability drop, and the shapers add their faults
+// on top. nil when there is nothing to inject.
+func faultWrapper(drop float64, shapers []shaper) func(parallel.FabricID, []parallel.Transport) []parallel.Transport {
+	if drop == 0 && len(shapers) == 0 {
+		return nil
+	}
+	return func(id parallel.FabricID, eps []parallel.Transport) []parallel.Transport {
+		fc := parallel.FaultConfig{Seed: 1, Drop: drop}
+		for _, shape := range shapers {
+			shape(id, &fc)
+		}
+		return parallel.WrapFaulty(eps, fc)
+	}
 }

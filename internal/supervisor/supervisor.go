@@ -21,23 +21,29 @@
 //	failure  an engine reported a rank past its step deadline; it
 //	         supersedes any other request of the same attempt. The
 //	         device it maps to is marked dead (none, and the pool stays
-//	         intact, when it maps to no pool device); charged to
-//	         MaxRecoveries.
+//	         intact, when it maps to none of the attempt's devices);
+//	         charged to MaxRecoveries.
 //	drift    the attempt's health monitor raised an alert that names a
 //	         lane: slower than the healthy median, or than its own early
 //	         baseline (acted on only with ReplanOnDrift, and only while
-//	         more than one lane is left). Every stage of the lane is
+//	         more than one lane is left). Every device of the lane is
 //	         quarantined; free.
 //	fleet    a maintenance drain of one device (Drain), run beside the
-//	         loop, has quarantined the device; refused when its stage
-//	         would be left with no device in service, a no-op when the
+//	         loop, has quarantined the device; refused when fewer than
+//	         Stages devices would be left in service, a no-op when the
 //	         device is already out; free.
 //
 // After any of them the lane count shrinks by one to fit the smaller
-// pool, the shape the next attempt runs is printed, injected faults are
-// cleared (they have fired), and the next attempt is built from the
-// latest snapshot. No planner runs: a re-plan runs one lane fewer, and
-// says so.
+// pool, the shape the next attempt runs is printed, the injected crash
+// and straggler are cleared (they have fired; background drops stay),
+// and the next attempt is built from the latest snapshot. No planner
+// runs: a re-plan runs one lane fewer, and says so.
+//
+// Each attempt runs on the devices that survive when it is built, in
+// pool order: lane L, stage S is the attempt's device L·Stages+S, and
+// DP rank r of the cached phase its device r. Failure attribution, the
+// drift quarantine, the drain's refusal rule and the injected crash all
+// read that one list.
 //
 // The devices are goroutines of this process: nothing can heartbeat on
 // their behalf and the step deadline is the failure detector. A device
@@ -96,8 +102,8 @@ type Trainer interface {
 // or a negative Device/Lane in one (the flags' -1), disables it.
 type Config struct {
 	// Core is the template for every attempt: the supervisor fills in
-	// Health, OnSnapshot, Faults and WrapTransport, and lowers Lanes as
-	// re-plans shrink the pool.
+	// Health, OnSnapshot and WrapTransport, and lowers Lanes as re-plans
+	// shrink the pool.
 	Core core.Config
 	// Build assembles one attempt's trainer; given a snapshot it restores
 	// the training state, salvages the cache and returns the cursor to
@@ -107,7 +113,7 @@ type Config struct {
 	Data          *data.Dataset
 	Batch, Epochs int             // Epochs is the total; the first fills the cache
 	Task          string          // stamped on every snapshot
-	Pool          cluster.Cluster // device = lane·stages + stage
+	Pool          cluster.Cluster // an attempt runs on its survivors, in pool order
 
 	SnapshotDir string // persist snapshots here ("" keeps only the latest, in memory)
 	Resume      bool   // start from the newest snapshot in SnapshotDir
@@ -139,6 +145,9 @@ type Supervisor struct {
 	out       io.Writer
 	core      core.Config // the next attempt's configuration
 	sidelined sidelined
+	// devices is the current attempt's devices: the survivors when it was
+	// built, in pool order. build stores it; the drain goroutine reads it.
+	devices atomic.Pointer[cluster.Cluster]
 
 	guard        replanGuard
 	driftEnabled atomic.Bool
@@ -268,7 +277,7 @@ func (s *Supervisor) attempts(tr Trainer, cursor core.Cursor) error {
 		if err := s.replan(trigger, alert, err); err != nil {
 			return err
 		}
-		s.core.WrapTransport = nil // the injected fault has fired
+		s.core.WrapTransport = faultWrapper(s.cfg.FaultDrop, nil) // the crash and straggler have fired
 
 		snap := s.latestSnapshot()
 		if snap != nil {
@@ -287,7 +296,7 @@ func (s *Supervisor) attempts(tr Trainer, cursor core.Cursor) error {
 // replan is the one re-plan path; the package comment has the rules.
 // cause is the error that ended the attempt.
 func (s *Supervisor) replan(trigger string, alert health.Alert, cause error) error {
-	pool := s.cfg.Pool
+	pool, devices := s.cfg.Pool, s.attemptDevices()
 	switch trigger {
 	case "failure":
 		rf, _ := parallel.AsRankFailed(cause)
@@ -296,15 +305,15 @@ func (s *Supervisor) replan(trigger string, alert health.Alert, cause error) err
 			return fmt.Errorf("device failure after %d recoveries: %w: %w", s.res.Recoveries, ErrRecoveryBudget, cause)
 		}
 		s.res.Recoveries++
-		idx, known := attributeDevice(rf, s.core.Stages, pool.Size())
+		dev, known := attributeDevice(rf, s.core.Stages, devices)
 		if !known {
 			// A collective-level fault names no concrete device: keep the
 			// pool intact rather than blame an arbitrary member.
 			fmt.Fprintf(s.out, "FAILURE: unknown device (rank %d, lane %d): %v — pool unchanged\n", rf.Rank, rf.Lane, rf)
 			return nil
 		}
-		s.sidelined.add(pool.Devices[idx].Name, "dead")
-		fmt.Fprintf(s.out, "FAILURE: device %s detected dead (%v)\n", pool.Devices[idx].Name, rf)
+		s.sidelined.add(dev.Name, "dead")
+		fmt.Fprintf(s.out, "FAILURE: device %s detected dead (%v)\n", dev.Name, rf)
 		left := s.sidelined.survivors(pool)
 		fmt.Fprintf(s.out, "re-planning on %d surviving device(s): %v\n", left.Size(), deviceNames(left))
 	case "fleet":
@@ -315,12 +324,14 @@ func (s *Supervisor) replan(trigger string, alert health.Alert, cause error) err
 		s.res.DriftReplans++
 		fmt.Fprintf(s.out, "re-planning on drift: %s\n", alert)
 		if alert.Lane >= 0 && s.core.Lanes > 1 {
+			lane := []string{}
 			for st := 0; st < s.core.Stages; st++ {
-				if idx := alert.Lane*s.core.Stages + st; idx < pool.Size() {
-					s.sidelined.add(pool.Devices[idx].Name, "quarantine")
+				if idx := alert.Lane*s.core.Stages + st; idx < devices.Size() {
+					lane = append(lane, devices.Devices[idx].Name)
+					s.sidelined.add(devices.Devices[idx].Name, "quarantine")
 				}
 			}
-			fmt.Fprintf(s.out, "quarantined lane %d: %v\n", alert.Lane, s.sidelined.names("quarantine"))
+			fmt.Fprintf(s.out, "quarantined lane %d: %v\n", alert.Lane, lane)
 		}
 	}
 	mReplans[trigger].Inc()
@@ -345,9 +356,12 @@ func (s *Supervisor) replan(trigger string, alert health.Alert, cause error) err
 	return nil
 }
 
-// build assembles the next attempt: a fresh health monitor, fed per
-// step by the engines, then the caller's trainer.
+// build assembles the next attempt: its devices (the survivors, in pool
+// order), a fresh health monitor, fed per step by the engines, then the
+// caller's trainer.
 func (s *Supervisor) build(snap *checkpoint.Snapshot) (Trainer, core.Cursor, error) {
+	devices := s.sidelined.survivors(s.cfg.Pool)
+	s.devices.Store(&devices)
 	mon := health.NewMonitor(health.Config{Flight: health.Flight(), OnAlert: s.onAlert})
 	s.monitors = append(s.monitors, mon)
 	s.core.Health = mon
@@ -471,21 +485,30 @@ func (g *replanGuard) take() (string, health.Alert) {
 	return t, a
 }
 
-// attributeDevice maps a rank failure to a concrete pool index: phase-1
-// failures carry (lane, stage), cached-phase failures a DP rank that is
-// the device index directly. A rank that falls outside the pool — a
-// collective-level fault, or an error surfaced after a re-plan changed
-// the pool shape — is reported as unknown rather than blamed on an
-// arbitrary device.
-func attributeDevice(rf *parallel.RankFailedError, stages, poolSize int) (int, bool) {
+// attemptDevices is the current attempt's devices.
+func (s *Supervisor) attemptDevices() cluster.Cluster { return *s.devices.Load() }
+
+// attributeDevice maps a rank failure to the attempt's device it names:
+// a phase-1 failure carries (lane, stage), which runs on device
+// lane·stages+stage; a cached-phase failure a DP rank, which runs on
+// that device. A rank that falls outside the attempt's devices — a
+// collective-level fault — is reported as unknown rather than blamed on
+// an arbitrary device.
+func attributeDevice(rf *parallel.RankFailedError, stages int, devices cluster.Cluster) (cluster.DeviceSpec, bool) {
 	idx := rf.Rank
 	if rf.Lane >= 0 {
 		idx = rf.Lane*stages + rf.Rank
 	}
-	if idx < 0 || idx >= poolSize {
-		return -1, false
+	if idx < 0 || idx >= devices.Size() {
+		return cluster.DeviceSpec{}, false
 	}
-	return idx, true
+	return devices.Devices[idx], true
+}
+
+// place is the position of the named device among devices, -1 when it
+// is not one of them.
+func place(devices cluster.Cluster, name string) int {
+	return slices.IndexFunc(devices.Devices, func(d cluster.DeviceSpec) bool { return d.Name == name })
 }
 
 // sidelined is the set of pool devices out of service for the rest of
@@ -517,20 +540,6 @@ func (s *sidelined) out(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.why[name] != ""
-}
-
-// names returns the sorted names sidelined for why.
-func (s *sidelined) names(why string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := []string{}
-	for name, w := range s.why {
-		if w == why {
-			out = append(out, name)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // survivors filters c down to the devices in service, in pool order.

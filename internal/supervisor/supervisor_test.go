@@ -56,6 +56,20 @@ func (sc *script) build(c core.Config, snap *checkpoint.Snapshot) (Trainer, core
 	return scripted(func(ctx context.Context) error { return sc.steps[i](ctx, c, sc.sup) }), cur, nil
 }
 
+// names returns the sorted names sidelined for why.
+func (s *sidelined) names(why string) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := []string{}
+	for name, w := range s.why {
+		if w == why {
+			out = append(out, name)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // dead and quarantined list the pool's devices sidelined for each reason.
 func (sc *script) dead() []string        { return sc.sup.sidelined.names("dead") }
 func (sc *script) quarantined() []string { return sc.sup.sidelined.names("quarantine") }
@@ -358,6 +372,55 @@ func TestDriftReplan(t *testing.T) {
 	}
 }
 
+// TestDriftTwiceOnOneLaneQuarantinesItsDevices: on 3 lanes, lane 1
+// drifts in two attempts. Each quarantine names the devices lane 1 runs
+// on in that attempt, so the second names the survivors that took the
+// lane over, and 2 devices are left.
+func TestDriftTwiceOnOneLaneQuarantinesItsDevices(t *testing.T) {
+	drift := func(ctx context.Context, c core.Config, s *Supervisor) error {
+		s.onAlert(lane1Slow)
+		return untilCanceled(ctx, c, s)
+	}
+	cfg := Config{ReplanOnDrift: true}
+	cfg.Core.Lanes = 3
+	sc, res, out, err := supervise(t, cfg, nil, drift, drift, finish)
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	wantOutput(t, out,
+		"quarantined lane 1: [jetson-nano-2 jetson-nano-3]",
+		"re-plan (drift): 2 stages × 2 lanes, 4 surviving device(s)",
+		"quarantined lane 1: [jetson-nano-4 jetson-nano-5]",
+		"re-plan (drift): 2 stages × 1 lanes, 2 surviving device(s)")
+	want := []string{"jetson-nano-2", "jetson-nano-3", "jetson-nano-4", "jetson-nano-5"}
+	if q := sc.quarantined(); res.DriftReplans != 2 || !slices.Equal(q, want) {
+		t.Errorf("result %+v, quarantined %v: want 2 drift re-plans and %v", res, q, want)
+	}
+}
+
+// TestFailureAfterQuarantineBlamesASurvivor: drift quarantined lane 0,
+// so the next attempt's lane 0 runs on devices 2 and 3; its stage 1
+// failing is device 3 dying, not quarantined device 1.
+func TestFailureAfterQuarantineBlamesASurvivor(t *testing.T) {
+	lane0Slow := lane1Slow
+	lane0Slow.Lane = 0
+	drift := func(ctx context.Context, c core.Config, s *Supervisor) error {
+		s.onAlert(lane0Slow)
+		return untilCanceled(ctx, c, s)
+	}
+	lane0Stage1Dies := func(context.Context, core.Config, *Supervisor) error {
+		return &parallel.RankFailedError{Rank: 1, Lane: 0, Op: "recv f3", Err: errors.New("deadline")}
+	}
+	sc, _, out, err := supervise(t, Config{ReplanOnDrift: true, MaxRecoveries: 1}, nil, drift, lane0Stage1Dies, finish)
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	wantOutput(t, out, "FAILURE: device jetson-nano-3 detected dead", "re-planning on 1 surviving device(s): [jetson-nano-2]")
+	if d, q := sc.dead(), sc.quarantined(); !slices.Equal(d, []string{"jetson-nano-3"}) || !slices.Equal(q, []string{"jetson-nano-0", "jetson-nano-1"}) {
+		t.Errorf("dead %v, quarantined %v: want jetson-nano-3 dead and lane 0 still quarantined", d, q)
+	}
+}
+
 func TestFailureSupersedesDrift(t *testing.T) {
 	both := func(ctx context.Context, c core.Config, s *Supervisor) error {
 		s.onAlert(lane1Slow)
@@ -488,14 +551,36 @@ func TestDrainOfSidelinedDevice(t *testing.T) {
 	wantOutput(t, out, "fleet drain of jetson-nano-3: already out of service, nothing to re-plan")
 }
 
-// TestDrainRefusedAtStageFloor: device 3 is dead, so draining device 1
-// would leave stage 1 with no device in service.
+// TestDrainRefusedAtStageFloor: drift quarantined lane 1, so draining
+// device 1 would leave one device in service for two stages.
 func TestDrainRefusedAtStageFloor(t *testing.T) {
+	drift := func(ctx context.Context, c core.Config, s *Supervisor) error {
+		s.onAlert(lane1Slow)
+		return untilCanceled(ctx, c, s)
+	}
+	cfg := Config{ReplanOnDrift: true, Drain: &Drain{Device: 1}}
+	cfg.Core.SnapshotEvery = 1
+	sc, res, out, err := supervise(t, cfg, nil, drift, snapshotThen(1, 2, settle))
+	drainLeavesPoolAlone(t, sc, res, out, err, []string{"jetson-nano-2", "jetson-nano-3"})
+	wantOutput(t, out, "fleet drain of jetson-nano-1 refused: stage 1 would have no device in service")
+}
+
+// TestDrainAfterFailureUsesSpare: device 3 is dead and the attempt runs
+// 2 stages × 1 lane on devices 0 and 1; device 2 is in service, so a
+// drain of device 1 goes ahead and 2 devices are left.
+func TestDrainAfterFailureUsesSpare(t *testing.T) {
 	cfg := Config{MaxRecoveries: 1, Drain: &Drain{Device: 1}}
 	cfg.Core.SnapshotEvery = 1
-	sc, res, out, err := supervise(t, cfg, nil, lane1Stage1Dies, snapshotThen(1, 2, settle))
-	drainLeavesPoolAlone(t, sc, res, out, err, []string{})
-	wantOutput(t, out, "fleet drain of jetson-nano-1 refused: stage 1 would have no device in service")
+	sc, res, out, err := supervise(t, cfg, nil, lane1Stage1Dies, snapshotThen(1, 2, untilCanceled), finish)
+	if err != nil {
+		t.Fatalf("Run: %v\n%s", err, out)
+	}
+	wantOutput(t, out,
+		"re-planning on fleet drain: 2 surviving device(s): [jetson-nano-0 jetson-nano-2]",
+		"fleet drain of jetson-nano-1 complete")
+	if res.FleetReplans != 1 || len(sc.built) != 3 || !slices.Equal(sc.quarantined(), []string{"jetson-nano-1"}) {
+		t.Errorf("result %+v, %d attempts, quarantined %v", res, len(sc.built), sc.quarantined())
+	}
 }
 
 func TestNewRejectsBadInjection(t *testing.T) {
@@ -513,27 +598,32 @@ func TestNewRejectsBadInjection(t *testing.T) {
 	}
 }
 
-// TestAttributeDevice pins the failure-attribution rules, including the
-// fix for the old behavior of blaming device 0 for unmappable failures.
+// TestAttributeDevice pins the failure-attribution rules: a failure
+// names a device of the attempt's list, and one outside it names none
+// (the old behavior blamed device 0).
 func TestAttributeDevice(t *testing.T) {
+	pool := cluster.Nanos(6)
+	survivors := cluster.Cluster{Devices: []cluster.DeviceSpec{pool.Devices[0], pool.Devices[1], pool.Devices[4], pool.Devices[5]}}
 	cases := []struct {
-		rank, lane, stages, pool int
-		wantIdx                  int
-		wantKnown                bool
+		rank, lane int
+		devices    cluster.Cluster
+		want       string // "" when no device answers for it
 	}{
-		{rank: 1, lane: 0, stages: 2, pool: 4, wantIdx: 1, wantKnown: true},  // lane 0, stage 1
-		{rank: 0, lane: 1, stages: 2, pool: 4, wantIdx: 2, wantKnown: true},  // lane 1, stage 0
-		{rank: 3, lane: -1, stages: 2, pool: 4, wantIdx: 3, wantKnown: true}, // DP rank
-		{rank: 9, lane: -1, stages: 2, pool: 4, wantKnown: false},            // out of range
-		{rank: 1, lane: 5, stages: 2, pool: 4, wantKnown: false},             // phantom lane
-		{rank: -2, lane: -1, stages: 2, pool: 4, wantKnown: false},           // negative rank
+		{rank: 1, lane: 0, devices: pool, want: "jetson-nano-1"},      // lane 0, stage 1
+		{rank: 0, lane: 1, devices: pool, want: "jetson-nano-2"},      // lane 1, stage 0
+		{rank: 3, lane: -1, devices: pool, want: "jetson-nano-3"},     // DP rank
+		{rank: 0, lane: 1, devices: survivors, want: "jetson-nano-4"}, // lane 1 after lane 1 was sidelined
+		{rank: 3, lane: -1, devices: survivors, want: "jetson-nano-5"},
+		{rank: 9, lane: -1, devices: pool},     // out of range
+		{rank: 1, lane: 2, devices: survivors}, // phantom lane
+		{rank: -2, lane: -1, devices: pool},    // negative rank
 	}
 	for _, tc := range cases {
 		rf := &parallel.RankFailedError{Rank: tc.rank, Lane: tc.lane, Op: "op", Err: fmt.Errorf("x")}
-		idx, known := attributeDevice(rf, tc.stages, tc.pool)
-		if known != tc.wantKnown || (known && idx != tc.wantIdx) {
-			t.Errorf("attributeDevice(rank=%d lane=%d) = (%d, %v), want (%d, %v)",
-				tc.rank, tc.lane, idx, known, tc.wantIdx, tc.wantKnown)
+		dev, known := attributeDevice(rf, 2, tc.devices)
+		if known != (tc.want != "") || dev.Name != tc.want {
+			t.Errorf("attributeDevice(rank=%d lane=%d) on %v = (%q, %v), want %q",
+				tc.rank, tc.lane, deviceNames(tc.devices), dev.Name, known, tc.want)
 		}
 	}
 }

@@ -155,10 +155,12 @@ func canonLabels(name string, labels []string) []string {
 	return out
 }
 
-// register returns the series for (name, labels), creating it when new.
-// Re-registering an existing series returns the same handle; using one
-// name with two different kinds is a programming error and panics.
-func (r *Registry) register(name string, k kind, labels []string) *series {
+// register returns the series for (name, labels), creating it — handle
+// included, before any scrape can see it — when new. buckets matter only
+// to a new histogram. Re-registering an existing series returns the same
+// handle; using one name with two different kinds is a programming error
+// and panics.
+func (r *Registry) register(name string, k kind, buckets []float64, labels []string) *series {
 	labels = canonLabels(name, labels)
 	key := name + labelString(labels)
 	r.mu.Lock()
@@ -171,6 +173,14 @@ func (r *Registry) register(name string, k kind, labels []string) *series {
 		return s
 	}
 	s := &series{name: name, labels: labels}
+	switch k {
+	case counterKind:
+		s.c = &Counter{}
+	case gaugeKind:
+		s.g = &Gauge{}
+	case histogramKind:
+		s.h = newHistogram(buckets)
+	}
 	r.series[key] = s
 	return s
 }
@@ -178,37 +188,19 @@ func (r *Registry) register(name string, k kind, labels []string) *series {
 // Counter returns (registering if needed) the counter series for name
 // and the flat key,value label pairs.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	s := r.register(name, counterKind, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.register(name, counterKind, nil, labels).c
 }
 
 // Gauge returns (registering if needed) the gauge series.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	s := r.register(name, gaugeKind, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.register(name, gaugeKind, nil, labels).g
 }
 
 // Histogram returns (registering if needed) the histogram series. nil
 // buckets use defBuckets. The bucket layout of an already-registered
 // series wins; later bucket arguments are ignored.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *Histogram {
-	s := r.register(name, histogramKind, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.h == nil {
-		s.h = newHistogram(buckets)
-	}
-	return s.h
+	return r.register(name, histogramKind, buckets, labels).h
 }
 
 // OnScrape registers fn to run at the start of every exposition
