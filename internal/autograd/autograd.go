@@ -53,6 +53,7 @@ type Variable struct {
 
 	requiresGrad bool
 	pooled       bool // from varPool; Release may recycle it
+	gradClean    bool // Grad holds ZeroGrad's zeros: accPut may replace it
 	nparents     uint8
 	visited      atomic.Uint64 // traversal generation mark
 	parents      [maxInlineParents]*Variable
@@ -94,15 +95,22 @@ func (v *Variable) SetRequiresGrad(on bool) {
 	v.requiresGrad = on
 }
 
-// ZeroGrad clears the accumulated gradient.
+// ZeroGrad clears the accumulated gradient and marks the buffer clean:
+// the next backward pass's first gradient for v takes its place (the
+// zeroed buffer goes back to the pool) instead of being added into it.
+// A caller that writes Grad.Data itself (a gradient all-reduce) does so
+// after the backward pass and before the optimizer step, never between
+// ZeroGrad and the next backward.
 func (v *Variable) ZeroGrad() {
 	if v.Grad != nil {
 		v.Grad.Zero()
+		v.gradClean = true
 	}
 }
 
 // ensureGrad allocates the gradient buffer (pooled) on first use.
 func (v *Variable) ensureGrad() *tensor.Tensor {
+	v.gradClean = false
 	if v.Grad == nil {
 		v.Grad = tensor.New(v.Value.Shape()...)
 		if v.pooled {
@@ -126,11 +134,26 @@ func (v *Variable) accFlat(g *tensor.Tensor) {
 	tensor.AddFlat(v.ensureGrad(), g)
 }
 
-// accPut adds the pooled temporary g into v's gradient and returns g to
-// the pool — the backward-pass idiom replacing accumulate(freshTensor).
+// accPut adds the temporary g, which the caller hands over, into v's
+// gradient — the backward-pass idiom replacing accumulate(freshTensor).
+// A variable with no gradient yet, or only ZeroGrad's zeros, adopts g
+// as its gradient, re-viewed in v's shape: 0 + g is g up to the sign
+// of a zero, so neither a zeroed buffer nor the add is paid for, and
+// the clean buffer goes back to the pool. Otherwise g is added and
+// returned to the pool.
 func (v *Variable) accPut(g *tensor.Tensor) {
-	tensor.AddFlat(v.ensureGrad(), g)
-	tensor.PutTensor(g)
+	if v.Grad != nil && !v.gradClean {
+		tensor.AddFlat(v.Grad, g)
+		tensor.PutTensor(g)
+		return
+	}
+	g.SetShape(v.Value.Shape()...)
+	if old := v.Grad; old != nil {
+		tensor.PutTensor(old)
+	} else if v.pooled {
+		memTape.Add(tapeBytes(g))
+	}
+	v.Grad, v.gradClean = g, false
 }
 
 // numParents returns the parent count.
@@ -168,7 +191,7 @@ func newNode(val *tensor.Tensor) *Variable {
 // visited generation is deliberately kept: generations never repeat.
 func (v *Variable) reset() {
 	v.Value, v.Grad = nil, nil
-	v.requiresGrad, v.pooled = false, false
+	v.requiresGrad, v.pooled, v.gradClean = false, false, false
 	v.nparents = 0
 	v.parents = [maxInlineParents]*Variable{}
 	for i := range v.extra {

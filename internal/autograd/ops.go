@@ -10,10 +10,10 @@ import (
 // kernel, attach a *static* backward function (no closures — operands
 // are read back from the node), and free backward temporaries through
 // accPut as soon as they are consumed. Gradient arithmetic matches the
-// original composed implementations bit for bit: temporaries accumulate
-// into zeroed pooled buffers exactly like the fresh tensors they
-// replace, and fused forward kernels preserve per-element operation
-// order.
+// original composed implementations bit for bit: a variable's first
+// temporary becomes its gradient (0 + t is t, up to the sign of a
+// zero), later ones add into it in the same order, and fused forward
+// kernels preserve per-element operation order.
 
 // Add returns a + b (elementwise, same shapes).
 func Add(a, b *Variable) *Variable {

@@ -75,22 +75,22 @@ func UnflattenParams(params []*autograd.Variable, flat []float32) {
 	}
 }
 
-// FlattenGrads serializes gradients (zeros for params that never
-// received one).
-func FlattenGrads(params []*autograd.Variable) []float32 {
-	n := 0
+// FlattenGrads serializes gradients into dst, which holds exactly
+// their element count (zeros for params that never received one).
+func FlattenGrads(dst []float32, params []*autograd.Variable) {
+	off := 0
 	for _, p := range params {
-		n += p.Value.Numel()
-	}
-	out := make([]float32, 0, n)
-	for _, p := range params {
+		n := p.Value.Numel()
 		if p.Grad != nil {
-			out = append(out, p.Grad.Data...)
+			copy(dst[off:off+n], p.Grad.Data)
 		} else {
-			out = append(out, make([]float32, p.Value.Numel())...)
+			clear(dst[off : off+n])
 		}
+		off += n
 	}
-	return out
+	if off != len(dst) {
+		panic("nn: FlattenGrads length mismatch")
+	}
 }
 
 // UnflattenGrads writes a flat gradient vector back into params.

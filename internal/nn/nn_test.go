@@ -166,7 +166,8 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 func TestFlattenGradsZeroFill(t *testing.T) {
 	rng := tensor.NewRNG(10)
 	l := NewLinear(2, 2, rng)
-	flat := FlattenGrads(l.Params())
+	flat := []float32{7, 7, 7, 7, 7, 7} // a reused buffer's stale values
+	FlattenGrads(flat, l.Params())
 	for _, v := range flat {
 		if v != 0 {
 			t.Fatal("missing grads must flatten to zeros")

@@ -2,8 +2,11 @@ package parallel
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 	"time"
 
 	"pac/internal/health"
@@ -80,6 +83,12 @@ func recvPeer(ctx context.Context, t Transport, from int, tag string) ([]byte, e
 // Every rank must call it with an equal-length buffer. Transient send
 // faults are retried per pol; liveness failures surface as
 // RankFailedError.
+//
+// A step allocates nothing: each chunk is encoded into a pooled frame,
+// and the frame received from prev is decoded straight into the
+// destination chunk (added in reduce-scatter, copied in all-gather),
+// then recycled. The receiver may recycle it because a delivered frame
+// is received exactly once and its sender never touches it again.
 func RingAllReduceCtx(ctx context.Context, t Transport, data []float32, pol RetryPolicy) error {
 	n := t.Size()
 	if n == 1 {
@@ -91,57 +100,122 @@ func RingAllReduceCtx(ctx context.Context, t Transport, data []float32, pol Retr
 	next := (rank + 1) % n
 	prev := (rank - 1 + n) % n
 
-	// Chunk boundaries (chunk c = [bounds[c], bounds[c+1])).
-	bounds := make([]int, n+1)
-	for c := 0; c <= n; c++ {
-		bounds[c] = c * len(data) / n
-	}
-	chunk := func(c int) []float32 { return data[bounds[c%n]:bounds[c%n+1]] }
-	// exchange sends one chunk to next and reads want values from prev.
-	exchange := func(tag string, send []float32, want int) ([]float32, error) {
-		if err := sendRetry(ctx, t, next, tag, tensor.AppendF32s(nil, send), pol); err != nil {
-			return nil, err
-		}
-		raw, err := recvPeer(ctx, t, prev, tag)
-		if err != nil {
-			return nil, err
-		}
-		r := tensor.NewReader(raw)
-		incoming := r.F32s(want)
-		if err := r.End(); err != nil {
-			return nil, fmt.Errorf("parallel: allreduce chunk %q: %w", tag, err)
-		}
-		return incoming, nil
-	}
+	// Chunk c is data[c·len/n, (c+1)·len/n).
+	chunk := func(c int) []float32 { return data[c*len(data)/n : (c+1)*len(data)/n] }
 
 	// Reduce-scatter: after step s, rank r holds the partial sum of chunk
 	// (r - s + n) % n.
 	for s := 0; s < n-1; s++ {
-		sendC := (rank - s + n) % n
-		recvC := (rank - s - 1 + n) % n
-		tag := fmt.Sprintf("rs%d", s)
-		dst := chunk(recvC)
-		incoming, err := exchange(tag, chunk(sendC), len(dst))
-		if err != nil {
+		send, dst := chunk((rank-s+n)%n), chunk((rank-s-1+n)%n)
+		if err := ringExchange(ctx, t, next, prev, ringTag("rs", s), send, dst, true, pol); err != nil {
 			return err
-		}
-		for i := range dst {
-			dst[i] += incoming[i]
 		}
 	}
 	// All-gather: circulate the fully reduced chunks.
 	for s := 0; s < n-1; s++ {
-		sendC := (rank + 1 - s + n) % n
-		recvC := (rank - s + n) % n
-		tag := fmt.Sprintf("ag%d", s)
-		dst := chunk(recvC)
-		incoming, err := exchange(tag, chunk(sendC), len(dst))
-		if err != nil {
+		send, dst := chunk((rank+1-s+n)%n), chunk((rank-s+n)%n)
+		if err := ringExchange(ctx, t, next, prev, ringTag("ag", s), send, dst, false, pol); err != nil {
 			return err
 		}
-		copy(dst, incoming)
 	}
 	return nil
+}
+
+// ringExchange is one ring step: it sends chunk send to next in a
+// pooled frame and decodes prev's frame into dst, adding when add is
+// set and copying otherwise. A frame that is not 4·len(dst) bytes is an
+// error, the one a tensor.Reader reports for it.
+func ringExchange(ctx context.Context, t Transport, next, prev int, tag string, send, dst []float32, add bool, pol RetryPolicy) error {
+	frame := tensor.AppendF32s(frames.get(4*len(send)), send)
+	if err := sendRetry(ctx, t, next, tag, frame, pol); err != nil {
+		return err
+	}
+	raw, err := recvPeer(ctx, t, prev, tag)
+	if err != nil {
+		return err
+	}
+	if len(raw) != 4*len(dst) {
+		r := tensor.NewReader(raw)
+		r.F32s(len(dst))
+		return fmt.Errorf("parallel: allreduce chunk %q: %w", tag, r.End())
+	}
+	if add {
+		for i := range dst {
+			dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+	} else {
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+	}
+	frames.put(raw)
+	return nil
+}
+
+// ringTags holds the tags of the first ring steps, so a step formats
+// none.
+var ringTags = func() map[string][]string {
+	m := map[string][]string{}
+	for _, kind := range []string{"rs", "ag"} {
+		for s := 0; s < 16; s++ {
+			m[kind] = append(m[kind], fmt.Sprintf("%s%d", kind, s))
+		}
+	}
+	return m
+}()
+
+// ringTag is kind (rs or ag) followed by the step number.
+func ringTag(kind string, s int) string {
+	if s < len(ringTags[kind]) {
+		return ringTags[kind][s]
+	}
+	return fmt.Sprintf("%s%d", kind, s)
+}
+
+// frames recycles the all-reduce's frames.
+var frames framePool
+
+// framePool is a bounded free list of byte frames. get hands out an
+// empty frame with room for n bytes; put takes back a frame whose bytes
+// nobody reads any more. It keeps at most maxFreeFrames, the largest
+// ones, so a mix of chunk sizes settles on frames that fit them all.
+type framePool struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+const maxFreeFrames = 16
+
+func (p *framePool) get(n int) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, f := range p.free {
+		if cap(f) >= n {
+			last := len(p.free) - 1
+			p.free[i], p.free[last] = p.free[last], nil
+			p.free = p.free[:last]
+			return f[:0]
+		}
+	}
+	return make([]byte, 0, n)
+}
+
+func (p *framePool) put(f []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < maxFreeFrames {
+		p.free = append(p.free, f)
+		return
+	}
+	small := 0
+	for i, g := range p.free {
+		if cap(g) < cap(p.free[small]) {
+			small = i
+		}
+	}
+	if cap(f) > cap(p.free[small]) {
+		p.free[small] = f
+	}
 }
 
 // RingAllReduce is RingAllReduceCtx without a deadline and under

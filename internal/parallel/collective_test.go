@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pac/internal/tensor"
 )
@@ -26,7 +28,7 @@ func runRanks(n int, eps []Transport, fn func(t Transport)) {
 
 func TestChanTransportBasics(t *testing.T) {
 	net := NewChanNetwork(2)
-	a, b := net.Endpoint(0), net.Endpoint(1)
+	a, b := net.Endpoints()[0], net.Endpoints()[1]
 	if a.Rank() != 0 || a.Size() != 2 {
 		t.Fatal("endpoint identity wrong")
 	}
@@ -45,7 +47,7 @@ func TestChanTransportBasics(t *testing.T) {
 // the caller can match, never a panic.
 func TestChanTagMismatch(t *testing.T) {
 	net := NewChanNetwork(2)
-	a, b := net.Endpoint(0), net.Endpoint(1)
+	a, b := net.Endpoints()[0], net.Endpoints()[1]
 	if err := a.SendCtx(context.Background(), 1, "right", tensor.AppendF32s(nil, []float32{1})); err != nil {
 		t.Fatal(err)
 	}
@@ -169,4 +171,75 @@ func TestBundleCodecRoundTrip(t *testing.T) {
 	if _, err := decodeBundle(append(frame, 0)); err == nil {
 		t.Fatal("frame with a trailing byte decoded")
 	}
+}
+
+// TestRingAllReduceRejectsMisSizedFrame: a peer's frame that is not
+// four bytes per value of the chunk it stands for is an error naming
+// the chunk, short or long, and never a panic or a partial decode.
+func TestRingAllReduceRejectsMisSizedFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		bytes int
+		want  string
+	}{
+		{"short", 4*3 - 1, "truncated"},
+		{"long", 4*3 + 4, "trailing bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eps := NewChanNetwork(2).Endpoints()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			// Rank 0 owns chunk 0 (3 values) and receives chunk 1 (3
+			// values) from rank 1 first, as "rs0".
+			if err := eps[1].SendCtx(ctx, 0, "rs0", make([]byte, tc.bytes)); err != nil {
+				t.Fatal(err)
+			}
+			data := []float32{1, 2, 3, 4, 5, 6}
+			err := RingAllReduceCtx(ctx, eps[0], data, DefaultRetry)
+			if err == nil || !strings.Contains(err.Error(), `allreduce chunk "rs0"`) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want the rs0 chunk's %q error", err, tc.want)
+			}
+			if data[3] != 4 || data[4] != 5 || data[5] != 6 {
+				t.Fatalf("a rejected frame was decoded into the chunk: %v", data)
+			}
+		})
+	}
+}
+
+// TestRingAllReduceRecyclesFramesSafely: frames go back to a pool the
+// moment their receiver has decoded them. Two fabrics of 2 and 3 ranks
+// reduce at once through that one pool, many rounds in a row, with
+// values that change every round; a frame reused while a peer still
+// read it would corrupt a sum (and is a data race under -race).
+func TestRingAllReduceRecyclesFramesSafely(t *testing.T) {
+	const rounds, vec = 40, 301
+	var wg sync.WaitGroup
+	for _, n := range []int{2, 3} {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			eps := NewChanNetwork(n).Endpoints()
+			for round := 0; round < rounds; round++ {
+				outs := make([][]float32, n)
+				runRanks(n, eps, func(tr Transport) {
+					buf := make([]float32, vec)
+					for i := range buf {
+						buf[i] = float32(round*vec + i + 1000*tr.Rank())
+					}
+					RingAllReduce(tr, buf)
+					outs[tr.Rank()] = buf
+				})
+				for r, out := range outs {
+					for i, v := range out {
+						want := float32(n*(round*vec+i) + 1000*n*(n-1)/2)
+						if v != want {
+							t.Errorf("%d ranks, round %d, rank %d, elem %d: %v want %v", n, round, r, i, v, want)
+							return
+						}
+					}
+				}
+			}
+		}(n)
+	}
+	wg.Wait()
 }

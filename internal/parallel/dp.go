@@ -61,6 +61,10 @@ type DPGroup struct {
 	// (compute seconds before the collective, gradient bytes reduced)
 	// plus a whole-step sample (Lane/Stage/Rank all -1).
 	Health health.Sink
+
+	// flat[r] is rank r's flat gradient, the buffer its all-reduce runs
+	// in; StepCtx sizes it before the ranks start and keeps it.
+	flat [][]float32
 }
 
 // NewDPGroup builds a group over n fresh replicas created by factory
@@ -91,12 +95,19 @@ func (g *DPGroup) StepCtx(ctx context.Context, b *data.Batch) (float64, error) {
 	// Replicas beyond the shard count (tiny batches) contribute zero
 	// gradients but must still join the collective.
 	losses := make([]float64, n)
+	params := make([][]*autograd.Variable, n)
+	if len(g.flat) != n {
+		g.flat = make([][]float32, n)
+	}
+	for r := range params {
+		params[r] = g.Techs[r].Trainable()
+		g.flat[r] = gradBuffer(g.flat[r], params[r])
+	}
 	err := step{engineDP, g.Trace, g.StepTimeout, g.Health}.run(ctx, b, n, func(ctx context.Context, r int) error {
 		stepTC, _ := telemetry.TraceFrom(ctx)
 		_, end := g.Trace.SpanTC(stepTC, "compute", "step", g.TracePID, r)
 		defer end()
 		rank0 := time.Now()
-		params := g.Techs[r].Trainable()
 		if r < len(shards) && shards[r].Size() > 0 {
 			shard := shards[r]
 			res := g.forward(r, shard, true)
@@ -117,17 +128,15 @@ func (g *DPGroup) StepCtx(ctx context.Context, b *data.Batch) (float64, error) {
 		// barrier waits on the slowest rank, so timing past it would
 		// smear a straggler across the whole group.
 		computeSec := time.Since(rank0).Seconds()
-		flat := nn.FlattenGrads(params)
-		if err := RingAllReduceCtx(ctx, g.Endpoints[r], flat, g.Retry); err != nil {
+		if err := allReduceGrads(ctx, g.Endpoints[r], params[r], g.flat[r], g.Retry); err != nil {
 			return err
 		}
-		nn.UnflattenGrads(params, flat)
 		g.Opts[r].Step()
 		if g.Health != nil {
 			g.Health.ReportStep(health.StepStats{
 				Engine: "dp", Lane: -1, Stage: -1, Rank: r,
 				FwdSec: computeSec, StepSec: time.Since(rank0).Seconds(),
-				Bytes: int64(4 * len(flat)),
+				Bytes: int64(4 * len(g.flat[r])),
 			})
 		}
 		return nil
@@ -155,6 +164,31 @@ func (g *DPGroup) forward(r int, b *data.Batch, trainMode bool) *peft.Result {
 // executed, aborting on the first step failure or context cancellation.
 func (g *DPGroup) TrainEpochFromCtx(ctx context.Context, loader *data.Loader, epoch, start int) (float64, error) {
 	return trainEpochFrom(ctx, loader, epoch, start, g.StepCtx, g.OnStep)
+}
+
+// gradBuffer returns buf holding exactly the element count of params,
+// reusing its storage when it is large enough.
+func gradBuffer(buf []float32, params []*autograd.Variable) []float32 {
+	n := 0
+	for _, p := range params {
+		n += p.Value.Numel()
+	}
+	if cap(buf) < n {
+		return make([]float32, n)
+	}
+	return buf[:n]
+}
+
+// allReduceGrads sums params' gradients across t's group in flat, a
+// buffer of exactly their element count (gradBuffer), and writes the
+// sums back into the gradients.
+func allReduceGrads(ctx context.Context, t Transport, params []*autograd.Variable, flat []float32, pol RetryPolicy) error {
+	nn.FlattenGrads(flat, params)
+	if err := RingAllReduceCtx(ctx, t, flat, pol); err != nil {
+		return err
+	}
+	nn.UnflattenGrads(params, flat)
+	return nil
 }
 
 // InSync reports whether all replicas hold bitwise-identical trainable

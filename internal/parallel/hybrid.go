@@ -48,6 +48,10 @@ type HybridEngine struct {
 	// cross[stage][lane] is the lane-to-lane fabric endpoint
 	// synchronizing that stage's gradients.
 	cross [][]Transport
+	// flat[stage][lane] is that stage's flat gradient on that lane, the
+	// buffer its cross-lane all-reduce runs in; StepCtx sizes it before
+	// the lanes start and keeps it.
+	flat [][][]float32
 }
 
 // NewHybrid assembles a hybrid engine. factory must build identically
@@ -58,17 +62,13 @@ func NewHybrid(lanes, stages, micro int, lr float32, factory func(lane int) *Pip
 	h := &HybridEngine{}
 	for s := 0; s < stages; s++ {
 		h.cross = append(h.cross, NewChanNetwork(lanes).Endpoints())
+		h.flat = append(h.flat, make([][]float32, lanes))
 	}
 	for l := 0; l < lanes; l++ {
 		e := factory(l)
 		lane := l
 		e.SyncGrads = func(ctx context.Context, stage int, params []*autograd.Variable) error {
-			flat := nn.FlattenGrads(params)
-			if err := RingAllReduceCtx(ctx, h.cross[stage][lane], flat, h.Retry); err != nil {
-				return err
-			}
-			nn.UnflattenGrads(params, flat)
-			return nil
+			return allReduceGrads(ctx, h.cross[stage][lane], params, h.flat[stage][lane], h.Retry)
 		}
 		h.Lanes = append(h.Lanes, e)
 	}
@@ -104,6 +104,11 @@ func (h *HybridEngine) WrapTransports(wrap func(id FabricID, eps []Transport) []
 func (h *HybridEngine) StepCtx(ctx context.Context, b *data.Batch) (float64, error) {
 	shards := b.Split(len(h.Lanes))
 	losses := make([]float64, len(h.Lanes))
+	for s, lanes := range h.flat {
+		for l, lane := range h.Lanes {
+			lanes[l] = gradBuffer(lanes[l], lane.StageParams(s))
+		}
+	}
 	// The step's root span travels in ctx to every lane, so each
 	// micro-batch's F/B chain links back to it.
 	err := step{engineHybrid, h.Trace, h.StepTimeout, h.Health}.run(ctx, b, len(h.Lanes), func(ctx context.Context, l int) error {

@@ -70,16 +70,11 @@ func NewChanNetwork(n int) *ChanNetwork {
 	return cn
 }
 
-// Endpoint returns rank r's transport handle.
-func (cn *ChanNetwork) Endpoint(r int) Transport {
-	return &chanEndpoint{net: cn, rank: r}
-}
-
-// Endpoints returns all handles in rank order.
+// Endpoints returns every rank's transport handle, in rank order.
 func (cn *ChanNetwork) Endpoints() []Transport {
 	out := make([]Transport, cn.n)
 	for i := range out {
-		out[i] = cn.Endpoint(i)
+		out[i] = &chanEndpoint{net: cn, rank: i}
 	}
 	return out
 }

@@ -10,7 +10,7 @@ import (
 
 func TestChanRecvDeadlineAndCancel(t *testing.T) {
 	net := NewChanNetwork(2)
-	b := net.Endpoint(1)
+	b := net.Endpoints()[1]
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -32,7 +32,7 @@ func TestChanRecvDeadlineAndCancel(t *testing.T) {
 
 func TestChanSendBlockedByFullPipeHonorsCtx(t *testing.T) {
 	net := NewChanNetwork(2)
-	a := net.Endpoint(0)
+	a := net.Endpoints()[0]
 	// Fill the buffered pipe so the next send blocks.
 	for i := 0; i < 1024; i++ {
 		if err := a.SendCtx(context.Background(), 1, "fill", nil); err != nil {

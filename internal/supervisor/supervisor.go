@@ -37,7 +37,9 @@
 // pool, the shape the next attempt runs is printed, the injected crash
 // and straggler are cleared (they have fired; background drops stay),
 // and the next attempt is built from the latest snapshot. No planner
-// runs: a re-plan runs one lane fewer, and says so.
+// runs: a re-plan runs one lane fewer, and says so. When fewer devices
+// than stages survive, the drain's floor, the run ends instead, with an
+// error naming both counts.
 //
 // Each attempt runs on the devices that survive when it is built, in
 // pool order: lane L, stage S is the attempt's device L·Stages+S, and
@@ -333,6 +335,11 @@ func (s *Supervisor) replan(trigger string, alert health.Alert, cause error) err
 			}
 			fmt.Fprintf(s.out, "quarantined lane %d: %v\n", alert.Lane, lane)
 		}
+	}
+	// The drain's floor holds for every trigger: an attempt needs a
+	// device for each stage, so fewer survivors than stages end the run.
+	if left := s.sidelined.survivors(pool).Size(); left < s.core.Stages {
+		return fmt.Errorf("re-plan: %d surviving device(s) cannot fill %d stages: %w", left, s.core.Stages, cause)
 	}
 	mReplans[trigger].Inc()
 	health.Flight().Record("replan", alert.Lane, alert.Rank, trigger, alert.Ratio)

@@ -400,7 +400,8 @@ func TestDriftTwiceOnOneLaneQuarantinesItsDevices(t *testing.T) {
 
 // TestFailureAfterQuarantineBlamesASurvivor: drift quarantined lane 0,
 // so the next attempt's lane 0 runs on devices 2 and 3; its stage 1
-// failing is device 3 dying, not quarantined device 1.
+// failing is device 3 dying, not quarantined device 1. One device is
+// left for two stages, so the run ends there.
 func TestFailureAfterQuarantineBlamesASurvivor(t *testing.T) {
 	lane0Slow := lane1Slow
 	lane0Slow.Lane = 0
@@ -412,12 +413,34 @@ func TestFailureAfterQuarantineBlamesASurvivor(t *testing.T) {
 		return &parallel.RankFailedError{Rank: 1, Lane: 0, Op: "recv f3", Err: errors.New("deadline")}
 	}
 	sc, _, out, err := supervise(t, Config{ReplanOnDrift: true, MaxRecoveries: 1}, nil, drift, lane0Stage1Dies, finish)
-	if err != nil {
-		t.Fatalf("Run: %v\n%s", err, out)
+	if err == nil || !strings.Contains(err.Error(), "1 surviving device(s) cannot fill 2 stages") {
+		t.Fatalf("Run: %v, want the stage floor's error\n%s", err, out)
 	}
 	wantOutput(t, out, "FAILURE: device jetson-nano-3 detected dead", "re-planning on 1 surviving device(s): [jetson-nano-2]")
 	if d, q := sc.dead(), sc.quarantined(); !slices.Equal(d, []string{"jetson-nano-3"}) || !slices.Equal(q, []string{"jetson-nano-0", "jetson-nano-1"}) {
 		t.Errorf("dead %v, quarantined %v: want jetson-nano-3 dead and lane 0 still quarantined", d, q)
+	}
+}
+
+// TestReplanBelowStageFloorEnds: on 2 stages × 1 lane, stage 1's device
+// dying leaves one device for two stages. The run ends with an error
+// naming both counts and wrapping the failure, and builds no attempt
+// whose stage 1 maps to no device.
+func TestReplanBelowStageFloorEnds(t *testing.T) {
+	stage1Dies := func(context.Context, core.Config, *Supervisor) error {
+		return &parallel.RankFailedError{Rank: 1, Lane: 0, Op: "recv f3", Err: errors.New("deadline")}
+	}
+	cfg := Config{MaxRecoveries: 3}
+	cfg.Core.Lanes = 1
+	sc, _, out, err := supervise(t, cfg, nil, stage1Dies, finish)
+	if err == nil || !strings.Contains(err.Error(), "1 surviving device(s) cannot fill 2 stages") {
+		t.Fatalf("Run: %v, want the stage floor's error\n%s", err, out)
+	}
+	if _, ok := parallel.AsRankFailed(err); !ok {
+		t.Errorf("error %v does not wrap the rank failure", err)
+	}
+	if len(sc.built) != 1 || strings.Contains(out, "re-plan: 2 stages × 1 lanes") {
+		t.Errorf("%d attempts built, want 1 and no re-plan line:\n%s", len(sc.built), out)
 	}
 }
 

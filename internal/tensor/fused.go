@@ -252,3 +252,23 @@ func layerNormDxRow(kr *kern, r int, sumDy, sumDyXn float64) {
 		kr.dst[base+c] = float32(float64(invStd) * (dy - sumDy/n - xn*sumDyXn/n))
 	}
 }
+
+// AdamVector runs Adam's elementwise update eight lanes wide over the
+// longest prefix of p whose length is a multiple of 8, and returns that
+// length; it returns 0, touching nothing, where AVX2 is missing. The
+// optimizer's scalar body (train.Adam) does the rest of the elements,
+// all of them on such a host, and is the oracle the kernel is tested
+// against: adamF32 performs its operations in its order, so each
+// element gets the same bits. g, m and v are at least as long as p;
+// bc1 and bc2 are the step's bias corrections.
+func AdamVector(p, g, m, v []float32, lr, beta1, beta2, eps, bc1, bc2 float32) int {
+	n := len(p) &^ 7
+	if !hasAVX2 || n == 0 {
+		return 0
+	}
+	if len(g) < n || len(m) < n || len(v) < n {
+		panic("tensor: AdamVector size mismatch")
+	}
+	adamF32(&p[0], &g[0], &m[0], &v[0], n, beta1, 1-beta1, beta2, 1-beta2, bc1, bc2, lr, eps)
+	return n
+}

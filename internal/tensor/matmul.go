@@ -12,7 +12,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %v × %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := newDirty(m, n)
 	matmulInto(out.Data, a.Data, b.Data, m, k, n)
 	return out
 }
@@ -134,9 +134,28 @@ func accumRowsScalar(out, a, b []float32, start, end, k, n, sa, sp, j0 int) {
 }
 
 // transposeRows writes rows [start,end) of src [rows,cols] into dst
-// [cols,rows] as its columns.
+// [cols,rows] as its columns, every element of them. It moves eight
+// source rows at a time: for each column j the eight values land side
+// by side in dst's row j, one short contiguous store instead of eight
+// scattered ones, while the eight source rows stream in order.
 func transposeRows(dst, src []float32, rows, cols, start, end int) {
-	for i := start; i < end; i++ {
+	i := start
+	for ; i+8 <= end; i += 8 {
+		s0 := src[i*cols : (i+1)*cols]
+		s1 := src[(i+1)*cols:][:len(s0)]
+		s2 := src[(i+2)*cols:][:len(s0)]
+		s3 := src[(i+3)*cols:][:len(s0)]
+		s4 := src[(i+4)*cols:][:len(s0)]
+		s5 := src[(i+5)*cols:][:len(s0)]
+		s6 := src[(i+6)*cols:][:len(s0)]
+		s7 := src[(i+7)*cols:][:len(s0)]
+		for j := range s0 {
+			d := dst[j*rows+i : j*rows+i+8 : j*rows+i+8]
+			d[0], d[1], d[2], d[3] = s0[j], s1[j], s2[j], s3[j]
+			d[4], d[5], d[6], d[7] = s4[j], s5[j], s6[j], s7[j]
+		}
+	}
+	for ; i < end; i++ {
 		for j, v := range src[i*cols : (i+1)*cols] {
 			dst[j*rows+i] = v
 		}
@@ -153,8 +172,8 @@ func MatMulT(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulT inner dims %v × %v", a.shape, b.shape))
 	}
-	out := New(m, n)
-	panel := Get(k * n)
+	out := newDirty(m, n)
+	panel := getDirty(k * n)
 	kr := getKern()
 	kr.fn = shardTranspose2D
 	kr.dst, kr.a = panel, b.Data
@@ -173,7 +192,7 @@ func TMatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: TMatMul inner dims %v × %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := newDirty(m, n)
 	// Shard over rows of the *output* to avoid write contention.
 	kr := getKern()
 	kr.fn = shardTMatMul

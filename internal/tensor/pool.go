@@ -105,6 +105,18 @@ func classFor(n int) int {
 // Get returns a zeroed []float32 of length n backed by the pool. The
 // caller owns it until Put.
 func Get(n int) []float32 {
+	out := getDirty(n)
+	clear(out)
+	return out
+}
+
+// getDirty is Get without the zeroing: a recycled buffer keeps whatever
+// its last owner and the poison left in it. Only a kernel that writes
+// every element before anything reads one may take it — the products
+// (accumRows owns each output row it touches) and the transposed panel
+// (transposeRows writes every element of it). The canary and poison
+// checks run as on every Get.
+func getDirty(n int) []float32 {
 	c := classFor(n)
 	if c < 0 {
 		global.stats.misses.Add(1)
@@ -140,11 +152,7 @@ func Get(n int) []float32 {
 			panic("tensor: pooled buffer modified after release (stale alias write)")
 		}
 	}
-	out := full[:n]
-	for i := range out {
-		out[i] = 0
-	}
-	return out
+	return full[:n]
 }
 
 // Put returns a buffer obtained from Get to the pool. It reports whether

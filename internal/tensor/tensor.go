@@ -35,6 +35,15 @@ func New(shape ...int) *Tensor {
 	return t
 }
 
+// newDirty is New without the zeroing (getDirty), for the product
+// entry points whose kernel writes every element of the result.
+func newDirty(shape ...int) *Tensor {
+	t := shellPool.Get().(*Tensor)
+	t.shape = append(t.shape[:0], shape...)
+	t.Data = getDirty(numel(shape))
+	return t
+}
+
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); len(data) must equal the shape's element count.
 func FromSlice(data []float32, shape ...int) *Tensor {

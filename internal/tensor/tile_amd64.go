@@ -56,6 +56,9 @@ func lnGradGB(dGamma, dBeta, a, dOut, mean, inv *float32, rows, stride, n int)
 //go:noescape
 func lnDxF32(dst, a, gamma, dOut *float32, n int, mean, inv float32, sumDyN, sumDyXn, cols float64)
 
+//go:noescape
+func adamF32(p, grad, m, v *float32, n int, beta1, omb1, beta2, omb2, bc1, bc2, lr, eps float32)
+
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 

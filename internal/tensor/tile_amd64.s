@@ -1,6 +1,6 @@
 // AVX2 register tiles for every fp32 and int8 product, the GELU and
-// LayerNorm passes, and the CPUID probes that gate them. See
-// tile_amd64.go.
+// LayerNorm passes, Adam's update, and the CPUID probes that gate
+// them. See tile_amd64.go.
 
 #include "textflag.h"
 
@@ -1000,6 +1000,65 @@ dx4:
 	ADDQ       $16, DI
 	SUBQ       $4, CX
 	JNZ        dx4
+	VZEROUPPER
+	RET
+
+// func adamF32(p, grad, m, v *float32, n int, beta1, omb1, beta2, omb2, bc1, bc2, lr, eps float32)
+//
+// One Adam update over n floats, n a multiple of 8 and > 0, in the
+// scalar body's order (train.Adam.Step), eight lanes at a time:
+//
+//	m = beta1·m + omb1·g
+//	v = beta2·v + (omb2·g)·g
+//	p = p - (lr·(m/bc1)) / (sqrt(v/bc2) + eps)
+//
+// with omb1 = 1-beta1 and omb2 = 1-beta2 as float32. Every step rounds
+// once, as MULSS, ADDSS, DIVSS and SUBSS do; VSQRTPS is correctly
+// rounded, as float32(math.Sqrt(float64(x))) is. No FMA, which would
+// round a product and a sum once. Each sum and difference keeps the
+// scalar expression's left operand as its first source, so NaN
+// payloads propagate as they do there.
+TEXT ·adamF32(SB), NOSPLIT, $0-72
+	MOVQ         p+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         m+16(FP), DX
+	MOVQ         v+24(FP), BX
+	MOVQ         n+32(FP), CX
+	VBROADCASTSS beta1+40(FP), Y8
+	VBROADCASTSS omb1+44(FP), Y9
+	VBROADCASTSS beta2+48(FP), Y10
+	VBROADCASTSS omb2+52(FP), Y11
+	VBROADCASTSS bc1+56(FP), Y12
+	VBROADCASTSS bc2+60(FP), Y13
+	VBROADCASTSS lr+64(FP), Y14
+	VBROADCASTSS eps+68(FP), Y15
+
+adamloop:
+	VMOVUPS (SI), Y0
+	VMULPS  (DX), Y8, Y1
+	VMULPS  Y0, Y9, Y2
+	VADDPS  Y2, Y1, Y1
+	VMOVUPS Y1, (DX)
+	VMULPS  (BX), Y10, Y3
+	VMULPS  Y0, Y11, Y4
+	VMULPS  Y0, Y4, Y4
+	VADDPS  Y4, Y3, Y3
+	VMOVUPS Y3, (BX)
+	VDIVPS  Y12, Y1, Y1
+	VDIVPS  Y13, Y3, Y3
+	VMULPS  Y1, Y14, Y1
+	VSQRTPS Y3, Y3
+	VADDPS  Y15, Y3, Y3
+	VDIVPS  Y3, Y1, Y1
+	VMOVUPS (DI), Y2
+	VSUBPS  Y1, Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, BX
+	SUBQ    $8, CX
+	JNZ     adamloop
 	VZEROUPPER
 	RET
 

@@ -50,3 +50,7 @@ func lnGradGB(dGamma, dBeta, a, dOut, mean, inv *float32, rows, stride, n int) {
 func lnDxF32(dst, a, gamma, dOut *float32, n int, mean, inv float32, sumDyN, sumDyXn, cols float64) {
 	panic("tensor: AVX2 kernel without AVX2")
 }
+
+func adamF32(p, grad, m, v *float32, n int, beta1, omb1, beta2, omb2, bc1, bc2, lr, eps float32) {
+	panic("tensor: AVX2 kernel without AVX2")
+}

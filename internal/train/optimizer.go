@@ -123,7 +123,11 @@ func NewAdam(params []*autograd.Variable, lr float32) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Each parameter's update runs eight lanes
+// wide where the host has AVX2 (tensor.AdamVector) and on update for
+// the elements left over, with the same bits either way. A parameter
+// that has had a gradient keeps one, zeroed after each step, so in a
+// step that gives it none it still takes the zero-gradient update.
 func (a *Adam) Step() {
 	a.step++
 	bc1 := 1 - float32(math.Pow(float64(a.beta1), float64(a.step)))
@@ -132,17 +136,25 @@ func (a *Adam) Step() {
 		if p.Grad == nil {
 			continue
 		}
-		m, v := a.m[i], a.v[i]
-		for j := range p.Value.Data {
-			g := p.Grad.Data[j]
-			m.Data[j] = a.beta1*m.Data[j] + (1-a.beta1)*g
-			v.Data[j] = a.beta2*v.Data[j] + (1-a.beta2)*g*g
-			mh := m.Data[j] / bc1
-			vh := v.Data[j] / bc2
-			upd := a.lr * mh / (float32(math.Sqrt(float64(vh))) + a.eps)
-			p.Value.Data[j] -= upd
-		}
+		w, g, m, v := p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data
+		j := tensor.AdamVector(w, g, m, v, a.lr, a.beta1, a.beta2, a.eps, bc1, bc2)
+		a.update(w[j:], g[j:], m[j:], v[j:], bc1, bc2)
 		p.ZeroGrad()
+	}
+}
+
+// update is Adam's scalar body over one parameter's elements: the path
+// where AVX2 is missing, the tail beside the vector kernel, and the
+// oracle that kernel is tested against.
+func (a *Adam) update(w, g, m, v []float32, bc1, bc2 float32) {
+	for j := range w {
+		gj := g[j]
+		m[j] = a.beta1*m[j] + (1-a.beta1)*gj
+		v[j] = a.beta2*v[j] + (1-a.beta2)*gj*gj
+		mh := m[j] / bc1
+		vh := v[j] / bc2
+		upd := a.lr * mh / (float32(math.Sqrt(float64(vh))) + a.eps)
+		w[j] -= upd
 	}
 }
 
