@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"pac/internal/acache"
@@ -136,4 +139,109 @@ func TestLostEntryIsReadmittedIntact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMixedOwnershipMissStep runs one cached step whose batch holds a
+// hit and three misses, with room in the cache for two of the misses:
+// one backbone walk serves all three, the cache keeps two and turns one
+// away. The step may move the pool's outstanding bytes only as far as
+// the same step on hits alone, plus the class-rounded bytes of the two
+// entries the cache now holds. Those entries are bit-equal to the
+// unbounded run's, and the residents are the ones a walk per miss,
+// offered in batch order, leaves.
+func TestMixedOwnershipMissStep(t *testing.T) {
+	ds := smallDataset(8)
+	per := entryBytes(t, ds)
+	step := func(f *Framework, pa *peft.Parallel, opt train.Optimizer, mb *data.Batch) int64 {
+		before := tensor.ReadPoolStats().BytesOutstanding
+		f.SteadyStep(pa, opt, mb)
+		return tensor.ReadPoolStats().BytesOutstanding - before
+	}
+
+	full := acache.NewMemoryStore()
+	f, pa, opt, batches := steadyOver(t, ds, full)
+	mb := batches[0]
+	f.SteadyStep(pa, opt, mb) // warm: gradients and optimizer state stay checked out
+	hitsOnly := step(f, pa, opt, mb)
+
+	// The bounded run: after its warm-up step the cache is emptied and
+	// given back the entry of batch row 1, so the step meets a hit and
+	// three misses with room for two.
+	prime := func(b *acache.Bounded) {
+		e, _ := full.Get(mb.IDs[1])
+		if err := b.Put(mb.IDs[1], e.Clone()); err != nil || !b.Has(mb.IDs[1]) {
+			t.Fatalf("priming the hit: %v", err)
+		}
+	}
+	bounded := acache.NewBounded(acache.NewMemoryStore(), 3*per)
+	f, pa, opt, _ = steadyOver(t, ds, bounded)
+	f.SteadyStep(pa, opt, mb)
+	if err := bounded.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	prime(bounded)
+	evicted0, recomputed0 := bounded.Evicted(), f.Recomputed()
+	grew := step(f, pa, opt, mb)
+
+	misses := int64(len(mb.IDs) - 1)
+	if got := f.Recomputed() - recomputed0; got != misses {
+		t.Fatalf("recomputed %d samples, want one per miss (%d)", got, misses)
+	}
+	if got := bounded.Evicted() - evicted0; got != 1 {
+		t.Fatalf("cache turned %d entries away, want 1 — test ineffective", got)
+	}
+
+	// The per-sample oracle: each miss walked alone and offered in batch
+	// order to a cache with the same bound and the same hit.
+	oracle := acache.NewBounded(acache.NewMemoryStore(), 3*per)
+	prime(oracle)
+	for i, id := range mb.IDs {
+		if i != 1 {
+			e := pa.BackboneTaps(mb.Enc[i:i+1], mb.Dec[i:i+1], mb.Lens[i:i+1])
+			if err := oracle.Put(id, e); err != nil {
+				t.Fatal(err)
+			}
+			if !oracle.Has(id) {
+				for _, tap := range e {
+					tensor.PutTensor(tap)
+				}
+			}
+		}
+	}
+	got, want := bounded.IDs(), oracle.IDs()
+	sort.Ints(got)
+	sort.Ints(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("residents %v, per-sample offers leave %v", got, want)
+	}
+
+	var kept int64
+	for _, id := range got {
+		e, _ := bounded.Get(id)
+		ref, _ := full.Get(id)
+		for ti, tap := range e {
+			for j, v := range tap.Data {
+				if math.Float32bits(v) != math.Float32bits(ref[ti].Data[j]) {
+					t.Fatalf("sample %d tap %d elem %d: cached %v, unbounded %v", id, ti, j, v, ref[ti].Data[j])
+				}
+			}
+			if id != mb.IDs[1] {
+				kept += classBytes(tap.Numel())
+			}
+		}
+	}
+	if grew != hitsOnly+kept {
+		t.Fatalf("the mixed step moved the pool's outstanding bytes by %d; hits alone by %d, plus %d kept = %d",
+			grew, hitsOnly, kept, hitsOnly+kept)
+	}
+}
+
+// classBytes is the pool's footprint of an n-float buffer: its
+// power-of-two size class, at least 32 floats.
+func classBytes(n int) int64 {
+	c := int64(32)
+	for c < int64(n) {
+		c *= 2
+	}
+	return 4 * c
 }

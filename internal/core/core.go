@@ -428,35 +428,19 @@ func (f *Framework) dpGroup() (*parallel.DPGroup, error) {
 
 // cachedForward is the cached-epoch forward of one side network: it
 // assembles the batched tap tensors for a micro-batch from per-sample
-// cache entries, then runs the side network over them. A miss (a
-// capacity-bounded cache had no room for the sample) falls back to
-// recomputing the sample's taps through the shared frozen backbone alone
-// — identical values, just slower — and offers them to the cache. The
-// batched taps are pooled; the result's Release returns them.
+// cache entries, then runs the side network over them. The samples the
+// cache lacks (a capacity-bounded cache had no room for them) take one
+// walk of the shared frozen backbone together — the walk is
+// batch-invariant, so each row is the one a walk of that sample alone
+// gives, just slower than a hit — and each is offered to the cache as
+// its own entry. The batched taps are pooled; the result's Release
+// returns them.
 func (f *Framework) cachedForward(pa *peft.Parallel, mb *data.Batch) *peft.Result {
 	out := make([]*tensor.Tensor, pa.NumTaps())
-	for i, id := range mb.IDs {
-		entry, ok := f.cache.Get(id)
-		cacheOwns := ok
-		if !ok {
-			one := mb.Slice(i, i+1)
-			entry = pa.BackboneTaps(one.Enc, one.Dec, one.Lens)
-			// The recomputed taps are pooled buffers. A cache that took
-			// the entry may hold these very tensors (MemoryStore does), so
-			// they stay out of the pool for good; a cache that turned it
-			// away leaves them ours to return once the rows are copied.
-			// This rank alone handles id in this step, so Has after Put
-			// answers for this Put.
-			if err := f.cache.Put(id, entry); err == nil && f.cache.Has(id) {
-				cacheOwns = true
-				f.manifest.Observe(id, entry)
-			}
-			atomic.AddInt64(&f.recomputed, 1)
-			mCacheRecomputed.Inc()
-		}
-		// Copy the sample's rows into pooled batch tensors: one buffer
-		// per tap reused across steps via the pool, instead of a
-		// Clone+Concat chain that reallocates the batch once per sample.
+	// place copies a sample's rows into row i of pooled batch tensors:
+	// one buffer per tap reused across steps via the pool, instead of a
+	// Clone+Concat chain that reallocates the batch once per sample.
+	place := func(i int, entry acache.Entry) {
 		for ti, t := range entry {
 			if out[ti] == nil {
 				sh := t.Shape()
@@ -465,9 +449,50 @@ func (f *Framework) cachedForward(pa *peft.Parallel, mb *data.Batch) *peft.Resul
 			}
 			n := t.Numel()
 			copy(out[ti].Data[i*n:(i+1)*n], t.Data)
-			if !cacheOwns {
-				tensor.PutTensor(t)
+		}
+	}
+	var miss, lens []int // the batch rows the cache lacks, and their inputs
+	var enc, dec [][]int
+	for i, id := range mb.IDs {
+		if entry, ok := f.cache.Get(id); ok {
+			place(i, entry)
+			continue
+		}
+		miss = append(miss, i)
+		enc, dec, lens = append(enc, mb.Enc[i]), append(dec, mb.Dec[i]), append(lens, mb.Lens[i])
+	}
+	if len(miss) > 0 {
+		taps := pa.BackboneTaps(enc, dec, lens)
+		// Offer each sample to the cache as its own [1, …] entry, in batch
+		// order, so admission meets the newcomers one by one as it would
+		// from a walk per sample.
+		for j, i := range miss {
+			entry := make(acache.Entry, len(taps))
+			for ti, t := range taps {
+				e := tensor.GetTensor(append([]int{1}, t.Shape()[1:]...)...)
+				n := e.Numel()
+				copy(e.Data, t.Data[j*n:(j+1)*n])
+				entry[ti] = e
 			}
+			place(i, entry)
+			// A cache that took the entry may hold these very tensors
+			// (MemoryStore does), so they stay out of the pool for good; a
+			// cache that turned it away leaves them ours to return. This
+			// rank alone handles the id in this step, so Has after Put
+			// answers for this Put.
+			id := mb.IDs[i]
+			if err := f.cache.Put(id, entry); err == nil && f.cache.Has(id) {
+				f.manifest.Observe(id, entry)
+			} else {
+				for _, t := range entry {
+					tensor.PutTensor(t)
+				}
+			}
+			atomic.AddInt64(&f.recomputed, 1)
+			mCacheRecomputed.Inc()
+		}
+		for _, t := range taps {
+			tensor.PutTensor(t)
 		}
 	}
 	return &peft.Result{Logits: pa.ForwardFromTaps(out), Taps: out}
