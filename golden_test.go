@@ -71,10 +71,17 @@ func TestGoldenOutputs(t *testing.T) {
 	goldenPacTrain(t, add)
 	for _, backend := range []string{"generic", "int8"} {
 		onBackend(t, backend, func() {
-			goldenServe(t, backend, add)
+			goldenServe(t, "serve/classify/"+backend, model.Tiny(), add)
 			goldenProducts(backend, add)
 		})
 	}
+	// A Tiny four times as wide: every int8 projection is 32-channel
+	// aligned with k a multiple of 4, so it runs on the VNNI panel tile
+	// where the host has one, and the side network's [64,32] down
+	// projection on the 32-column zmm tile.
+	wide := model.Tiny()
+	wide.Hidden, wide.FFDim = 64, 128
+	onBackend(t, "int8", func() { goldenServe(t, "serve/classify/wide/int8", wide, add) })
 	onBackend(t, "generic", func() { goldenDecode(t, add) })
 
 	want := readGolden(t, filepath.Join("testdata", "golden.txt"))
@@ -265,10 +272,9 @@ func goldenPacTrain(t *testing.T, add func(string, []float32)) {
 }
 
 // goldenServe answers a classify request the way pac-serve does on the
-// given backend (the int8 one quantizes the frozen backbone first) and
+// active backend (the int8 one quantizes the frozen backbone first) and
 // pins the logits behind the answer.
-func goldenServe(t *testing.T, backend string, add func(string, []float32)) {
-	cfg := model.Tiny()
+func goldenServe(t *testing.T, scenario string, cfg model.Config, add func(string, []float32)) {
 	m := model.New(cfg)
 	tech := peft.NewParallel(m, peft.Options{Reduction: 2})
 	if tensor.BackendQuantized() {
@@ -286,10 +292,10 @@ func goldenServe(t *testing.T, backend string, add func(string, []float32)) {
 	res.Release(res.Logits)
 	for i, c := range tensor.ArgMaxRows(tensor.FromSlice(logits, len(enc), cfg.NumClasses)) {
 		if classes[i] != c {
-			t.Fatalf("%s: served class %d for row %d, logits say %d", backend, classes[i], i, c)
+			t.Fatalf("%s: served class %d for row %d, logits say %d", scenario, classes[i], i, c)
 		}
 	}
-	add("serve/classify/"+backend, logits)
+	add(scenario, logits)
 }
 
 // goldenDecode pins the decoders on a language-model Tiny: Decode runs

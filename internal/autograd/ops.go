@@ -231,10 +231,13 @@ func AddGELU(a, b *Variable) *Variable {
 	return out
 }
 
+// backAddGELU overwrites the pre-activation with its gradient: each
+// element of pre is read once, before its gradient lands in its place,
+// and nothing reads pre after this.
 func backAddGELU(out *Variable) {
 	a, b := out.parents[0], out.parents[1]
-	dpre := tensor.New(out.auxT.Shape()...)
-	tensor.GELUGradInto(dpre, out.auxT, out.Grad)
+	dpre := out.auxT
+	tensor.GELUGradInto(dpre, dpre, out.Grad)
 	if a.requiresGrad {
 		a.accFlat(dpre)
 	}
@@ -242,7 +245,6 @@ func backAddGELU(out *Variable) {
 		b.accFlat(dpre)
 	}
 	tensor.PutTensor(dpre)
-	tensor.PutTensor(out.auxT)
 	out.auxT = nil
 }
 

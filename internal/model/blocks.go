@@ -116,7 +116,8 @@ func (b *EncLayer) forward(s *State) {
 		seq := x.Value.Dim(1)
 		mask = nn.PaddingMask(s.EncLens, b.cfg.Heads, seq, seq)
 	}
-	h := b.Attn.Forward(b.LN1.Forward(x), b.LN1.Forward(x), mask)
+	n := b.LN1.Forward(x)
+	h := b.Attn.Forward(n, n, mask)
 	h = autograd.Dropout(h, b.cfg.Dropout, s.Train, s.RNG)
 	x = autograd.Add(x, h)
 	h = b.FF.Forward(b.LN2.Forward(x))
@@ -191,7 +192,8 @@ func (b *DecLayer) forward(s *State) {
 	x := s.Dec
 	batch, decSeq := x.Value.Dim(0), x.Value.Dim(1)
 	causal := nn.CausalMask(batch, b.cfg.Heads, decSeq)
-	h := b.SelfAttn.Forward(b.LN1.Forward(x), b.LN1.Forward(x), causal)
+	n := b.LN1.Forward(x)
+	h := b.SelfAttn.Forward(n, n, causal)
 	h = autograd.Dropout(h, b.cfg.Dropout, s.Train, s.RNG)
 	x = autograd.Add(x, h)
 

@@ -1,6 +1,8 @@
 package peft
 
 import (
+	"sync/atomic"
+
 	"pac/internal/autograd"
 	"pac/internal/model"
 	"pac/internal/nn"
@@ -27,6 +29,35 @@ type Parallel struct {
 	down  []*autograd.Variable // D_i [hidden, r]
 	mix   []*autograd.Variable // R_i [r, r]
 	head  *nn.Linear           // [r, classes]
+	zero  *zeroState           // a_0, shared with Clones
+}
+
+// zeroState holds the side network's start state a_0: one buffer of
+// zeros that every forward views and nothing writes. A batch that needs
+// more floats than it holds swaps in a larger buffer, so concurrent
+// forwards (ClassifyFor callers, DP ranks) only ever read zeros.
+type zeroState struct{ buf atomic.Pointer[[]float32] }
+
+// view returns n zeros, capacity-capped so an append cannot write into
+// the shared buffer.
+func (z *zeroState) view(n int) []float32 {
+	for {
+		old := z.buf.Load()
+		if old != nil && len(*old) >= n {
+			return (*old)[:n:n]
+		}
+		grown := make([]float32, n)
+		if z.buf.CompareAndSwap(old, &grown) {
+			return grown
+		}
+	}
+}
+
+// zeros is a_0 for a batch of the given sequence length, a view of the
+// shared zero buffer. It is a leaf wherever it is used: no release sweep
+// and no values.keep returns it to the pool, which would reject it.
+func (p *Parallel) zeros(batch, seq int) *tensor.Tensor {
+	return tensor.FromSlice(p.zero.view(batch*seq*p.r), batch, seq, p.r)
 }
 
 // NewParallel freezes m and builds the side network. Down-projections
@@ -42,7 +73,7 @@ func NewParallel(m *model.Model, opts Options) *Parallel {
 		r = 1
 	}
 	rng := tensor.NewRNG(opts.Seed)
-	p := &Parallel{m: m, cfg: m.Cfg, r: r, taps: m.NumTaps()}
+	p := &Parallel{m: m, cfg: m.Cfg, r: r, taps: m.NumTaps(), zero: &zeroState{}}
 	layerIdx := m.LayerBlocks()
 	for _, bi := range layerIdx {
 		p.norms = append(p.norms, nn.NewLayerNorm(h))
@@ -159,10 +190,11 @@ func (p *Parallel) Backbone() *model.Model { return p.m }
 
 // SideInit returns the zero side state a_0 for a batch of the given
 // sequence length, so every adapter — including the first — has the same
-// f_i(b_i, a_{i-1}) form. The zeros are GC-owned, not pooled: a_0 is a
-// graph leaf, and a release sweep never returns a leaf to the pool.
+// f_i(b_i, a_{i-1}) form. The zeros are the shared, read-only buffer
+// (zeroState), not pooled: a_0 is a graph leaf, and a release sweep
+// never returns a leaf to the pool.
 func (p *Parallel) SideInit(batch, seq int) *autograd.Variable {
-	return tape{}.zeros(batch, seq, p.r)
+	return autograd.NewVar(p.zeros(batch, seq))
 }
 
 // SideStep applies adapter i: a_i = GELU(LN_i(b_i)·D_i + a_{i-1}·R_i).
@@ -244,7 +276,6 @@ func (p *Parallel) HeadParams() []*autograd.Variable { return p.head.Params() }
 // sideOps is what that math needs from the form it runs in.
 type sideOps[T any] interface {
 	leaf(t *tensor.Tensor) T
-	zeros(batch, seq, n int) T
 	norm(l *nn.LayerNorm, x T) T
 	affine(x T, w, b *autograd.Variable) T // b may be nil
 	addGELU(a, b T) T
@@ -273,7 +304,7 @@ func head[T any](o sideOps[T], p *Parallel, state T) T {
 // decSeq decoder positions.
 func sideEncoder[T any](o sideOps[T], p *Parallel, encTaps []*tensor.Tensor, decSeq int) T {
 	shape := encTaps[0].Shape()
-	a := o.zeros(shape[0], shape[1], p.r)
+	a := o.leaf(p.zeros(shape[0], shape[1]))
 	for i, tap := range encTaps {
 		a = sideStep(o, p, i, tap, a)
 	}
@@ -293,10 +324,6 @@ func sideDecoder[T any](o sideOps[T], p *Parallel, a T, decTaps []*tensor.Tensor
 type tape struct{}
 
 func (tape) leaf(t *tensor.Tensor) *autograd.Variable { return autograd.NewVar(t) }
-
-func (tape) zeros(batch, seq, n int) *autograd.Variable {
-	return autograd.NewVar(tensor.FromSlice(make([]float32, batch*seq*n), batch, seq, n))
-}
 
 func (tape) norm(l *nn.LayerNorm, x *autograd.Variable) *autograd.Variable { return l.Forward(x) }
 
@@ -337,8 +364,6 @@ func (v *values) keep(out *tensor.Tensor) *tensor.Tensor {
 }
 
 func (v *values) leaf(t *tensor.Tensor) *tensor.Tensor { return t }
-
-func (v *values) zeros(batch, seq, n int) *tensor.Tensor { return v.own(tensor.New(batch, seq, n)) }
 
 func (v *values) norm(l *nn.LayerNorm, x *tensor.Tensor) *tensor.Tensor { return v.own(l.Value(x)) }
 

@@ -2,6 +2,7 @@ package peft
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -262,6 +263,72 @@ func TestBackboneTapsSettlesTape(t *testing.T) {
 		}
 		if got := tape.Bytes(); got != start {
 			t.Fatalf("forward %d: autograd.tape at %d bytes, started at %d", i+1, got, start)
+		}
+	}
+}
+
+// TestZeroStartStateSharedAcrossGoroutines: every forward's a_0 is a
+// view of one read-only zero buffer per side network, grown when a
+// larger batch arrives. Four goroutines run the tape and the value
+// forms at batch sizes 1–4 at once (run it under -race); each gets the
+// single-goroutine bits, and the buffer holds only zeros afterwards.
+// The recurrent mixes are made non-zero, so a written a_0 would move
+// the logits.
+func TestZeroStartStateSharedAcrossGoroutines(t *testing.T) {
+	m := model.New(model.Tiny())
+	tech := NewParallel(m, Options{Reduction: 4})
+	g := tensor.NewRNG(9)
+	for _, mix := range tech.mix {
+		copy(mix.Value.Data, g.Randn(0.5, mix.Value.Shape()...).Data)
+	}
+	type outs struct{ logits, start []float32 }
+	run := func(rows int) outs {
+		enc, dec, lens := make([][]int, rows), make([][]int, rows), make([]int, rows)
+		for i := range enc {
+			enc[i], dec[i], lens[i] = []int{5 + i, 6, 7 + i, 8}, []int{0}, 4
+		}
+		taps := tech.BackboneTaps(enc, dec, lens)
+		logits := tech.ForwardFromTaps(taps)
+		start := tech.SideStart(taps[:m.Cfg.Layers])
+		o := outs{append([]float32(nil), logits.Value.Data...), append([]float32(nil), start.Data...)}
+		tensor.PutTensor(start)
+		for _, tap := range taps {
+			tensor.PutTensor(tap)
+		}
+		return o
+	}
+	want := make([]outs, 5)
+	for rows := 1; rows <= 4; rows++ {
+		want[rows] = run(rows)
+	}
+	tech.zero = &zeroState{} // the goroutines grow it from empty
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				rows := 1 + (w+i)%4
+				got := run(rows)
+				for j := range got.logits {
+					if math.Float32bits(got.logits[j]) != math.Float32bits(want[rows].logits[j]) {
+						t.Errorf("goroutine %d, %d rows: logit %d is %v, alone %v", w, rows, j, got.logits[j], want[rows].logits[j])
+						return
+					}
+				}
+				for j := range got.start {
+					if math.Float32bits(got.start[j]) != math.Float32bits(want[rows].start[j]) {
+						t.Errorf("goroutine %d, %d rows: start state %d is %v, alone %v", w, rows, j, got.start[j], want[rows].start[j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, v := range *tech.zero.buf.Load() {
+		if v != 0 {
+			t.Fatalf("the shared zero start state holds %v at %d", v, i)
 		}
 	}
 }

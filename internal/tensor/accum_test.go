@@ -90,17 +90,34 @@ func dotTRows(out, a, b []float32, m, k, n int, alpha float32) {
 	}
 }
 
-// eachPath runs fn on the AVX2 tiles, where the host has them, and on
-// the scalar bodies every other host runs.
+// eachPath runs fn on every tier the host has: the AVX-512 tiles, the
+// AVX2 tiles with AVX-512 pinned off, and the scalar bodies every other
+// host runs. A weight quantized inside fn takes the layout of fn's tier.
 func eachPath(t *testing.T, fn func(path string)) {
 	t.Helper()
-	detected := hasAVX2
-	defer func() { hasAVX2 = detected }()
-	if detected {
+	avx2, avx512, vnni := hasAVX2, hasAVX512, hasVNNI
+	defer func() { hasAVX2, hasAVX512, hasVNNI = avx2, avx512, vnni }()
+	if avx512 {
+		fn("avx512")
+	}
+	hasAVX512, hasVNNI = false, false
+	if avx2 {
 		fn("avx2")
 	}
 	hasAVX2 = false
 	fn("scalar")
+}
+
+// logAbsentTiers names the tiers eachPath skips on this host.
+func logAbsentTiers(t *testing.T) {
+	for _, tier := range []struct {
+		name string
+		has  bool
+	}{{"avx512", hasAVX512}, {"avx512 vnni (int8 panels)", hasVNNI}, {"avx2", hasAVX2}} {
+		if !tier.has {
+			t.Logf("no %s on this host: that tier is not checked", tier.name)
+		}
+	}
 }
 
 // oracleShapes cross every row remainder of the 4-row tile with every
@@ -152,6 +169,7 @@ func TestAccumRowsMatchesAxpyOracle(t *testing.T) {
 // every backend: the fp32 products are one kernel whichever backend is
 // active.
 func TestProductsMatchAxpyOracle(t *testing.T) {
+	logAbsentTiers(t)
 	const alpha = 0.125
 	for _, name := range fp32Backends {
 		withBackend(t, name, func() {
@@ -234,25 +252,27 @@ var quantEdges = []float32{127, 0.5, -0.5, 1.5, -2.5, 126.5, -126.49999, float32
 
 // TestProductsShareWeightsAcrossGoroutines: eight goroutines run every
 // product on one shared weight at once — the A·Bᵀ forms each draw a
-// pooled panel, the int8 form pooled scratch — and each gets the
+// pooled panel, the int8 forms pooled scratch, one of them on a weight
+// in the VNNI panel layout where the host has it — and each gets the
 // single-goroutine bits. Run it under -race.
 func TestProductsShareWeightsAcrossGoroutines(t *testing.T) {
 	g := NewRNG(54)
 	const m, k, n = 9, 40, 33
 	w, wt := g.Randn(1, k, n), g.Randn(1, n, k)
 	kb := g.Randn(1, 1, n, k)
-	q := QuantizeWeight(w)
+	q, qp := QuantizeWeight(w), QuantizeWeight(g.Randn(1, k, 64))
 	xs := make([]*Tensor, 8)
 	for i := range xs {
 		xs[i] = g.Randn(1, m, k)
 	}
-	type outs struct{ ab, abt, scaled, int8 []float32 }
+	type outs struct{ ab, abt, scaled, int8, panel []float32 }
 	run := func(x *Tensor) outs {
 		return outs{
 			MatMul(x, w).Data,
 			MatMulT(x, wt).Data,
 			BatchMatMulTScaled(x.Reshape(1, m, k), kb, 0.5).Data,
 			QuantMatMul(x, q).Data,
+			QuantMatMul(x, qp).Data,
 		}
 	}
 	want := make([]outs, len(xs))
@@ -276,6 +296,7 @@ func TestProductsShareWeightsAcrossGoroutines(t *testing.T) {
 		sameBits(t, fmt.Sprintf("goroutine %d MatMulT", i), got[i].abt, want[i].abt)
 		sameBits(t, fmt.Sprintf("goroutine %d BatchMatMulTScaled", i), got[i].scaled, want[i].scaled)
 		sameBits(t, fmt.Sprintf("goroutine %d QuantMatMul", i), got[i].int8, want[i].int8)
+		sameBits(t, fmt.Sprintf("goroutine %d QuantMatMul (64 channels)", i), got[i].panel, want[i].panel)
 	}
 }
 

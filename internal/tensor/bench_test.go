@@ -70,10 +70,10 @@ func BenchmarkSoftmax(b *testing.B) {
 func eachKernel(b *testing.B, fn func(b *testing.B)) {
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
-	detected := hasAVX2
-	defer func() { hasAVX2 = detected }()
+	avx2, avx512, vnni := hasAVX2, hasAVX512, hasVNNI
+	defer func() { hasAVX2, hasAVX512, hasVNNI = avx2, avx512, vnni }()
 	b.Run("vector", fn)
-	hasAVX2 = false
+	hasAVX2, hasAVX512, hasVNNI = false, false, false
 	b.Run("scalar", fn)
 }
 

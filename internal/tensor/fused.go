@@ -89,6 +89,7 @@ func shardGELU(kr *kern, start, end int) {
 }
 
 // GELUGradInto writes gelu'(pre)·g into dst (all same element count).
+// dst may alias pre.
 func GELUGradInto(dst, pre, g *Tensor) {
 	if len(dst.Data) != len(pre.Data) || len(g.Data) != len(pre.Data) {
 		panic("tensor: GELUGradInto size mismatch")

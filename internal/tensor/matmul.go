@@ -63,11 +63,12 @@ func shardMatMul(kr *kern, start, end int) {
 // writes: nothing needs to be zeroed first.
 //
 // With AVX2 the first n&^15 columns run on the register tiles in
-// tile_amd64.s — 4 rows × 16 columns at a time, then one row at a time
-// for the rows left over — and the remaining columns on the scalar
-// body. Both build every output element as the single in-order chain a
-// naive dot product builds (each product rounded, then added), so the
-// split changes no bit.
+// tile_amd64.s — 4 rows × 16 columns at a time, or 4 × 32 on zmm where
+// hasAVX512 (a 16-column remainder keeps the ymm tile), then one row at
+// a time for the rows left over — and the remaining columns on the
+// scalar body. All of them build every output element as the single
+// in-order chain a naive dot product builds (each product rounded, then
+// added), so the split changes no bit.
 func accumRows(out, a, b []float32, start, end, k, n, sa, sp int) {
 	j0 := 0
 	if hasAVX2 && k > 0 && n >= 16 && start < end {
@@ -78,9 +79,17 @@ func accumRows(out, a, b []float32, start, end, k, n, sa, sp int) {
 		_ = b[(k-1)*n+j0-1]
 		_ = out[(end-1)*n+j0-1]
 		// Columns outermost: every 4-row tile of the shard reuses one
-		// 16-column strip of b while it is still cached.
+		// column strip of b while it is still cached.
 		r4 := start + (end-start)&^3
-		for j := 0; j < j0; j += 16 {
+		j := 0
+		if hasAVX512 {
+			for ; j+32 <= j0; j += 32 {
+				for i := start; i < r4; i += 4 {
+					tileF32x4z(&out[i*n+j], &a[i*sa], &b[j], k, n, sa, sp)
+				}
+			}
+		}
+		for ; j < j0; j += 16 {
 			for i := start; i < r4; i += 4 {
 				tileF32x4(&out[i*n+j], &a[i*sa], &b[j], k, n, sa, sp)
 			}

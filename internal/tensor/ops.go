@@ -14,7 +14,7 @@ func checkSame(op string, a, b *Tensor) {
 // Add returns a + b elementwise.
 func Add(a, b *Tensor) *Tensor {
 	checkSame("Add", a, b)
-	out := New(a.shape...)
+	out := newDirty(a.shape...)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
@@ -234,7 +234,7 @@ func LayerNormForwardStats(a, gamma, beta *Tensor, eps float32, stats *LayerNorm
 	if len(stats.Mean) != rows || len(stats.InvStd) != rows {
 		panic("tensor: LayerNorm stats size mismatch")
 	}
-	out := New(a.shape...)
+	out := newDirty(a.shape...) // every row is written by shardLayerNorm
 	kr := getKern()
 	kr.fn = shardLayerNorm
 	kr.dst, kr.a, kr.b, kr.c = out.Data, a.Data, gamma.Data, beta.Data

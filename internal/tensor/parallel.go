@@ -42,7 +42,8 @@ type kern struct {
 	// Operand fields, meaning assigned per kernel. Slices must be
 	// cleared on release so a pooled kern never pins tensor buffers.
 	dst, a, b, c, d, e []float32
-	i8a, i8b           []int8
+	i8a                []int8
+	q                  *QuantizedWeight
 	i0, i1, i2         int
 	f0                 float32
 	closure            func(start, end int) // parallelFor compatibility
@@ -67,7 +68,7 @@ func (k *kern) release() {
 	}
 	k.fn = nil
 	k.dst, k.a, k.b, k.c, k.d, k.e = nil, nil, nil, nil, nil, nil
-	k.i8a, k.i8b = nil, nil
+	k.i8a, k.q = nil, nil
 	k.closure = nil
 	kernPool.Put(k)
 }

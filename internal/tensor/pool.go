@@ -113,9 +113,9 @@ func Get(n int) []float32 {
 // getDirty is Get without the zeroing: a recycled buffer keeps whatever
 // its last owner and the poison left in it. Only a kernel that writes
 // every element before anything reads one may take it — the products
-// (accumRows owns each output row it touches) and the transposed panel
-// (transposeRows writes every element of it). The canary and poison
-// checks run as on every Get.
+// (accumRows owns each output row it touches), the transposed panel
+// (transposeRows writes every element of it) and newDirty's callers.
+// The canary and poison checks run as on every Get.
 func getDirty(n int) []float32 {
 	c := classFor(n)
 	if c < 0 {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -138,4 +139,52 @@ func TestSetMaxWorkersDuringMatMul(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestDirtyOutputsWriteEveryElement: Add, LayerNormForwardStats and
+// Clone take their result from the pool without zeroing it. Each is
+// handed a recycled buffer whose every element holds a NaN it never
+// computes, and must overwrite all of them with the bits a scalar
+// reference gives. The odd width reaches the vector passes and their
+// scalar tails.
+func TestDirtyOutputsWriteEveryElement(t *testing.T) {
+	const rows, cols = 5, 37
+	g := NewRNG(58)
+	a, b := g.Randn(1, rows, cols), g.Randn(1, rows, cols)
+	gamma, beta := g.Randn(1, cols), g.Randn(1, cols)
+	stats := &LayerNormStats{Mean: make([]float32, rows), InvStd: make([]float32, rows)}
+
+	sum, norm := make([]float32, rows*cols), make([]float32, rows*cols)
+	for i := range sum {
+		sum[i] = a.Data[i] + b.Data[i]
+	}
+	for r := 0; r < rows; r++ {
+		row := a.Data[r*cols : (r+1)*cols]
+		mean, inv := layerNormStats(row, 1e-5)
+		for c, v := range row {
+			norm[r*cols+c] = (v-mean)*inv*gamma.Data[c] + beta.Data[c]
+		}
+	}
+	stale := math.Float32frombits(0x7fc0dead)
+	for _, op := range []struct {
+		name string
+		fn   func() *Tensor
+		want []float32
+	}{
+		{"Add", func() *Tensor { return Add(a, b) }, sum},
+		{"LayerNormForwardStats", func() *Tensor { return LayerNormForwardStats(a, gamma, beta, 1e-5, stats) }, norm},
+		{"Clone", a.Clone, a.Data},
+	} {
+		buf := Get(rows * cols)
+		for i := range buf {
+			buf[i] = stale
+		}
+		Put(buf)
+		got := op.fn()
+		if &got.Data[0] != &buf[0] {
+			t.Fatalf("%s: result did not reuse the recycled buffer", op.name)
+		}
+		sameBits(t, op.name, got.Data, op.want)
+		PutTensor(got)
+	}
 }

@@ -21,18 +21,29 @@ import (
 // this bound; it is a tolerance contract, not a bitwise one.
 
 // QuantizedWeight is an int8 per-output-channel quantization of a frozen
-// [in, out] fp32 weight. Q stores the matrix transposed — row j holds
-// output channel j's in weights contiguously — so the matmul streams
-// both operands.
+// [in, out] fp32 weight. Q holds In·Out weights in one of two layouts:
+//
+//   - rows, [Out][In]: the matrix transposed, row j holding output
+//     channel j's weights contiguously, so the AVX2 tile and the scalar
+//     body stream both operands;
+//   - panels, [Out/32][In/4][32][4], where the host has AVX512-VNNI and
+//     In%4 == 0 and Out%32 == 0: 32 channels side by side, four
+//     consecutive weights of a channel in one dword, which is the operand
+//     order VPDPBUSD reads. The weight then also carries comp[j] =
+//     128·Σ_p Q[j][p], which the VNNI tile subtracts (see tileInt8x4v).
+//
+// The panel layout replaces the row layout; it is not a second copy.
+// index maps a weight to its place in either.
 type QuantizedWeight struct {
 	In, Out int
-	Q       []int8    // [Out][In], transposed
+	Q       []int8    // [Out][In], or [Out/32][In/4][32][4] with comp
 	Scale   []float32 // len Out: fp32 value of one int8 step per channel
+	comp    []int32   // len Out in the panel layout, else nil
 }
 
 // QuantizeWeight builds the int8 form of a frozen [in, out] weight:
 // symmetric absmax per output channel, scale = absmax/127. Channels that
-// are entirely zero get scale 0 and a zero row.
+// are entirely zero get scale 0 and zero weights.
 func QuantizeWeight(w *Tensor) *QuantizedWeight {
 	in, out := matShape(w)
 	q := &QuantizedWeight{
@@ -40,6 +51,9 @@ func QuantizeWeight(w *Tensor) *QuantizedWeight {
 		Out:   out,
 		Q:     make([]int8, in*out),
 		Scale: make([]float32, out),
+	}
+	if hasVNNI && in%4 == 0 && out%32 == 0 {
+		q.comp = make([]int32, out)
 	}
 	for j := 0; j < out; j++ {
 		var amax float32
@@ -58,12 +72,26 @@ func QuantizeWeight(w *Tensor) *QuantizedWeight {
 		scale := amax / 127
 		q.Scale[j] = scale
 		inv := 1 / scale
-		qrow := q.Q[j*in : (j+1)*in]
+		var sum int32
 		for p := 0; p < in; p++ {
-			qrow[p] = quantClamp(w.Data[p*out+j] * inv)
+			v := quantClamp(w.Data[p*out+j] * inv)
+			q.Q[q.index(j, p)] = v
+			sum += int32(v)
+		}
+		if q.comp != nil {
+			q.comp[j] = 128 * sum
 		}
 	}
 	return q
+}
+
+// index is where channel j's weight p sits in Q: j·In+p in the row
+// layout; in the panel layout, panel j/32, line p/4, lane j%32, byte p%4.
+func (q *QuantizedWeight) index(j, p int) int {
+	if q.comp == nil {
+		return j*q.In + p
+	}
+	return (j>>5)*32*q.In + (p>>2)*128 + (j&31)*4 + p&3
 }
 
 // quantClamp rounds half away from zero and saturates to ±127 (symmetric
@@ -90,9 +118,8 @@ func (q *QuantizedWeight) Dequantize() *Tensor {
 	w := New(q.In, q.Out)
 	for j := 0; j < q.Out; j++ {
 		s := q.Scale[j]
-		qrow := q.Q[j*q.In : (j+1)*q.In]
-		for p, qv := range qrow {
-			w.Data[p*q.Out+j] = float32(qv) * s
+		for p := 0; p < q.In; p++ {
+			w.Data[p*q.Out+j] = float32(q.Q[q.index(j, p)]) * s
 		}
 	}
 	return w
@@ -134,22 +161,26 @@ func quantMatMulInto(dst, a []float32, q *QuantizedWeight, rows int) {
 	qa := sc.qa[:rows*q.In]
 	kr := getKern()
 	kr.fn = shardQuantMatMul
-	kr.dst, kr.a, kr.d = dst, a, q.Scale
-	kr.i8a, kr.i8b = qa, q.Q
-	kr.i0, kr.i1 = q.In, q.Out
+	kr.dst, kr.a, kr.i8a, kr.q = dst, a, qa, q
 	runKern(kr, rows)
 	quantScratchPool.Put(sc)
 }
 
 // shardQuantMatMul owns rows [start,end) of the output, two at a time
-// (an odd last row pairs with itself). It quantizes its own activation
-// rows (dynamic symmetric absmax) into the shared scratch — disjoint
-// per shard — runs the pair against every channel through int8Dots,
-// then adds the k%16 tail and dequantizes in the epilogue,
+// (an odd last row pairs with itself), or four at a time against a
+// weight in the panel layout (shardQuantPanels). It quantizes its own
+// activation rows (dynamic symmetric absmax) into the shared scratch —
+// disjoint per shard — runs the pair against every channel through
+// int8Dots, then adds the k%16 tail and dequantizes in the epilogue,
 // (float32(acc)·rscale)·colScale[j]. The int32 sums are exact, so the
 // order the tile adds them in changes no bit.
 func shardQuantMatMul(kr *kern, start, end int) {
-	k, n := kr.i0, kr.i1
+	q := kr.q
+	if q.comp != nil {
+		shardQuantPanels(kr, start, end)
+		return
+	}
+	k, n := q.In, q.Out
 	k16 := k &^ 15
 	for i := start; i < end; i += 2 {
 		i1 := min(i+1, end-1)
@@ -160,10 +191,40 @@ func shardQuantMatMul(kr *kern, start, end int) {
 		if i1 != i {
 			rs1, ok1 = quantizeRow(q1, kr.a[i1*k:(i1+1)*k])
 		}
-		int8Dots(o0, o1, q0, q1, kr.i8b, k, k16)
-		dequantRow(o0, q0, kr.i8b, k, k16, rs0, ok0, kr.d)
+		int8Dots(o0, o1, q0, q1, q.Q, k, k16)
+		dequantRow(o0, q0, q.Q, k, k16, rs0, ok0, q.Scale)
 		if i1 != i {
-			dequantRow(o1, q1, kr.i8b, k, k16, rs1, ok1, kr.d)
+			dequantRow(o1, q1, q.Q, k, k16, rs1, ok1, q.Scale)
+		}
+	}
+}
+
+// shardQuantPanels is shardQuantMatMul against a weight in the panel
+// layout: four rows at a time (the shard's last group repeats its last
+// row) on the VNNI tile, which leaves their exact int32 sums, then the
+// same epilogue. k is a multiple of 4, so there is no tail. Only a
+// host with VNNI quantizes into the panel layout, so the tile runs
+// there even if hasVNNI is pinned off afterwards.
+func shardQuantPanels(kr *kern, start, end int) {
+	q := kr.q
+	k, n := q.In, q.Out
+	_, _ = q.Q[n*k-1], q.comp[n-1]
+	var o [4][]float32
+	var qr [4][]int8
+	var rs [4]float32
+	var ok [4]bool
+	for i := start; i < end; i += 4 {
+		for r := range 4 {
+			ir := min(i+r, end-1)
+			o[r], qr[r] = kr.dst[ir*n:(ir+1)*n], kr.i8a[ir*k:(ir+1)*k]
+			if ir == i+r {
+				rs[r], ok[r] = quantizeRow(qr[r], kr.a[ir*k:(ir+1)*k])
+			}
+		}
+		tileInt8x4v(&o[0][0], &o[1][0], &o[2][0], &o[3][0], &qr[0][0], &qr[1][0], &qr[2][0], &qr[3][0],
+			&q.Q[0], &q.comp[0], k, n/32)
+		for r := 0; r < 4 && i+r < end; r++ {
+			dequantRow(o[r], nil, nil, k, k, rs[r], ok[r], q.Scale)
 		}
 	}
 }

@@ -77,11 +77,18 @@ func exactMatMul64(a, w *Tensor) []float64 {
 
 // quantMatMulOracle is the scalar int8 product QuantMatMul ran on
 // before the AVX2 tile: per row, quantize the activations, then dot
-// each pair of channels four steps at a time. The tile must match it
-// bit for bit, as int32 sums are exact in any order.
+// each pair of channels four steps at a time. The tiles must match it
+// bit for bit, as int32 sums are exact in any order. It reads the
+// weight in the row layout, gathered from whichever layout q holds.
 func quantMatMulOracle(a *Tensor, q *QuantizedWeight) []float32 {
 	rows, k := matShape(a)
-	n, qw, colScale := q.Out, q.Q, q.Scale
+	n, colScale := q.Out, q.Scale
+	qw := make([]int8, n*k)
+	for j := 0; j < n; j++ {
+		for p := 0; p < k; p++ {
+			qw[j*k+p] = q.Q[q.index(j, p)]
+		}
+	}
 	out := make([]float32, rows*n)
 	qrow := make([]int8, k)
 	for i := 0; i < rows; i++ {
@@ -249,4 +256,45 @@ func TestQuantMatMulIntoAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("QuantMatMulInto allocates %.1f per op after warm-up", allocs)
 	}
+}
+
+// BenchmarkInt8Tile times QuantMatMulInto on one worker at the frozen
+// backbone's int8 shapes for a short request — [24,256]·[256,1024] (the
+// feed-forward up-projection), [24,1024]·[1024,256] (down) and
+// [24,256]·[256,256] (attention) — on the VNNI panel tile and on the
+// AVX2 tile, with AVX-512 pinned off and the weights in the row layout.
+// CI's perf-gates job asserts avx2 ÷ vnni ≥ 2.5 from the two ns/op
+// figures; on a host without AVX512-VNNI the vnni leg skips.
+func BenchmarkInt8Tile(b *testing.B) {
+	prev := SetMaxWorkers(1)
+	defer SetMaxWorkers(prev)
+	g := NewRNG(56)
+	type shape struct{ a, w *Tensor }
+	shapes := []shape{
+		{g.Randn(1, 24, 256), g.Randn(0.05, 256, 1024)},
+		{g.Randn(1, 24, 1024), g.Randn(0.05, 1024, 256)},
+		{g.Randn(1, 24, 256), g.Randn(0.05, 256, 256)},
+	}
+	leg := func(b *testing.B) {
+		qs, outs := make([]*QuantizedWeight, len(shapes)), make([]*Tensor, len(shapes))
+		for i, s := range shapes {
+			qs[i], outs[i] = QuantizeWeight(s.w), New(24, s.w.Dim(1))
+		}
+		b.ResetTimer()
+		for range b.N {
+			for i, s := range shapes {
+				QuantMatMulInto(outs[i], s.a, qs[i])
+			}
+		}
+	}
+	b.Run("vnni", func(b *testing.B) {
+		if !hasVNNI {
+			b.Skip("no AVX512-VNNI")
+		}
+		leg(b)
+	})
+	avx512, vnni := hasAVX512, hasVNNI
+	defer func() { hasAVX512, hasVNNI = avx512, vnni }()
+	hasAVX512, hasVNNI = false, false
+	b.Run("avx2", leg)
 }

@@ -35,8 +35,9 @@ func New(shape ...int) *Tensor {
 	return t
 }
 
-// newDirty is New without the zeroing (getDirty), for the product
-// entry points whose kernel writes every element of the result.
+// newDirty is New without the zeroing (getDirty), for the entry points
+// that write every element of the result: the products, Add,
+// LayerNormForwardStats and Clone.
 func newDirty(shape ...int) *Tensor {
 	t := shellPool.Get().(*Tensor)
 	t.shape = append(t.shape[:0], shape...)
@@ -91,7 +92,7 @@ func (t *Tensor) Numel() int { return len(t.Data) }
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
+	c := newDirty(t.shape...)
 	copy(c.Data, t.Data)
 	return c
 }

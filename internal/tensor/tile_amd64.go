@@ -2,17 +2,24 @@
 
 package tensor
 
-// The AVX2 tiles in tile_amd64.s. Callers check hasAVX2 and bounds
+// The AVX2 tiles in tile_amd64.s, and the AVX-512 twins of the two
+// product tiles. Callers check hasAVX2 (hasAVX512, hasVNNI) and bounds
 // first: the assembly trusts its pointers and strides.
 
 //go:noescape
 func tileF32x4(o, a, b *float32, k, n, sa, sp int)
 
 //go:noescape
+func tileF32x4z(o, a, b *float32, k, n, sa, sp int)
+
+//go:noescape
 func rowF32(o, a, b *float32, k, n, sp, cols int)
 
 //go:noescape
 func tileInt8x2(o0, o1 *float32, a0, a1, w *int8, k, k16, n int)
+
+//go:noescape
+func tileInt8x4v(o0, o1, o2, o3 *float32, a0, a1, a2, a3, w *int8, comp *int32, k, panels int)
 
 //go:noescape
 func absMaxF32(a *float32, n int) float32
@@ -71,26 +78,35 @@ func xgetbv0() (eax, edx uint32)
 // AVX + OSXSAVE in CPUID.1:ECX, YMM state in XCR0): exactly when it
 // holds, math.Exp takes its fused branch, which the GELU kernels replay.
 // They run when hasAVX2 && hasFMA.
-var hasAVX2, hasFMA = detectAVX()
+//
+// hasAVX512 (AVX512F, CPUID.7.0:EBX bit 16) gates the zmm fp32 tile and
+// hasVNNI (AVX512_VNNI, CPUID.7.0:ECX bit 11) the int8 panel tile; both
+// also need the opmask and all 32 zmm registers saved by the OS (XCR0
+// bits 1, 2, 5, 6, 7) and hold only where hasAVX2 does. Each is a
+// variable so that tests can pin every tier on one host.
+var hasAVX2, hasFMA, hasAVX512, hasVNNI = detectAVX()
 
-func detectAVX() (avx2, fma bool) {
+func detectAVX() (avx2, fma, avx512, vnni bool) {
 	maxID, _, _, _ := cpuidex(0, 0)
 	if maxID < 1 {
-		return false, false
+		return false, false, false, false
 	}
 	_, _, c1, _ := cpuidex(1, 0)
 	const fmaBit = 1 << 12
 	const osxsave = 1 << 27
 	const avx = 1 << 28
 	if c1&osxsave == 0 || c1&avx == 0 {
-		return false, false
+		return false, false, false, false
 	}
-	if lo, _ := xgetbv0(); lo&0x6 != 0x6 { // XMM and YMM state saved by the OS
-		return false, false
+	xcr0, _ := xgetbv0()
+	if xcr0&0x6 != 0x6 { // XMM and YMM state saved by the OS
+		return false, false, false, false
 	}
 	if maxID >= 7 {
-		_, b7, _, _ := cpuidex(7, 0)
+		_, b7, c7, _ := cpuidex(7, 0)
 		avx2 = b7&(1<<5) != 0
+		avx512 = avx2 && b7&(1<<16) != 0 && xcr0&0xe6 == 0xe6
+		vnni = avx512 && c7&(1<<11) != 0
 	}
-	return avx2, c1&fmaBit != 0
+	return avx2, c1&fmaBit != 0, avx512, vnni
 }

@@ -1,6 +1,6 @@
-// AVX2 register tiles for every fp32 and int8 product, the GELU and
-// LayerNorm passes, Adam's update, and the CPUID probes that gate
-// them. See tile_amd64.go.
+// AVX2 register tiles for every fp32 and int8 product, their AVX-512
+// twins, the GELU and LayerNorm passes, Adam's update, and the CPUID
+// probes that gate them. See tile_amd64.go.
 
 #include "textflag.h"
 
@@ -287,6 +287,171 @@ singlesum:
 	JMP          single
 
 int8done:
+	VZEROUPPER
+	RET
+
+// func tileF32x4z(o, a, b *float32, k, n, sa, sp int)
+//
+// tileF32x4 on zmm: one 4-row × 32-column tile, its eight accumulators
+// (rows × two 16-lane halves) in Z registers. Each product is rounded
+// (VMULPS) and then added (VADDPS) in p order, as there, so every
+// element is the same chain with the same bits. Requires AVX-512F and
+// k ≥ 1.
+TEXT ·tileF32x4z(SB), NOSPLIT, $0-56
+	MOVQ o+0(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ b+16(FP), BX
+	MOVQ k+24(FP), CX
+	MOVQ n+32(FP), R8
+	MOVQ sa+40(FP), R9
+	MOVQ sp+48(FP), R10
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R10
+	LEAQ (R9)(R9*2), R11
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+tilez:
+	VMOVUPS      (BX), Z8
+	VMOVUPS      64(BX), Z9
+	VBROADCASTSS (AX), Z10
+	VMULPS       Z8, Z10, Z11
+	VADDPS       Z11, Z0, Z0
+	VMULPS       Z9, Z10, Z11
+	VADDPS       Z11, Z1, Z1
+	VBROADCASTSS (AX)(R9*1), Z10
+	VMULPS       Z8, Z10, Z11
+	VADDPS       Z11, Z2, Z2
+	VMULPS       Z9, Z10, Z11
+	VADDPS       Z11, Z3, Z3
+	VBROADCASTSS (AX)(R9*2), Z10
+	VMULPS       Z8, Z10, Z11
+	VADDPS       Z11, Z4, Z4
+	VMULPS       Z9, Z10, Z11
+	VADDPS       Z11, Z5, Z5
+	VBROADCASTSS (AX)(R11*1), Z10
+	VMULPS       Z8, Z10, Z11
+	VADDPS       Z11, Z6, Z6
+	VMULPS       Z9, Z10, Z11
+	VADDPS       Z11, Z7, Z7
+	ADDQ         R10, AX
+	ADDQ         R8, BX
+	DECQ         CX
+	JNZ          tilez
+
+	LEAQ    (R8)(R8*2), R11
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, (DI)(R8*1)
+	VMOVUPS Z3, 64(DI)(R8*1)
+	VMOVUPS Z4, (DI)(R8*2)
+	VMOVUPS Z5, 64(DI)(R8*2)
+	VMOVUPS Z6, (DI)(R11*1)
+	VMOVUPS Z7, 64(DI)(R11*1)
+	VZEROUPPER
+	RET
+
+// vnniBias is the VNNI tile's offset: XOR with 0x80 turns an int8 a
+// into the uint8 a+128.
+DATA vnniBias<>+0(SB)/4, $0x80808080
+GLOBL vnniBias<>(SB), RODATA|NOPTR, $4
+
+// func tileInt8x4v(o0, o1, o2, o3 *float32, a0, a1, a2, a3, w *int8, comp *int32, k, panels int)
+//
+// Four activation rows against `panels` 32-channel panels of a weight in
+// the VNNI layout [Out/32][In/4][32][4] (QuantizeWeight's panel form;
+// k a multiple of 4): for each channel j of those panels it leaves the
+// exact int32 sum a_r·w[j] in the bits of o_r[j]. Per group of four k
+// steps, one panel line is two zmm of 16 channels × 4 int8 weights;
+// each row's four activations are broadcast as one dword and XORed with
+// 0x80808080, which makes them the uint8 a+128 that VPDPBUSD's unsigned
+// operand wants, and VPDPBUSD adds the four products (a+128)·w per
+// channel into its int32 lane. The sum is Σ a·w + 128·Σ w, so each
+// panel's sums subtract comp[j] = 128·Σ_p w[j][p] at the end. No step
+// saturates (a u8·s8 product fits int16, four of them int32) and int32
+// adds wrap, so the difference is exactly Σ a·w whenever that fits an
+// int32, which |Σ a·w| ≤ k·127² does below k ≈ 133k; the running sums
+// themselves stay below 2³¹ while k·255·127 does, k below ≈ 66k.
+// Requires AVX512-VNNI, k ≥ 4 and panels ≥ 1.
+TEXT ·tileInt8x4v(SB), NOSPLIT, $0-96
+	MOVQ o0+0(FP), DI
+	MOVQ o1+8(FP), DX
+	MOVQ o2+16(FP), R11
+	MOVQ o3+24(FP), R12
+	MOVQ a0+32(FP), SI
+	MOVQ a1+40(FP), BX
+	MOVQ a2+48(FP), R9
+	MOVQ a3+56(FP), R10
+	MOVQ w+64(FP), R8
+	MOVQ comp+72(FP), R13
+	MOVQ k+80(FP), R14
+	MOVQ panels+88(FP), CX
+	VPBROADCASTD vnniBias<>(SB), Z15
+
+panel:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	XORQ   AX, AX // p
+
+group:
+	VMOVDQU32      (R8), Z8
+	VMOVDQU32      64(R8), Z9
+	VPXORD.BCST    (SI)(AX*1), Z15, Z10
+	VPXORD.BCST    (BX)(AX*1), Z15, Z11
+	VPXORD.BCST    (R9)(AX*1), Z15, Z12
+	VPXORD.BCST    (R10)(AX*1), Z15, Z13
+	VPDPBUSD       Z8, Z10, Z0
+	VPDPBUSD       Z9, Z10, Z1
+	VPDPBUSD       Z8, Z11, Z2
+	VPDPBUSD       Z9, Z11, Z3
+	VPDPBUSD       Z8, Z12, Z4
+	VPDPBUSD       Z9, Z12, Z5
+	VPDPBUSD       Z8, Z13, Z6
+	VPDPBUSD       Z9, Z13, Z7
+	ADDQ           $128, R8
+	ADDQ           $4, AX
+	CMPQ           AX, R14
+	JLT            group
+
+	VMOVDQU32 (R13), Z8
+	VMOVDQU32 64(R13), Z9
+	VPSUBD    Z8, Z0, Z0
+	VPSUBD    Z9, Z1, Z1
+	VPSUBD    Z8, Z2, Z2
+	VPSUBD    Z9, Z3, Z3
+	VPSUBD    Z8, Z4, Z4
+	VPSUBD    Z9, Z5, Z5
+	VPSUBD    Z8, Z6, Z6
+	VPSUBD    Z9, Z7, Z7
+	VMOVDQU32 Z0, (DI)
+	VMOVDQU32 Z1, 64(DI)
+	VMOVDQU32 Z2, (DX)
+	VMOVDQU32 Z3, 64(DX)
+	VMOVDQU32 Z4, (R11)
+	VMOVDQU32 Z5, 64(R11)
+	VMOVDQU32 Z6, (R12)
+	VMOVDQU32 Z7, 64(R12)
+	ADDQ      $128, R13
+	ADDQ      $128, DI
+	ADDQ      $128, DX
+	ADDQ      $128, R11
+	ADDQ      $128, R12
+	DECQ      CX
+	JNZ       panel
 	VZEROUPPER
 	RET
 

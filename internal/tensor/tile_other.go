@@ -2,17 +2,23 @@
 
 package tensor
 
-// Non-amd64 builds always take the scalar bodies. hasAVX2 and hasFMA
-// are variables only so that tests can pin the scalar path on every
-// host.
-var hasAVX2, hasFMA = false, false
+// Non-amd64 builds always take the scalar bodies. hasAVX2, hasFMA,
+// hasAVX512 and hasVNNI are variables only so that tests can pin the
+// scalar path on every host.
+var hasAVX2, hasFMA, hasAVX512, hasVNNI = false, false, false, false
 
 func tileF32x4(o, a, b *float32, k, n, sa, sp int) { panic("tensor: AVX2 tile without AVX2") }
+
+func tileF32x4z(o, a, b *float32, k, n, sa, sp int) { panic("tensor: AVX-512 tile without AVX-512") }
 
 func rowF32(o, a, b *float32, k, n, sp, cols int) { panic("tensor: AVX2 tile without AVX2") }
 
 func tileInt8x2(o0, o1 *float32, a0, a1, w *int8, k, k16, n int) {
 	panic("tensor: AVX2 tile without AVX2")
+}
+
+func tileInt8x4v(o0, o1, o2, o3 *float32, a0, a1, a2, a3, w *int8, comp *int32, k, panels int) {
+	panic("tensor: VNNI tile without AVX512-VNNI")
 }
 
 func absMaxF32(a *float32, n int) float32 { panic("tensor: AVX2 tile without AVX2") }
